@@ -22,13 +22,12 @@ from . import matrixseq, scalar, verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
-    DegenerateDiscriminantError,
     term_binet,
     term_closed,
     term_fast,
     term_recurrence,
 )
-from .report import ALL_IDENTITIES, WEIGHTED_SUM_T6, reports_to_csv
+from .report import ALL_IDENTITIES, WEIGHTED_SUM_T6, mat2_json_dict, reports_to_csv
 from .scalar import BiParams, SeqKind, scalar_term
 from .verifier import (
     GridSpec,
@@ -69,15 +68,6 @@ def parse_grid_values(text: str) -> tuple[Fraction, ...]:
     if any(v == 0 for v in values):
         raise ValueError("grid values must be nonzero")
     return values
-
-
-def mat2_json_dict(m: Mat2) -> dict:
-    return {
-        "e11": format_rational(m.e11),
-        "e12": format_rational(m.e12),
-        "e21": format_rational(m.e21),
-        "e22": format_rational(m.e22),
-    }
 
 
 def print_matrix(m: Mat2, fmt: str) -> None:
@@ -252,6 +242,8 @@ def bench_rows(params: BiParams, ladder: Sequence[int],
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.repeat < 1:
+        raise ValueError("--repeat must be at least 1")
     params = _params(args)
     ladder = [int(part) for part in args.ladder.split(",")]
     try:
@@ -369,10 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         return args.handler(args)
-    except DegenerateDiscriminantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # includes DegenerateDiscriminantError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -18,8 +18,6 @@ from fractions import Fraction
 # the canonical-form contract the rest of the library relies on.
 Rational = Fraction
 
-RationalLike = "Fraction | int | str"
-
 
 def as_rational(value: Fraction | int | str) -> Fraction:
     """Coerce an int, a Fraction, or a 'p/q' string to an exact Fraction."""
@@ -56,6 +54,20 @@ def format_rational(r: Fraction) -> str:
 def parity(n: int) -> int:
     """0 for even n, 1 for odd n."""
     return n & 1
+
+
+def _power(base, k: int, one, what: str):
+    """base**k by binary exponentiation, squaring only while bits remain."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"{what} powers require a non-negative integer exponent")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 @dataclass(frozen=True)
@@ -137,16 +149,7 @@ class Mat2:
         return NotImplemented
 
     def __pow__(self, k: int) -> Mat2:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("matrix powers require a non-negative integer exponent")
-        result = Mat2.identity()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Mat2.identity(), "matrix")
 
     def __str__(self) -> str:
         f = format_rational
@@ -238,16 +241,7 @@ class QuadNum:
         return self * o.conj() * QuadNum.from_rational(Fraction(1) / n, self.disc)
 
     def __pow__(self, k: int) -> QuadNum:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("quadratic powers require a non-negative integer exponent")
-        result = QuadNum.from_rational(1, self.disc)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, QuadNum.from_rational(1, self.disc), "quadratic")
 
     def is_zero(self) -> bool:
         return self.rat == 0 and self.coeff == 0

@@ -76,9 +76,6 @@ def build_ogf(params: BiParams) -> RationalOGF:
     return RationalOGF(numerator, denominator)
 
 
-ScalarPoly = "tuple[Fraction, ...]"
-
-
 def component_form(params: BiParams) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """Entrywise scalar polynomials of the numerator, lowest power first.
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .exact import Mat2, QuadNum, parity
-from .scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
+from .scalar import BiParams, SeqKind, _PrefixMemo, scalar_term, scalar_term_fast
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -58,32 +58,25 @@ def iter_terms(params: BiParams) -> Iterator[Mat2]:
         n += 1
 
 
-# Bounded per-params memo of recurrence prefixes, same policy as the scalar
-# cache: oldest parameter points evicted, growth on demand, benign races.
-_CACHE_MAX_SERIES = 64
-_matrix_cache: dict[tuple[Fraction, Fraction], list[Mat2]] = {}
+def _next_term(params: BiParams, terms: list[Mat2]) -> Mat2:
+    mult = params.a if len(terms) % 2 == 0 else params.b
+    return mult * terms[-1] + 2 * terms[-2]
+
+
+# Memo per params, separate from the scalar one so the routes stay independent.
+_memo = _PrefixMemo(lambda params: [Mat2.identity(), generator_matrix(params)],
+                    _next_term)
 
 
 def clear_caches() -> None:
-    _matrix_cache.clear()
+    _memo.clear()
 
 
 def term_recurrence(params: BiParams, n: int) -> Mat2:
     """J[n] by the definitional recurrence (memoized per params)."""
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
-    key = (params.a, params.b)
-    terms = _matrix_cache.get(key)
-    if terms is None:
-        while len(_matrix_cache) >= _CACHE_MAX_SERIES:
-            _matrix_cache.pop(next(iter(_matrix_cache)))
-        terms = [Mat2.identity(), generator_matrix(params)]
-        _matrix_cache[key] = terms
-    while len(terms) <= n:
-        m = len(terms)
-        mult = params.a if m % 2 == 0 else params.b
-        terms.append(mult * terms[-1] + 2 * terms[-2])
-    return terms[n]
+    return _memo.term(params, n)
 
 
 def _assemble(params: BiParams, n: int, jm1: Fraction, jn: Fraction,

@@ -53,6 +53,16 @@ CSV_HEADER = (
 Residual = Union[Mat2, Fraction, None]
 
 
+def mat2_json_dict(m: Mat2) -> dict:
+    """A Mat2 as the JSON object {"e11": "p/q", ..., "e22": "p/q"}."""
+    return {
+        "e11": format_rational(m.e11),
+        "e12": format_rational(m.e12),
+        "e21": format_rational(m.e21),
+        "e22": format_rational(m.e22),
+    }
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     identity: str
@@ -101,16 +111,10 @@ class IdentityReport:
         out["status"] = self.status_label()
         if self.first_failure is not None:
             out["first_failure"] = self.first_failure
-        if self.residual is not None:
-            if isinstance(self.residual, Mat2):
-                out["residual"] = {
-                    "e11": format_rational(self.residual.e11),
-                    "e12": format_rational(self.residual.e12),
-                    "e21": format_rational(self.residual.e21),
-                    "e22": format_rational(self.residual.e22),
-                }
-            else:
-                out["residual"] = format_rational(self.residual)
+        if isinstance(self.residual, Mat2):
+            out["residual"] = mat2_json_dict(self.residual)
+        elif self.residual is not None:
+            out["residual"] = format_rational(self.residual)
         return out
 
     def to_json(self) -> str:

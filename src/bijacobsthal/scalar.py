@@ -25,6 +25,7 @@ extension is defined here.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,31 +89,51 @@ class SeqKind(enum.Enum):
         return params.b
 
 
-# Memo table per (kind, a, b).  Bounded: oldest series are evicted once the
-# table holds _CACHE_MAX_SERIES distinct parameter points.  All writers
-# compute identical values, so concurrent use is benign under the GIL.
-_CACHE_MAX_SERIES = 64
-_term_cache: dict[tuple[SeqKind, Fraction, Fraction], list[Fraction]] = {}
+class _PrefixMemo:
+    """Bounded memo of sequence prefixes, one list per key.
+
+    `start(key)` gives the first terms of a series and `step(key, terms)`
+    its next term.  One lock is held across lookup, eviction and extension,
+    so threads sharing a series never append the same index twice.  At most
+    `max_keys` series are kept; the oldest-inserted one is evicted first.
+    """
+
+    max_keys = 64
+
+    def __init__(self, start, step) -> None:
+        self._start = start
+        self._step = step
+        self._series: dict = {}
+        self._lock = threading.Lock()
+
+    def term(self, key, n: int):
+        with self._lock:
+            terms = self._series.get(key)
+            if terms is None:
+                while len(self._series) >= self.max_keys:
+                    del self._series[next(iter(self._series))]
+                terms = self._series[key] = self._start(key)
+            while len(terms) <= n:
+                terms.append(self._step(key, terms))
+            return terms[n]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._series.clear()
+
+
+def _next_term(key: tuple[SeqKind, BiParams], terms: list[Fraction]) -> Fraction:
+    kind, params = key
+    mult = kind.multiplier(params, len(terms))
+    return mult * terms[-1] + kind.lag_coefficient * terms[-2]
+
+
+_memo = _PrefixMemo(lambda key: list(key[0].initial_terms(key[1])), _next_term)
 
 
 def clear_caches() -> None:
     """Drop all memoized sequence prefixes (used by benchmarks and tests)."""
-    _term_cache.clear()
-
-
-def _series(kind: SeqKind, params: BiParams, upto: int) -> list[Fraction]:
-    key = (kind, params.a, params.b)
-    terms = _term_cache.get(key)
-    if terms is None:
-        while len(_term_cache) >= _CACHE_MAX_SERIES:
-            _term_cache.pop(next(iter(_term_cache)))
-        terms = list(kind.initial_terms(params))
-        _term_cache[key] = terms
-    lag = kind.lag_coefficient
-    while len(terms) <= upto:
-        n = len(terms)
-        terms.append(kind.multiplier(params, n) * terms[-1] + lag * terms[-2])
-    return terms
+    _memo.clear()
 
 
 def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
@@ -126,7 +147,7 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
         raise ValueError(f"index -1 is only defined for {SeqKind.BP_JACOBSTHAL}")
     if n < -1:
         raise ValueError(f"index {n} is out of domain (minimum is -1)")
-    return _series(kind, params, n)[n]
+    return _memo.term((kind, params), n)
 
 
 def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:

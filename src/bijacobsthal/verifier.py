@@ -401,29 +401,25 @@ def default_grid(n_max: int = DEFAULT_N_MAX,
                     n_max=n_max, suites=suites)
 
 
+# suite -> the reports it yields at one grid point.  The runners look the
+# verify_* functions up when called, so wrappers installed on the module
+# (as a tracer does) see every call.
+_SUITES = {
+    CASSINI: lambda p, g: [verify_cassini(p, g.n_max)],
+    DET: lambda p, g: [verify_det(p, g.n_max)],
+    DOUBLING: lambda p, g: [verify_doubling(p, max(2, g.n_max // 2))],
+    LUCAS_RELATIONS: lambda p, g: [verify_lucas_relations(p, g.n_max)],
+    SUM_T5: lambda p, g: [verify_sum_t5(p, g.n_max)],
+    WEIGHTED_SUM_T6: lambda p, g: [verify_weighted_sum_t6(p, x, g.n_max)
+                                   for x in g.x_values],
+    ROOT_IDENTITIES: lambda p, g: [verify_root_identities(p)],
+    SERIES_MATCH: lambda p, g: [verify_series_match(p, g.n_max + 1)],
+    CROSS_METHOD: lambda p, g: [verify_cross_method(p, g.n_max)],
+}
+
+
 def _run_point(params: BiParams, grid: GridSpec) -> list[IdentityReport]:
-    out: list[IdentityReport] = []
-    for suite in grid.suites:
-        if suite == CASSINI:
-            out.append(verify_cassini(params, grid.n_max))
-        elif suite == DET:
-            out.append(verify_det(params, grid.n_max))
-        elif suite == DOUBLING:
-            out.append(verify_doubling(params, max(2, grid.n_max // 2)))
-        elif suite == LUCAS_RELATIONS:
-            out.append(verify_lucas_relations(params, grid.n_max))
-        elif suite == SUM_T5:
-            out.append(verify_sum_t5(params, grid.n_max))
-        elif suite == WEIGHTED_SUM_T6:
-            for x in grid.x_values:
-                out.append(verify_weighted_sum_t6(params, x, grid.n_max))
-        elif suite == ROOT_IDENTITIES:
-            out.append(verify_root_identities(params))
-        elif suite == SERIES_MATCH:
-            out.append(verify_series_match(params, grid.n_max + 1))
-        elif suite == CROSS_METHOD:
-            out.append(verify_cross_method(params, grid.n_max))
-    return out
+    return [r for suite in grid.suites for r in _SUITES[suite](params, grid)]
 
 
 def run_grid(grid: GridSpec) -> list[IdentityReport]:

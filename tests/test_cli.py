@@ -225,6 +225,13 @@ def test_bench_csv_shape(capsys):
     assert naive64[3] == fast64[3] == "64"  # bits of jhat grows like n at (1,1)
 
 
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_repeat_below_one_is_usage_error(capsys, repeat):
+    code, out, err = run_cli(capsys, "bench", "--ladder", "64", "--repeat", repeat)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--repeat" in err
+
+
 def test_console_entry_point_subprocess():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

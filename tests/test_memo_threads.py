@@ -1,0 +1,76 @@
+"""Threads that extend the same memoized series must not corrupt it.
+
+Four threads extend the scalar jhat series and four extend the matrix
+series of one fresh parameter point at the same time, with the
+interpreter's thread switch interval cut to 1 us so that they interleave
+inside the memo's extension loop.  Every memoized index is then compared
+with a plain-Fraction recurrence written here and with `iter_terms`.
+"""
+
+import sys
+import threading
+from fractions import Fraction as F
+from itertools import islice
+
+from bijacobsthal import matrixseq, scalar
+from bijacobsthal.matrixseq import iter_terms, term_recurrence
+from bijacobsthal.scalar import BiParams, SeqKind, scalar_term
+
+JHAT = SeqKind.BP_JACOBSTHAL
+N = 300
+TRIALS = 4
+THREADS_PER_SERIES = 4
+
+
+def _jhat_reference(a: F, b: F, count: int) -> list[F]:
+    terms = [F(0), F(1)]
+    while len(terms) < count:
+        mult = a if len(terms) % 2 == 0 else b
+        terms.append(mult * terms[-1] + 2 * terms[-2])
+    return terms
+
+
+def _race(params: BiParams) -> list[Exception]:
+    barrier = threading.Barrier(2 * THREADS_PER_SERIES)
+    errors: list[Exception] = []
+
+    def extend(fn, *args) -> None:
+        try:
+            barrier.wait(timeout=10)
+            fn(*args)
+        except Exception as exc:  # reported by the test, not lost
+            errors.append(exc)
+
+    threads = [threading.Thread(target=extend, args=(scalar_term, JHAT, params, N))
+               for _ in range(THREADS_PER_SERIES)]
+    threads += [threading.Thread(target=extend, args=(term_recurrence, params, N))
+                for _ in range(THREADS_PER_SERIES)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    return errors
+
+
+def test_concurrent_extension_of_one_series_matches_fresh_recurrences():
+    interval = sys.getswitchinterval()
+    try:
+        for trial in range(TRIALS):
+            scalar.clear_caches()
+            matrixseq.clear_caches()
+            params = BiParams(F(5, 7 + trial), F(-3, 11))
+            sys.setswitchinterval(1e-6)
+            errors = _race(params)
+            sys.setswitchinterval(interval)
+            assert errors == []
+            expected = _jhat_reference(params.a, params.b, N + 1)
+            matrices = list(islice(iter_terms(params), N + 1))
+            for n in range(N + 1):
+                assert scalar_term(JHAT, params, n) == expected[n], (trial, n)
+                assert term_recurrence(params, n) == matrices[n], (trial, n)
+                assert matrices[n].e21 == expected[n]
+    finally:
+        sys.setswitchinterval(interval)
+        scalar.clear_caches()
+        matrixseq.clear_caches()

@@ -11,6 +11,8 @@ from bijacobsthal.scalar import (
     scalar_term_fast,
     verify_lucas_relations,
 )
+from bijacobsthal.matrixseq import term_recurrence
+import bijacobsthal.matrixseq as matrixseq_mod
 import bijacobsthal.scalar as scalar_mod
 
 JHAT = SeqKind.BP_JACOBSTHAL
@@ -134,11 +136,21 @@ def test_fast_equals_slow_sampled(kind, params):
 
 
 def test_memo_table_is_bounded():
-    scalar_mod.clear_caches()
-    for a in range(1, 200):
-        scalar_term(JHAT, BiParams(a, 1), 4)
-    assert len(scalar_mod._term_cache) <= scalar_mod._CACHE_MAX_SERIES
-    scalar_mod.clear_caches()
+    for memo, lookup in (
+        (scalar_mod._memo, lambda p: scalar_term(JHAT, p, 4)),
+        (matrixseq_mod._memo, lambda p: term_recurrence(p, 4)),
+    ):
+        memo.clear()
+        keys = []
+        for a in range(1, 200):
+            lookup(BiParams(a, 1))
+            keys.append(list(memo._series)[-1])  # the key just inserted
+            if a == 65:
+                # the 65th series evicts exactly the oldest-inserted one
+                assert list(memo._series) == keys[1:]
+            assert len(memo._series) <= 64
+        assert list(memo._series) == keys[-64:]
+        memo.clear()
 
 
 def test_lucas_relations_samples():
