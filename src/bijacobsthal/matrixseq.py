@@ -15,9 +15,15 @@ terms:
             [jhat[n],              2(b/a)^e * jhat[n-1]]],   e = parity(n)
 
 which is the `term_closed` route.  `term_binet` evaluates the closed form
-over the formal extension Q(sqrt(D)), D = ab(ab+8), and `term_fast` runs
-log-time scalar doubling through the same assembly.  The four routes are
-mutually independent implementations and cross-check one another.
+over the formal extension Q(sqrt(D)), D = ab(ab+8).  `term_fast` composes
+two steps of the recurrence into one fixed matrix,
+
+    (J[2m+1], J[2m]) = (J[1], J[0]) * T^m,   T = [[ab+2, a], [2b, 2]],
+
+and reads J[n] off a single binary power of T; the characteristic
+polynomial of T is x^2 - (ab+4)x + 4, the index-doubling recurrence.  The
+four routes are mutually independent implementations and cross-check one
+another.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .exact import Mat2, QuadNum, parity
-from .scalar import BiParams, SeqKind, _PrefixMemo, scalar_term, scalar_term_fast
+from .scalar import BiParams, SeqKind, _PrefixMemo, scalar_term
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -101,19 +107,14 @@ def term_closed(params: BiParams, n: int) -> Mat2:
 
 
 def term_fast(params: BiParams, n: int) -> Mat2:
-    """J[n] in O(log n) ring operations: scalar doubling plus assembly."""
+    """J[n] in O(log n) ring operations from one power of the two-step map."""
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
-    jhat = SeqKind.BP_JACOBSTHAL
-    if n == 0:
-        jm1 = scalar_term(jhat, params, -1)
-    else:
-        jm1 = scalar_term_fast(jhat, params, n - 1)
-    return _assemble(
-        params, n, jm1,
-        scalar_term_fast(jhat, params, n),
-        scalar_term_fast(jhat, params, n + 1),
-    )
+    two_step = Mat2(params.ab + 2, params.a, 2 * params.b, Fraction(2))
+    p = two_step ** (n // 2)
+    if parity(n):
+        return p.e11 * generator_matrix(params) + p.e21 * Mat2.identity()
+    return p.e12 * generator_matrix(params) + p.e22 * Mat2.identity()
 
 
 def det_closed(params: BiParams, n: int) -> Fraction:
@@ -139,16 +140,6 @@ def char_roots(params: BiParams) -> tuple[QuadNum, QuadNum]:
         QuadNum(half_ab, half, params.disc),
         QuadNum(half_ab, -half, params.disc),
     )
-
-
-def _power_ratio(alpha: QuadNum, k: int) -> Fraction:
-    """(alpha^k - beta^k) / (alpha - beta) as an exact rational.
-
-    beta is conj(alpha), so alpha^k - beta^k is twice the sqrt(D) component
-    of alpha^k times sqrt(D); dividing by alpha - beta = sqrt(D) leaves
-    twice that component.  No division by a quadratic number is needed.
-    """
-    return 2 * (alpha ** k).coeff
 
 
 @dataclass(frozen=True)
@@ -209,8 +200,16 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     Requires disc != 0 (ab != -8); raises DegenerateDiscriminantError
     otherwise.  The sqrt(D) parts cancel exactly and the result is a
     rational matrix equal to the recurrence value.
+
+    beta is conj(alpha), so alpha^k - beta^k is twice the sqrt(D) component
+    of alpha^k times sqrt(D); dividing by alpha - beta = sqrt(D) leaves
+    u(k) = twice that component.  No division by a quadratic number is
+    needed.  alpha^n is raised once, and u(2*floor(n/2) + 2) comes from
+    alpha^n times alpha (odd n) or alpha^2 (even n).
     """
     coeffs = binet_coeffs(params, n)
-    u_n = _power_ratio(coeffs.alpha, n)
-    u_even = _power_ratio(coeffs.alpha, 2 * (n // 2) + 2)
-    return coeffs.a_mat * u_n + coeffs.b_mat * u_even
+    alpha = coeffs.alpha
+    power = alpha ** n
+    step = alpha if parity(n) else alpha * alpha
+    return (coeffs.a_mat * (2 * power.coeff)
+            + coeffs.b_mat * (2 * (power * step).coeff))

@@ -153,23 +153,20 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
 def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     """Exact nth term in O(log n) ring operations.
 
-    Terms of a fixed index parity satisfy the order-2 recurrence
-    y[m] = (ab + 2c) * y[m-1] - c^2 * y[m-2] with c the lag coefficient
-    (c = 2 gives the familiar (ab+4, -4) doubling pair), so the term is read
-    off a binary power of that recurrence's companion matrix.
+    With e and o the multipliers at even and odd indices and c the lag
+    coefficient, two steps compose into one matrix:
+    (t[2m+1], t[2m]) = (t[1], t[0]) * T^m with T = [[eo + c, e], [co, c]],
+    so the term is read off a single binary power of T.
     """
     if n < 0:
         raise ValueError(f"index {n} is out of domain (minimum is 0)")
-    if n <= 3:
-        return scalar_term(kind, params, n)
-    p = n & 1
-    k = (n - p) // 2
+    even, odd = kind.multiplier(params, 0), kind.multiplier(params, 1)
     c = kind.lag_coefficient
-    y0 = scalar_term(kind, params, p)
-    y1 = scalar_term(kind, params, p + 2)
-    companion = Mat2(params.ab + 2 * c, Fraction(-c * c), Fraction(1), Fraction(0))
-    power = companion ** (k - 1)
-    return power.e11 * y1 + power.e12 * y0
+    t0, t1 = kind.initial_terms(params)
+    p = Mat2(even * odd + c, even, c * odd, Fraction(c)) ** (n // 2)
+    if n & 1:
+        return p.e11 * t1 + p.e21 * t0
+    return p.e12 * t1 + p.e22 * t0
 
 
 _CLASSICAL = BiParams(Fraction(1), Fraction(1))

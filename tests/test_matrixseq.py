@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
+from bijacobsthal import exact
 from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.matrixseq import (
     DegenerateDiscriminantError,
@@ -15,7 +17,9 @@ from bijacobsthal.matrixseq import (
     term_fast,
     term_recurrence,
 )
-from bijacobsthal.scalar import BiParams, SeqKind, scalar_term
+from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
+import bijacobsthal.matrixseq as matrixseq_mod
+import bijacobsthal.scalar as scalar_mod
 
 GRID = [BiParams(a, b)
         for a in (-3, -2, -1, 1, 2, 3)
@@ -187,3 +191,31 @@ def test_fast_matches_recurrence_deep():
     q = BiParams(2, 1)
     assert term_fast(q, 6) == term_recurrence(q, 6)
     assert term_fast(q, 0) == Mat2.identity()
+
+
+@pytest.mark.parametrize("params, with_binet", [
+    (BiParams(1, 1), True),
+    (BiParams(F(1, 2), F(-3, 4)), True),
+    (BiParams(2, -4), False),  # ab = -8: the root-based route refuses
+])
+def test_log_time_routes_take_one_power_and_read_no_memo(monkeypatch, params,
+                                                          with_binet):
+    exponents = []
+    real_power = exact._power
+
+    def counting_power(base, k, one, what):
+        exponents.append(k)
+        return real_power(base, k, one, what)
+
+    monkeypatch.setattr(exact, "_power", counting_power)
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+    routes = [term_fast] + [term_binet] * with_binet + [
+        partial(scalar_term_fast, kind) for kind in SeqKind]
+    for route in routes:
+        for n in [*range(65), 4096]:
+            exponents.clear()
+            route(params, n)
+            assert len(exponents) == 1, (route, n, exponents)
+    assert not scalar_mod._memo._series
+    assert not matrixseq_mod._memo._series
