@@ -8,12 +8,10 @@ each stated closed form with exact counterexamples.  All arithmetic is
 arbitrary-precision rational; there is no floating point anywhere.
 """
 
-from .exact import Mat2, QuadNum, Rational, format_rational, parity, parse_rational
+from .exact import Mat2, QuadNum, format_rational, parity, parse_rational
 from .genfunc import Mat2Poly, RationalOGF, build_ogf, component_form, series_coeffs
 from .matrixseq import (
-    BinetCoeffs,
     DegenerateDiscriminantError,
-    binet_coeffs,
     char_roots,
     det_closed,
     generator_matrix,

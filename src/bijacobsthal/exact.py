@@ -6,17 +6,17 @@ be shared and sent across threads without synchronization.  No floating
 point appears anywhere.  sqrt(D) is a formal symbol: D may be negative or
 even a perfect square and the ring arithmetic stays valid, nothing ever
 takes a numeric square root.
+
+Exactness is checked once, where values enter from outside the program:
+`as_rational` refuses floats and parses 'p/q' strings for the parameters,
+the grid values and the sum weights.  `Mat2` and `QuadNum` take their
+entries as given (Fraction or int) and do not convert or re-check them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Canonical reduced p/q with q > 0 and gcd(|p|, q) = 1, arbitrary precision.
-# fractions.Fraction normalizes eagerly on every operation, which is exactly
-# the canonical-form contract the rest of the library relies on.
-Rational = Fraction
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:
@@ -83,10 +83,6 @@ class Mat2:
     e21: Fraction
     e22: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("e11", "e12", "e21", "e22"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-
     @classmethod
     def identity(cls) -> Mat2:
         return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
@@ -140,12 +136,11 @@ class Mat2:
         return NotImplemented
 
     def scale(self, c: Fraction | int) -> Mat2:
-        c = as_rational(c)
         return Mat2(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
 
     def __truediv__(self, other: Fraction | int) -> Mat2:
         if isinstance(other, (Fraction, int)):
-            return self.scale(Fraction(1) / as_rational(other))
+            return self.scale(Fraction(1) / other)
         return NotImplemented
 
     def __pow__(self, k: int) -> Mat2:
@@ -170,13 +165,9 @@ class QuadNum:
     coeff: Fraction
     disc: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("rat", "coeff", "disc"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-
     @classmethod
     def from_rational(cls, value: Fraction | int, disc: Fraction | int) -> QuadNum:
-        return cls(as_rational(value), Fraction(0), as_rational(disc))
+        return cls(value, Fraction(0), disc)
 
     def _coerce(self, other: QuadNum | Fraction | int) -> QuadNum | None:
         if isinstance(other, QuadNum):
@@ -238,7 +229,7 @@ class QuadNum:
             # When D is a perfect square the ring has zero divisors, so a
             # nonzero element can still be non-invertible.
             raise ZeroDivisionError(f"{o} has zero norm and is not invertible")
-        return self * o.conj() * QuadNum.from_rational(Fraction(1) / n, self.disc)
+        return self * o.conj() * (Fraction(1) / n)
 
     def __pow__(self, k: int) -> QuadNum:
         return _power(self, k, QuadNum.from_rational(1, self.disc), "quadratic")

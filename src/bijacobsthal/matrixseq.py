@@ -28,7 +28,6 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -142,60 +141,17 @@ def char_roots(params: BiParams) -> tuple[QuadNum, QuadNum]:
     )
 
 
-@dataclass(frozen=True)
-class BinetCoeffs:
-    """Coefficient matrices of the root-based closed form for one index n.
+def term_binet(params: BiParams, n: int) -> Mat2:
+    """J[n] via powers of the characteristic roots in Q(sqrt(D)).
 
     The closed form used here is
 
-        J[n] = a_mat * u(n) + b_mat * u(2*floor(n/2) + 2),
+        J[n] = N / (ab)^h * u(n) + b^e / (ab)^(h+1) * I * u(2h + 2),
 
-    where u(k) = (alpha^k - beta^k)/(alpha - beta) is always rational.
-    a_mat carries the parity-selected numerator matrix, [[0, 2b/a], [1, -b]]
-    for odd n (that is J[1] - b*J[0]) and [[-2, 2b], [a, -2-ab]] for even n
-    (that is a*J[1] - 2*J[0] - ab*J[0]), divided by (ab)^floor(n/2); b_mat
-    is b^parity(n) * I divided by (ab)^(floor(n/2) + 1).  The division by
-    alpha - beta is already folded into using u(k) instead of raw powers.
-    """
-
-    a_mat: Mat2
-    b_mat: Mat2
-    n: int
-    alpha: QuadNum
-    beta: QuadNum
-
-
-def binet_coeffs(params: BiParams, n: int) -> BinetCoeffs:
-    if n < 0:
-        raise ValueError("matrix terms are defined for n >= 0")
-    if params.disc == 0:
-        raise DegenerateDiscriminantError(
-            "ab = -8 gives a repeated characteristic root; the root-based "
-            "closed form is undefined there"
-        )
-    alpha, beta = char_roots(params)
-    half = n // 2
-    scale = params.ab ** half
-    if parity(n):
-        numerator = generator_matrix(params) - params.b * Mat2.identity()
-        b_num = params.b
-    else:
-        numerator = (
-            params.a * generator_matrix(params)
-            - (2 + params.ab) * Mat2.identity()
-        )
-        b_num = Fraction(1)
-    return BinetCoeffs(
-        a_mat=numerator / scale,
-        b_mat=(b_num / (scale * params.ab)) * Mat2.identity(),
-        n=n,
-        alpha=alpha,
-        beta=beta,
-    )
-
-
-def term_binet(params: BiParams, n: int) -> Mat2:
-    """J[n] via powers of the characteristic roots in Q(sqrt(D)).
+    with h = floor(n/2), e = parity(n) and u(k) = (alpha^k - beta^k) /
+    (alpha - beta), which is always rational.  The numerator matrix N is
+    [[0, 2b/a], [1, -b]] for odd n (that is J[1] - b*J[0]) and
+    [[-2, 2b], [a, -2-ab]] for even n (that is a*J[1] - 2*J[0] - ab*J[0]).
 
     Requires disc != 0 (ab != -8); raises DegenerateDiscriminantError
     otherwise.  The sqrt(D) parts cancel exactly and the result is a
@@ -207,9 +163,26 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     needed.  alpha^n is raised once, and u(2*floor(n/2) + 2) comes from
     alpha^n times alpha (odd n) or alpha^2 (even n).
     """
-    coeffs = binet_coeffs(params, n)
-    alpha = coeffs.alpha
+    if n < 0:
+        raise ValueError("matrix terms are defined for n >= 0")
+    if params.disc == 0:
+        raise DegenerateDiscriminantError(
+            "ab = -8 gives a repeated characteristic root; the root-based "
+            "closed form is undefined there"
+        )
+    alpha, _ = char_roots(params)
+    scale = params.ab ** (n // 2)
+    if parity(n):
+        numerator = generator_matrix(params) - params.b * Mat2.identity()
+        b_num = params.b
+    else:
+        numerator = (
+            params.a * generator_matrix(params)
+            - (2 + params.ab) * Mat2.identity()
+        )
+        b_num = Fraction(1)
     power = alpha ** n
     step = alpha if parity(n) else alpha * alpha
-    return (coeffs.a_mat * (2 * power.coeff)
-            + coeffs.b_mat * (2 * (power * step).coeff))
+    u_n, u_next = 2 * power.coeff, 2 * (power * step).coeff
+    return (numerator / scale * u_n
+            + (b_num / (scale * params.ab)) * Mat2.identity() * u_next)

@@ -5,9 +5,9 @@ import pytest
 
 from bijacobsthal import exact
 from bijacobsthal.exact import Mat2, QuadNum
+from bijacobsthal.genfunc import build_ogf, series_coeffs
 from bijacobsthal.matrixseq import (
     DegenerateDiscriminantError,
-    binet_coeffs,
     char_roots,
     det_closed,
     generator_matrix,
@@ -18,6 +18,7 @@ from bijacobsthal.matrixseq import (
     term_recurrence,
 )
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
+from bijacobsthal.verifier import sum_direct
 import bijacobsthal.matrixseq as matrixseq_mod
 import bijacobsthal.scalar as scalar_mod
 
@@ -157,17 +158,6 @@ def test_binet_coeff_matrices():
         even_numerator = Mat2(-2, 2 * b, a, -2 - ab)
         assert odd_numerator == j1 - b * j0
         assert even_numerator == a * j1 - 2 * j0 - ab * j0
-        for n in (0, 1, 2, 3, 6, 7):
-            coeffs = binet_coeffs(params, n)
-            scale = ab ** (n // 2)
-            if n % 2:
-                assert coeffs.a_mat * scale == odd_numerator
-                assert coeffs.b_mat * (scale * ab) == b * j0
-            else:
-                assert coeffs.a_mat * scale == even_numerator
-                assert coeffs.b_mat * (scale * ab) == j0
-            assert coeffs.n == n
-            assert coeffs.alpha.conj() == coeffs.beta
 
 
 def test_degenerate_discriminant():
@@ -178,7 +168,7 @@ def test_degenerate_discriminant():
         with pytest.raises(DegenerateDiscriminantError):
             term_binet(params, 3)
         with pytest.raises(DegenerateDiscriminantError):
-            binet_coeffs(params, 2)
+            term_binet(params, 2)
         for n in range(33):
             reference = term_recurrence(params, n)
             assert term_closed(params, n) == reference
@@ -219,3 +209,33 @@ def test_log_time_routes_take_one_power_and_read_no_memo(monkeypatch, params,
             assert len(exponents) == 1, (route, n, exponents)
     assert not scalar_mod._memo._series
     assert not matrixseq_mod._memo._series
+
+
+@pytest.mark.parametrize("params, with_binet", [
+    (BiParams(1, 1), True),
+    (BiParams(F(1, 2), F(-3, 4)), True),
+    (BiParams(2, -4), False),  # ab = -8: the root-based route refuses
+])
+def test_hot_paths_build_fractions_without_coercion(monkeypatch, params,
+                                                     with_binet):
+    calls = []
+    real_as_rational = exact.as_rational
+
+    def counting_as_rational(value):
+        calls.append(value)
+        return real_as_rational(value)
+
+    monkeypatch.setattr(exact, "as_rational", counting_as_rational)
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+    routes = [term_recurrence, term_closed, term_fast] + [term_binet] * with_binet
+    results = [route(params, n) for route in routes for n in range(33)]
+    results += [scalar_term_fast(kind, params, n)
+                for kind in SeqKind for n in range(33)]
+    results += series_coeffs(build_ogf(params), 33)
+    results += [sum_direct(params, n) for n in range(1, 33)]
+    assert not calls
+    for value in results:
+        entries = value.entries() if isinstance(value, Mat2) else (value,)
+        # A type check, because Fraction(1, 2) == 0.5 hides a float from ==.
+        assert all(type(e) is F for e in entries), value

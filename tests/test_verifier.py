@@ -227,6 +227,18 @@ def test_grid_spec_validation():
         GridSpec((F(1),), (F(2),), n_max=2)
 
 
+def test_floats_refused_where_values_enter():
+    p = BiParams(2, 1)
+    with pytest.raises(TypeError):
+        BiParams(0.5, 1)
+    with pytest.raises(TypeError):
+        GridSpec((0.5,), (1,))
+    with pytest.raises(TypeError):
+        weighted_sum_direct(p, 0.5, 2)
+    with pytest.raises(TypeError):
+        verify_weighted_sum_t6(p, 0.5, 4)
+
+
 def test_default_grid_all_suites_small():
     grid = GridSpec(GRID_VALUES, GRID_VALUES, n_max=16, suites=ALL_IDENTITIES)
     reports = run_grid(grid)
