@@ -57,16 +57,27 @@ def parity(n: int) -> int:
 
 
 def _power(base, k: int, one, what: str):
-    """base**k by binary exponentiation, squaring only while bits remain."""
+    """base**k by binary exponentiation, squaring only while bits remain.
+
+    The accumulator starts from the base's power at the lowest set bit of
+    k, not from `one`, so every product keeps the base's entry type (an
+    int base stays int) and the product with the identity is saved.
+    `one` is returned only for k = 0.
+    """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"{what} powers require a non-negative integer exponent")
-    result = one
+    if not k:
+        return one
+    while not k & 1:
+        base = base * base
+        k >>= 1
+    result = base
+    k >>= 1
     while k:
+        base = base * base
         if k & 1:
             result = result * base
         k >>= 1
-        if k:
-            base = base * base
     return result
 
 

@@ -21,8 +21,17 @@ two steps of the recurrence into one fixed matrix,
     (J[2m+1], J[2m]) = (J[1], J[0]) * T^m,   T = [[ab+2, a], [2b, 2]],
 
 and reads J[n] off a single binary power of T; the characteristic
-polynomial of T is x^2 - (ab+4)x + 4, the index-doubling recurrence.  The
-four routes are mutually independent implementations and cross-check one
+polynomial of T is x^2 - (ab+4)x + 4, the index-doubling recurrence.
+
+The two log-time routes raise integers, not rationals.  With ab = N/M in
+lowest terms, `term_fast` raises the integer matrix [[N+2M, M], [2N, 2M]]
+(T conjugated by diag(1, 1/a), times M) and `term_binet` raises the
+algebraic integer M*alpha = (N + sqrt(N(N+8M)))/2.  Every term is then an
+integer combination over a denominator known from n alone (M^(n//2), or
+(NM)^(n//2+1) for the roots), so each output entry is divided once, at
+the end, and no gcd of large numbers is taken inside the power loop.  The
+recurrence and closed routes stay on plain Fraction arithmetic.  The four
+routes are mutually independent implementations and cross-check one
 another.
 """
 
@@ -106,14 +115,28 @@ def term_closed(params: BiParams, n: int) -> Mat2:
 
 
 def term_fast(params: BiParams, n: int) -> Mat2:
-    """J[n] in O(log n) ring operations from one power of the two-step map."""
+    """J[n] in O(log n) integer ring operations and one division per entry.
+
+    With ab = N/M in lowest terms and m = n // 2, conjugating the two-step
+    map T = [[ab+2, a], [2b, 2]] by diag(1, 1/a) gives [[ab+2, 1], [2ab, 2]],
+    which is K/M with the integer matrix K = [[N+2M, M], [2N, 2M]].  So
+    T^m = diag(1, 1/a) K^m diag(1, a) / M^m, and with P = K^m
+
+        J[n] = (P11 * J[1] + (P21/a) * I) / M^m        (n odd)
+        J[n] = (a * P12 * J[1] + P22 * I) / M^m        (n even).
+
+    The power runs on plain ints; each entry is reduced once, by M^m.
+    """
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
-    two_step = Mat2(params.ab + 2, params.a, 2 * params.b, Fraction(2))
-    p = two_step ** (n // 2)
+    m = n // 2
+    num, den = params.ab.numerator, params.ab.denominator
+    p = Mat2(num + 2 * den, den, 2 * num, 2 * den) ** m
     if parity(n):
-        return p.e11 * generator_matrix(params) + p.e21 * Mat2.identity()
-    return p.e12 * generator_matrix(params) + p.e22 * Mat2.identity()
+        gen, diag = p.e11 * generator_matrix(params), p.e21 / params.a
+    else:
+        gen, diag = p.e12 * (params.a * generator_matrix(params)), p.e22
+    return Mat2(gen.e11 + diag, gen.e12, gen.e21, gen.e22 + diag) / den ** m
 
 
 def det_closed(params: BiParams, n: int) -> Fraction:
@@ -146,10 +169,10 @@ def term_binet(params: BiParams, n: int) -> Mat2:
 
     The closed form used here is
 
-        J[n] = N / (ab)^h * u(n) + b^e / (ab)^(h+1) * I * u(2h + 2),
+        J[n] = X / (ab)^h * u(n) + b^e / (ab)^(h+1) * I * u(2h + 2),
 
     with h = floor(n/2), e = parity(n) and u(k) = (alpha^k - beta^k) /
-    (alpha - beta), which is always rational.  The numerator matrix N is
+    (alpha - beta), which is always rational.  The numerator matrix X is
     [[0, 2b/a], [1, -b]] for odd n (that is J[1] - b*J[0]) and
     [[-2, 2b], [a, -2-ab]] for even n (that is a*J[1] - 2*J[0] - ab*J[0]).
 
@@ -160,8 +183,20 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     beta is conj(alpha), so alpha^k - beta^k is twice the sqrt(D) component
     of alpha^k times sqrt(D); dividing by alpha - beta = sqrt(D) leaves
     u(k) = twice that component.  No division by a quadratic number is
-    needed.  alpha^n is raised once, and u(2*floor(n/2) + 2) comes from
-    alpha^n times alpha (odd n) or alpha^2 (even n).
+    needed.
+
+    With ab = N/M in lowest terms, the power is taken of the root
+    M*alpha = (N + sqrt(N(N+8M)))/2 of y^2 - N*y - 2NM, an algebraic
+    integer: the rational and sqrt parts of its powers have denominator at
+    most 2, so no large gcd is taken inside the power loop.  The sqrt part
+    of (M*alpha)^k is M^(k-1) times that of alpha^k, so u(k) = U(k) /
+    M^(k-1) with the integer U(k) = twice that part.  Over the common
+    denominator (NM)^(h+1),
+
+        J[n] = (N * M^(2-e) * U(n) * X + b^e * M * U(2h+2) * I) / (NM)^(h+1),
+
+    with one division per entry.  (M*alpha)^n is raised once, and
+    U(2h+2) comes from it times M*alpha (odd n) or (M*alpha)^2 (even n).
     """
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
@@ -170,8 +205,8 @@ def term_binet(params: BiParams, n: int) -> Mat2:
             "ab = -8 gives a repeated characteristic root; the root-based "
             "closed form is undefined there"
         )
-    alpha, _ = char_roots(params)
-    scale = params.ab ** (n // 2)
+    num, den = params.ab.numerator, params.ab.denominator
+    root = QuadNum(Fraction(num, 2), Fraction(1, 2), num * (num + 8 * den))
     if parity(n):
         numerator = generator_matrix(params) - params.b * Mat2.identity()
         b_num = params.b
@@ -181,8 +216,9 @@ def term_binet(params: BiParams, n: int) -> Mat2:
             - (2 + params.ab) * Mat2.identity()
         )
         b_num = Fraction(1)
-    power = alpha ** n
-    step = alpha if parity(n) else alpha * alpha
+    power = root ** n
+    step = root if parity(n) else root * root
     u_n, u_next = 2 * power.coeff, 2 * (power * step).coeff
-    return (numerator / scale * u_n
-            + (b_num / (scale * params.ab)) * Mat2.identity() * u_next)
+    return ((numerator * (num * den ** (2 - parity(n)) * u_n)
+             + (b_num * den * u_next) * Mat2.identity())
+            / (num * den) ** (n // 2 + 1))

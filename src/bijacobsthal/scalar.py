@@ -151,22 +151,31 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
 
 
 def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
-    """Exact nth term in O(log n) ring operations.
+    """Exact nth term in O(log n) integer ring operations and one division.
 
     With e and o the multipliers at even and odd indices and c the lag
     coefficient, two steps compose into one matrix:
-    (t[2m+1], t[2m]) = (t[1], t[0]) * T^m with T = [[eo + c, e], [co, c]],
-    so the term is read off a single binary power of T.
+    (t[2m+1], t[2m]) = (t[1], t[0]) * T^m with T = [[eo + c, e], [co, c]].
+    eo = ab = N/M in lowest terms, and conjugating T by diag(1, 1/e) gives
+    [[ab + c, 1], [c*ab, c]], which is K/M with the integer matrix
+    K = [[N + cM, M], [cN, cM]].  With P = K^m, m = n // 2,
+
+        t[n] = (P11 * t1 + (P21/e) * t0) / M^m        (n odd)
+        t[n] = (e * P12 * t1 + P22 * t0) / M^m        (n even),
+
+    so the power runs on plain ints and the term is divided once.
     """
     if n < 0:
         raise ValueError(f"index {n} is out of domain (minimum is 0)")
-    even, odd = kind.multiplier(params, 0), kind.multiplier(params, 1)
+    even = kind.multiplier(params, 0)
     c = kind.lag_coefficient
     t0, t1 = kind.initial_terms(params)
-    p = Mat2(even * odd + c, even, c * odd, Fraction(c)) ** (n // 2)
+    m = n // 2
+    num, den = params.ab.numerator, params.ab.denominator
+    p = Mat2(num + c * den, den, c * num, c * den) ** m
     if n & 1:
-        return p.e11 * t1 + p.e21 * t0
-    return p.e12 * t1 + p.e22 * t0
+        return (p.e11 * t1 + p.e21 * t0 / even) / den ** m
+    return (even * p.e12 * t1 + p.e22 * t0) / den ** m
 
 
 _CLASSICAL = BiParams(Fraction(1), Fraction(1))

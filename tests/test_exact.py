@@ -61,6 +61,8 @@ def test_mat2_ops():
     assert j1 / 2 == Mat2(F(1, 2), F(1, 2), F(1, 2), 0)
     assert j1 ** 0 == Mat2.identity()
     assert j1 ** 5 == j1 * j1 * j1 * j1 * j1
+    # An int base keeps int entries: the identity only answers k = 0.
+    assert all(type(e) is int for k in (1, 2, 5, 8) for e in (j1 ** k).entries())
     with pytest.raises(ValueError):
         j1 ** -1
 

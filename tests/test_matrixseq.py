@@ -239,3 +239,62 @@ def test_hot_paths_build_fractions_without_coercion(monkeypatch, params,
         entries = value.entries() if isinstance(value, Mat2) else (value,)
         # A type check, because Fraction(1, 2) == 0.5 hides a float from ==.
         assert all(type(e) is F for e in entries), value
+
+
+@pytest.mark.parametrize("params", [
+    BiParams(1, 1),
+    BiParams(F(1, 2), F(-3, 4)),
+    BiParams(F(-3, 2), F(1, 3)),
+    BiParams(2, -4),  # ab = -8: the root-based route refuses
+], ids=str)
+def test_log_time_powers_run_on_integers(monkeypatch, params):
+    seen = []
+    real_power = exact._power
+
+    def recording_power(base, k, one, what):
+        result = real_power(base, k, one, what)
+        seen.append((base, result))
+        return result
+
+    def entries(value):
+        return value.entries() if isinstance(value, Mat2) else (value.rat, value.coeff)
+
+    monkeypatch.setattr(exact, "_power", recording_power)
+    # n >= 2, because the exponent n // 2 = 0 answers with the Fraction identity.
+    indices = [*range(2, 41), 4096, 4097]
+    for route in [term_fast] + [partial(scalar_term_fast, kind) for kind in SeqKind]:
+        seen.clear()
+        for n in indices:
+            route(params, n)
+        assert seen
+        for base, result in seen:
+            assert all(type(e) is int for e in entries(base) + entries(result)), \
+                (route, base, result)
+    if params.disc == 0:
+        return
+    seen.clear()
+    for n in indices:
+        term_binet(params, n)
+    # M*alpha is an algebraic integer, so its powers are halves at worst.
+    assert seen
+    for base, result in seen:
+        assert all(F(e).denominator <= 2 for e in entries(base) + entries(result))
+
+
+@pytest.mark.parametrize("params", [
+    BiParams(2, F(1, 2)),          # ab an integer, b not
+    BiParams(F(-3, 2), F(-2, 3)),  # ab an integer, neither a nor b
+    BiParams(F(-3, 2), F(2, 3)),   # ab a negative integer, neither a nor b
+    BiParams(3, F(-7, 5)),         # large coprime denominators, ab < 0
+    BiParams(F(5, 7), F(-7, 9)),
+    BiParams(F(1, 2), -16),        # ab = -8: the root-based route refuses
+], ids=str)
+def test_integer_kernels_match_fraction_oracle_at_edge_pairs(params):
+    for n in [*range(41), 1023, 1024, 2049]:
+        reference = term_recurrence(params, n)
+        assert term_fast(params, n) == reference, n
+        if params.disc != 0:
+            assert term_binet(params, n) == reference, n
+        for kind in SeqKind:
+            assert scalar_term_fast(kind, params, n) == scalar_term(kind, params, n), \
+                (kind, n)
