@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import matrixseq, verifier
+from . import verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
+    generator_matrix,
     term_binet,
     term_closed,
     term_fast,
@@ -211,23 +213,42 @@ def _timed_min(fn, repeat: int) -> tuple[float, Mat2]:
     return best, value
 
 
+def _naive_term(params: BiParams, n: int) -> Mat2:
+    """J[n] by the definitional recurrence, on integer numerators.
+
+    J[k] = A[k] / D[k] with D[0] = 1, D[1] = q[1] the common denominator
+    of J[1], and D[k] = q[k] * D[k-1] where p[k]/q[k] is the k-th
+    multiplier.  Then A[k] = p[k] * A[k-1] + 2 * q[k] * q[k-1] * A[k-2]
+    on plain ints, and the four entries are divided once, at the end.
+    No memo is read.
+    """
+    if n == 0:
+        return Mat2.identity()
+    j1 = generator_matrix(params).entries()
+    den = math.lcm(*(e.denominator for e in j1))
+    prev, cur = (1, 0, 0, 1), tuple(e.numerator * (den // e.denominator) for e in j1)
+    q_prev = den
+    for k in range(2, n + 1):
+        mult = params.a if k % 2 == 0 else params.b
+        p, q = mult.numerator, mult.denominator
+        lag = 2 * q * q_prev
+        prev, cur = cur, tuple(p * x + lag * y for x, y in zip(cur, prev))
+        den *= q
+        q_prev = q
+    return Mat2(*(Fraction(x, den) for x in cur))
+
+
 def bench_rows(params: BiParams, ladder: Sequence[int],
                repeat: int) -> list[tuple[str, int, float, int]]:
     """Wall-time rows (method, n, seconds, term_bits); min over `repeat` runs.
 
-    The naive route iterates the recurrence freshly each run, so neither
-    side benefits from caches.  Outputs of the two routes are checked
-    equal; a mismatch raises.
+    The naive route is `_naive_term`, the recurrence run freshly each time,
+    so neither side benefits from caches.  Outputs of the two routes are
+    checked equal; a mismatch raises.
     """
     rows = []
     for n in ladder:
-        def naive() -> Mat2:
-            it = matrixseq.iter_terms(params)
-            for _ in range(n):
-                next(it)
-            return next(it)
-
-        naive_t, naive_value = _timed_min(naive, repeat)
+        naive_t, naive_value = _timed_min(lambda: _naive_term(params, n), repeat)
         fast_t, fast_value = _timed_min(lambda: term_fast(params, n), repeat)
         if naive_value != fast_value:
             raise AssertionError(f"bench self-test failed at n={n}")

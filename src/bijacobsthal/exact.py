@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:
@@ -54,6 +55,32 @@ def format_rational(r: Fraction) -> str:
 def parity(n: int) -> int:
     """0 for even n, 1 for odd n."""
     return n & 1
+
+
+def div_power(q: Fraction | int, base: int, k: int) -> Fraction:
+    """q / base**k in lowest terms, for q in lowest terms and base >= 1.
+
+    Only factors of base can cancel from the numerator x of q.  Each round
+    strips g = gcd(x, base) from x; that is a gcd with a small number, so
+    it takes time linear in the size of x.  The rounds stop at the first
+    g = 1, or after k of them.  Every prime of base is then gone from x or
+    from the denominator, so the result is built directly, without the
+    quadratic-time gcd that Fraction(x, d) takes.  This is the only code
+    that sets Fraction's private fields, which are the same from Python
+    3.10 to 3.13.
+    """
+    x = q.numerator
+    cancelled = 1
+    for _ in range(k):
+        g = gcd(x, base)
+        if g == 1:
+            break
+        x //= g
+        cancelled *= g
+    result = object.__new__(Fraction)
+    result._numerator = x
+    result._denominator = q.denominator * (base ** k // cancelled)
+    return result
 
 
 def _power(base, k: int, one, what: str):

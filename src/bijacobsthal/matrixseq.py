@@ -26,10 +26,11 @@ polynomial of T is x^2 - (ab+4)x + 4, the index-doubling recurrence.
 The two log-time routes raise integers, not rationals.  With ab = N/M in
 lowest terms, `term_fast` raises the integer matrix [[N+2M, M], [2N, 2M]]
 (T conjugated by diag(1, 1/a), times M) and `term_binet` raises the
-algebraic integer M*alpha = (N + sqrt(N(N+8M)))/2.  Every term is then an
-integer combination over a denominator known from n alone (M^(n//2), or
-(NM)^(n//2+1) for the roots), so each output entry is divided once, at
-the end, and no gcd of large numbers is taken inside the power loop.  The
+algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2.  Every term is
+then an integer combination over M^(n//2), a denominator known from n
+alone, so no gcd of large numbers is taken inside the power loop, and
+each output entry is divided once, at the end, by `exact.div_power`,
+which strips only the factors of M and so takes linear time.  The
 recurrence and closed routes stay on plain Fraction arithmetic.  The four
 routes are mutually independent implementations and cross-check one
 another.
@@ -40,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import Mat2, QuadNum, parity
+from .exact import Mat2, QuadNum, div_power, parity
 from .scalar import BiParams, SeqKind, _PrefixMemo, scalar_term
 
 
@@ -125,7 +126,9 @@ def term_fast(params: BiParams, n: int) -> Mat2:
         J[n] = (P11 * J[1] + (P21/a) * I) / M^m        (n odd)
         J[n] = (a * P12 * J[1] + P22 * I) / M^m        (n even).
 
-    The power runs on plain ints; each entry is reduced once, by M^m.
+    The power runs on plain ints.  Each entry is divided once, by M^m,
+    with `div_power`, which cancels only factors of M and so takes time
+    linear in the entry's size.
     """
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
@@ -136,7 +139,12 @@ def term_fast(params: BiParams, n: int) -> Mat2:
         gen, diag = p.e11 * generator_matrix(params), p.e21 / params.a
     else:
         gen, diag = p.e12 * (params.a * generator_matrix(params)), p.e22
-    return Mat2(gen.e11 + diag, gen.e12, gen.e21, gen.e22 + diag) / den ** m
+    return _div_entries((gen.e11 + diag, gen.e12, gen.e21, gen.e22 + diag), den, m)
+
+
+def _div_entries(entries, base: int, k: int) -> Mat2:
+    """The matrix of the given entries, each divided by base**k."""
+    return Mat2(*(div_power(e, base, k) for e in entries))
 
 
 def det_closed(params: BiParams, n: int) -> Fraction:
@@ -185,18 +193,24 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     u(k) = twice that component.  No division by a quadratic number is
     needed.
 
-    With ab = N/M in lowest terms, the power is taken of the root
-    M*alpha = (N + sqrt(N(N+8M)))/2 of y^2 - N*y - 2NM, an algebraic
-    integer: the rational and sqrt parts of its powers have denominator at
-    most 2, so no large gcd is taken inside the power loop.  The sqrt part
-    of (M*alpha)^k is M^(k-1) times that of alpha^k, so u(k) = U(k) /
-    M^(k-1) with the integer U(k) = twice that part.  Over the common
-    denominator (NM)^(h+1),
+    The powers are taken of the doubling root g = alpha + 2, not of alpha.
+    alpha^2 = ab*(alpha + 2), so alpha^n / (ab)^h = alpha^e * g^h, and both
+    terms need only powers of g:
 
-        J[n] = (N * M^(2-e) * U(n) * X + b^e * M * U(2h+2) * I) / (NM)^(h+1),
+        u(n) / (ab)^h = 2 * [sqrt(D) part of alpha^e * g^h],
+        u(2h+2) / (ab)^(h+1) = 2 * [sqrt(D) part of g^(h+1)].
 
-    with one division per entry.  (M*alpha)^n is raised once, and
-    U(2h+2) comes from it times M*alpha (odd n) or (M*alpha)^2 (even n).
+    With ab = N/M in lowest terms, M*g = (N+4M + sqrt(N(N+8M)))/2 is an
+    algebraic integer, a root of y^2 - (N+4M)*y + 4M^2, so the parts of
+    its powers have denominator at most 2 and no large gcd is taken inside
+    the power loop.  With Y1 the sqrt(N(N+8M)) part of (M*alpha)^e (M*g)^h
+    and Y2 that of (M*g)^(h+1), and sqrt(N(N+8M)) = M*sqrt(D),
+
+        J[n] = (2 * Y1 * M^(1-e) * X + b^e * 2 * Y2 * I) / M^h,
+
+    and each entry is divided once, by M^h, with `div_power`.  (M*g)^h is
+    raised once; Y1 and Y2 each take one more product.  At integer ab,
+    M = 1 and nothing is divided.
     """
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
@@ -206,19 +220,19 @@ def term_binet(params: BiParams, n: int) -> Mat2:
             "closed form is undefined there"
         )
     num, den = params.ab.numerator, params.ab.denominator
-    root = QuadNum(Fraction(num, 2), Fraction(1, 2), num * (num + 8 * den))
+    root = QuadNum(Fraction(num + 4 * den, 2), Fraction(1, 2), num * (num + 8 * den))
+    h = n // 2
+    power = root ** h
     if parity(n):
         numerator = generator_matrix(params) - params.b * Mat2.identity()
-        b_num = params.b
+        b_e = params.b
+        y1 = (power * (root - 2 * den)).coeff  # root - 2M = M*alpha
     else:
         numerator = (
             params.a * generator_matrix(params)
             - (2 + params.ab) * Mat2.identity()
         )
-        b_num = Fraction(1)
-    power = root ** n
-    step = root if parity(n) else root * root
-    u_n, u_next = 2 * power.coeff, 2 * (power * step).coeff
-    return ((numerator * (num * den ** (2 - parity(n)) * u_n)
-             + (b_num * den * u_next) * Mat2.identity())
-            / (num * den) ** (n // 2 + 1))
+        b_e = 1
+        y1 = den * power.coeff  # M^(1-e) = M
+    total = numerator * (2 * y1) + (b_e * 2 * (power * root).coeff) * Mat2.identity()
+    return _div_entries(total.entries(), den, h)

@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat2, as_rational
+from .exact import Mat2, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, failed, passed
 
 
@@ -163,7 +163,8 @@ def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
         t[n] = (P11 * t1 + (P21/e) * t0) / M^m        (n odd)
         t[n] = (e * P12 * t1 + P22 * t0) / M^m        (n even),
 
-    so the power runs on plain ints and the term is divided once.
+    so the power runs on plain ints and the term is divided once, by M^m,
+    with `div_power`, which cancels only factors of M in linear time.
     """
     if n < 0:
         raise ValueError(f"index {n} is out of domain (minimum is 0)")
@@ -174,8 +175,8 @@ def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     num, den = params.ab.numerator, params.ab.denominator
     p = Mat2(num + c * den, den, c * num, c * den) ** m
     if n & 1:
-        return (p.e11 * t1 + p.e21 * t0 / even) / den ** m
-    return (even * p.e12 * t1 + p.e22 * t0) / den ** m
+        return div_power(p.e11 * t1 + p.e21 * t0 / even, den, m)
+    return div_power(even * p.e12 * t1 + p.e22 * t0, den, m)
 
 
 _CLASSICAL = BiParams(Fraction(1), Fraction(1))

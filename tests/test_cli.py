@@ -3,11 +3,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
+from bijacobsthal import cli
 from bijacobsthal.cli import main, parse_grid_values
 from bijacobsthal.exact import parse_rational
+from bijacobsthal.matrixseq import iter_terms
+from bijacobsthal.scalar import BiParams
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +227,25 @@ def test_bench_csv_shape(capsys):
     fast64 = lines[2].split(",")
     assert naive64[0] == "recurrence" and fast64[0] == "fast"
     assert naive64[3] == fast64[3] == "64"  # bits of jhat grows like n at (1,1)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1, 1), (F(1, 2), F(-3, 4)), (F(5, 7), F(-7, 9)), (2, -4), (F(-3, 2), F(2, 3)),
+], ids=str)
+def test_bench_naive_route_is_the_fraction_recurrence(a, b):
+    params = BiParams(a, b)
+    for n, expected in enumerate(islice(iter_terms(params), 65)):
+        value = cli._naive_term(params, n)
+        assert all(type(e) is F for e in value.entries())
+        assert value.entries() == expected.entries(), n
+
+
+def test_bench_at_a_rational_pair(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--a", "5/7", "--b", "-7/9",
+                           "--ladder", "0,1,2,257", "--repeat", "1")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.strip().splitlines()[1:]] == [
+        [method, n] for n in ("0", "1", "2", "257") for method in ("recurrence", "fast")]
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])

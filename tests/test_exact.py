@@ -6,6 +6,7 @@ import pytest
 from bijacobsthal.exact import (
     Mat2,
     QuadNum,
+    div_power,
     format_rational,
     parity,
     parse_rational,
@@ -65,6 +66,51 @@ def test_mat2_ops():
     assert all(type(e) is int for k in (1, 2, 5, 8) for e in (j1 ** k).entries())
     with pytest.raises(ValueError):
         j1 ** -1
+
+
+def _assert_same_fraction(got, expected):
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert hash(got) == hash(expected)
+    assert str(got) == str(expected)
+    assert got == expected and expected == got
+
+
+@pytest.mark.parametrize("q, base, k", [
+    (F(-45, 7), 3, 2),           # negative, partly cancels
+    (F(-7, 5), 6, 4),            # negative, nothing cancels
+    (F(0), 8, 5),                # zero
+    (0, 2, 3),                   # int zero
+    (96, 2, 3),                  # int, cancels fully: 12/1
+    (-2 ** 40, 2, 50),           # int, cancels its whole numerator
+    (F(3 ** 7, 5 * 7), 6, 3),    # denominator shares no prime with base
+    (F(2 ** 30 * 3, 11), 12, 20),
+    (F(-9, 4), 1, 7),            # base 1
+    (F(-9, 4), 6, 0),            # k = 0
+    (12, 1, 0),
+], ids=str)
+def test_div_power_matches_fraction(q, base, k):
+    expected = F(q) / base ** k
+    _assert_same_fraction(div_power(q, base, k), expected)
+
+
+def test_div_power_with_two_large_primes():
+    p, r = 1_000_003, 1_000_033  # both prime; base is above 10^12
+    base = p * r
+    cases = [(F(p ** 5 * 7, 3), 4), (F(-p ** 3 * r ** 9, 11), 5),
+             (F(r ** 2 * 13), 1), (F(5, 2), 3), (-base ** 6, 6), (base ** 7, 6)]
+    for q, k in cases:
+        _assert_same_fraction(div_power(q, base, k), F(q) / base ** k)
+
+
+def test_div_power_matches_fraction_at_random():
+    rng = random.Random(6)
+    for _ in range(500):
+        base = rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 35, 360])
+        k = rng.randint(0, 12)
+        num = rng.choice([1, -1]) * base ** rng.randint(0, 15) * rng.randint(0, 10 ** 6)
+        q = F(num, rng.randint(1, 10 ** 4))
+        _assert_same_fraction(div_power(q, base, k), q / base ** k)
 
 
 def _random_mat(rng):

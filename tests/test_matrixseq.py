@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from functools import partial
 
@@ -298,3 +299,63 @@ def test_integer_kernels_match_fraction_oracle_at_edge_pairs(params):
         for kind in SeqKind:
             assert scalar_term_fast(kind, params, n) == scalar_term(kind, params, n), \
                 (kind, n)
+
+
+@pytest.mark.parametrize("params, base", [
+    (BiParams(2, -3), 1),                # ab = -6: M = 1, nothing to divide
+    (BiParams(-1, 3), 1),                # ab = -3
+    (BiParams(F(1, 2), F(-3, 4)), 8),    # ab = -3/8
+], ids=str)
+def test_log_time_routes_divide_once_by_a_power_of_m(monkeypatch, params, base):
+    calls = []
+    real_div_power = exact.div_power
+
+    def spying_div_power(q, b, k):
+        calls.append((b, k))
+        return real_div_power(q, b, k)
+
+    monkeypatch.setattr(matrixseq_mod, "div_power", spying_div_power)
+    monkeypatch.setattr(scalar_mod, "div_power", spying_div_power)
+    routes = [term_binet, term_fast] + [partial(scalar_term_fast, kind) for kind in SeqKind]
+    for route in routes:
+        for n in [*range(41), 4096, 4097]:
+            calls.clear()
+            route(params, n)
+            assert calls and set(calls) == {(base, n // 2)}, (route, n, calls)
+
+
+def _same_fraction(got, expected):
+    return (type(got) is F and got.numerator == expected.numerator
+            and got.denominator == expected.denominator)
+
+
+def test_log_time_routes_match_the_oracle_at_random_pairs():
+    # 200 seeded pairs, numerators and denominators in +-1..12.  Each pair is
+    # checked at n = 0..24 and at every 20th n in 25..300 from an offset that
+    # moves with the pair, so every n up to 300 is covered by 10 pairs or
+    # more.  One pair in 25 is also checked at 1023 and 2049: the Fraction
+    # oracle takes about 0.6 s per pair to get there, so at all 200 pairs
+    # this test would take longer than the rest of the suite together.
+    rng = random.Random(20171006)
+
+    def rational():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+
+    for i in range(200):
+        params = BiParams(rational(), rational())
+        indices = [*range(25), *range(25 + i % 20, 301, 20)] + [1023, 2049] * (i % 25 == 0)
+        # One pair's prefixes at a time: 64 deep ones would take 100s of MB.
+        scalar_mod.clear_caches()
+        matrixseq_mod.clear_caches()
+        routes = [term_fast] + [term_binet] * (params.disc != 0)
+        for n in indices:
+            reference = term_recurrence(params, n)
+            for route in routes:
+                value = route(params, n)
+                assert all(map(_same_fraction, value.entries(), reference.entries())), \
+                    (params, route, n)
+            for kind in SeqKind:
+                assert _same_fraction(scalar_term_fast(kind, params, n),
+                                      scalar_term(kind, params, n)), (params, kind, n)
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
