@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bijacobsthal import scalar as scalar_mod, verifier as verifier_mod
 from bijacobsthal.exact import Mat2
 from bijacobsthal.matrixseq import term_recurrence
 from bijacobsthal.report import (
@@ -246,3 +247,149 @@ def test_default_grid_all_suites_small():
     for report in reports:
         if report.status == "FAIL":
             assert expected_failure(report), report.to_plain()
+
+
+def _bump(fn, hit):
+    """fn with 1 (or the identity matrix) added to its value where hit(*args)."""
+    def bumped(*args):
+        value = fn(*args)
+        if not hit(*args):
+            return value
+        return value + (Mat2.identity() if isinstance(value, Mat2) else 1)
+    return bumped
+
+
+def _at(n):
+    return lambda *args: args[-1] == n
+
+
+def _kind_at(kind, n):
+    return lambda k, params, i: k is kind and i == n
+
+
+def _bump_coeff(m):
+    def patch(series_coeffs):
+        def bumped(ogf, count):
+            out = series_coeffs(ogf, count)
+            out[m] = out[m] + Mat2.identity()
+            return out
+        return bumped
+    return patch
+
+
+_P = BiParams(2, 1)
+_I = Mat2.identity()
+_I_JSON = '{"e11": "1", "e12": "0", "e21": "0", "e22": "1"}'
+_I_CSV = "1,0,0,1"
+_I_PLAIN = "[[1,0],[0,1]]"
+
+# (module, attribute, patch, suite call, first_failure, residual, note, x,
+#  the line each serializer prints).  Each patch moves one side of one
+# identity by 1 (or I) at one index, so the first mismatch and its residual
+# lhs - rhs are known in advance.
+_FORCED_FAILS = {
+    "cassini": (
+        "verifier", "scalar_term", lambda f: _bump(f, _at(4)),
+        lambda: verifier_mod.verify_cassini(_P, 8), 3, F(1), None, None,
+        '{"identity": "CASSINI", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
+        '"first_failure": 3, "residual": "1"}',
+        "CASSINI,2,1,,8,FAIL,3,1,,,",
+        "CASSINI a=2 b=1 n_max=8 FAIL first_failure=3 residual=1"),
+    "det": (
+        "verifier", "det_closed", lambda f: _bump(f, _at(3)),
+        lambda: verifier_mod.verify_det(_P, 8), 3, F(-1), None, None,
+        '{"identity": "DET", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
+        '"first_failure": 3, "residual": "-1"}',
+        "DET,2,1,,8,FAIL,3,-1,,,",
+        "DET a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"),
+    "doubling-even": (
+        "verifier", "term_recurrence", lambda f: _bump(f, _at(8)),
+        lambda: verifier_mod.verify_doubling(_P, 6), 4, _I,
+        "even-index doubling failed", None,
+        '{"identity": "DOUBLING", "a": "2", "b": "1", "n_max": 6, "status": "FAIL", '
+        f'"first_failure": 4, "residual": {_I_JSON}}}',
+        f"DOUBLING,2,1,,6,FAIL,4,{_I_CSV}",
+        f"DOUBLING a=2 b=1 n_max=6 FAIL first_failure=4 residual={_I_PLAIN}"
+        "  [even-index doubling failed]"),
+    "doubling-odd": (
+        "verifier", "term_recurrence", lambda f: _bump(f, _at(9)),
+        lambda: verifier_mod.verify_doubling(_P, 6), 4, _I,
+        "odd-index doubling failed", None,
+        '{"identity": "DOUBLING", "a": "2", "b": "1", "n_max": 6, "status": "FAIL", '
+        f'"first_failure": 4, "residual": {_I_JSON}}}',
+        f"DOUBLING,2,1,,6,FAIL,4,{_I_CSV}",
+        f"DOUBLING a=2 b=1 n_max=6 FAIL first_failure=4 residual={_I_PLAIN}"
+        "  [odd-index doubling failed]"),
+    "lucas-first": (
+        "scalar", "scalar_term",
+        lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL, 4)),
+        lambda: scalar_mod.verify_lucas_relations(_P, 8), 3, F(-1),
+        "C[n] = 2*jhat[n-1] + jhat[n+1] failed", None,
+        '{"identity": "LUCAS_RELATIONS", "a": "2", "b": "1", "n_max": 8, '
+        '"status": "FAIL", "first_failure": 3, "residual": "-1"}',
+        "LUCAS_RELATIONS,2,1,,8,FAIL,3,-1,,,",
+        "LUCAS_RELATIONS a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"
+        "  [C[n] = 2*jhat[n-1] + jhat[n+1] failed]"),
+    "lucas-second": (
+        "scalar", "scalar_term",
+        lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL_LUCAS, 4)),
+        lambda: scalar_mod.verify_lucas_relations(_P, 8), 3, F(-1),
+        "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed", None,
+        '{"identity": "LUCAS_RELATIONS", "a": "2", "b": "1", "n_max": 8, '
+        '"status": "FAIL", "first_failure": 3, "residual": "-1"}',
+        "LUCAS_RELATIONS,2,1,,8,FAIL,3,-1,,,",
+        "LUCAS_RELATIONS a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"
+        "  [(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed]"),
+    "sum-t5": (
+        "verifier", "sum_closed_form", lambda f: _bump(f, _at(3)),
+        lambda: verifier_mod.verify_sum_t5(_P, 8), 3, _I, None, None,
+        '{"identity": "SUM_T5", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
+        f'"first_failure": 3, "residual": {_I_JSON}}}',
+        f"SUM_T5,2,1,,8,FAIL,3,{_I_CSV}",
+        f"SUM_T5 a=2 b=1 n_max=8 FAIL first_failure=3 residual={_I_PLAIN}"),
+    "weighted-sum-t6": (
+        "verifier", "weighted_sum_printed_form", lambda f: _bump(f, _at(3)),
+        lambda: verifier_mod.verify_weighted_sum_t6(_P, F(1), 8), 3, _I, None, F(1),
+        '{"identity": "WEIGHTED_SUM_T6", "a": "2", "b": "1", "x": "1", "n_max": 8, '
+        f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
+        f"WEIGHTED_SUM_T6,2,1,1,8,FAIL,3,{_I_CSV}",
+        "WEIGHTED_SUM_T6 a=2 b=1 x=1 n_max=8 FAIL first_failure=3"
+        f" residual={_I_PLAIN}"),
+    "series-match": (
+        "verifier", "series_coeffs", _bump_coeff(5),
+        lambda: verifier_mod.verify_series_match(_P, 8), 5, _I, None, None,
+        '{"identity": "SERIES_MATCH", "a": "2", "b": "1", "n_max": 7, '
+        f'"status": "FAIL", "first_failure": 5, "residual": {_I_JSON}}}',
+        f"SERIES_MATCH,2,1,,7,FAIL,5,{_I_CSV}",
+        f"SERIES_MATCH a=2 b=1 n_max=7 FAIL first_failure=5 residual={_I_PLAIN}"),
+    **{
+        f"cross-{route}": (
+            "verifier", f"term_{route}", lambda f: _bump(f, _at(5)),
+            lambda: verifier_mod.verify_cross_method(_P, 8), 5, _I,
+            f"{route} route disagrees with recurrence", None,
+            '{"identity": "CROSS_METHOD", "a": "2", "b": "1", "n_max": 8, '
+            f'"status": "FAIL", "first_failure": 5, "residual": {_I_JSON}}}',
+            f"CROSS_METHOD,2,1,,8,FAIL,5,{_I_CSV}",
+            f"CROSS_METHOD a=2 b=1 n_max=8 FAIL first_failure=5 residual={_I_PLAIN}"
+            f"  [{route} route disagrees with recurrence]")
+        for route in ("closed", "fast", "binet")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORCED_FAILS))
+def test_forced_mismatch_reports_first_failure(monkeypatch, case):
+    (module, attr, patch, run, first_failure, residual, note, x,
+     as_json, as_csv, as_plain) = _FORCED_FAILS[case]
+    module = {"verifier": verifier_mod, "scalar": scalar_mod}[module]
+    monkeypatch.setattr(module, attr, patch(getattr(module, attr)))
+    report = run()
+    assert report.status == "FAIL"
+    assert report.first_failure == first_failure
+    assert report.residual == residual
+    assert type(report.residual) is type(residual)
+    assert report.note == note
+    assert report.x == x
+    assert report.to_json() == as_json
+    assert report.to_csv_row() == as_csv
+    assert report.to_plain() == as_plain
