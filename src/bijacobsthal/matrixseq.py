@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .exact import Mat2, QuadNum, div_power, parity
-from .scalar import BiParams, SeqKind, _PrefixMemo, scalar_term
+from .scalar import BiParams, SeqKind, _PrefixMemo, _two_step_power, scalar_term
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -94,25 +94,15 @@ def term_recurrence(params: BiParams, n: int) -> Mat2:
     return _memo.term(params, n)
 
 
-def _assemble(params: BiParams, n: int, jm1: Fraction, jn: Fraction,
-              jp1: Fraction) -> Mat2:
-    """Build J[n] from jhat[n-1], jhat[n], jhat[n+1] via the closed form."""
-    ratio = params.b / params.a
-    rpow = ratio if parity(n) else Fraction(1)
-    return Mat2(rpow * jp1, 2 * ratio * jn, jn, 2 * rpow * jm1)
-
-
 def term_closed(params: BiParams, n: int) -> Mat2:
     """J[n] assembled from scalar terms (n = 0 consumes jhat[-1] = 1/2)."""
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
     jhat = SeqKind.BP_JACOBSTHAL
-    return _assemble(
-        params, n,
-        scalar_term(jhat, params, n - 1),
-        scalar_term(jhat, params, n),
-        scalar_term(jhat, params, n + 1),
-    )
+    jm1, jn, jp1 = (scalar_term(jhat, params, i) for i in (n - 1, n, n + 1))
+    ratio = params.b / params.a
+    rpow = ratio if parity(n) else Fraction(1)
+    return Mat2(rpow * jp1, 2 * ratio * jn, jn, 2 * rpow * jm1)
 
 
 def term_fast(params: BiParams, n: int) -> Mat2:
@@ -132,9 +122,7 @@ def term_fast(params: BiParams, n: int) -> Mat2:
     """
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
-    m = n // 2
-    num, den = params.ab.numerator, params.ab.denominator
-    p = Mat2(num + 2 * den, den, 2 * num, 2 * den) ** m
+    p, den, m = _two_step_power(params, 2, n)
     if parity(n):
         gen, diag = p.e11 * generator_matrix(params), p.e21 / params.a
     else:

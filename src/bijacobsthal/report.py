@@ -2,9 +2,10 @@
 
 A report covers one identity at one parameter point over one index range.
 FAIL always carries the first failing index and the exact nonzero residual
-(lhs - rhs); SKIPPED always carries a machine-readable reason.  Exactness is
-preserved on the wire: every rational serializes as the string "p/q" (or
-"p" when the denominator is 1), never as floating point.
+(lhs - rhs), as `first_mismatch` builds it; SKIPPED always carries a
+machine-readable reason.  Exactness is preserved on the wire: every
+rational serializes as the string "p/q" (or "p" when the denominator is
+1), never as floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
 from .exact import Mat2, format_rational
 
@@ -168,6 +169,17 @@ def failed(identity: str, params: "BiParams", index_range: tuple[int, int],
         identity, params, index_range, FAIL, x=x,
         first_failure=first_failure, residual=residual, note=note,
     )
+
+
+def first_mismatch(identity: str, params: "BiParams", index_range: tuple[int, int],
+                   cases: Iterable[tuple[int, Any, Any, Optional[str]]],
+                   x: Optional[Fraction] = None, note: Optional[str] = None) -> IdentityReport:
+    """FAIL at the first case (n, lhs, rhs, why) with lhs != rhs, carrying the
+    residual lhs - rhs and the note `why`; PASS with `note` otherwise."""
+    for n, lhs, rhs, why in cases:
+        if lhs != rhs:
+            return failed(identity, params, index_range, n, lhs - rhs, x=x, note=why)
+    return passed(identity, params, index_range, x=x, note=note)
 
 
 def skipped(identity: str, params: "BiParams", index_range: tuple[int, int],

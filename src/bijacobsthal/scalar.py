@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Mat2, as_rational, div_power
-from .report import IdentityReport, LUCAS_RELATIONS, failed, passed
+from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,13 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     return _memo.term((kind, params), n)
 
 
+def _two_step_power(params: BiParams, c: int, n: int) -> tuple[Mat2, int, int]:
+    """(K^m, M, m): m = n // 2, ab = N/M reduced, K = [[N + cM, M], [cN, cM]]."""
+    m = n // 2
+    num, den = params.ab.numerator, params.ab.denominator
+    return Mat2(num + c * den, den, c * num, c * den) ** m, den, m
+
+
 def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     """Exact nth term in O(log n) integer ring operations and one division.
 
@@ -169,11 +176,8 @@ def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"index {n} is out of domain (minimum is 0)")
     even = kind.multiplier(params, 0)
-    c = kind.lag_coefficient
     t0, t1 = kind.initial_terms(params)
-    m = n // 2
-    num, den = params.ab.numerator, params.ab.denominator
-    p = Mat2(num + c * den, den, c * num, c * den) ** m
+    p, den, m = _two_step_power(params, kind.lag_coefficient, n)
     if n & 1:
         return div_power(p.e11 * t1 + p.e21 * t0 / even, den, m)
     return div_power(even * p.e12 * t1 + p.e22 * t0, den, m)
@@ -211,19 +215,11 @@ def verify_lucas_relations(params: BiParams, n_max: int) -> IdentityReport:
     jhat = lambda i: scalar_term(SeqKind.BP_JACOBSTHAL, params, i)
     cluc = lambda i: scalar_term(SeqKind.BP_JACOBSTHAL_LUCAS, params, i)
     shift = params.ab + 8
-    for n in range(1, n_max + 1):
-        lhs = cluc(n)
-        rhs = 2 * jhat(n - 1) + jhat(n + 1)
-        if lhs != rhs:
-            return failed(
-                LUCAS_RELATIONS, params, (1, n_max), n, lhs - rhs,
-                note="C[n] = 2*jhat[n-1] + jhat[n+1] failed",
-            )
-        lhs = shift * jhat(n)
-        rhs = 2 * cluc(n - 1) + cluc(n + 1)
-        if lhs != rhs:
-            return failed(
-                LUCAS_RELATIONS, params, (1, n_max), n, lhs - rhs,
-                note="(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed",
-            )
-    return passed(LUCAS_RELATIONS, params, (1, n_max))
+
+    def cases():
+        for n in range(1, n_max + 1):
+            yield (n, cluc(n), 2 * jhat(n - 1) + jhat(n + 1),
+                   "C[n] = 2*jhat[n-1] + jhat[n+1] failed")
+            yield (n, shift * jhat(n), 2 * cluc(n - 1) + cluc(n + 1),
+                   "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed")
+    return first_mismatch(LUCAS_RELATIONS, params, (1, n_max), cases())

@@ -3,9 +3,11 @@
 Each `verify_*` function turns one stated identity into a machine-checked
 fact over a parameter point and an index range.  The direct computation
 (term-by-term summation, the definitional recurrence) is always the
-normative side; printed closed forms are the hypotheses under test.  A
-refuted identity is a FAIL report carrying the first failing index and the
-exact residual, never an exception.
+normative side; printed closed forms are the hypotheses under test.  Each
+suite yields its cases (n, lhs, rhs, why) to `report.first_mismatch`, the
+one FAIL rule: a refuted identity is a FAIL report carrying the first
+failing index and the exact residual, never an exception.  The root
+identities, which have no index, keep their own rule.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -50,6 +52,7 @@ from .report import (
     SUM_T5,
     WEIGHTED_SUM_T6,
     failed,
+    first_mismatch,
     passed,
     skipped,
 )
@@ -65,25 +68,22 @@ def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
         raise ValueError("n_max must be at least 1")
     ratio = params.b / params.a
     jhat = lambda i: scalar_term(SeqKind.BP_JACOBSTHAL, params, i)
-    for n in range(1, n_max + 1):
-        e = parity(n)
-        lhs = ratio ** e * jhat(n - 1) * jhat(n + 1) - ratio ** (1 - e) * jhat(n) ** 2
-        rhs = (-1) ** e * Fraction(2) ** (n - 1)
-        if lhs != rhs:
-            return failed(CASSINI, params, (1, n_max), n, lhs - rhs)
-    return passed(CASSINI, params, (1, n_max))
+
+    def cases():
+        for n in range(1, n_max + 1):
+            e = parity(n)
+            lhs = ratio ** e * jhat(n - 1) * jhat(n + 1) - ratio ** (1 - e) * jhat(n) ** 2
+            yield n, lhs, (-1) ** e * Fraction(2) ** (n - 1), None
+    return first_mismatch(CASSINI, params, (1, n_max), cases())
 
 
 def verify_det(params: BiParams, n_max: int) -> IdentityReport:
     """det(J[n]) computed entrywise equals 2^n * (-b/a)^parity(n)."""
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
-    for n in range(n_max + 1):
-        lhs = term_recurrence(params, n).det()
-        rhs = det_closed(params, n)
-        if lhs != rhs:
-            return failed(DET, params, (0, n_max), n, lhs - rhs)
-    return passed(DET, params, (0, n_max))
+    cases = ((n, term_recurrence(params, n).det(), det_closed(params, n), None)
+             for n in range(n_max + 1))
+    return first_mismatch(DET, params, (0, n_max), cases)
 
 
 def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
@@ -97,18 +97,13 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     shift = params.ab + 4
-    for m in range(2, m_max + 1):
-        lhs = term_recurrence(params, 2 * m)
-        rhs = shift * term_recurrence(params, 2 * m - 2) - 4 * term_recurrence(params, 2 * m - 4)
-        if lhs != rhs:
-            return failed(DOUBLING, params, (2, m_max), m, lhs - rhs,
-                          note="even-index doubling failed")
-        lhs = term_recurrence(params, 2 * m + 1)
-        rhs = shift * term_recurrence(params, 2 * m - 1) - 4 * term_recurrence(params, 2 * m - 3)
-        if lhs != rhs:
-            return failed(DOUBLING, params, (2, m_max), m, lhs - rhs,
-                          note="odd-index doubling failed")
-    return passed(DOUBLING, params, (2, m_max))
+
+    def cases():
+        for n in range(4, 2 * m_max + 2):  # J[2m], then J[2m+1], for each m
+            lhs = term_recurrence(params, n)
+            rhs = shift * term_recurrence(params, n - 2) - 4 * term_recurrence(params, n - 4)
+            yield n // 2, lhs, rhs, f"{'odd' if n & 1 else 'even'}-index doubling failed"
+    return first_mismatch(DOUBLING, params, (2, m_max), cases())
 
 
 def sum_direct(params: BiParams, n: int) -> Mat2:
@@ -121,6 +116,11 @@ def sum_direct(params: BiParams, n: int) -> Mat2:
     return total
 
 
+def _selectors(params: BiParams, n: int) -> tuple[Fraction, Fraction]:
+    """(a^e * b^(1-e), a^(1-e) * b^e) with e = parity(n), as in the sum forms."""
+    return (params.a, params.b) if parity(n) else (params.b, params.a)
+
+
 def sum_closed_form(params: BiParams, n: int) -> Mat2:
     """Closed form for sum_{k=0}^{n-1} J[k]; requires ab != 1.
 
@@ -131,16 +131,12 @@ def sum_closed_form(params: BiParams, n: int) -> Mat2:
         raise ValueError("partial sums are defined for n >= 1")
     if params.ab == 1:
         raise ZeroDivisionError("closed form divides by 1 - ab")
-    e = parity(n)
-    sel_n = params.a if e else params.b            # a^e * b^(1-e)
-    sel_n1 = params.b if e else params.a           # a^(1-e) * b^e
-    j0 = Mat2.identity()
-    j1 = generator_matrix(params)
+    sel_n, sel_n1 = _selectors(params, n)
     numerator = (
         term_recurrence(params, n) * (1 - sel_n)
         + term_recurrence(params, n - 1) * (2 * (1 - sel_n1))
-        + j1 * (params.a - 1)
-        + j0 * (2 * params.b - params.ab - 1)
+        + generator_matrix(params) * (params.a - 1)
+        + Mat2.identity() * (2 * params.b - params.ab - 1)
     )
     return numerator / (1 - params.ab)
 
@@ -151,13 +147,13 @@ def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
         raise ValueError("n_max must be at least 1")
     if params.ab == 1:
         return skipped(SUM_T5, params, (1, n_max), "denominator 1-ab vanishes")
-    running = Mat2.zero()
-    for n in range(1, n_max + 1):
-        running = running + term_recurrence(params, n - 1)
-        closed = sum_closed_form(params, n)
-        if closed != running:
-            return failed(SUM_T5, params, (1, n_max), n, closed - running)
-    return passed(SUM_T5, params, (1, n_max))
+
+    def cases():
+        running = Mat2.zero()
+        for n in range(1, n_max + 1):
+            running = running + term_recurrence(params, n - 1)
+            yield n, sum_closed_form(params, n), running, None
+    return first_mismatch(SUM_T5, params, (1, n_max), cases())
 
 
 def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
@@ -195,9 +191,7 @@ def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     den = _t6_denominator(params, x)
     if den == 0:
         raise ZeroDivisionError("x^2 - (ab+4)x + 4 vanishes at this x")
-    e = parity(n)
-    sel_n = params.a if e else params.b
-    sel_n1 = params.b if e else params.a
+    sel_n, sel_n1 = _selectors(params, n)
     j0 = Mat2.identity()
     j1 = generator_matrix(params)
     numerator = (
@@ -214,13 +208,13 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
 
     Derived by telescoping the weighted sum against the generating-function
     denominator and eliminating J[n+1], J[n-2] with one forward and one
-    backward recurrence step:
+    backward recurrence step.  With N/D the generating function of
+    `genfunc.build_ogf` (both of degree 4 at most):
 
-        [x^4*J[0] + x^3*J[1] + x^2*(a*J[1] - (ab+2)*J[0])
-         + x*(2b*J[0] - 2*J[1])
+        [x^4*N(1/x)
          - x^(2-n) * J[n]   * (x^2 + a^e*b^(1-e)*x - 2)
          - 2*x^(1-n) * J[n-1] * (x^2 + a^(1-e)*b^e*x - 2)]
-        / (x^4 - (ab+4)*x^2 + 4),   e = parity(n).
+        / (x^4*D(1/x)),   e = parity(n).
 
     Validated against weighted_sum_direct over the whole default grid; the
     denominator vanishes exactly when x^2 hits a shifted root alpha+2 or
@@ -231,19 +225,13 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
         raise ValueError("partial sums are defined for n >= 1")
     if x == 0:
         raise ZeroDivisionError("weights divide by powers of x")
-    den = x ** 4 - (params.ab + 4) * x ** 2 + 4
+    ogf = build_ogf(params)
+    den = sum(d * x ** (4 - i) for i, d in enumerate(ogf.denominator))
     if den == 0:
         raise ZeroDivisionError("x^4 - (ab+4)x^2 + 4 vanishes at this x")
-    e = parity(n)
-    sel_n = params.a if e else params.b
-    sel_n1 = params.b if e else params.a
-    j0 = Mat2.identity()
-    j1 = generator_matrix(params)
+    sel_n, sel_n1 = _selectors(params, n)
     numerator = (
-        j0 * x ** 4
-        + j1 * x ** 3
-        + (params.a * j1 - (params.ab + 2) * j0) * x ** 2
-        + (2 * params.b * j0 - 2 * j1) * x
+        sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator.coeffs)), Mat2.zero())
         - term_recurrence(params, n) * (x ** (2 - n) * (x * x + sel_n * x - 2))
         - term_recurrence(params, n - 1) * (2 * x ** (1 - n) * (x * x + sel_n1 * x - 2))
     )
@@ -265,16 +253,15 @@ def verify_weighted_sum_t6(params: BiParams, x: Fraction,
     if _t6_denominator(params, x) == 0:
         return skipped(WEIGHTED_SUM_T6, params, (1, n_max),
                        "denominator x^2-(ab+4)x+4 vanishes", x=x)
-    running = Mat2.zero()
-    weight = Fraction(1)
-    for n in range(1, n_max + 1):
-        running = running + term_recurrence(params, n - 1) * weight
-        weight /= x
-        printed = weighted_sum_printed_form(params, x, n)
-        if printed != running:
-            return failed(WEIGHTED_SUM_T6, params, (1, n_max), n,
-                          printed - running, x=x)
-    return passed(WEIGHTED_SUM_T6, params, (1, n_max), x=x)
+
+    def cases():
+        running = Mat2.zero()
+        weight = Fraction(1)
+        for n in range(1, n_max + 1):
+            running = running + term_recurrence(params, n - 1) * weight
+            weight /= x
+            yield n, weighted_sum_printed_form(params, x, n), running, None
+    return first_mismatch(WEIGHTED_SUM_T6, params, (1, n_max), cases(), x=x)
 
 
 def root_claim_beta_shift_holds(params: BiParams) -> bool:
@@ -325,11 +312,9 @@ def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     if count < 1:
         raise ValueError("count must be at least 1")
     coeffs = series_coeffs(build_ogf(params), count)
-    for m, coeff in enumerate(coeffs):
-        term = term_recurrence(params, m)
-        if coeff != term:
-            return failed(SERIES_MATCH, params, (0, count - 1), m, coeff - term)
-    return passed(SERIES_MATCH, params, (0, count - 1))
+    cases = ((m, coeff, term_recurrence(params, m), None)
+             for m, coeff in enumerate(coeffs))
+    return first_mismatch(SERIES_MATCH, params, (0, count - 1), cases)
 
 
 def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
@@ -346,15 +331,14 @@ def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
     methods = [("closed", term_closed), ("fast", term_fast)]
     if with_binet:
         methods.append(("binet", term_binet))
-    for n in range(n_max + 1):
-        reference = term_recurrence(params, n)
-        for name, method in methods:
-            value = method(params, n)
-            if value != reference:
-                return failed(CROSS_METHOD, params, (0, n_max), n,
-                              value - reference,
-                              note=f"{name} route disagrees with recurrence")
-    return passed(CROSS_METHOD, params, (0, n_max), note=note)
+
+    def cases():
+        for n in range(n_max + 1):
+            reference = term_recurrence(params, n)
+            for name, method in methods:
+                yield (n, method(params, n), reference,
+                       f"{name} route disagrees with recurrence")
+    return first_mismatch(CROSS_METHOD, params, (0, n_max), cases(), note=note)
 
 
 DEFAULT_PARAM_VALUES = tuple(Fraction(v) for v in (-3, -2, -1, 1, 2, 3))

@@ -289,21 +289,21 @@ _I_PLAIN = "[[1,0],[0,1]]"
 # lhs - rhs are known in advance.
 _FORCED_FAILS = {
     "cassini": (
-        "verifier", "scalar_term", lambda f: _bump(f, _at(4)),
+        verifier_mod, "scalar_term", lambda f: _bump(f, _at(4)),
         lambda: verifier_mod.verify_cassini(_P, 8), 3, F(1), None, None,
         '{"identity": "CASSINI", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
         '"first_failure": 3, "residual": "1"}',
         "CASSINI,2,1,,8,FAIL,3,1,,,",
         "CASSINI a=2 b=1 n_max=8 FAIL first_failure=3 residual=1"),
     "det": (
-        "verifier", "det_closed", lambda f: _bump(f, _at(3)),
+        verifier_mod, "det_closed", lambda f: _bump(f, _at(3)),
         lambda: verifier_mod.verify_det(_P, 8), 3, F(-1), None, None,
         '{"identity": "DET", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
         '"first_failure": 3, "residual": "-1"}',
         "DET,2,1,,8,FAIL,3,-1,,,",
         "DET a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"),
     "doubling-even": (
-        "verifier", "term_recurrence", lambda f: _bump(f, _at(8)),
+        verifier_mod, "term_recurrence", lambda f: _bump(f, _at(8)),
         lambda: verifier_mod.verify_doubling(_P, 6), 4, _I,
         "even-index doubling failed", None,
         '{"identity": "DOUBLING", "a": "2", "b": "1", "n_max": 6, "status": "FAIL", '
@@ -312,7 +312,7 @@ _FORCED_FAILS = {
         f"DOUBLING a=2 b=1 n_max=6 FAIL first_failure=4 residual={_I_PLAIN}"
         "  [even-index doubling failed]"),
     "doubling-odd": (
-        "verifier", "term_recurrence", lambda f: _bump(f, _at(9)),
+        verifier_mod, "term_recurrence", lambda f: _bump(f, _at(9)),
         lambda: verifier_mod.verify_doubling(_P, 6), 4, _I,
         "odd-index doubling failed", None,
         '{"identity": "DOUBLING", "a": "2", "b": "1", "n_max": 6, "status": "FAIL", '
@@ -321,7 +321,7 @@ _FORCED_FAILS = {
         f"DOUBLING a=2 b=1 n_max=6 FAIL first_failure=4 residual={_I_PLAIN}"
         "  [odd-index doubling failed]"),
     "lucas-first": (
-        "scalar", "scalar_term",
+        scalar_mod, "scalar_term",
         lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL, 4)),
         lambda: scalar_mod.verify_lucas_relations(_P, 8), 3, F(-1),
         "C[n] = 2*jhat[n-1] + jhat[n+1] failed", None,
@@ -331,7 +331,7 @@ _FORCED_FAILS = {
         "LUCAS_RELATIONS a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"
         "  [C[n] = 2*jhat[n-1] + jhat[n+1] failed]"),
     "lucas-second": (
-        "scalar", "scalar_term",
+        scalar_mod, "scalar_term",
         lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL_LUCAS, 4)),
         lambda: scalar_mod.verify_lucas_relations(_P, 8), 3, F(-1),
         "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed", None,
@@ -341,14 +341,14 @@ _FORCED_FAILS = {
         "LUCAS_RELATIONS a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"
         "  [(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed]"),
     "sum-t5": (
-        "verifier", "sum_closed_form", lambda f: _bump(f, _at(3)),
+        verifier_mod, "sum_closed_form", lambda f: _bump(f, _at(3)),
         lambda: verifier_mod.verify_sum_t5(_P, 8), 3, _I, None, None,
         '{"identity": "SUM_T5", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
         f'"first_failure": 3, "residual": {_I_JSON}}}',
         f"SUM_T5,2,1,,8,FAIL,3,{_I_CSV}",
         f"SUM_T5 a=2 b=1 n_max=8 FAIL first_failure=3 residual={_I_PLAIN}"),
     "weighted-sum-t6": (
-        "verifier", "weighted_sum_printed_form", lambda f: _bump(f, _at(3)),
+        verifier_mod, "weighted_sum_printed_form", lambda f: _bump(f, _at(3)),
         lambda: verifier_mod.verify_weighted_sum_t6(_P, F(1), 8), 3, _I, None, F(1),
         '{"identity": "WEIGHTED_SUM_T6", "a": "2", "b": "1", "x": "1", "n_max": 8, '
         f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
@@ -356,7 +356,7 @@ _FORCED_FAILS = {
         "WEIGHTED_SUM_T6 a=2 b=1 x=1 n_max=8 FAIL first_failure=3"
         f" residual={_I_PLAIN}"),
     "series-match": (
-        "verifier", "series_coeffs", _bump_coeff(5),
+        verifier_mod, "series_coeffs", _bump_coeff(5),
         lambda: verifier_mod.verify_series_match(_P, 8), 5, _I, None, None,
         '{"identity": "SERIES_MATCH", "a": "2", "b": "1", "n_max": 7, '
         f'"status": "FAIL", "first_failure": 5, "residual": {_I_JSON}}}',
@@ -364,7 +364,7 @@ _FORCED_FAILS = {
         f"SERIES_MATCH a=2 b=1 n_max=7 FAIL first_failure=5 residual={_I_PLAIN}"),
     **{
         f"cross-{route}": (
-            "verifier", f"term_{route}", lambda f: _bump(f, _at(5)),
+            verifier_mod, f"term_{route}", lambda f: _bump(f, _at(5)),
             lambda: verifier_mod.verify_cross_method(_P, 8), 5, _I,
             f"{route} route disagrees with recurrence", None,
             '{"identity": "CROSS_METHOD", "a": "2", "b": "1", "n_max": 8, '
@@ -381,7 +381,6 @@ _FORCED_FAILS = {
 def test_forced_mismatch_reports_first_failure(monkeypatch, case):
     (module, attr, patch, run, first_failure, residual, note, x,
      as_json, as_csv, as_plain) = _FORCED_FAILS[case]
-    module = {"verifier": verifier_mod, "scalar": scalar_mod}[module]
     monkeypatch.setattr(module, attr, patch(getattr(module, attr)))
     report = run()
     assert report.status == "FAIL"
