@@ -21,7 +21,7 @@ from .matrixseq import (
     term_fast,
     term_recurrence,
 )
-from .report import ALL_IDENTITIES, IdentityReport, reports_to_csv
+from .report import IdentityReport, reports_to_csv
 from .scalar import (
     BiParams,
     SeqKind,
@@ -32,6 +32,7 @@ from .scalar import (
     verify_lucas_relations,
 )
 from .verifier import (
+    ALL_IDENTITIES,
     GridSpec,
     default_grid,
     root_claim_beta_shift_holds,

@@ -22,14 +22,8 @@ from typing import Optional, Sequence
 from . import verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
-from .matrixseq import (
-    generator_matrix,
-    term_binet,
-    term_closed,
-    term_fast,
-    term_recurrence,
-)
-from .report import ALL_IDENTITIES, WEIGHTED_SUM_T6, mat2_json_dict, reports_to_csv
+from .matrixseq import generator_matrix, term_fast
+from .report import WEIGHTED_SUM_T6, mat2_csv, mat2_json_dict, reports_to_csv
 from .scalar import BiParams, SeqKind, scalar_term
 from .verifier import (
     GridSpec,
@@ -45,12 +39,7 @@ OK = 0
 MISMATCH = 1
 USAGE = 2
 
-METHODS = {
-    "recurrence": term_recurrence,
-    "closed": term_closed,
-    "binet": term_binet,
-    "fast": term_fast,
-}
+METHODS = verifier.ROUTES  # the same dict: one route set for the CLI and verifier
 
 DEFAULT_BENCH_LADDER = (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 17)
 
@@ -77,7 +66,7 @@ def print_matrix(m: Mat2, fmt: str) -> None:
         print(json.dumps(mat2_json_dict(m)))
     elif fmt == "csv":
         print("e11,e12,e21,e22")
-        print(",".join(format_rational(e) for e in m.entries()))
+        print(mat2_csv(m))
     else:
         print(m)
 
@@ -110,9 +99,8 @@ def cmd_term(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.method == "all":
-        routes = dict(METHODS)
-        if params.disc == 0:
-            del routes["binet"]
+        routes = verifier.defined_routes(params)
+        if "binet" not in routes:
             print("note: ab = -8, root-based route skipped", file=sys.stderr)
         values = {name: fn(params, args.n) for name, fn in routes.items()}
         reference = values["recurrence"]
@@ -136,8 +124,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print("m,e11,e12,e21,e22")
         for m, coeff in enumerate(coeffs):
-            row = ",".join(format_rational(e) for e in coeff.entries())
-            print(f"{m},{row}")
+            print(f"{m},{mat2_csv(coeff)}")
     else:
         for coeff in coeffs:
             print(coeff)
@@ -166,8 +153,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
         }))
     elif args.format == "csv":
         print("side,e11,e12,e21,e22")
-        print("direct," + ",".join(format_rational(e) for e in direct.entries()))
-        print("closed_form," + ",".join(format_rational(e) for e in closed.entries()))
+        print("direct," + mat2_csv(direct))
+        print("closed_form," + mat2_csv(closed))
     else:
         print(f"direct      {direct}")
         print(f"closed-form {closed}")
@@ -176,7 +163,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = ALL_IDENTITIES if "all" in args.suite else tuple(args.suite)
+    suites = verifier.ALL_IDENTITIES if "all" in args.suite else tuple(args.suite)
     grid = GridSpec(
         a_values=parse_grid_values(args.a),
         b_values=parse_grid_values(args.b),
@@ -326,13 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="identity suites over a grid")
     p_verify.add_argument("--suite", action="append", required=True,
-                          choices=(*ALL_IDENTITIES, "all"),
+                          choices=(*verifier.ALL_IDENTITIES, "all"),
                           help="repeatable; 'all' runs every suite")
     p_verify.add_argument("--a", required=True,
                           help="grid: 'lo..hi' integers or 'r1,r2,...'")
     p_verify.add_argument("--b", required=True)
     p_verify.add_argument("--n-max", type=int, default=verifier.DEFAULT_N_MAX)
-    p_verify.add_argument("--x", default="1,2,1/2,3",
+    default_x = ",".join(map(format_rational, verifier.DEFAULT_X_VALUES))
+    p_verify.add_argument("--x", default=default_x,
                           help="weights for the weighted-sum suite")
     p_verify.add_argument("--expect-errata", action="store_true",
                           help="tolerate the documented expected failures "

@@ -30,18 +30,6 @@ ROOT_IDENTITIES = "ROOT_IDENTITIES"
 SERIES_MATCH = "SERIES_MATCH"
 CROSS_METHOD = "CROSS_METHOD"
 
-ALL_IDENTITIES = (
-    CASSINI,
-    DET,
-    DOUBLING,
-    LUCAS_RELATIONS,
-    SUM_T5,
-    WEIGHTED_SUM_T6,
-    ROOT_IDENTITIES,
-    SERIES_MATCH,
-    CROSS_METHOD,
-)
-
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
@@ -62,6 +50,11 @@ def mat2_json_dict(m: Mat2) -> dict:
         "e21": format_rational(m.e21),
         "e22": format_rational(m.e22),
     }
+
+
+def mat2_csv(m: Mat2) -> str:
+    """A Mat2 as the four CSV fields "e11,e12,e21,e22", each "p/q"."""
+    return ",".join(format_rational(e) for e in m.entries())
 
 
 @dataclass(frozen=True)
@@ -123,11 +116,11 @@ class IdentityReport:
 
     def to_csv_row(self) -> str:
         if isinstance(self.residual, Mat2):
-            res = [format_rational(e) for e in self.residual.entries()]
+            res = mat2_csv(self.residual)
         elif self.residual is not None:
-            res = [format_rational(self.residual), "", "", ""]
+            res = format_rational(self.residual) + ",,,"
         else:
-            res = ["", "", "", ""]
+            res = ",,,"
         fields = [
             self.identity,
             format_rational(self.params.a),
@@ -136,7 +129,7 @@ class IdentityReport:
             str(self.n_max),
             self.status_label(),
             str(self.first_failure) if self.first_failure is not None else "",
-            *res,
+            res,
         ]
         return ",".join(fields)
 

@@ -7,7 +7,9 @@ normative side; printed closed forms are the hypotheses under test.  Each
 suite yields its cases (n, lhs, rhs, why) to `report.first_mismatch`, the
 one FAIL rule: a refuted identity is a FAIL report carrying the first
 failing index and the exact residual, never an exception.  The root
-identities, which have no index, keep their own rule.
+identities, which have no index, keep their own rule.  The term routes
+are listed once, in `ROUTES` (which is `cli.METHODS`), and the suites once,
+in `_SUITES`.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -40,7 +42,6 @@ from .matrixseq import (
     term_recurrence,
 )
 from .report import (
-    ALL_IDENTITIES,
     CASSINI,
     CROSS_METHOD,
     DET,
@@ -57,6 +58,20 @@ from .report import (
     skipped,
 )
 from .scalar import BiParams, SeqKind, scalar_term, verify_lucas_relations
+
+# route name -> J[n] by that route; `cli.METHODS` is this same dict.
+ROUTES = {
+    "recurrence": term_recurrence,
+    "closed": term_closed,
+    "binet": term_binet,
+    "fast": term_fast,
+}
+
+
+def defined_routes(params: BiParams) -> dict:
+    """ROUTES without binet at disc = 0 (ab = -8), where the roots coincide."""
+    return {name: route for name, route in ROUTES.items()
+            if name != "binet" or params.disc != 0}
 
 
 def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
@@ -318,28 +333,44 @@ def verify_series_match(params: BiParams, count: int) -> IdentityReport:
 
 
 def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
-    """Agreement of all term routes for 0 <= n <= n_max.
+    """Agreement of every defined route with the recurrence, 0 <= n <= n_max.
 
     At disc = 0 (ab = -8) the root-based route is undefined, so the check
-    is restricted to the recurrence, closed-form, and fast routes; the
-    restriction is noted on the report rather than skipping the point.
+    runs the routes `defined_routes` keeps; the restriction is noted on the
+    report rather than skipping the point.
     """
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
-    with_binet = params.disc != 0
-    note = None if with_binet else "root-based route skipped: ab = -8 repeated root"
-    methods = [("closed", term_closed), ("fast", term_fast)]
-    if with_binet:
-        methods.append(("binet", term_binet))
+    routes = defined_routes(params)
+    recurrence = routes.pop("recurrence")
+    note = (None if "binet" in routes
+            else "root-based route skipped: ab = -8 repeated root")
 
     def cases():
         for n in range(n_max + 1):
-            reference = term_recurrence(params, n)
-            for name, method in methods:
-                yield (n, method(params, n), reference,
+            reference = recurrence(params, n)
+            for name, route in routes.items():
+                yield (n, route(params, n), reference,
                        f"{name} route disagrees with recurrence")
     return first_mismatch(CROSS_METHOD, params, (0, n_max), cases(), note=note)
 
+
+# suite -> the reports it yields at one grid point.  The runners look the
+# verify_* functions up when called, so wrappers installed on the module
+# (as a tracer does) see every call.
+_SUITES = {
+    CASSINI: lambda p, g: [verify_cassini(p, g.n_max)],
+    DET: lambda p, g: [verify_det(p, g.n_max)],
+    DOUBLING: lambda p, g: [verify_doubling(p, max(2, g.n_max // 2))],
+    LUCAS_RELATIONS: lambda p, g: [verify_lucas_relations(p, g.n_max)],
+    SUM_T5: lambda p, g: [verify_sum_t5(p, g.n_max)],
+    WEIGHTED_SUM_T6: lambda p, g: [verify_weighted_sum_t6(p, x, g.n_max)
+                                   for x in g.x_values],
+    ROOT_IDENTITIES: lambda p, g: [verify_root_identities(p)],
+    SERIES_MATCH: lambda p, g: [verify_series_match(p, g.n_max + 1)],
+    CROSS_METHOD: lambda p, g: [verify_cross_method(p, g.n_max)],
+}
+ALL_IDENTITIES = tuple(_SUITES)
 
 DEFAULT_PARAM_VALUES = tuple(Fraction(v) for v in (-3, -2, -1, 1, 2, 3))
 DEFAULT_X_VALUES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
@@ -383,23 +414,6 @@ def default_grid(n_max: int = DEFAULT_N_MAX,
                  suites: tuple[str, ...] = ALL_IDENTITIES) -> GridSpec:
     return GridSpec(DEFAULT_PARAM_VALUES, DEFAULT_PARAM_VALUES,
                     n_max=n_max, suites=suites)
-
-
-# suite -> the reports it yields at one grid point.  The runners look the
-# verify_* functions up when called, so wrappers installed on the module
-# (as a tracer does) see every call.
-_SUITES = {
-    CASSINI: lambda p, g: [verify_cassini(p, g.n_max)],
-    DET: lambda p, g: [verify_det(p, g.n_max)],
-    DOUBLING: lambda p, g: [verify_doubling(p, max(2, g.n_max // 2))],
-    LUCAS_RELATIONS: lambda p, g: [verify_lucas_relations(p, g.n_max)],
-    SUM_T5: lambda p, g: [verify_sum_t5(p, g.n_max)],
-    WEIGHTED_SUM_T6: lambda p, g: [verify_weighted_sum_t6(p, x, g.n_max)
-                                   for x in g.x_values],
-    ROOT_IDENTITIES: lambda p, g: [verify_root_identities(p)],
-    SERIES_MATCH: lambda p, g: [verify_series_match(p, g.n_max + 1)],
-    CROSS_METHOD: lambda p, g: [verify_cross_method(p, g.n_max)],
-}
 
 
 def _run_point(params: BiParams, grid: GridSpec) -> list[IdentityReport]:

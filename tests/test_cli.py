@@ -1,3 +1,6 @@
+import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,11 +10,13 @@ from itertools import islice
 
 import pytest
 
-from bijacobsthal import cli
+from bijacobsthal import ALL_IDENTITIES, cli, verifier
 from bijacobsthal.cli import main, parse_grid_values
 from bijacobsthal.exact import parse_rational
 from bijacobsthal.matrixseq import iter_terms
 from bijacobsthal.scalar import BiParams
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +99,31 @@ def test_matrix_degenerate_binet_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "matrix", "--a", "2", "--b=-4", "--n", "3",
                              "--method", "all")
     assert code == 0 and "skipped" in err
+
+
+def _choices(command, dest):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_one_route_table_and_one_suite_table():
+    assert cli.METHODS is verifier.ROUTES
+    routes = ["recurrence", "closed", "binet", "fast"]
+    assert list(verifier.ROUTES) == routes
+    # binet is dropped exactly where ab = -8 (disc = 0), and nowhere else
+    for a, b in [(2, -4), (-8, 1), (F(1, 2), -16)]:
+        defined = verifier.defined_routes(BiParams(a, b))
+        assert list(defined) == ["recurrence", "closed", "fast"]
+        assert all(defined[name] is verifier.ROUTES[name] for name in defined)
+    for a, b in [(1, 1), (F(1, 2), F(-3, 4)), (-4, -2)]:
+        defined = verifier.defined_routes(BiParams(a, b))
+        assert defined == verifier.ROUTES and list(defined) == routes
+    suites = ("CASSINI", "DET", "DOUBLING", "LUCAS_RELATIONS", "SUM_T5",
+              "WEIGHTED_SUM_T6", "ROOT_IDENTITIES", "SERIES_MATCH", "CROSS_METHOD")
+    assert ALL_IDENTITIES == verifier.ALL_IDENTITIES == suites
+    assert _choices("matrix", "method") == (*routes, "all")
+    assert _choices("verify", "suite") == (*suites, "all")
 
 
 def test_series_output(capsys):
@@ -191,11 +221,21 @@ def test_verify_negative_grid_split_tokens(capsys):
     assert len(out.strip().splitlines()) == 36
 
 
+def _benchmark_workloads():
+    """benchmark/workloads.py, loaded by path; it is only read here."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", os.path.join(ROOT, "benchmark", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_verify_full_default_grid_with_errata_expected(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all",
-                           "--a", "-3..3", "--b", "-3..3",
-                           "--n-max", "128", "--expect-errata")
+    # The benchmark's default-grid call: its stdout must stay byte-identical.
+    workloads = _benchmark_workloads()
+    code, out, _ = run_cli(capsys, *workloads.GRID_ARGV)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == workloads.GRID_STDOUT_SHA256
     lines = out.strip().splitlines()
     assert len(lines) == 36 * 12  # 8 single-report suites + 4 weights
     # the weighted-sum erratum fails at every point for each x != 1
@@ -257,7 +297,7 @@ def test_bench_repeat_below_one_is_usage_error(capsys, repeat):
 
 def test_console_entry_point_subprocess():
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "bijacobsthal", "term", "--kind", "jhat",

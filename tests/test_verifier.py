@@ -6,13 +6,13 @@ from bijacobsthal import scalar as scalar_mod, verifier as verifier_mod
 from bijacobsthal.exact import Mat2
 from bijacobsthal.matrixseq import term_recurrence
 from bijacobsthal.report import (
-    ALL_IDENTITIES,
     CROSS_METHOD,
     SUM_T5,
     WEIGHTED_SUM_T6,
 )
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term
 from bijacobsthal.verifier import (
+    ALL_IDENTITIES,
     GridSpec,
     expected_failure,
     run_grid,
@@ -283,8 +283,8 @@ _I_JSON = '{"e11": "1", "e12": "0", "e21": "0", "e22": "1"}'
 _I_CSV = "1,0,0,1"
 _I_PLAIN = "[[1,0],[0,1]]"
 
-# (module, attribute, patch, suite call, first_failure, residual, note, x,
-#  the line each serializer prints).  Each patch moves one side of one
+# (module or dict, attribute or key, patch, suite call, first_failure,
+#  residual, note, x, the line each serializer prints).  Each patch moves one side of one
 # identity by 1 (or I) at one index, so the first mismatch and its residual
 # lhs - rhs are known in advance.
 _FORCED_FAILS = {
@@ -364,7 +364,7 @@ _FORCED_FAILS = {
         f"SERIES_MATCH a=2 b=1 n_max=7 FAIL first_failure=5 residual={_I_PLAIN}"),
     **{
         f"cross-{route}": (
-            verifier_mod, f"term_{route}", lambda f: _bump(f, _at(5)),
+            verifier_mod.ROUTES, route, lambda f: _bump(f, _at(5)),
             lambda: verifier_mod.verify_cross_method(_P, 8), 5, _I,
             f"{route} route disagrees with recurrence", None,
             '{"identity": "CROSS_METHOD", "a": "2", "b": "1", "n_max": 8, '
@@ -381,7 +381,10 @@ _FORCED_FAILS = {
 def test_forced_mismatch_reports_first_failure(monkeypatch, case):
     (module, attr, patch, run, first_failure, residual, note, x,
      as_json, as_csv, as_plain) = _FORCED_FAILS[case]
-    monkeypatch.setattr(module, attr, patch(getattr(module, attr)))
+    if isinstance(module, dict):
+        monkeypatch.setitem(module, attr, patch(module[attr]))
+    else:
+        monkeypatch.setattr(module, attr, patch(getattr(module, attr)))
     report = run()
     assert report.status == "FAIL"
     assert report.first_failure == first_failure
