@@ -12,7 +12,7 @@ import pytest
 
 from bijacobsthal import ALL_IDENTITIES, cli, verifier
 from bijacobsthal.cli import main, parse_grid_values
-from bijacobsthal.exact import parse_rational
+from bijacobsthal.exact import Mat2, parse_rational
 from bijacobsthal.matrixseq import iter_terms
 from bijacobsthal.scalar import BiParams
 
@@ -99,6 +99,24 @@ def test_matrix_degenerate_binet_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "matrix", "--a", "2", "--b=-4", "--n", "3",
                              "--method", "all")
     assert code == 0 and "skipped" in err
+
+
+@pytest.mark.parametrize("route", ["closed", "fast"])
+@pytest.mark.parametrize("a, b, value, reference, note", [
+    ("2", "1", "[[7,4],[4,3]]", "[[6,4],[4,2]]", ""),
+    ("2", "-4", "[[17,24],[-6,-7]]", "[[16,24],[-6,-8]]",
+     "note: ab = -8, root-based route skipped\n"),
+])
+def test_matrix_method_all_reports_a_route_mismatch(capsys, monkeypatch, route,
+                                                    a, b, value, reference, note):
+    fn = verifier.ROUTES[route]
+    monkeypatch.setitem(verifier.ROUTES, route,
+                        lambda params, n: fn(params, n) + Mat2.identity())
+    code, out, err = run_cli(capsys, "matrix", "--a", a, f"--b={b}", "--n", "3",
+                             "--method", "all")
+    assert (code, out) == (1, "")
+    assert err == (f"{note}method mismatch: {route} gave {value}, "
+                   f"recurrence gave {reference}\n")
 
 
 def _choices(command, dest):
@@ -286,6 +304,19 @@ def test_bench_at_a_rational_pair(capsys):
     assert code == 0
     assert [line.split(",")[:2] for line in out.strip().splitlines()[1:]] == [
         [method, n] for n in ("0", "1", "2", "257") for method in ("recurrence", "fast")]
+
+
+# Each call exits 1 if a log-time route disagrees with the plain Fraction
+# recurrence; at n = 2049 and 4097 the routes' final division by M^(n//2)
+# (`exact.div_power`) runs on large numerators.
+@pytest.mark.parametrize("argv", [
+    ("bench", "--a", "1/2", "--b=-3/4", "--ladder", "1,2,4097", "--repeat", "1"),
+    *(("matrix", f"--a={a}", f"--b={b}", "--n", "2049", "--method", "all")
+      for a, b in [("5/7", "-7/9"), ("2", "-3"), ("1/2", "-3/4")]),
+], ids=" ".join)
+def test_log_time_routes_agree_with_the_recurrence(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from bijacobsthal import scalar as scalar_mod, verifier as verifier_mod
-from bijacobsthal.exact import Mat2
+from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.matrixseq import term_recurrence
 from bijacobsthal.report import (
     CROSS_METHOD,
@@ -93,6 +93,16 @@ def test_weighted_sum_direct_values():
     assert weighted_sum_direct(p, F(1), 4) == sum_direct(p, 4)
     with pytest.raises(ZeroDivisionError):
         weighted_sum_direct(p, F(0), 2)
+
+
+@pytest.mark.parametrize("x", [F(-1), F(-1, 2)], ids=str)
+@pytest.mark.parametrize("params", [BiParams(2, 1), BiParams(F(1, 2), F(-3, 4))], ids=str)
+def test_weighted_sum_direct_at_negative_weights(params, x):
+    # the weight 1/x^k alternates in sign, so it is 1 only at every other k
+    for n in range(1, 12):
+        expected = sum((term_recurrence(params, k) * x ** -k for k in range(n)),
+                       Mat2.zero())
+        assert weighted_sum_direct(params, x, n) == expected
 
 
 def test_weighted_sum_printed_form_refuted_for_x_not_1():
@@ -267,6 +277,29 @@ def _kind_at(kind, n):
     return lambda k, params, i: k is kind and i == n
 
 
+def _shift_alpha(rat, coeff):
+    """Patch for char_roots: alpha moved by rat + coeff*sqrt(D), beta kept."""
+    def patch(char_roots):
+        def shifted(params):
+            alpha, beta = char_roots(params)
+            return alpha + QuadNum(F(rat), F(coeff), params.disc), beta
+        return shifted
+    return patch
+
+
+def _root_fail(params, shift, residual, diff, a, b):
+    note = (f"alpha+beta = ab failed with difference {diff}; "
+            "printed claim beta+2 = -beta/alpha holds: False")
+    return (
+        verifier_mod, "char_roots", _shift_alpha(*shift),
+        lambda: verifier_mod.verify_root_identities(params), 0, residual, note, None,
+        f'{{"identity": "ROOT_IDENTITIES", "a": "{a}", "b": "{b}", "n_max": 0, '
+        f'"status": "FAIL", "first_failure": 0, "residual": "{residual}"}}',
+        f"ROOT_IDENTITIES,{a},{b},,0,FAIL,0,{residual},,,",
+        f"ROOT_IDENTITIES a={a} b={b} n_max=0 FAIL first_failure=0 residual={residual}"
+        f"  [{note}]")
+
+
 def _bump_coeff(m):
     def patch(series_coeffs):
         def bumped(ogf, count):
@@ -374,6 +407,14 @@ _FORCED_FAILS = {
             f"  [{route} route disagrees with recurrence]")
         for route in ("closed", "fast", "binet")
     },
+    # the residual is the rational part of the first failing check, or its
+    # sqrt(D) part when the rational part is zero
+    "root-rational": _root_fail(_P, (1, 0), F(1), "1 + 0*sqrt(20)", "2", "1"),
+    "root-sqrt": _root_fail(BiParams(F(1, 2), F(-3, 4)), (0, 1), F(1),
+                            "0 + 1*sqrt(-183/64)", "1/2", "-3/4"),
+    "root-sqrt-3": _root_fail(_P, (0, 3), F(3), "0 + 3*sqrt(20)", "2", "1"),
+    "root-both": _root_fail(BiParams(F(1, 2), F(-3, 4)), (2, 3), F(2),
+                            "2 + 3*sqrt(-183/64)", "1/2", "-3/4"),
 }
 
 
