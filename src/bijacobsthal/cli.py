@@ -102,9 +102,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         routes = verifier.defined_routes(params)
         if "binet" not in routes:
             print("note: ab = -8, root-based route skipped", file=sys.stderr)
-        values = {name: fn(params, args.n) for name, fn in routes.items()}
-        reference = values["recurrence"]
-        for name, value in values.items():
+        for name, value, reference in verifier.route_values(routes, params, args.n):
             if value != reference:
                 print(f"method mismatch: {name} gave {value}, "
                       f"recurrence gave {reference}", file=sys.stderr)

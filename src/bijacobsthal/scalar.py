@@ -132,7 +132,7 @@ _memo = _PrefixMemo(lambda key: list(key[0].initial_terms(key[1])), _next_term)
 
 
 def clear_caches() -> None:
-    """Drop all memoized sequence prefixes (used by benchmarks and tests)."""
+    """Drop all memoized sequence prefixes (the tests start cold with it)."""
     _memo.clear()
 
 

@@ -6,10 +6,9 @@ fact over a parameter point and an index range.  The direct computation
 normative side; printed closed forms are the hypotheses under test.  Each
 suite yields its cases (n, lhs, rhs, why) to `report.first_mismatch`, the
 one FAIL rule: a refuted identity is a FAIL report carrying the first
-failing index and the exact residual, never an exception.  The root
-identities, which have no index, keep their own rule.  The term routes
-are listed once, in `ROUTES` (which is `cli.METHODS`), and the suites once,
-in `_SUITES`.
+failing index and the exact residual, never an exception.  The term
+routes are listed once, in `ROUTES` (which is `cli.METHODS`), and the
+suites once, in `_SUITES`.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat2, QuadNum, as_rational, parity
+from .exact import Mat2, as_rational, parity
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
     char_roots,
@@ -52,9 +51,7 @@ from .report import (
     SERIES_MATCH,
     SUM_T5,
     WEIGHTED_SUM_T6,
-    failed,
     first_mismatch,
-    passed,
     skipped,
 )
 from .scalar import BiParams, SeqKind, scalar_term, verify_lucas_relations
@@ -72,6 +69,15 @@ def defined_routes(params: BiParams) -> dict:
     """ROUTES without binet at disc = 0 (ab = -8), where the roots coincide."""
     return {name: route for name, route in ROUTES.items()
             if name != "binet" or params.disc != 0}
+
+
+def route_values(routes: dict, params: BiParams, n: int):
+    """Yield (name, J[n] by that route, J[n] by the recurrence) for every
+    route in `routes` but the recurrence, which is computed once."""
+    reference = routes["recurrence"](params, n)
+    for name, route in routes.items():
+        if name != "recurrence":
+            yield name, route(params, n), reference
 
 
 def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
@@ -121,14 +127,21 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
     return first_mismatch(DOUBLING, params, (2, m_max), cases())
 
 
+def _partial_sums(params: BiParams, x: Fraction, n_max: int):
+    """Yield sum_{k=0}^{n-1} J[k] / x^k for n = 1, ..., n_max, term by term;
+    a term is scaled only when its weight is not 1."""
+    total = Mat2.zero()
+    weight = Fraction(1)
+    for k in range(n_max):
+        term = term_recurrence(params, k)
+        total = total + (term if weight == 1 else term * weight)
+        weight /= x
+        yield total
+
+
 def sum_direct(params: BiParams, n: int) -> Mat2:
     """sum_{k=0}^{n-1} J[k] by plain term-by-term addition (the oracle)."""
-    if n < 1:
-        raise ValueError("partial sums are defined for n >= 1")
-    total = Mat2.zero()
-    for k in range(n):
-        total = total + term_recurrence(params, k)
-    return total
+    return weighted_sum_direct(params, 1, n)
 
 
 def _selectors(params: BiParams, n: int) -> tuple[Fraction, Fraction]:
@@ -163,12 +176,9 @@ def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
     if params.ab == 1:
         return skipped(SUM_T5, params, (1, n_max), "denominator 1-ab vanishes")
 
-    def cases():
-        running = Mat2.zero()
-        for n in range(1, n_max + 1):
-            running = running + term_recurrence(params, n - 1)
-            yield n, sum_closed_form(params, n), running, None
-    return first_mismatch(SUM_T5, params, (1, n_max), cases())
+    cases = ((n, sum_closed_form(params, n), direct, None)
+             for n, direct in enumerate(_partial_sums(params, 1, n_max), 1))
+    return first_mismatch(SUM_T5, params, (1, n_max), cases)
 
 
 def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
@@ -182,11 +192,8 @@ def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
         raise ValueError("partial sums are defined for n >= 1")
     if x == 0:
         raise ZeroDivisionError("weights divide by powers of x")
-    total = Mat2.zero()
-    weight = Fraction(1)
-    for k in range(n):
-        total = total + term_recurrence(params, k) * weight
-        weight /= x
+    for total in _partial_sums(params, x, n):
+        pass
     return total
 
 
@@ -269,14 +276,9 @@ def verify_weighted_sum_t6(params: BiParams, x: Fraction,
         return skipped(WEIGHTED_SUM_T6, params, (1, n_max),
                        "denominator x^2-(ab+4)x+4 vanishes", x=x)
 
-    def cases():
-        running = Mat2.zero()
-        weight = Fraction(1)
-        for n in range(1, n_max + 1):
-            running = running + term_recurrence(params, n - 1) * weight
-            weight /= x
-            yield n, weighted_sum_printed_form(params, x, n), running, None
-    return first_mismatch(WEIGHTED_SUM_T6, params, (1, n_max), cases(), x=x)
+    cases = ((n, weighted_sum_printed_form(params, x, n), direct, None)
+             for n, direct in enumerate(_partial_sums(params, x, n_max), 1))
+    return first_mismatch(WEIGHTED_SUM_T6, params, (1, n_max), cases, x=x)
 
 
 def root_claim_beta_shift_holds(params: BiParams) -> bool:
@@ -296,29 +298,25 @@ def verify_root_identities(params: BiParams) -> IdentityReport:
         (alpha+2)(beta+2) = 4      alpha + 2 = alpha^2/(ab)
         beta + 2 = beta^2/(ab)
 
-    disc = 0 is fine here, nothing divides by alpha - beta.  The report's
-    note additionally records the truth value of the known-bad printed
-    relation beta + 2 = -beta/alpha.
+    disc = 0 is fine here, nothing divides by alpha - beta.  Each check is
+    two cases, the rational and then the sqrt(D) part of lhs - rhs.  The
+    note records the truth value of the known-bad printed relation
+    beta + 2 = -beta/alpha.
     """
     alpha, beta = char_roots(params)
     ab = params.ab
-    checks: list[tuple[str, QuadNum, QuadNum]] = [
-        ("alpha+beta = ab", alpha + beta, QuadNum.from_rational(ab, params.disc)),
-        ("alpha*beta = -2ab", alpha * beta, QuadNum.from_rational(-2 * ab, params.disc)),
-        ("(alpha+2)(beta+2) = 4", (alpha + 2) * (beta + 2),
-         QuadNum.from_rational(4, params.disc)),
-        ("alpha+2 = alpha^2/ab", alpha + 2, alpha * alpha / ab),
-        ("beta+2 = beta^2/ab", beta + 2, beta * beta / ab),
+    differences = [  # (check, lhs - rhs)
+        ("alpha+beta = ab", alpha + beta - ab),
+        ("alpha*beta = -2ab", alpha * beta + 2 * ab),
+        ("(alpha+2)(beta+2) = 4", (alpha + 2) * (beta + 2) - 4),
+        ("alpha+2 = alpha^2/ab", alpha + 2 - alpha * alpha / ab),
+        ("beta+2 = beta^2/ab", beta + 2 - beta * beta / ab),
     ]
     claim = root_claim_beta_shift_holds(params)
     note = f"printed claim beta+2 = -beta/alpha holds: {claim}"
-    for name, lhs, rhs in checks:
-        diff = lhs - rhs
-        if not diff.is_zero():
-            residual = diff.rat if diff.rat != 0 else diff.coeff
-            return failed(ROOT_IDENTITIES, params, (0, 0), 0, residual,
-                          note=f"{name} failed with difference {diff}; {note}")
-    return passed(ROOT_IDENTITIES, params, (0, 0), note=note)
+    cases = ((0, part, 0, f"{name} failed with difference {diff}; {note}")
+             for name, diff in differences for part in (diff.rat, diff.coeff))
+    return first_mismatch(ROOT_IDENTITIES, params, (0, 0), cases, note=note)
 
 
 def verify_series_match(params: BiParams, count: int) -> IdentityReport:
@@ -342,17 +340,12 @@ def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
     routes = defined_routes(params)
-    recurrence = routes.pop("recurrence")
     note = (None if "binet" in routes
             else "root-based route skipped: ab = -8 repeated root")
-
-    def cases():
-        for n in range(n_max + 1):
-            reference = recurrence(params, n)
-            for name, route in routes.items():
-                yield (n, route(params, n), reference,
-                       f"{name} route disagrees with recurrence")
-    return first_mismatch(CROSS_METHOD, params, (0, n_max), cases(), note=note)
+    cases = ((n, value, reference, f"{name} route disagrees with recurrence")
+             for n in range(n_max + 1)
+             for name, value, reference in route_values(routes, params, n))
+    return first_mismatch(CROSS_METHOD, params, (0, n_max), cases, note=note)
 
 
 # suite -> the reports it yields at one grid point.  The runners look the
