@@ -277,21 +277,23 @@ def _kind_at(kind, n):
     return lambda k, params, i: k is kind and i == n
 
 
-def _shift_alpha(rat, coeff):
-    """Patch for char_roots: alpha moved by rat + coeff*sqrt(D), beta kept."""
+def _shift_roots(rat, coeff, beta_sign):
+    """Patch for char_roots: alpha moved by d = rat + coeff*sqrt(D), and
+    beta by beta_sign * d."""
     def patch(char_roots):
         def shifted(params):
             alpha, beta = char_roots(params)
-            return alpha + QuadNum(F(rat), F(coeff), params.disc), beta
+            d = QuadNum(F(rat), F(coeff), params.disc)
+            return alpha + d, beta + beta_sign * d
         return shifted
     return patch
 
 
-def _root_fail(params, shift, residual, diff, a, b):
-    note = (f"alpha+beta = ab failed with difference {diff}; "
+def _root_fail(params, shift, residual, check, diff, a, b):
+    note = (f"{check} failed with difference {diff}; "
             "printed claim beta+2 = -beta/alpha holds: False")
     return (
-        verifier_mod, "char_roots", _shift_alpha(*shift),
+        verifier_mod, "char_roots", _shift_roots(*shift),
         lambda: verifier_mod.verify_root_identities(params), 0, residual, note, None,
         f'{{"identity": "ROOT_IDENTITIES", "a": "{a}", "b": "{b}", "n_max": 0, '
         f'"status": "FAIL", "first_failure": 0, "residual": "{residual}"}}',
@@ -409,12 +411,17 @@ _FORCED_FAILS = {
     },
     # the residual is the rational part of the first failing check, or its
     # sqrt(D) part when the rational part is zero
-    "root-rational": _root_fail(_P, (1, 0), F(1), "1 + 0*sqrt(20)", "2", "1"),
-    "root-sqrt": _root_fail(BiParams(F(1, 2), F(-3, 4)), (0, 1), F(1),
-                            "0 + 1*sqrt(-183/64)", "1/2", "-3/4"),
-    "root-sqrt-3": _root_fail(_P, (0, 3), F(3), "0 + 3*sqrt(20)", "2", "1"),
-    "root-both": _root_fail(BiParams(F(1, 2), F(-3, 4)), (2, 3), F(2),
-                            "2 + 3*sqrt(-183/64)", "1/2", "-3/4"),
+    "root-rational": _root_fail(_P, (1, 0, 0), F(1), "alpha+beta = ab",
+                                "1 + 0*sqrt(20)", "2", "1"),
+    "root-sqrt": _root_fail(BiParams(F(1, 2), F(-3, 4)), (0, 1, 0), F(1),
+                            "alpha+beta = ab", "0 + 1*sqrt(-183/64)", "1/2", "-3/4"),
+    "root-sqrt-3": _root_fail(_P, (0, 3, 0), F(3), "alpha+beta = ab",
+                              "0 + 3*sqrt(20)", "2", "1"),
+    "root-both": _root_fail(BiParams(F(1, 2), F(-3, 4)), (2, 3, 0), F(2),
+                            "alpha+beta = ab", "2 + 3*sqrt(-183/64)", "1/2", "-3/4"),
+    # alpha + 1 and beta - 1 keep the sum, so the product is the first to fail
+    "root-product": _root_fail(_P, (1, 0, -1), F(-1), "alpha*beta = -2ab",
+                               "-1 - 1*sqrt(20)", "2", "1"),
 }
 
 
