@@ -275,6 +275,35 @@ def test_unknown_suite_rejected(capsys):
     capsys.readouterr()
 
 
+def _exit_output(capsys, parse, argv):
+    """(SystemExit code, stdout, stderr) of an argv that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# The help text is checked against a freshly built parser rather than pinned,
+# because argparse's wording differs between Python versions.
+@pytest.mark.parametrize("argv, code", [
+    ([], 2),
+    (["term", "--kind", "nope", "--a", "2", "--b", "1", "--n", "5"], 2),
+    (["matrix", "--method", "nope", "--a", "2", "--b", "1", "--n", "3"], 2),
+    (["verify", "--suite", "NOPE", "--a", "1..2", "--b", "1..2"], 2),
+    (["term", "--help"], 0),
+], ids=lambda v: (" ".join(v) or "no-subcommand") if isinstance(v, list) else None)
+def test_error_and_help_paths_repeat_on_one_process(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = _exit_output(capsys, main, argv)
+    assert run_cli(capsys, "term", "--kind", "jhat", "--a", "2", "--b", "1",
+                   "--n", "5")[:2] == (0, "20\n")
+    second = _exit_output(capsys, main, argv)
+    fresh_parser = getattr(cli.build_parser, "__wrapped__", cli.build_parser)()
+    fresh = _exit_output(capsys, fresh_parser.parse_args, argv)
+    assert first == second == fresh
+    assert first[0] == code and (first[1] or first[2])
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "bench", "--ladder", "64,256", "--repeat", "1")
     assert code == 0
