@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed (modulo declared errata when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -259,7 +260,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and then shared.
+
+    One parser serves every `main` call in a process, so a short query
+    does not pay the argparse build (about 1.7 ms) each time; a one-shot
+    `python -m bijacobsthal` process still builds it once.  The parser
+    holds the `cmd_*` handlers it was built with: a `cli.cmd_*` replaced
+    after the first call is not seen.  `build_parser.__wrapped__()` builds
+    a fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="bijacobsthal",
         description="Exact bi-periodic Jacobsthal sequence terms, matrix "

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 from itertools import islice
 
@@ -302,6 +303,49 @@ def test_error_and_help_paths_repeat_on_one_process(capsys, monkeypatch, argv, c
     fresh = _exit_output(capsys, fresh_parser.parse_args, argv)
     assert first == second == fresh
     assert first[0] == code and (first[1] or first[2])
+
+
+def test_one_parser_per_process_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    grid = ("--a", "1..1", "--b", "1..1", "--n-max", "4", "--format", "json")
+    run_cli(capsys, "verify", "--suite", "CASSINI", *grid)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "DET", *grid)
+    assert code == 0
+    assert [json.loads(line)["identity"] for line in out.splitlines()] == ["DET"]
+    run_cli(capsys, "sum", "--a", "2", "--b", "1", "--n", "4", "--both")
+    assert run_cli(capsys, "sum", "--a", "2", "--b", "1", "--n", "4") == (
+        0, "[[12,7],[7,5]]\n", "")
+    run_cli(capsys, "verify", "--suite", "WEIGHTED_SUM_T6", "--x", "3", *grid)
+    args = cli.build_parser().parse_args(["verify", "--suite", "DET", *grid])
+    assert args.x == ",".join(map(str, verifier.DEFAULT_X_VALUES))
+    assert args.suite == ["DET"]
+
+
+def test_shared_parser_parses_concurrent_argvs_apart():
+    argvs = [
+        ["term", "--kind", "jhat", "--a", "2", "--b", "1", "--n", "5"],
+        ["matrix", "--a", "1/2", "--b", "3", "--n", "7", "--method", "fast"],
+        ["verify", "--suite", "DET", "--suite", "CASSINI", "--a", "1..2",
+         "--b", "1..3", "--n-max", "9", "--format", "csv"],
+        ["sum", "--a", "2", "--b", "1", "--n", "4", "--x", "2", "--both"],
+    ]
+    fresh = getattr(cli.build_parser, "__wrapped__", cli.build_parser)()
+    expected = [vars(fresh.parse_args(argv)) for argv in argvs]
+    barrier = threading.Barrier(len(argvs))
+    results: list = [None] * len(argvs)
+
+    def parse_many(i):
+        barrier.wait()
+        results[i] = [vars(cli.build_parser().parse_args(argvs[i]))
+                      for _ in range(200)]
+
+    threads = [threading.Thread(target=parse_many, args=(i,)) for i in range(len(argvs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for i, got in enumerate(results):
+        assert got == [expected[i]] * 200, argvs[i]
 
 
 def test_bench_csv_shape(capsys):
