@@ -262,14 +262,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built on the first call and then shared.
+    """The CLI's argument parser, built once per process on first use.
 
-    One parser serves every `main` call in a process, so a short query
-    does not pay the argparse build (about 1.7 ms) each time; a one-shot
-    `python -m bijacobsthal` process still builds it once.  The parser
-    holds the `cmd_*` handlers it was built with: a `cli.cmd_*` replaced
-    after the first call is not seen.  `build_parser.__wrapped__()` builds
-    a fresh one.
+    Every `main` call in a process shares it, so a short query does not
+    rebuild the argparse tree, which costs more than the query itself; a
+    one-shot `python -m bijacobsthal` still builds it once.  The parser
+    holds the `cmd_*` handlers it was built with, so a `cli.cmd_*`
+    monkeypatched after it exists is not seen.
+    `build_parser.__wrapped__()` builds a fresh one.
     """
     parser = argparse.ArgumentParser(
         prog="bijacobsthal",

@@ -299,6 +299,7 @@ def test_error_and_help_paths_repeat_on_one_process(capsys, monkeypatch, argv, c
     assert run_cli(capsys, "term", "--kind", "jhat", "--a", "2", "--b", "1",
                    "--n", "5")[:2] == (0, "20\n")
     second = _exit_output(capsys, main, argv)
+    # Also runs where build_parser is uncached and so has no __wrapped__.
     fresh_parser = getattr(cli.build_parser, "__wrapped__", cli.build_parser)()
     fresh = _exit_output(capsys, fresh_parser.parse_args, argv)
     assert first == second == fresh
@@ -329,9 +330,9 @@ def test_shared_parser_parses_concurrent_argvs_apart():
          "--b", "1..3", "--n-max", "9", "--format", "csv"],
         ["sum", "--a", "2", "--b", "1", "--n", "4", "--x", "2", "--both"],
     ]
-    fresh = getattr(cli.build_parser, "__wrapped__", cli.build_parser)()
+    fresh = cli.build_parser.__wrapped__()
     expected = [vars(fresh.parse_args(argv)) for argv in argvs]
-    barrier = threading.Barrier(len(argvs))
+    barrier = threading.Barrier(len(argvs), timeout=30)
     results: list = [None] * len(argvs)
 
     def parse_many(i):
@@ -340,10 +341,16 @@ def test_shared_parser_parses_concurrent_argvs_apart():
                       for _ in range(200)]
 
     threads = [threading.Thread(target=parse_many, args=(i,)) for i in range(len(argvs))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside parse_args
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     for i, got in enumerate(results):
         assert got == [expected[i]] * 200, argvs[i]
 
