@@ -10,7 +10,10 @@ takes a numeric square root.
 Exactness is checked once, where values enter from outside the program:
 `as_rational` refuses floats and parses 'p/q' strings for the parameters,
 the grid values and the sum weights.  `Mat2` and `QuadNum` take their
-entries as given (Fraction or int) and do not convert or re-check them.
+entries as given and do not convert or re-check them.  The library itself
+feeds them only Fraction and int, but `Mat2` entries and scalars may come
+from any commutative ring (a symbolic one, say), so the recurrence and the
+closed forms built on it can be evaluated over that ring unchanged.
 """
 
 from __future__ import annotations
@@ -110,10 +113,12 @@ def _power(base, k: int, one, what: str):
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix of exact rationals, row-major: [[e11, e12], [e21, e22]].
+    """2x2 matrix, row-major: [[e11, e12], [e21, e22]].
 
-    `*` is the matrix product for Mat2 operands and scaling for rational
-    operands; `+`/`-` are entrywise; `**` is binary exponentiation.
+    Entries are exact rationals wherever the library builds a Mat2, but
+    any commutative ring works: `*` is the matrix product for Mat2
+    operands and scaling for every other operand; `+`/`-` are entrywise;
+    `**` is binary exponentiation.
     """
 
     e11: Fraction
@@ -156,7 +161,8 @@ class Mat2:
     def __neg__(self) -> Mat2:
         return Mat2(-self.e11, -self.e12, -self.e21, -self.e22)
 
-    def __mul__(self, other: Mat2 | Fraction | int) -> Mat2:
+    def __mul__(self, other) -> Mat2:
+        """Matrix product with a Mat2, else scaling by `other`."""
         if isinstance(other, Mat2):
             return Mat2(
                 self.e11 * other.e11 + self.e12 * other.e21,
@@ -164,22 +170,17 @@ class Mat2:
                 self.e21 * other.e11 + self.e22 * other.e21,
                 self.e21 * other.e12 + self.e22 * other.e22,
             )
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
-    def __rmul__(self, other: Fraction | int) -> Mat2:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        return NotImplemented
+    def __rmul__(self, other) -> Mat2:
+        return self.scale(other)
 
-    def scale(self, c: Fraction | int) -> Mat2:
+    def scale(self, c) -> Mat2:
+        """c times every entry; c is any scalar of the entries' ring."""
         return Mat2(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
 
-    def __truediv__(self, other: Fraction | int) -> Mat2:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(Fraction(1) / other)
-        return NotImplemented
+    def __truediv__(self, other) -> Mat2:
+        return self.scale(Fraction(1) / other)
 
     def __pow__(self, k: int) -> Mat2:
         return _power(self, k, Mat2.identity(), "matrix")
@@ -224,16 +225,11 @@ class QuadNum:
             return NotImplemented
         return QuadNum(self.rat + o.rat, self.coeff + o.coeff, self.disc)
 
-    __radd__ = __add__
-
     def __sub__(self, other: QuadNum | Fraction | int) -> QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return QuadNum(self.rat - o.rat, self.coeff - o.coeff, self.disc)
-
-    def __rsub__(self, other: QuadNum | Fraction | int) -> QuadNum:
-        return (-self) + other
 
     def __neg__(self) -> QuadNum:
         return QuadNum(-self.rat, -self.coeff, self.disc)
@@ -249,25 +245,6 @@ class QuadNum:
         )
 
     __rmul__ = __mul__
-
-    def conj(self) -> QuadNum:
-        """Conjugation: negates the sqrt(D) coefficient."""
-        return QuadNum(self.rat, -self.coeff, self.disc)
-
-    def norm(self) -> Fraction:
-        """self * conj(self), always rational: rat^2 - coeff^2 * D."""
-        return self.rat * self.rat - self.coeff * self.coeff * self.disc
-
-    def __truediv__(self, other: QuadNum | Fraction | int) -> QuadNum:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.norm()
-        if n == 0:
-            # When D is a perfect square the ring has zero divisors, so a
-            # nonzero element can still be non-invertible.
-            raise ZeroDivisionError(f"{o} has zero norm and is not invertible")
-        return self * o.conj() * (Fraction(1) / n)
 
     def __pow__(self, k: int) -> QuadNum:
         return _power(self, k, QuadNum.from_rational(1, self.disc), "quadratic")

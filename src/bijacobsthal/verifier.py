@@ -286,9 +286,11 @@ def root_claim_beta_shift_holds(params: BiParams) -> bool:
 
     Expected False for every admissible parameter pair: combined with the
     true identities it would force ab = 0.  Kept as an erratum detector.
+    alpha*beta = -2ab != 0 makes alpha invertible, so the relation holds
+    exactly when alpha*(beta + 2) + beta = 0, which needs no division.
     """
     alpha, beta = char_roots(params)
-    return beta + 2 == -beta / alpha
+    return (alpha * (beta + 2) + beta).is_zero()
 
 
 def verify_root_identities(params: BiParams) -> IdentityReport:
@@ -309,8 +311,8 @@ def verify_root_identities(params: BiParams) -> IdentityReport:
         ("alpha+beta = ab", alpha + beta - ab),
         ("alpha*beta = -2ab", alpha * beta + 2 * ab),
         ("(alpha+2)(beta+2) = 4", (alpha + 2) * (beta + 2) - 4),
-        ("alpha+2 = alpha^2/ab", alpha + 2 - alpha * alpha / ab),
-        ("beta+2 = beta^2/ab", beta + 2 - beta * beta / ab),
+        ("alpha+2 = alpha^2/ab", alpha + 2 - alpha * alpha * (1 / ab)),
+        ("beta+2 = beta^2/ab", beta + 2 - beta * beta * (1 / ab)),
     ]
     claim = root_claim_beta_shift_holds(params)
     note = f"printed claim beta+2 = -beta/alpha holds: {claim}"
@@ -322,8 +324,6 @@ def verify_root_identities(params: BiParams) -> IdentityReport:
 def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     """Generating-function expansion against the recurrence, coefficient
     by coefficient for 0 <= m < count."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
     coeffs = series_coeffs(build_ogf(params), count)
     cases = ((m, coeff, term_recurrence(params, m), None)
              for m, coeff in enumerate(coeffs))

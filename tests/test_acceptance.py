@@ -180,7 +180,7 @@ def test_criterion_8_root_identities():
         alpha, beta = char_roots(unit)
         collapse = lambda q: q.rat + q.coeff * 3  # sqrt(9) = 3 numerically
         assert collapse(beta + 2) == 1
-        assert collapse(-beta / alpha) == F(1, 2)
+        assert collapse(-beta) == F(1, 2) * collapse(alpha)
 
     _criterion(8, "root identities pass; printed beta-shift claim flagged false",
                None, check)

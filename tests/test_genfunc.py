@@ -12,6 +12,7 @@ from bijacobsthal.genfunc import (
 )
 from bijacobsthal.matrixseq import generator_matrix, term_recurrence
 from bijacobsthal.scalar import BiParams
+from bijacobsthal.verifier import verify_series_match
 
 GRID = [BiParams(a, b)
         for a in (-3, -2, -1, 1, 2, 3)
@@ -80,8 +81,10 @@ def test_series_low_coefficients():
     assert coeffs[0] == Mat2.identity()
     assert coeffs[1] == generator_matrix(p)
     assert coeffs[2] == Mat2(4, 2, 2, 2)
-    with pytest.raises(ValueError):
-        series_coeffs(build_ogf(p), 0)
+    for call in (lambda: series_coeffs(build_ogf(p), 0),
+                 lambda: verify_series_match(p, 0)):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            call()
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)

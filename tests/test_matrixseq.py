@@ -146,8 +146,8 @@ def test_root_identities(params):
     assert alpha + beta == QuadNum.from_rational(ab, disc)
     assert alpha * beta == QuadNum.from_rational(-2 * ab, disc)
     assert (alpha + 2) * (beta + 2) == QuadNum.from_rational(4, disc)
-    assert alpha + 2 == alpha * alpha / ab
-    assert beta + 2 == beta * beta / ab
+    assert ab * (alpha + 2) == alpha * alpha
+    assert ab * (beta + 2) == beta * beta
 
 
 def test_binet_coeff_matrices():

@@ -156,14 +156,24 @@ def test_root_identities_suite():
 
 
 def test_root_claim_numeric_values_at_1_1():
-    # at a = b = 1 the roots are 2 and -1: beta + 2 = 1 while -beta/alpha = 1/2
+    # at a = b = 1 the roots are 2 and -1: beta + 2 = 1 while -beta/alpha = 1/2,
+    # that is -beta = alpha/2
     from bijacobsthal.matrixseq import char_roots
     alpha, beta = char_roots(BiParams(1, 1))
     collapse = lambda q: q.rat + q.coeff * 3  # sqrt(9) = 3 numerically
     assert collapse(alpha) == 2
     assert collapse(beta) == -1
     assert collapse(beta + 2) == 1
-    assert collapse(-beta / alpha) == F(1, 2)
+    assert collapse(-beta) == F(1, 2) * collapse(alpha)
+
+
+def test_root_claim_beta_shift_can_hold(monkeypatch):
+    # No admissible (a, b) satisfies the printed relation, so substitute
+    # roots that do: alpha = 1, beta = -1 give beta + 2 = 1 = -beta/alpha.
+    disc = F(5)
+    roots = (QuadNum.from_rational(1, disc), QuadNum.from_rational(-1, disc))
+    monkeypatch.setattr(verifier_mod, "char_roots", lambda params: roots)
+    assert root_claim_beta_shift_holds(BiParams(1, 1)) is True
 
 
 def test_series_and_cross_method_suites():
