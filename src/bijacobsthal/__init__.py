@@ -9,7 +9,7 @@ arbitrary-precision rational; there is no floating point anywhere.
 """
 
 from .exact import Mat2, QuadNum, format_rational, parity, parse_rational
-from .genfunc import Mat2Poly, RationalOGF, build_ogf, component_form, series_coeffs
+from .genfunc import RationalOGF, build_ogf, component_form, series_coeffs
 from .matrixseq import (
     DegenerateDiscriminantError,
     char_roots,

@@ -49,10 +49,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(r: Fraction) -> str:
-    """Render a Fraction as 'p/q', or just 'p' when the denominator is 1."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    """Render a Fraction as 'p/q', or just 'p' when the denominator is 1;
+    `str` does that, and renders an entry of any other ring too."""
+    return str(r)
 
 
 def parity(n: int) -> int:

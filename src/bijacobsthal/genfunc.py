@@ -23,36 +23,11 @@ from .scalar import BiParams
 
 
 @dataclass(frozen=True)
-class Mat2Poly:
-    """Polynomial with Mat2 coefficients; index = power of x.
-
-    Trailing zero-matrix coefficients are trimmed on construction so that
-    equal polynomials compare equal.
-    """
-
-    coeffs: tuple[Mat2, ...]
-
-    def __post_init__(self) -> None:
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1].is_zero():
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    def coefficient(self, i: int) -> Mat2:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Mat2.zero()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
 class RationalOGF:
-    """Matrix-valued numerator over a scalar denominator polynomial."""
+    """Matrix-valued numerator over a scalar denominator polynomial, each
+    a coefficient tuple, lowest power of x first."""
 
-    numerator: Mat2Poly
+    numerator: tuple[Mat2, ...]
     denominator: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -66,12 +41,12 @@ def build_ogf(params: BiParams) -> RationalOGF:
     j0 = Mat2.identity()
     j1 = generator_matrix(params)
     ab = params.ab
-    numerator = Mat2Poly((
+    numerator = (
         j0,
         j1,
         params.a * j1 - (ab + 2) * j0,
         2 * params.b * j0 - 2 * j1,
-    ))
+    )
     denominator = (Fraction(1), Fraction(0), -(ab + 4), Fraction(0), Fraction(4))
     return RationalOGF(numerator, denominator)
 
@@ -103,10 +78,10 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    den = ogf.denominator
+    num, den = ogf.numerator, ogf.denominator
     out: list[Mat2] = []
     for m in range(count):
-        acc = ogf.numerator.coefficient(m)
+        acc = num[m] if m < len(num) else Mat2.zero()
         for i in range(1, min(m, len(den) - 1) + 1):
             acc = acc - den[i] * out[m - i]
         out.append(acc)

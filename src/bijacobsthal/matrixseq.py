@@ -15,25 +15,23 @@ terms:
             [jhat[n],              2(b/a)^e * jhat[n-1]]],   e = parity(n)
 
 which is the `term_closed` route.  `term_binet` evaluates the closed form
-over the formal extension Q(sqrt(D)), D = ab(ab+8).  `term_fast` composes
-two steps of the recurrence into one fixed matrix,
+over the formal extension Q(sqrt(D)), D = ab(ab+8).  `term_fast` reads
+J[n] off a single binary power of the two-step map, whose characteristic
+polynomial x^2 - (ab+4)x + 4 is the index-doubling recurrence: J is the
+jhat recurrence started at J[0] = I and J[1], so it runs the same
+`scalar._two_step` as `scalar_term_fast`.
 
-    (J[2m+1], J[2m]) = (J[1], J[0]) * T^m,   T = [[ab+2, a], [2b, 2]],
-
-and reads J[n] off a single binary power of T; the characteristic
-polynomial of T is x^2 - (ab+4)x + 4, the index-doubling recurrence.
-
-The two log-time routes raise integers, not rationals.  With ab = N/M in
-lowest terms, `term_fast` raises the integer matrix [[N+2M, M], [2N, 2M]]
-(T conjugated by diag(1, 1/a), times M) and `term_binet` raises the
-algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2.  Every term is
-then an integer combination over M^(n//2), a denominator known from n
+The two log-time routes raise integers, not rationals: `term_fast` an
+integer two-step matrix and, with ab = N/M in lowest terms, `term_binet`
+the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2.  Every term
+is then an integer combination over M^(n//2), a denominator known from n
 alone, so no gcd of large numbers is taken inside the power loop, and
 each output entry is divided once, at the end, by `exact.div_power`,
 which strips only the factors of M and so takes linear time.  The
-recurrence and closed routes stay on plain Fraction arithmetic.  The four
-routes are mutually independent implementations and cross-check one
-another.
+recurrence extends its memo with the scalar step rule `scalar._next_term`,
+and the closed route stays on plain Fraction arithmetic.  The four routes
+are separate computations and cross-check one another; the recurrence,
+closed and fast routes read the one multiplier table of `SeqKind`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .exact import Mat2, QuadNum, div_power, parity
-from .scalar import BiParams, SeqKind, _PrefixMemo, _two_step_power, scalar_term
+from .scalar import BiParams, SeqKind, _PrefixMemo, _two_step, scalar_term
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -73,14 +71,9 @@ def iter_terms(params: BiParams) -> Iterator[Mat2]:
         n += 1
 
 
-def _next_term(params: BiParams, terms: list[Mat2]) -> Mat2:
-    mult = params.a if len(terms) % 2 == 0 else params.b
-    return mult * terms[-1] + 2 * terms[-2]
-
-
-# Memo per params, separate from the scalar one so the routes stay independent.
-_memo = _PrefixMemo(lambda params: [Mat2.identity(), generator_matrix(params)],
-                    _next_term)
+# Memo per params, keyed like the scalar one but separate from it, so the
+# routes stay independent.
+_memo = _PrefixMemo(lambda key: [Mat2.identity(), generator_matrix(key[1])])
 
 
 def clear_caches() -> None:
@@ -91,7 +84,7 @@ def term_recurrence(params: BiParams, n: int) -> Mat2:
     """J[n] by the definitional recurrence (memoized per params)."""
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
-    return _memo.term(params, n)
+    return _memo.term((SeqKind.BP_JACOBSTHAL, params), n)
 
 
 def term_closed(params: BiParams, n: int) -> Mat2:
@@ -108,26 +101,16 @@ def term_closed(params: BiParams, n: int) -> Mat2:
 def term_fast(params: BiParams, n: int) -> Mat2:
     """J[n] in O(log n) integer ring operations and one division per entry.
 
-    With ab = N/M in lowest terms and m = n // 2, conjugating the two-step
-    map T = [[ab+2, a], [2b, 2]] by diag(1, 1/a) gives [[ab+2, 1], [2ab, 2]],
-    which is K/M with the integer matrix K = [[N+2M, M], [2N, 2M]].  So
-    T^m = diag(1, 1/a) K^m diag(1, a) / M^m, and with P = K^m
-
-        J[n] = (P11 * J[1] + (P21/a) * I) / M^m        (n odd)
-        J[n] = (a * P12 * J[1] + P22 * I) / M^m        (n even).
-
-    The power runs on plain ints.  Each entry is divided once, by M^m,
-    with `div_power`, which cancels only factors of M and so takes time
-    linear in the entry's size.
+    J is the jhat recurrence started at J[0] = I and J[1], so with
+    `scalar._two_step`, J[n] = (u*J[1] + v*I) / M^m.  v is added to the
+    diagonal of u*J[1], and each entry is divided once, by M^m, with
+    `div_power`.
     """
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
-    p, den, m = _two_step_power(params, 2, n)
-    if parity(n):
-        gen, diag = p.e11 * generator_matrix(params), p.e21 / params.a
-    else:
-        gen, diag = p.e12 * (params.a * generator_matrix(params)), p.e22
-    return _div_entries((gen.e11 + diag, gen.e12, gen.e21, gen.e22 + diag), den, m)
+    u, v, den, m = _two_step(SeqKind.BP_JACOBSTHAL, params, n)
+    gen = u * generator_matrix(params)
+    return _div_entries((gen.e11 + v, gen.e12, gen.e21, gen.e22 + v), den, m)
 
 
 def _div_entries(entries, base: int, k: int) -> Mat2:

@@ -89,20 +89,27 @@ class SeqKind(enum.Enum):
         return params.b
 
 
-class _PrefixMemo:
-    """Bounded memo of sequence prefixes, one list per key.
+def _next_term(key: tuple[SeqKind, BiParams], terms: list):
+    """The term after `terms` by the recurrence of kind key[0] at key[1];
+    the terms may be scalars or `Mat2`s."""
+    kind, params = key
+    mult = kind.multiplier(params, len(terms))
+    return mult * terms[-1] + kind.lag_coefficient * terms[-2]
 
-    `start(key)` gives the first terms of a series and `step(key, terms)`
-    its next term.  One lock is held across lookup, eviction and extension,
+
+class _PrefixMemo:
+    """Bounded memo of sequence prefixes, one list per (kind, params) key.
+
+    `start(key)` gives the first two terms of a series and `_next_term`
+    extends it.  One lock is held across lookup, eviction and extension,
     so threads sharing a series never append the same index twice.  At most
     `max_keys` series are kept; the oldest-inserted one is evicted first.
     """
 
     max_keys = 64
 
-    def __init__(self, start, step) -> None:
+    def __init__(self, start) -> None:
         self._start = start
-        self._step = step
         self._series: dict = {}
         self._lock = threading.Lock()
 
@@ -114,7 +121,7 @@ class _PrefixMemo:
                     del self._series[next(iter(self._series))]
                 terms = self._series[key] = self._start(key)
             while len(terms) <= n:
-                terms.append(self._step(key, terms))
+                terms.append(_next_term(key, terms))
             return terms[n]
 
     def clear(self) -> None:
@@ -122,13 +129,7 @@ class _PrefixMemo:
             self._series.clear()
 
 
-def _next_term(key: tuple[SeqKind, BiParams], terms: list[Fraction]) -> Fraction:
-    kind, params = key
-    mult = kind.multiplier(params, len(terms))
-    return mult * terms[-1] + kind.lag_coefficient * terms[-2]
-
-
-_memo = _PrefixMemo(lambda key: list(key[0].initial_terms(key[1])), _next_term)
+_memo = _PrefixMemo(lambda key: list(key[0].initial_terms(key[1])))
 
 
 def clear_caches() -> None:
@@ -150,37 +151,43 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     return _memo.term((kind, params), n)
 
 
-def _two_step_power(params: BiParams, c: int, n: int) -> tuple[Mat2, int, int]:
-    """(K^m, M, m): m = n // 2, ab = N/M reduced, K = [[N + cM, M], [cN, cM]]."""
-    m = n // 2
-    num, den = params.ab.numerator, params.ab.denominator
-    return Mat2(num + c * den, den, c * num, c * den) ** m, den, m
-
-
-def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
-    """Exact nth term in O(log n) integer ring operations and one division.
+def _two_step(kind: SeqKind, params: BiParams, n: int):
+    """(u, v, M, m) with t[n] = (u*t[1] + v*t[0]) / M^m and m = n // 2.
 
     With e and o the multipliers at even and odd indices and c the lag
     coefficient, two steps compose into one matrix:
     (t[2m+1], t[2m]) = (t[1], t[0]) * T^m with T = [[eo + c, e], [co, c]].
     eo = ab = N/M in lowest terms, and conjugating T by diag(1, 1/e) gives
     [[ab + c, 1], [c*ab, c]], which is K/M with the integer matrix
-    K = [[N + cM, M], [cN, cM]].  With P = K^m, m = n // 2,
+    K = [[N + cM, M], [cN, cM]].  With P = K^m,
 
-        t[n] = (P11 * t1 + (P21/e) * t0) / M^m        (n odd)
-        t[n] = (e * P12 * t1 + P22 * t0) / M^m        (n even),
+        u = P11,      v = P21/e        (n odd)
+        u = e * P12,  v = P22          (n even),
 
-    so the power runs on plain ints and the term is divided once, by M^m,
-    with `div_power`, which cancels only factors of M in linear time.
+    so the power runs on plain ints.  The starting terms may come from any
+    ring the rationals scale: `scalar_term_fast` passes scalars and
+    `matrixseq.term_fast` the matrices J[0] = I and J[1].  The caller
+    divides once, by M^m, with `div_power`, which cancels only factors of
+    M in linear time.
     """
+    m = n // 2
+    num, den = params.ab.numerator, params.ab.denominator
+    c = kind.lag_coefficient
+    p = Mat2(num + c * den, den, c * num, c * den) ** m
+    even = kind.multiplier(params, 0)
+    if n & 1:
+        return p.e11, p.e21 / even, den, m
+    return even * p.e12, p.e22, den, m
+
+
+def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
+    """Exact nth term in O(log n) integer ring operations and one division,
+    from the two-step power of `_two_step`."""
     if n < 0:
         raise ValueError(f"index {n} is out of domain (minimum is 0)")
-    even = kind.multiplier(params, 0)
     t0, t1 = kind.initial_terms(params)
-    p, den, m = _two_step_power(params, kind.lag_coefficient, n)
-    if n & 1:
-        return div_power(p.e11 * t1 + p.e21 * t0 / even, den, m)
-    return div_power(even * p.e12 * t1 + p.e22 * t0, den, m)
+    u, v, den, m = _two_step(kind, params, n)
+    return div_power(u * t1 + v * t0, den, m)
 
 
 _CLASSICAL = BiParams(Fraction(1), Fraction(1))

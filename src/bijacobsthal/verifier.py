@@ -253,7 +253,7 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
         raise ZeroDivisionError("x^4 - (ab+4)x^2 + 4 vanishes at this x")
     sel_n, sel_n1 = _selectors(params, n)
     numerator = (
-        sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator.coeffs)), Mat2.zero())
+        sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator)), Mat2.zero())
         - term_recurrence(params, n) * (x ** (2 - n) * (x * x + sel_n * x - 2))
         - term_recurrence(params, n - 1) * (2 * x ** (1 - n) * (x * x + sel_n1 * x - 2))
     )

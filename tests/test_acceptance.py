@@ -120,7 +120,7 @@ def test_criterion_5_generating_function():
                        (lambda m: m.e21, lambda m: m.e22))
             for i in (0, 1):
                 for j in (0, 1):
-                    entries = [getters[i][j](ogf.numerator.coefficient(k))
+                    entries = [getters[i][j](ogf.numerator[k])
                                for k in range(4)]
                     while entries and entries[-1] == 0:
                         entries.pop()

@@ -4,7 +4,6 @@ import pytest
 
 from bijacobsthal.exact import Mat2
 from bijacobsthal.genfunc import (
-    Mat2Poly,
     RationalOGF,
     build_ogf,
     component_form,
@@ -19,28 +18,20 @@ GRID = [BiParams(a, b)
         for b in (-3, -2, -1, 1, 2, 3)]
 
 
-def test_mat2poly_trims_trailing_zeros():
-    poly = Mat2Poly((Mat2.identity(), Mat2.zero(), Mat2.zero()))
-    assert len(poly.coeffs) == 1
-    assert poly.degree == 0
-    assert poly.coefficient(5) == Mat2.zero()
-    assert poly == Mat2Poly((Mat2.identity(),))
-
-
 def test_ogf_denominator_must_be_monic_in_x0():
     with pytest.raises(ValueError):
-        RationalOGF(Mat2Poly((Mat2.identity(),)), (F(2), F(0)))
+        RationalOGF((Mat2.identity(),), (F(2), F(0)))
 
 
 def test_numerator_structure():
     p = BiParams(2, 1)
     ogf = build_ogf(p)
     j0, j1 = Mat2.identity(), generator_matrix(p)
-    assert ogf.numerator.coefficient(0) == j0
-    assert ogf.numerator.coefficient(1) == j1
-    assert ogf.numerator.coefficient(2) == Mat2(-2, 2, 2, -4)
-    assert ogf.numerator.coefficient(2) == p.a * j1 - (p.ab + 2) * j0
-    assert ogf.numerator.coefficient(3) == 2 * p.b * j0 - 2 * j1
+    assert ogf.numerator[0] == j0
+    assert ogf.numerator[1] == j1
+    assert ogf.numerator[2] == Mat2(-2, 2, 2, -4)
+    assert ogf.numerator[2] == p.a * j1 - (p.ab + 2) * j0
+    assert ogf.numerator[3] == 2 * p.b * j0 - 2 * j1
     assert ogf.denominator == (1, 0, -6, 0, 4)
 
 
@@ -69,7 +60,7 @@ def test_component_form_matches_numerator(params):
     for i in (0, 1):
         for j in (0, 1):
             poly = rows[i][j]
-            entries = [getters[i][j](ogf.numerator.coefficient(k)) for k in range(4)]
+            entries = [getters[i][j](ogf.numerator[k]) for k in range(4)]
             while entries and entries[-1] == 0:
                 entries.pop()
             assert tuple(entries) == poly
@@ -106,6 +97,7 @@ def test_series_times_denominator_reproduces_numerator(params):
         acc = Mat2.zero()
         for i in range(min(m, len(den) - 1) + 1):
             acc = acc + den[i] * coeffs[m - i]
-        assert acc == ogf.numerator.coefficient(m)
-        if m > 3:
+        if m < len(ogf.numerator):
+            assert acc == ogf.numerator[m]
+        else:
             assert acc == Mat2.zero()

@@ -57,7 +57,8 @@ def _expected_low_terms(a, b):
 def test_low_terms_match_polynomials(a, b):
     params = BiParams(a, b)
     for n, expected in enumerate(_expected_low_terms(F(a), F(b))):
-        assert term_recurrence(params, n) == expected
+        for method in METHODS:
+            assert method(params, n) == expected, (method.__name__, n)
 
 
 def test_anchor_matrices_at_2_1():

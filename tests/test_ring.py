@@ -17,6 +17,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from bijacobsthal import matrixseq, scalar  # noqa: E402
+from bijacobsthal.exact import Mat2  # noqa: E402
 from bijacobsthal.genfunc import build_ogf, series_coeffs  # noqa: E402
 from bijacobsthal.matrixseq import (  # noqa: E402
     det_closed,
@@ -113,3 +114,11 @@ def test_series_over_q_ab(terms):
     rational = series_coeffs(build_ogf(POINT), N + 1)
     for coeff, term, rat in zip(coeffs, terms, rational, strict=True):
         _check(coeff, term, rat)
+
+
+
+def test_mat2_renders_entries_of_any_ring():
+    # str() renders each entry with its own ring's str, so a Mat2 over
+    # Q(a, b) prints (and an error message built from one does not raise).
+    assert str(Mat2(A, B / A, A * B + 2, 0)) == "[[a,b/a],[a*b + 2,0]]"
+    assert str(term_recurrence(SYM, 2)) == "[[a*b + 2,2*b],[a,2]]"

@@ -153,6 +153,23 @@ def test_memo_table_is_bounded():
         memo.clear()
 
 
+def test_scalar_and_matrix_memos_stay_apart():
+    # Both memos are keyed (kind, params) and share one step rule, but each
+    # route fills only its own table.
+    assert scalar_mod._memo is not matrixseq_mod._memo
+    p = BiParams(F(2, 3), -5)
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+    term_recurrence(p, 12)
+    assert not scalar_mod._memo._series
+    assert list(matrixseq_mod._memo._series) == [(JHAT, p)]
+    matrixseq_mod.clear_caches()
+    scalar_term(JHAT, p, 12)
+    assert not matrixseq_mod._memo._series
+    assert list(scalar_mod._memo._series) == [(JHAT, p)]
+    scalar_mod.clear_caches()
+
+
 def test_lucas_relations_samples():
     assert verify_lucas_relations(BiParams(2, 1), 64).status == "PASS"
     assert verify_lucas_relations(BiParams(3, 5), 64).status == "PASS"
