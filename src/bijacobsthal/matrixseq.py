@@ -71,8 +71,8 @@ def iter_terms(params: BiParams) -> Iterator[Mat2]:
         n += 1
 
 
-# Memo per params, keyed like the scalar one but separate from it, so the
-# routes stay independent.
+# A table of its own: its keys are the scalar memo's jhat keys, so a shared
+# table would hand scalars to the matrix route and matrices to the scalar one.
 _memo = _PrefixMemo(lambda key: [Mat2.identity(), generator_matrix(key[1])])
 
 

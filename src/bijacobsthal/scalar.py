@@ -90,8 +90,7 @@ class SeqKind(enum.Enum):
 
 
 def _next_term(key: tuple[SeqKind, BiParams], terms: list):
-    """The term after `terms` by the recurrence of kind key[0] at key[1];
-    the terms may be scalars or `Mat2`s."""
+    """The term after `terms` (scalars or `Mat2`s) by the kind's recurrence."""
     kind, params = key
     mult = kind.multiplier(params, len(terms))
     return mult * terms[-1] + kind.lag_coefficient * terms[-2]
@@ -151,7 +150,8 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     return _memo.term((kind, params), n)
 
 
-def _two_step(kind: SeqKind, params: BiParams, n: int):
+def _two_step(kind: SeqKind, params: BiParams,
+              n: int) -> tuple[Fraction | int, Fraction | int, int, int]:
     """(u, v, M, m) with t[n] = (u*t[1] + v*t[0]) / M^m and m = n // 2.
 
     With e and o the multipliers at even and odd indices and c the lag
