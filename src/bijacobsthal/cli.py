@@ -2,7 +2,9 @@
 
 Subcommands: term, matrix, series, sum, verify, bench.  Every rational on
 the wire is the exact string "p/q" (or "p" when the denominator is 1);
-no floating point is ever printed except benchmark wall times.
+no floating point is ever printed except benchmark wall times.  `_emit`
+prints term, matrix, series and sum through the one encoder of each format:
+`report.json_value`, `report.csv_fields` and `exact.format_rational`.
 
 Exit codes: 0 all checks passed (modulo declared errata when
 --expect-errata is given), 1 a counterexample or mismatch was found,
@@ -24,7 +26,7 @@ from . import verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import generator_matrix, term_fast
-from .report import WEIGHTED_SUM_T6, mat2_csv, mat2_json_dict, reports_to_csv
+from .report import WEIGHTED_SUM_T6, csv_fields, json_value, reports_to_csv
 from .scalar import BiParams, SeqKind, scalar_term
 from .verifier import (
     GridSpec,
@@ -62,14 +64,20 @@ def parse_grid_values(text: str) -> tuple[Fraction, ...]:
     return values
 
 
-def print_matrix(m: Mat2, fmt: str) -> None:
+def _emit(fmt: str, as_json, header: str, rows, plain) -> None:
+    """Print one result in `fmt`, rendering only that format: `as_json` by
+    `json.dumps` with `json_value`, or `header` and then each row's values
+    spread into `csv_fields`, or each `plain` line's values through
+    `format_rational`, space-separated."""
     if fmt == "json":
-        print(json.dumps(mat2_json_dict(m)))
+        print(json.dumps(as_json, default=json_value))
     elif fmt == "csv":
-        print("e11,e12,e21,e22")
-        print(mat2_csv(m))
+        print(header)
+        for row in rows:
+            print(",".join(cell for value in row for cell in csv_fields(value)))
     else:
-        print(m)
+        for line in plain:
+            print(*map(format_rational, line))
 
 
 def _params(args: argparse.Namespace) -> BiParams:
@@ -80,20 +88,9 @@ def cmd_term(args: argparse.Namespace) -> int:
     params = _params(args)
     kind = SeqKind(args.kind)
     value = scalar_term(kind, params, args.n)
-    if args.format == "json":
-        print(json.dumps({
-            "kind": kind.value,
-            "a": format_rational(params.a),
-            "b": format_rational(params.b),
-            "n": args.n,
-            "value": format_rational(value),
-        }))
-    elif args.format == "csv":
-        print("kind,a,b,n,value")
-        print(f"{kind.value},{format_rational(params.a)},"
-              f"{format_rational(params.b)},{args.n},{format_rational(value)}")
-    else:
-        print(format_rational(value))
+    fields = {"kind": kind.value, "a": params.a, "b": params.b, "n": args.n,
+              "value": value}
+    _emit(args.format, fields, ",".join(fields), [fields.values()], [[value]])
     return OK
 
 
@@ -108,25 +105,18 @@ def cmd_matrix(args: argparse.Namespace) -> int:
                 print(f"method mismatch: {name} gave {value}, "
                       f"recurrence gave {reference}", file=sys.stderr)
                 return MISMATCH
-        print_matrix(reference, args.format)
-        return OK
-    value = METHODS[args.method](params, args.n)
-    print_matrix(value, args.format)
+        value = reference
+    else:
+        value = METHODS[args.method](params, args.n)
+    _emit(args.format, value, "e11,e12,e21,e22", [[value]], [[value]])
     return OK
 
 
 def cmd_series(args: argparse.Namespace) -> int:
     params = _params(args)
     coeffs = series_coeffs(build_ogf(params), args.count)
-    if args.format == "json":
-        print(json.dumps([mat2_json_dict(m) for m in coeffs]))
-    elif args.format == "csv":
-        print("m,e11,e12,e21,e22")
-        for m, coeff in enumerate(coeffs):
-            print(f"{m},{mat2_csv(coeff)}")
-    else:
-        for coeff in coeffs:
-            print(coeff)
+    _emit(args.format, coeffs, "m,e11,e12,e21,e22", enumerate(coeffs),
+          [[coeff] for coeff in coeffs])
     return OK
 
 
@@ -141,23 +131,15 @@ def cmd_sum(args: argparse.Namespace) -> int:
         direct = sum_direct(params, n)
         closed = sum_closed_form(params, n)
     if not args.both:
-        print_matrix(direct, args.format)
+        _emit(args.format, direct, "e11,e12,e21,e22", [[direct]], [[direct]])
         return OK
     match = direct == closed
-    if args.format == "json":
-        print(json.dumps({
-            "direct": mat2_json_dict(direct),
-            "closed_form": mat2_json_dict(closed),
-            "match": match,
-        }))
-    elif args.format == "csv":
-        print("side,e11,e12,e21,e22")
-        print("direct," + mat2_csv(direct))
-        print("closed_form," + mat2_csv(closed))
-    else:
-        print(f"direct      {direct}")
-        print(f"closed-form {closed}")
-        print("MATCH" if match else "MISMATCH")
+    _emit(args.format,
+          {"direct": direct, "closed_form": closed, "match": match},
+          "side,e11,e12,e21,e22",
+          [["direct", direct], ["closed_form", closed]],
+          [["direct     ", direct], ["closed-form", closed],
+           ["MATCH" if match else "MISMATCH"]])
     return OK if match else MISMATCH
 
 

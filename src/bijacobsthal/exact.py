@@ -50,7 +50,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(r: Fraction) -> str:
     """Render a Fraction as 'p/q', or just 'p' when the denominator is 1;
-    `str` does that, and renders an entry of any other ring too."""
+    `str` does that, and renders an entry of any other ring, a `Mat2` or a
+    text label too, so it is the one plain-text encoder."""
     return str(r)
 
 
@@ -138,9 +139,6 @@ class Mat2:
 
     def det(self) -> Fraction:
         return self.e11 * self.e22 - self.e12 * self.e21
-
-    def is_zero(self) -> bool:
-        return not any(self.entries())
 
     def __add__(self, other: Mat2) -> Mat2:
         if not isinstance(other, Mat2):

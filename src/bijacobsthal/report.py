@@ -6,6 +6,11 @@ FAIL always carries the first failing index and the exact nonzero residual
 machine-readable reason.  Exactness is preserved on the wire: every
 rational serializes as the string "p/q" (or "p" when the denominator is
 1), never as floating point.
+
+Each wire format has one encoder here, for a Mat2 and a scalar alike:
+`json_value` for JSON and `csv_fields` for CSV.  The reports and the CLI
+both use them, and both render every rational, plain text included,
+through `exact.format_rational`.
 """
 
 from __future__ import annotations
@@ -42,19 +47,21 @@ CSV_HEADER = (
 Residual = Union[Mat2, Fraction, None]
 
 
-def mat2_json_dict(m: Mat2) -> dict:
-    """A Mat2 as the JSON object {"e11": "p/q", ..., "e22": "p/q"}."""
-    return {
-        "e11": format_rational(m.e11),
-        "e12": format_rational(m.e12),
-        "e21": format_rational(m.e21),
-        "e22": format_rational(m.e22),
-    }
+def csv_fields(value: Any) -> list[str]:
+    """The CSV cells of a value: a Mat2's four entries, or one cell for
+    anything else (a rational, an index or a label)."""
+    if isinstance(value, Mat2):
+        return [format_rational(e) for e in value.entries()]
+    return [format_rational(value)]
 
 
-def mat2_csv(m: Mat2) -> str:
-    """A Mat2 as the four CSV fields "e11,e12,e21,e22", each "p/q"."""
-    return ",".join(format_rational(e) for e in m.entries())
+def json_value(value: Any) -> Any:
+    """The JSON form of a value: a Mat2 as {"e11": "p/q", ..., "e22": "p/q"},
+    a rational as "p/q".  `json.dumps(..., default=json_value)` calls it
+    for every value JSON has no type for."""
+    if isinstance(value, Mat2):
+        return dict(zip(("e11", "e12", "e21", "e22"), csv_fields(value)))
+    return format_rational(value)
 
 
 @dataclass(frozen=True)
@@ -73,9 +80,7 @@ class IdentityReport:
         if self.status == FAIL:
             if self.first_failure is None or self.residual is None:
                 raise ValueError("FAIL reports need first_failure and residual")
-            zero = self.residual.is_zero() if isinstance(self.residual, Mat2) \
-                else self.residual == 0
-            if zero:
+            if self.residual == 0 * self.residual:  # the zero of its own type
                 raise ValueError("FAIL reports need a nonzero residual")
         if self.status == SKIPPED and not self.skip_reason:
             raise ValueError("SKIPPED reports need a reason")
@@ -105,22 +110,15 @@ class IdentityReport:
         out["status"] = self.status_label()
         if self.first_failure is not None:
             out["first_failure"] = self.first_failure
-        if isinstance(self.residual, Mat2):
-            out["residual"] = mat2_json_dict(self.residual)
-        elif self.residual is not None:
-            out["residual"] = format_rational(self.residual)
+        if self.residual is not None:
+            out["residual"] = json_value(self.residual)
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     def to_csv_row(self) -> str:
-        if isinstance(self.residual, Mat2):
-            res = mat2_csv(self.residual)
-        elif self.residual is not None:
-            res = format_rational(self.residual) + ",,,"
-        else:
-            res = ",,,"
+        res = [] if self.residual is None else csv_fields(self.residual)
         fields = [
             self.identity,
             format_rational(self.params.a),
@@ -129,9 +127,9 @@ class IdentityReport:
             str(self.n_max),
             self.status_label(),
             str(self.first_failure) if self.first_failure is not None else "",
-            res,
+            *res,
         ]
-        return ",".join(fields)
+        return ",".join(fields) + "," * (4 - len(res))  # four residual cells
 
     def to_plain(self) -> str:
         head = (
@@ -142,9 +140,8 @@ class IdentityReport:
             head += f" x={format_rational(self.x)}"
         head += f" n_max={self.n_max} {self.status_label()}"
         if self.status == FAIL:
-            res = str(self.residual) if isinstance(self.residual, Mat2) \
-                else format_rational(self.residual)
-            head += f" first_failure={self.first_failure} residual={res}"
+            head += (f" first_failure={self.first_failure}"
+                     f" residual={format_rational(self.residual)}")
         if self.note:
             head += f"  [{self.note}]"
         return head

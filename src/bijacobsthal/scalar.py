@@ -144,7 +144,7 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     if n == -1:
         if kind is SeqKind.BP_JACOBSTHAL:
             return Fraction(1, 2)
-        raise ValueError(f"index -1 is only defined for {SeqKind.BP_JACOBSTHAL}")
+        raise ValueError(f"index -1 is only defined for {SeqKind.BP_JACOBSTHAL.value}")
     if n < -1:
         raise ValueError(f"index {n} is out of domain (minimum is -1)")
     return _memo.term((kind, params), n)

@@ -11,7 +11,7 @@ from itertools import islice
 
 import pytest
 
-from bijacobsthal import ALL_IDENTITIES, cli, verifier
+from bijacobsthal import ALL_IDENTITIES, cli, report, verifier
 from bijacobsthal.cli import main, parse_grid_values
 from bijacobsthal.exact import Mat2, parse_rational
 from bijacobsthal.matrixseq import iter_terms
@@ -62,6 +62,13 @@ def test_term_domain_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "term", "--kind", "jhat", "--a", "1.5", "--b", "1", "--n", "3")
     assert code == 2 and "rational" in err
+
+
+@pytest.mark.parametrize("kind", ["jlucas", "fibonacci", "lucas"])
+def test_term_index_minus_one_names_the_kind_as_typed(capsys, kind):
+    code, out, err = run_cli(capsys, "term", "--kind", kind, "--a", "2", "--b", "1",
+                             "--n", "-1")
+    assert (code, out, err) == (2, "", "error: index -1 is only defined for jhat\n")
 
 
 def test_matrix_json_exact_shape(capsys):
@@ -182,6 +189,39 @@ def test_sum_json(capsys):
     assert data["direct"]["e11"] == "3/2"
     assert data["closed_form"]["e11"] == "3"
     assert data["match"] is False
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("rendered a format that is not printed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--a", "-1/2", "--b", "3", "--n", "7", "--method", "all"],
+    ["series", "--a", "2/3", "--b", "-3", "--count", "6"],
+    ["sum", "--a", "2", "--b", "3", "--n", "6", "--both"],
+    ["sum", "--a", "2", "--b", "3", "--n", "6", "--x", "1/2", "--both"],
+], ids=" ".join)
+def test_each_format_renders_only_what_it_prints(capsys, monkeypatch, argv):
+    """With the plain encoder of a Mat2 broken, json and csv still print
+    their golden bytes; with the JSON encoder broken, plain and csv do."""
+    with open(os.path.join(ROOT, "tests", "golden_cli.json"), encoding="utf-8") as f:
+        golden = {" ".join(case["argv"]): case for case in json.load(f)}
+
+    def check(formats):
+        for fmt in formats:
+            full = [*argv, "--format", fmt]
+            code, out, err = run_cli(capsys, *full)
+            case = golden[" ".join(full)]
+            assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+    with monkeypatch.context() as m:
+        m.setattr(Mat2, "__str__", _raise)
+        check(("json", "csv"))
+    with monkeypatch.context() as m:
+        # The CLI calls the JSON encoder by the name it imported.
+        m.setattr(report, "json_value", _raise, raising=False)
+        m.setattr(cli, "json_value", _raise, raising=False)
+        check(("plain", "csv"))
 
 
 def test_grid_value_parsing():
