@@ -51,7 +51,10 @@ def parse_grid_values(text: str) -> tuple[Fraction, ...]:
     """Parse 'lo..hi' (integers, zeros auto-excluded) or 'r1,r2,...'."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        try:
+            lo, hi = int(lo_s), int(hi_s)
+        except ValueError:
+            raise ValueError(f"not an integer range: {text!r}") from None
         if lo > hi:
             raise ValueError(f"empty range {text!r}")
         values = tuple(Fraction(v) for v in range(lo, hi + 1) if v != 0)
@@ -230,7 +233,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         raise ValueError("--repeat must be at least 1")
     params = _params(args)
-    ladder = [int(part) for part in args.ladder.split(",")]
+    try:
+        ladder = [int(part) for part in args.ladder.split(",")]
+    except ValueError:
+        raise ValueError(f"not a list of integer indices: {args.ladder!r}") from None
     try:
         rows = bench_rows(params, ladder, args.repeat)
     except AssertionError as exc:

@@ -7,6 +7,12 @@ point appears anywhere.  sqrt(D) is a formal symbol: D may be negative or
 even a perfect square and the ring arithmetic stays valid, nothing ever
 takes a numeric square root.
 
+`_DoubledQuadNum` holds 2z in place of z, for z in a ring Z[w] with
+w = (t + sqrt(D))/2 an algebraic integer, so its fields are plain ints
+although z may have halves.  Its product halves (2z)(2z') = 4zz' exactly:
+zz' is in Z[w], so 2zz' has int fields and both fields of 4zz' = 2(2zz')
+are even.
+
 Exactness is checked once, where values enter from outside the program:
 `as_rational` refuses floats and parses 'p/q' strings for the parameters,
 the grid values and the sum weights.  `Mat2` and `QuadNum` take their
@@ -213,7 +219,7 @@ class QuadNum:
                 )
             return other
         if isinstance(other, (Fraction, int)):
-            return QuadNum.from_rational(other, self.disc)
+            return type(self).from_rational(other, self.disc)
         return None
 
     def __add__(self, other: QuadNum | Fraction | int) -> QuadNum:
@@ -244,7 +250,7 @@ class QuadNum:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> QuadNum:
-        return _power(self, k, QuadNum.from_rational(1, self.disc), "quadratic")
+        return _power(self, k, type(self).from_rational(1, self.disc), "quadratic")
 
     def is_zero(self) -> bool:
         return self.rat == 0 and self.coeff == 0
@@ -253,3 +259,23 @@ class QuadNum:
         f = format_rational
         sign = "+" if self.coeff >= 0 else "-"
         return f"{f(self.rat)} {sign} {f(abs(self.coeff))}*sqrt({f(self.disc)})"
+
+
+class _DoubledQuadNum(QuadNum):
+    """2z with plain int fields, for z in Z[(t + sqrt(D))/2] (see the module
+    docstring).  `QuadNum.__mul__` gives the fields of 4zz', and each is
+    shifted right by 1 to those of 2zz'.  A rational r is held as 2r, so
+    the `1` that `__pow__` starts from is 2.
+    """
+
+    @classmethod
+    def from_rational(cls, value: int, disc: int) -> _DoubledQuadNum:
+        return cls(2 * value, 0, disc)
+
+    def __mul__(self, other: _DoubledQuadNum | int) -> _DoubledQuadNum:
+        product = QuadNum.__mul__(self, other)
+        if product is NotImplemented:
+            return product
+        return _DoubledQuadNum(product.rat >> 1, product.coeff >> 1, self.disc)
+
+    __rmul__ = __mul__

@@ -23,9 +23,11 @@ jhat recurrence started at J[0] = I and J[1], so it runs the same
 
 The two log-time routes raise integers, not rationals: `term_fast` an
 integer two-step matrix and, with ab = N/M in lowest terms, `term_binet`
-the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2.  Every term
-is then an integer combination over M^(n//2), a denominator known from n
-alone, so no gcd of large numbers is taken inside the power loop, and
+the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held
+doubled so that both of its fields are plain ints (each product is halved
+exactly, see `exact._DoubledQuadNum`).  Every term is then an integer
+combination over M^(n//2), a denominator known from n alone, so no
+Fraction and no gcd of large numbers enters the power loop, and
 each output entry is divided once, at the end, by `exact.div_power`,
 which strips only the factors of M and so takes linear time.  The
 recurrence extends its memo with the scalar step rule `scalar._next_term`,
@@ -39,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import Mat2, QuadNum, div_power, parity
+from .exact import Mat2, QuadNum, _DoubledQuadNum, div_power, parity
 from .scalar import BiParams, SeqKind, _PrefixMemo, _two_step, scalar_term
 
 
@@ -172,16 +174,21 @@ def term_binet(params: BiParams, n: int) -> Mat2:
         u(2h+2) / (ab)^(h+1) = 2 * [sqrt(D) part of g^(h+1)].
 
     With ab = N/M in lowest terms, M*g = (N+4M + sqrt(N(N+8M)))/2 is an
-    algebraic integer, a root of y^2 - (N+4M)*y + 4M^2, so the parts of
-    its powers have denominator at most 2 and no large gcd is taken inside
-    the power loop.  With Y1 the sqrt(N(N+8M)) part of (M*alpha)^e (M*g)^h
-    and Y2 that of (M*g)^(h+1), and sqrt(N(N+8M)) = M*sqrt(D),
+    algebraic integer, a root of y^2 - (N+4M)*y + 4M^2.  Its powers lie in
+    the ring Z[M*g], and each z there is held doubled, as 2z: an
+    `exact._DoubledQuadNum` with plain int fields.  The power loop raises
+    2*M*g = (N+4M) + sqrt(N(N+8M)) with the halving product (2z)(2w) =
+    4zw, shifted right by 1 to 2zw; the shift is exact, because 2zw has
+    int fields, so no Fraction and no large gcd enters the loop.  With 2*Y1
+    the sqrt(N(N+8M)) part of 2*(M*alpha)^e (M*g)^h, taken with
+    2*M*alpha = N + sqrt(N(N+8M)), 2*Y2 that of 2*(M*g)^(h+1), and
+    sqrt(N(N+8M)) = M*sqrt(D),
 
         J[n] = (2 * Y1 * M^(1-e) * X + b^e * 2 * Y2 * I) / M^h,
 
-    and each entry is divided once, by M^h, with `div_power`.  (M*g)^h is
-    raised once; Y1 and Y2 each take one more product.  At integer ab,
-    M = 1 and nothing is divided.
+    and each entry is divided once, by M^h, with `div_power`.  2*(M*g)^h
+    is raised once; 2*Y1 and 2*Y2 each take one more product.  At integer
+    ab, M = 1 and nothing is divided.
     """
     if n < 0:
         raise ValueError("matrix terms are defined for n >= 0")
@@ -191,19 +198,20 @@ def term_binet(params: BiParams, n: int) -> Mat2:
             "closed form is undefined there"
         )
     num, den = params.ab.numerator, params.ab.denominator
-    root = QuadNum(Fraction(num + 4 * den, 2), Fraction(1, 2), num * (num + 8 * den))
+    disc = num * (num + 8 * den)
+    root = _DoubledQuadNum(num + 4 * den, 1, disc)  # 2*M*g
     h = n // 2
     power = root ** h
     if parity(n):
         numerator = generator_matrix(params) - params.b * Mat2.identity()
         b_e = params.b
-        y1 = (power * (root - 2 * den)).coeff  # root - 2M = M*alpha
+        two_y1 = (power * _DoubledQuadNum(num, 1, disc)).coeff  # 2*M*alpha
     else:
         numerator = (
             params.a * generator_matrix(params)
             - (2 + params.ab) * Mat2.identity()
         )
         b_e = 1
-        y1 = den * power.coeff  # M^(1-e) = M
-    total = numerator * (2 * y1) + (b_e * 2 * (power * root).coeff) * Mat2.identity()
+        two_y1 = den * power.coeff  # M^(1-e) = M
+    total = numerator * two_y1 + (b_e * (power * root).coeff) * Mat2.identity()
     return _div_entries(total.entries(), den, h)

@@ -238,6 +238,16 @@ def test_grid_value_parsing():
         parse_grid_values("0..0")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--suite", "all", "--a", "1..", "--b", "1"), "not an integer range: '1..'"),
+    (("verify", "--suite", "all", "--a", "1", "--b", "1..x"), "not an integer range: '1..x'"),
+    (("bench", "--ladder", "1,x"), "not a list of integer indices: '1,x'"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+def test_malformed_integer_lists_quote_the_value_as_typed(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "DET", "--suite", "CASSINI",
                            "--a", "-2..2", "--b", "1,2", "--n-max", "16",

@@ -6,6 +6,7 @@ import pytest
 from bijacobsthal.exact import (
     Mat2,
     QuadNum,
+    _DoubledQuadNum,
     div_power,
     format_rational,
     parity,
@@ -184,3 +185,25 @@ def test_quadnum_scalar_mixing():
     assert u + 2 == QuadNum(F(5, 2), F(3), F(5))
     assert u * 2 == QuadNum(F(1), F(6), F(5))
     assert u - F(1, 2) == QuadNum(F(0), F(3), F(5))
+
+
+def test_doubled_quadnum_is_twice_the_fraction_arithmetic():
+    # z = p + q*w with w = (t + sqrt(D))/2, D = t^2 - 4c, an algebraic
+    # integer; _DoubledQuadNum holds 2z, and every product, power and
+    # integer scaling must be twice the Fraction QuadNum result.
+    rng = random.Random(17)
+
+    def doubled(z):
+        assert (2 * z.rat).denominator == (2 * z.coeff).denominator == 1
+        return _DoubledQuadNum(int(2 * z.rat), int(2 * z.coeff), z.disc)
+
+    for t, c in ((7, 1), (4, -3), (1, 2), (6, 9), (-3, -10)):
+        disc = t * t - 4 * c
+        w = QuadNum(F(t, 2), F(1, 2), disc)
+        for _ in range(40):
+            z, y = (w * rng.randint(-9, 9) + rng.randint(-9, 9) for _ in range(2))
+            k = rng.randint(-5, 5)
+            assert doubled(z) * doubled(y) == doubled(z * y)
+            assert doubled(z) * k == k * doubled(z) == doubled(z * k)
+            for e in range(6):
+                assert doubled(z) ** e == doubled(z ** e)

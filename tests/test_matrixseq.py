@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import partial
+from math import isqrt
 
 import pytest
 
@@ -275,12 +276,62 @@ def test_log_time_powers_run_on_integers(monkeypatch, params):
     if params.disc == 0:
         return
     seen.clear()
-    for n in indices:
+    # The doubled root's `1` is the int 2, so n = 0 and 1 are checked too.
+    for n in [0, 1, *indices]:
         term_binet(params, n)
-    # M*alpha is an algebraic integer, so its powers are halves at worst.
     assert seen
     for base, result in seen:
-        assert all(F(e).denominator <= 2 for e in entries(base) + entries(result))
+        assert all(type(e) is int for e in entries(base) + entries(result)), \
+            (base, result)
+
+
+def test_binet_halving_product_shifts_even_fields(monkeypatch):
+    # 200 seeded pairs, numerators and denominators in +-1..12, and four
+    # fixed pairs: ab = 1 and ab = -9 (N(N+8M) = 9, a perfect square),
+    # ab = -3 (N(N+8M) < 0) and ab = 2 (N even).
+    rng = random.Random(20171014)
+
+    def rational():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+
+    pairs = [BiParams(1, 1), BiParams(3, -3), BiParams(1, -3), BiParams(2, 1)]
+    pairs += [BiParams(rational(), rational()) for _ in range(200)]
+    products = []
+    real_mul = QuadNum.__mul__
+
+    def spying_mul(self, other):
+        product = real_mul(self, other)
+        if type(self) is exact._DoubledQuadNum:
+            products.append(product)
+        return product
+
+    monkeypatch.setattr(QuadNum, "__mul__", spying_mul)
+    seen = {"odd N": False, "even N": False, "negative": False, "square": False}
+    for params in pairs:
+        if params.disc == 0:
+            continue
+        num, den = params.ab.numerator, params.ab.denominator
+        disc = num * (num + 8 * den)
+        seen["odd N" if num % 2 else "even N"] = True
+        seen["negative"] |= disc < 0
+        seen["square"] |= disc >= 0 and isqrt(disc) ** 2 == disc
+        for n in [*range(24), 255, 256]:
+            products.clear()
+            assert term_binet(params, n) == term_fast(params, n), (params, n)
+            assert products, (params, n)
+            for product in products:
+                assert product.rat % 2 == 0 and product.coeff % 2 == 0, \
+                    (params, n, product)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("a, b", [
+    (1, 1), (2, -3), (-1, 3), (F(1, 2), F(-3, 4)), (F(-3, 2), F(1, 3)),
+], ids=str)
+def test_binet_matches_fast_at_deep_pairs(a, b):
+    params = BiParams(a, b)
+    for n in (4096, 4097):
+        assert term_binet(params, n) == term_fast(params, n), n
 
 
 @pytest.mark.parametrize("params", [
