@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -46,13 +47,17 @@ METHODS = verifier.ROUTES  # the same dict: one route set for the CLI and verifi
 
 DEFAULT_BENCH_LADDER = (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 17)
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 def parse_grid_values(text: str) -> tuple[Fraction, ...]:
     """Parse 'lo..hi' (integers, zeros auto-excluded) or 'r1,r2,...'."""
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
+        bounds = text.split("..", 1)
         try:
-            lo, hi = int(lo_s), int(hi_s)
+            if not all(_INTEGER.fullmatch(s.strip()) for s in bounds):
+                raise ValueError  # int() alone takes '1_0' and non-ASCII digits
+            lo, hi = map(int, bounds)
         except ValueError:
             raise ValueError(f"not an integer range: {text!r}") from None
         if lo > hi:

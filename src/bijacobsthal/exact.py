@@ -24,9 +24,12 @@ closed forms built on it can be evaluated over that ring unchanged.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:
@@ -44,9 +47,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (optionally signed) into an exact Fraction.
 
     Floating-point literals are rejected: exactness is the whole contract.
+    The syntax is ASCII digits only, on every Python version: `Fraction`
+    alone would take underscores from 3.11 on, and non-ASCII digits.
     """
     s = text.strip()
-    if not s or any(c in s for c in ".eE "):
+    if not _RATIONAL.fullmatch(s):
         raise ValueError(f"not an exact rational: {text!r}")
     try:
         return Fraction(s)

@@ -1,16 +1,24 @@
 """Structured pass/fail records for identity checks.
 
 A report covers one identity at one parameter point over one index range.
-FAIL always carries the first failing index and the exact nonzero residual
-(lhs - rhs), as `first_mismatch` builds it; SKIPPED always carries a
-machine-readable reason.  Exactness is preserved on the wire: every
-rational serializes as the string "p/q" (or "p" when the denominator is
-1), never as floating point.
+`first_mismatch` builds a PASS or a FAIL, and `skipped` a SKIPPED; only a
+FAIL carries the first failing index and the exact nonzero residual
+(lhs - rhs), and a SKIPPED always carries a machine-readable reason.
+
+A report's wire fields are listed once, in order, in `FIELDS`:
+identity, a, b, x, n_max, status, first_failure, residual.  Each format
+renders that list.  JSON leaves out the absent fields, keeps n_max and
+first_failure as numbers and gives every other value through
+`json_value`.  CSV leaves an absent field's cells empty under
+`CSV_HEADER`, where the residual spans four cells.  Plain text leaves out
+the absent fields, shows identity and status bare and every other field
+as name=value, and appends the note, which JSON and CSV never carry.
 
 Each wire format has one encoder here, for a Mat2 and a scalar alike:
 `json_value` for JSON and `csv_fields` for CSV.  The reports and the CLI
 both use them, and both render every rational, plain text included,
-through `exact.format_rational`.
+through `exact.format_rational`, so a rational is the string "p/q" (or
+"p" when the denominator is 1), never floating point.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Union
 
 from .exact import Mat2, format_rational
 
@@ -39,10 +47,13 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
-CSV_HEADER = (
-    "identity,a,b,x,n_max,status,first_failure,"
-    "residual_e11,residual_e12,residual_e21,residual_e22"
-)
+_ENTRIES = ("e11", "e12", "e21", "e22")
+
+FIELDS = ("identity", "a", "b", "x", "n_max", "status", "first_failure", "residual")
+CSV_HEADER = ",".join([*FIELDS[:-1], *(f"residual_{e}" for e in _ENTRIES)])
+_CSV_WIDTH = CSV_HEADER.count(",") + 1
+_JSON_NUMBERS = ("n_max", "first_failure")
+_PLAIN_BARE = ("identity", "status")
 
 Residual = Union[Mat2, Fraction, None]
 
@@ -60,7 +71,7 @@ def json_value(value: Any) -> Any:
     a rational as "p/q".  `json.dumps(..., default=json_value)` calls it
     for every value JSON has no type for."""
     if isinstance(value, Mat2):
-        return dict(zip(("e11", "e12", "e21", "e22"), csv_fields(value)))
+        return dict(zip(_ENTRIES, csv_fields(value)))
     return format_rational(value)
 
 
@@ -82,6 +93,8 @@ class IdentityReport:
                 raise ValueError("FAIL reports need first_failure and residual")
             if self.residual == 0 * self.residual:  # the zero of its own type
                 raise ValueError("FAIL reports need a nonzero residual")
+        elif self.first_failure is not None or self.residual is not None:
+            raise ValueError("only FAIL reports carry first_failure and residual")
         if self.status == SKIPPED and not self.skip_reason:
             raise ValueError("SKIPPED reports need a reason")
 
@@ -98,67 +111,32 @@ class IdentityReport:
             return f"SKIPPED({self.skip_reason})"
         return self.status
 
+    def _wire_fields(self) -> Iterator[tuple[str, Any]]:
+        """(name, value) for each of FIELDS, in order; None where absent."""
+        return zip(FIELDS, (
+            self.identity, self.params.a, self.params.b, self.x, self.n_max,
+            self.status_label(), self.first_failure, self.residual,
+        ))
+
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "identity": self.identity,
-            "a": format_rational(self.params.a),
-            "b": format_rational(self.params.b),
-        }
-        if self.x is not None:
-            out["x"] = format_rational(self.x)
-        out["n_max"] = self.n_max
-        out["status"] = self.status_label()
-        if self.first_failure is not None:
-            out["first_failure"] = self.first_failure
-        if self.residual is not None:
-            out["residual"] = json_value(self.residual)
-        return out
+        return {name: value if name in _JSON_NUMBERS else json_value(value)
+                for name, value in self._wire_fields() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     def to_csv_row(self) -> str:
-        res = [] if self.residual is None else csv_fields(self.residual)
-        fields = [
-            self.identity,
-            format_rational(self.params.a),
-            format_rational(self.params.b),
-            format_rational(self.x) if self.x is not None else "",
-            str(self.n_max),
-            self.status_label(),
-            str(self.first_failure) if self.first_failure is not None else "",
-            *res,
-        ]
-        return ",".join(fields) + "," * (4 - len(res))  # four residual cells
+        cells = [cell for _, value in self._wire_fields()
+                 for cell in csv_fields("" if value is None else value)]
+        return ",".join(cells + [""] * (_CSV_WIDTH - len(cells)))
 
     def to_plain(self) -> str:
-        head = (
-            f"{self.identity} a={format_rational(self.params.a)}"
-            f" b={format_rational(self.params.b)}"
+        line = " ".join(
+            format_rational(value) if name in _PLAIN_BARE
+            else f"{name}={format_rational(value)}"
+            for name, value in self._wire_fields() if value is not None
         )
-        if self.x is not None:
-            head += f" x={format_rational(self.x)}"
-        head += f" n_max={self.n_max} {self.status_label()}"
-        if self.status == FAIL:
-            head += (f" first_failure={self.first_failure}"
-                     f" residual={format_rational(self.residual)}")
-        if self.note:
-            head += f"  [{self.note}]"
-        return head
-
-
-def passed(identity: str, params: "BiParams", index_range: tuple[int, int],
-           x: Optional[Fraction] = None, note: Optional[str] = None) -> IdentityReport:
-    return IdentityReport(identity, params, index_range, PASS, x=x, note=note)
-
-
-def failed(identity: str, params: "BiParams", index_range: tuple[int, int],
-           first_failure: int, residual: Residual,
-           x: Optional[Fraction] = None, note: Optional[str] = None) -> IdentityReport:
-    return IdentityReport(
-        identity, params, index_range, FAIL, x=x,
-        first_failure=first_failure, residual=residual, note=note,
-    )
+        return f"{line}  [{self.note}]" if self.note else line
 
 
 def first_mismatch(identity: str, params: "BiParams", index_range: tuple[int, int],
@@ -168,8 +146,9 @@ def first_mismatch(identity: str, params: "BiParams", index_range: tuple[int, in
     residual lhs - rhs and the note `why`; PASS with `note` otherwise."""
     for n, lhs, rhs, why in cases:
         if lhs != rhs:
-            return failed(identity, params, index_range, n, lhs - rhs, x=x, note=why)
-    return passed(identity, params, index_range, x=x, note=note)
+            return IdentityReport(identity, params, index_range, FAIL, x=x,
+                                  first_failure=n, residual=lhs - rhs, note=why)
+    return IdentityReport(identity, params, index_range, PASS, x=x, note=note)
 
 
 def skipped(identity: str, params: "BiParams", index_range: tuple[int, int],

@@ -248,6 +248,23 @@ def test_malformed_integer_lists_quote_the_value_as_typed(capsys, argv, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# `Fraction` takes underscores from Python 3.11 on and `int` always does;
+# the CLI accepts ASCII digits only, on every version.
+@pytest.mark.parametrize("argv, message", [
+    (("term", "--kind", "jhat", "--a", "1_0", "--b", "1", "--n", "3"),
+     "not an exact rational: '1_0'"),
+    (("term", "--kind", "jhat", "--a", "1/2_0", "--b", "1", "--n", "3"),
+     "not an exact rational: '1/2_0'"),
+    (("verify", "--suite", "all", "--a", "1_0..2", "--b", "1"),
+     "not an integer range: '1_0..2'"),
+    (("verify", "--suite", "all", "--a", "١..2", "--b", "1"),
+     "not an integer range: '١..2'"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+def test_digits_are_ascii_without_underscores(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "DET", "--suite", "CASSINI",
                            "--a", "-2..2", "--b", "1,2", "--n-max", "16",

@@ -27,7 +27,7 @@ def test_parse_and_format_rational():
     assert parse_rational("-3/9") == F(-1, 3)
     assert format_rational(F(4)) == "4"
     assert format_rational(F(-1, 2)) == "-1/2"
-    for text in ("", "1.5", "1e3", "a/b", "1/0", "1 / 2"):
+    for text in ("", "1.5", "1e3", "a/b", "1/0", "1 / 2", "1_0", "1/2_0", "\u0661"):
         with pytest.raises(ValueError):
             parse_rational(text)
 
