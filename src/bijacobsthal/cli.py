@@ -50,14 +50,20 @@ DEFAULT_BENCH_LADDER = (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 17)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII digits with an optional sign, since
+    `int()` alone also takes '1_0' and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_grid_values(text: str) -> tuple[Fraction, ...]:
     """Parse 'lo..hi' (integers, zeros auto-excluded) or 'r1,r2,...'."""
     if ".." in text:
         bounds = text.split("..", 1)
         try:
-            if not all(_INTEGER.fullmatch(s.strip()) for s in bounds):
-                raise ValueError  # int() alone takes '1_0' and non-ASCII digits
-            lo, hi = map(int, bounds)
+            lo, hi = (_integer(s.strip()) for s in bounds)
         except ValueError:
             raise ValueError(f"not an integer range: {text!r}") from None
         if lo > hi:
@@ -95,8 +101,9 @@ def _params(args: argparse.Namespace) -> BiParams:
 def cmd_term(args: argparse.Namespace) -> int:
     params = _params(args)
     kind = SeqKind(args.kind)
-    value = scalar_term(kind, params, args.n)
-    fields = {"kind": kind.value, "a": params.a, "b": params.b, "n": args.n,
+    n = _integer(args.n)
+    value = scalar_term(kind, params, n)
+    fields = {"kind": kind.value, "a": params.a, "b": params.b, "n": n,
               "value": value}
     _emit(args.format, fields, ",".join(fields), [fields.values()], [[value]])
     return OK
@@ -104,25 +111,26 @@ def cmd_term(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = _params(args)
+    n = _integer(args.n)
     if args.method == "all":
         routes = verifier.defined_routes(params)
         if "binet" not in routes:
             print("note: ab = -8, root-based route skipped", file=sys.stderr)
-        for name, value, reference in verifier.route_values(routes, params, args.n):
+        for name, value, reference in verifier.route_values(routes, params, n):
             if value != reference:
                 print(f"method mismatch: {name} gave {value}, "
                       f"recurrence gave {reference}", file=sys.stderr)
                 return MISMATCH
         value = reference
     else:
-        value = METHODS[args.method](params, args.n)
+        value = METHODS[args.method](params, n)
     _emit(args.format, value, "e11,e12,e21,e22", [[value]], [[value]])
     return OK
 
 
 def cmd_series(args: argparse.Namespace) -> int:
     params = _params(args)
-    coeffs = series_coeffs(build_ogf(params), args.count)
+    coeffs = series_coeffs(build_ogf(params), _integer(args.count))
     _emit(args.format, coeffs, "m,e11,e12,e21,e22", enumerate(coeffs),
           [[coeff] for coeff in coeffs])
     return OK
@@ -130,7 +138,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_sum(args: argparse.Namespace) -> int:
     params = _params(args)
-    n = args.n
+    n = _integer(args.n)
     if args.x is not None:
         x = parse_rational(args.x)
         direct = weighted_sum_direct(params, x, n)
@@ -156,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = GridSpec(
         a_values=parse_grid_values(args.a),
         b_values=parse_grid_values(args.b),
-        n_max=args.n_max,
+        n_max=_integer(args.n_max),
         suites=suites,
         x_values=tuple(parse_rational(p) for p in args.x.split(",")),
     )
@@ -194,21 +202,22 @@ def _naive_term(params: BiParams, n: int) -> Mat2:
 
     J[k] = A[k] / D[k] with D[0] = 1, D[1] = q[1] the common denominator
     of J[1], and D[k] = q[k] * D[k-1] where p[k]/q[k] is the k-th
-    multiplier.  Then A[k] = p[k] * A[k-1] + 2 * q[k] * q[k-1] * A[k-2]
-    on plain ints, and the four entries are divided once, at the end.
-    No memo is read.
+    multiplier, the even or odd one of the jhat rule.  Then
+    A[k] = p[k] * A[k-1] + lag * q[k] * q[k-1] * A[k-2] on plain ints, and
+    the four entries are divided once, at the end.  No memo is read.
     """
     if n == 0:
         return Mat2.identity()
+    even, odd, lag = SeqKind.BP_JACOBSTHAL.rule(params)
+    steps = (even.numerator, even.denominator), (odd.numerator, odd.denominator)
     j1 = generator_matrix(params).entries()
     den = math.lcm(*(e.denominator for e in j1))
     prev, cur = (1, 0, 0, 1), tuple(e.numerator * (den // e.denominator) for e in j1)
     q_prev = den
     for k in range(2, n + 1):
-        mult = params.a if k % 2 == 0 else params.b
-        p, q = mult.numerator, mult.denominator
-        lag = 2 * q * q_prev
-        prev, cur = cur, tuple(p * x + lag * y for x, y in zip(cur, prev))
+        p, q = steps[k & 1]
+        c = lag * q * q_prev
+        prev, cur = cur, tuple(p * x + c * y for x, y in zip(cur, prev))
         den *= q
         q_prev = q
     return Mat2(*(Fraction(x, den) for x in cur))
@@ -235,15 +244,16 @@ def bench_rows(params: BiParams, ladder: Sequence[int],
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.repeat < 1:
+    repeat = _integer(args.repeat)
+    if repeat < 1:
         raise ValueError("--repeat must be at least 1")
     params = _params(args)
     try:
-        ladder = [int(part) for part in args.ladder.split(",")]
+        ladder = [_integer(part) for part in args.ladder.split(",")]
     except ValueError:
         raise ValueError(f"not a list of integer indices: {args.ladder!r}") from None
     try:
-        rows = bench_rows(params, ladder, args.repeat)
+        rows = bench_rows(params, ladder, repeat)
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return MISMATCH
@@ -281,14 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[k.value for k in SeqKind])
     p_term.add_argument("--a", required=True)
     p_term.add_argument("--b", required=True)
-    p_term.add_argument("--n", type=int, required=True)
+    p_term.add_argument("--n", required=True)
     add_common(p_term)
     p_term.set_defaults(handler=cmd_term)
 
     p_matrix = sub.add_parser("matrix", help="one matrix term")
     p_matrix.add_argument("--a", required=True)
     p_matrix.add_argument("--b", required=True)
-    p_matrix.add_argument("--n", type=int, required=True)
+    p_matrix.add_argument("--n", required=True)
     p_matrix.add_argument("--method", default="all",
                           choices=(*METHODS.keys(), "all"))
     add_common(p_matrix)
@@ -297,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="generating-function expansion")
     p_series.add_argument("--a", required=True)
     p_series.add_argument("--b", required=True)
-    p_series.add_argument("--count", type=int, required=True)
+    p_series.add_argument("--count", required=True)
     add_common(p_series)
     p_series.set_defaults(handler=cmd_series)
 
     p_sum = sub.add_parser("sum", help="partial sums, oracle vs closed form")
     p_sum.add_argument("--a", required=True)
     p_sum.add_argument("--b", required=True)
-    p_sum.add_argument("--n", type=int, required=True)
+    p_sum.add_argument("--n", required=True)
     p_sum.add_argument("--x", default=None,
                        help="weight 1/x^k per term (omit for the plain sum)")
     p_sum.add_argument("--both", action="store_true",
@@ -320,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a", required=True,
                           help="grid: 'lo..hi' integers or 'r1,r2,...'")
     p_verify.add_argument("--b", required=True)
-    p_verify.add_argument("--n-max", type=int, default=verifier.DEFAULT_N_MAX)
+    p_verify.add_argument("--n-max", default=str(verifier.DEFAULT_N_MAX))
     default_x = ",".join(map(format_rational, verifier.DEFAULT_X_VALUES))
     p_verify.add_argument("--x", default=default_x,
                           help="weights for the weighted-sum suite")
@@ -335,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--b", default="1")
     p_bench.add_argument("--ladder",
                          default=",".join(str(n) for n in DEFAULT_BENCH_LADDER))
-    p_bench.add_argument("--repeat", type=int, default=1,
+    p_bench.add_argument("--repeat", default="1",
                          help="timed runs per point; the minimum is kept")
     p_bench.set_defaults(handler=cmd_bench)
 
@@ -343,21 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join '--flag -3..3' into '--flag=-3..3' so argparse does not read
-    negative grid values or rationals as option names."""
-    value_flags = {"--a", "--b", "--x", "--n", "--n-max", "--ladder", "--count"}
+    """Join '--option -3..3' into '--option=-3..3' so argparse does not
+    read negative grid values or rationals as option names.  Any
+    '--option' without '=' is joined with a next token that starts with
+    '-' and a digit."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in value_flags and nxt is not None and nxt.startswith("-")
-                and len(nxt) > 1 and nxt[1].isdigit()):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

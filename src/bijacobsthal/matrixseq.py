@@ -30,19 +30,24 @@ combination over M^(n//2), a denominator known from n alone, so no
 Fraction and no gcd of large numbers enters the power loop, and
 each output entry is divided once, at the end, by `exact.div_power`,
 which strips only the factors of M and so takes linear time.  The
-recurrence extends its memo with the scalar step rule `scalar._next_term`,
-and the closed route stays on plain Fraction arithmetic.  The four routes
-are separate computations and cross-check one another; the recurrence,
-closed and fast routes read the one multiplier table of `SeqKind`.
+closed route stays on plain Fraction arithmetic.
+
+No route here states the step rule.  J is the jhat recurrence, so the
+recurrence memo and `iter_terms` step with `scalar._step` on the
+(even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
+table in `scalar`, and `term_fast` raises the two-step matrix that
+`scalar._two_step` builds from the same rule.  The four routes are
+separate computations and cross-check one another.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import Iterator
 
 from .exact import Mat2, QuadNum, _DoubledQuadNum, div_power, parity
-from .scalar import BiParams, SeqKind, _PrefixMemo, _two_step, scalar_term
+from .scalar import BiParams, SeqKind, _PrefixMemo, _step, _two_step, scalar_term
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -60,17 +65,13 @@ def generator_matrix(params: BiParams) -> Mat2:
 
 
 def iter_terms(params: BiParams) -> Iterator[Mat2]:
-    """Yield J[0], J[1], J[2], ... freshly (no cache), by the recurrence."""
-    prev = Mat2.identity()
-    cur = generator_matrix(params)
+    """Yield J[0], J[1], J[2], ... freshly (no cache), by the jhat step rule."""
+    rule = SeqKind.BP_JACOBSTHAL.rule(params)
+    prev, cur = Mat2.identity(), generator_matrix(params)
     yield prev
-    yield cur
-    n = 2
-    while True:
-        mult = params.a if n % 2 == 0 else params.b
-        prev, cur = cur, mult * cur + 2 * prev
+    for n in count(2):
         yield cur
-        n += 1
+        prev, cur = cur, _step(rule, n, prev, cur)
 
 
 # A table of its own: its keys are the scalar memo's jhat keys, so a shared

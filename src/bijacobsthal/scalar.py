@@ -2,15 +2,20 @@
 
 A bi-periodic sequence is a second-order linear recurrence whose multiplier
 alternates between two nonzero constants a and b with the parity of the
-index.  Four kinds are provided; which of a/b applies at even indices is a
-classic foot-gun, so the whole table is pinned here and unit-tested:
+index:
 
-    kind                     t0  t1   even step      odd step
-    ------------------------ --- ---  -------------  -------------
-    BP_JACOBSTHAL (jhat)      0   1   a*t[n-1]+2*t[n-2]  b*t[n-1]+2*t[n-2]
-    BP_JACOBSTHAL_LUCAS       2   a   b*t[n-1]+2*t[n-2]  a*t[n-1]+2*t[n-2]
-    BP_FIBONACCI              0   1   a*t[n-1]+t[n-2]    b*t[n-1]+t[n-2]
-    BP_LUCAS                  2   a   b*t[n-1]+t[n-2]    a*t[n-1]+t[n-2]
+    t[n] = even * t[n-1] + lag * t[n-2]   (n even)
+    t[n] = odd  * t[n-1] + lag * t[n-2]   (n odd)
+
+Four kinds are provided.  Which of a/b applies at even indices is a
+classic foot-gun, so each kind's rule is stated once, in the member table
+of `SeqKind`: the parameter on the even step (the other one takes the odd
+step), the lag coefficient, and the start terms t0 and t1.  The table is
+unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
+series, and `_step` is the one forward step: both prefix memos (scalar
+terms here, matrix terms in `matrixseq`) and `matrixseq.iter_terms` call
+it.  `_two_step` and the CLI's integer-numerator recurrence read the same
+(even, odd, lag).
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
@@ -61,48 +66,49 @@ class BiParams:
 
 
 class SeqKind(enum.Enum):
-    BP_JACOBSTHAL = "jhat"
-    BP_JACOBSTHAL_LUCAS = "jlucas"
-    BP_FIBONACCI = "fibonacci"
-    BP_LUCAS = "lucas"
+    """A sequence kind and its step rule, one row per member: the value,
+    the parameter on the even step (the other one takes the odd step), the
+    lag coefficient, and the start terms t0 and t1 ("a" is the parameter)."""
 
-    @property
-    def even_uses_a(self) -> bool:
-        """True when the multiplier at even indices is a (else it is b)."""
-        return self in (SeqKind.BP_JACOBSTHAL, SeqKind.BP_FIBONACCI)
+    BP_JACOBSTHAL = "jhat", "a", 2, 0, 1
+    BP_JACOBSTHAL_LUCAS = "jlucas", "b", 2, 2, "a"
+    BP_FIBONACCI = "fibonacci", "a", 1, 0, 1
+    BP_LUCAS = "lucas", "b", 1, 2, "a"
 
-    @property
-    def lag_coefficient(self) -> int:
-        """Coefficient of t[n-2]: 2 for the Jacobsthal kinds, 1 otherwise."""
-        if self in (SeqKind.BP_JACOBSTHAL, SeqKind.BP_JACOBSTHAL_LUCAS):
-            return 2
-        return 1
+    def __new__(cls, value: str, even: str, lag: int, t0: int, t1):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind._even, kind._lag, kind._start = even, lag, (t0, t1)
+        return kind
+
+    def rule(self, params: BiParams) -> tuple[Fraction, Fraction, int]:
+        """(even, odd, lag): the multipliers at even and odd indices and the
+        coefficient of t[n-2], the form `_step` reads."""
+        a, b = params.a, params.b
+        return (a, b, self._lag) if self._even == "a" else (b, a, self._lag)
 
     def initial_terms(self, params: BiParams) -> tuple[Fraction, Fraction]:
-        if self in (SeqKind.BP_JACOBSTHAL, SeqKind.BP_FIBONACCI):
-            return (Fraction(0), Fraction(1))
-        return (Fraction(2), params.a)
-
-    def multiplier(self, params: BiParams, n: int) -> Fraction:
-        if (n % 2 == 0) == self.even_uses_a:
-            return params.a
-        return params.b
+        t0, t1 = self._start
+        return Fraction(t0), params.a if t1 == "a" else Fraction(t1)
 
 
-def _next_term(key: tuple[SeqKind, BiParams], terms: list):
-    """The term after `terms` (scalars or `Mat2`s) by the kind's recurrence."""
-    kind, params = key
-    mult = kind.multiplier(params, len(terms))
-    return mult * terms[-1] + kind.lag_coefficient * terms[-2]
+def _step(rule: tuple, n: int, prev, cur):
+    """t[n] from t[n-2] = prev and t[n-1] = cur (scalars or `Mat2`s), by a
+    `SeqKind.rule`; the one place a multiplier is chosen by parity."""
+    return rule[n & 1] * cur + rule[2] * prev
 
 
 class _PrefixMemo:
     """Bounded memo of sequence prefixes, one list per (kind, params) key.
 
-    `start(key)` gives the first two terms of a series and `_next_term`
-    extends it.  One lock is held across lookup, eviction and extension,
-    so threads sharing a series never append the same index twice.  At most
-    `max_keys` series are kept; the oldest-inserted one is evicted first.
+    `start(key)` gives the first two terms of a series; the kind's rule is
+    resolved once, when the series is created, and `_step` extends it.
+    Each term is computed before it is appended, so a step that raises
+    leaves the list holding exactly the terms before it, and the next call
+    resumes from there.  One lock is held across lookup, eviction and
+    extension, so threads sharing a series never append the same index
+    twice.  At most `max_keys` series are kept; the oldest-inserted one is
+    evicted first.
     """
 
     max_keys = 64
@@ -114,13 +120,15 @@ class _PrefixMemo:
 
     def term(self, key, n: int):
         with self._lock:
-            terms = self._series.get(key)
-            if terms is None:
+            series = self._series.get(key)
+            if series is None:
                 while len(self._series) >= self.max_keys:
                     del self._series[next(iter(self._series))]
-                terms = self._series[key] = self._start(key)
+                kind, params = key
+                series = self._series[key] = kind.rule(params), self._start(key)
+            rule, terms = series
             while len(terms) <= n:
-                terms.append(_next_term(key, terms))
+                terms.append(_step(rule, len(terms), terms[-2], terms[-1]))
             return terms[n]
 
     def clear(self) -> None:
@@ -154,8 +162,8 @@ def _two_step(kind: SeqKind, params: BiParams,
               n: int) -> tuple[Fraction | int, Fraction | int, int, int]:
     """(u, v, M, m) with t[n] = (u*t[1] + v*t[0]) / M^m and m = n // 2.
 
-    With e and o the multipliers at even and odd indices and c the lag
-    coefficient, two steps compose into one matrix:
+    With (e, o, c) the kind's rule (the multipliers at even and odd
+    indices and the lag coefficient), two steps compose into one matrix:
     (t[2m+1], t[2m]) = (t[1], t[0]) * T^m with T = [[eo + c, e], [co, c]].
     eo = ab = N/M in lowest terms, and conjugating T by diag(1, 1/e) gives
     [[ab + c, 1], [c*ab, c]], which is K/M with the integer matrix
@@ -170,11 +178,10 @@ def _two_step(kind: SeqKind, params: BiParams,
     divides once, by M^m, with `div_power`, which cancels only factors of
     M in linear time.
     """
+    even, _, c = kind.rule(params)
     m = n // 2
     num, den = params.ab.numerator, params.ab.denominator
-    c = kind.lag_coefficient
     p = Mat2(num + c * den, den, c * num, c * den) ** m
-    even = kind.multiplier(params, 0)
     if n & 1:
         return p.e11, p.e21 / even, den, m
     return even * p.e12, p.e22, den, m

@@ -259,6 +259,15 @@ def test_malformed_integer_lists_quote_the_value_as_typed(capsys, argv, message)
      "not an integer range: '1_0..2'"),
     (("verify", "--suite", "all", "--a", "١..2", "--b", "1"),
      "not an integer range: '١..2'"),
+    (("term", "--kind", "jhat", "--a", "1", "--b", "1", "--n", "1_0"),
+     "not an integer: '1_0'"),
+    (("term", "--kind", "jhat", "--a", "1", "--b", "1", "--n", "١٠"),
+     "not an integer: '١٠'"),
+    (("series", "--a", "1", "--b", "1", "--count", "1_0"), "not an integer: '1_0'"),
+    (("verify", "--suite", "DET", "--a", "1", "--b", "1", "--n-max", "1_0"),
+     "not an integer: '1_0'"),
+    (("bench", "--ladder", "1_6"), "not a list of integer indices: '1_6'"),
+    (("bench", "--repeat", "1_0"), "not an integer: '1_0'"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
 def test_digits_are_ascii_without_underscores(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -305,6 +314,14 @@ def test_verify_negative_grid_split_tokens(capsys):
                            "--a", "-3..3", "--b", "-3..3", "--n-max", "8")
     assert code == 0
     assert len(out.strip().splitlines()) == 36
+
+
+def test_negative_values_join_any_option_without_equals():
+    argv = ["sum", "--a", "-1/2", "--b=-3", "--n", "4", "--x", "-", "--any", "-2..2",
+            "--both", "-x"]
+    assert cli._merge_negative_values(argv) == [
+        "sum", "--a=-1/2", "--b=-3", "--n", "4", "--x", "-", "--any=-2..2",
+        "--both", "-x"]
 
 
 def _benchmark_workloads():

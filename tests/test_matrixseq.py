@@ -77,10 +77,18 @@ def test_term_closed_at_1_1():
 
 
 def test_iter_terms_matches_term_recurrence():
-    p = BiParams(-3, 2)
-    it = iter_terms(p)
-    for n in range(40):
-        assert next(it) == term_recurrence(p, n)
+    for p in (BiParams(-3, 2), BiParams(F(5, 7), F(-3, 4))):
+        matrixseq_mod.clear_caches()
+        it = iter_terms(p)
+        for n in range(40):
+            assert next(it) == term_recurrence(p, n)
+        # Generators share no state with the memo or with each other: one
+        # started after the memo is full, and the first one resumed after
+        # it, both continue the recurrence.
+        late = iter_terms(p)
+        assert [next(late) for _ in range(45)] == [term_recurrence(p, n) for n in range(45)]
+        assert [next(it) for _ in range(5)] == [term_recurrence(p, n) for n in range(40, 45)]
+    matrixseq_mod.clear_caches()
 
 
 def test_negative_index_rejected():

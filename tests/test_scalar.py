@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -11,7 +12,7 @@ from bijacobsthal.scalar import (
     scalar_term_fast,
     verify_lucas_relations,
 )
-from bijacobsthal.matrixseq import term_recurrence
+from bijacobsthal.matrixseq import term_fast, term_recurrence
 import bijacobsthal.matrixseq as matrixseq_mod
 import bijacobsthal.scalar as scalar_mod
 
@@ -168,6 +169,55 @@ def test_scalar_and_matrix_memos_stay_apart():
     assert not matrixseq_mod._memo._series
     assert list(scalar_mod._memo._series) == [(JHAT, p)]
     scalar_mod.clear_caches()
+
+
+class _StepFails(Exception):
+    pass
+
+
+@pytest.mark.parametrize("memo, route, fast, key", [
+    (scalar_mod._memo, partial(scalar_term, JLUCAS), partial(scalar_term_fast, JLUCAS),
+     JLUCAS),
+    (matrixseq_mod._memo, term_recurrence, term_fast, JHAT),
+], ids=["scalar_term", "term_recurrence"])
+def test_memo_survives_a_failing_step(monkeypatch, memo, route, fast, key):
+    # A step that raises once at index k leaves the memo holding exactly
+    # t[0..k-1]; the next call resumes there and returns the right value.
+    p, k = BiParams(F(5, 7), F(-3, 4)), 9
+    memo.clear()
+    step = scalar_mod._step
+    failed = []
+
+    def failing_step(rule, n, prev, cur):
+        if n == k and not failed:
+            failed.append(n)
+            raise _StepFails
+        return step(rule, n, prev, cur)
+
+    monkeypatch.setattr(scalar_mod, "_step", failing_step)
+    with pytest.raises(_StepFails):
+        route(p, 20)
+    rule, terms = memo._series[(key, p)]
+    assert rule == key.rule(p)
+    assert terms == [fast(p, n) for n in range(k)]
+    assert route(p, 20) == fast(p, 20)
+    assert len(terms) == 21
+    memo.clear()
+
+
+def test_evicted_series_restarts_from_its_start_terms():
+    p = BiParams(F(5, 7), F(-3, 4))
+    for memo, route, fast in (
+        (scalar_mod._memo, partial(scalar_term, FIB), partial(scalar_term_fast, FIB)),
+        (matrixseq_mod._memo, term_recurrence, term_fast),
+    ):
+        memo.clear()
+        assert route(p, 10) == fast(p, 10)
+        for a in range(1, memo.max_keys + 1):
+            route(BiParams(a, 1), 4)
+        assert all(key[1] != p for key in memo._series)
+        assert route(p, 50) == fast(p, 50)
+        memo.clear()
 
 
 def test_lucas_relations_samples():
