@@ -205,7 +205,10 @@ def _naive_term(params: BiParams, n: int) -> Mat2:
     multiplier, the even or odd one of the jhat rule.  Then
     A[k] = p[k] * A[k-1] + lag * q[k] * q[k-1] * A[k-2] on plain ints, and
     the four entries are divided once, at the end.  No memo is read.
+    An index below 0 is refused as `term_fast` refuses it.
     """
+    if n < 0:
+        raise ValueError("matrix terms are defined for n >= 0")
     if n == 0:
         return Mat2.identity()
     even, odd, lag = SeqKind.BP_JACOBSTHAL.rule(params)

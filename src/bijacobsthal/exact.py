@@ -98,27 +98,28 @@ def div_power(q: Fraction | int, base: int, k: int) -> Fraction:
 
 
 def _power(base, k: int, one, what: str):
-    """base**k by binary exponentiation, squaring only while bits remain.
+    """base**k by left-to-right binary exponentiation.
 
-    The accumulator starts from the base's power at the lowest set bit of
-    k, not from `one`, so every product keeps the base's entry type (an
-    int base stays int) and the product with the identity is saved.
-    `one` is returned only for k = 0.
+    The result starts as `base`.  For each bit of k after the leading one
+    it is squared, then multiplied by `base` if the bit is set (Knuth,
+    TAOCP vol. 2, section 4.6.3).  That is bit_length(k) - 1 squares and
+    popcount(k) - 1 other products, and each other product is by the
+    original base.  The library raises bases with small entries (the
+    integer two-step matrix K, the doubled root 2*M*g), so that product
+    takes time linear in the size of the result; only the squares, which
+    `__mul__` computes with fewer big products, multiply big by big.
+    Every product keeps the base's entry type (an int base stays int),
+    and `one` is returned only for k = 0.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"{what} powers require a non-negative integer exponent")
     if not k:
         return one
-    while not k & 1:
-        base = base * base
-        k >>= 1
     result = base
-    k >>= 1
-    while k:
-        base = base * base
-        if k & 1:
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        k >>= 1
     return result
 
 
@@ -129,7 +130,9 @@ class Mat2:
     Entries are exact rationals wherever the library builds a Mat2, but
     any commutative ring works: `*` is the matrix product for Mat2
     operands and scaling for every other operand; `+`/`-` are entrywise;
-    `**` is binary exponentiation.
+    `**` is binary exponentiation.  A square (`m * m`, the same object on
+    both sides) takes 5 entry products, not 8: with bc = b*c and
+    t = a + d it is [[a*a + bc, b*t], [c*t, d*d + bc]].
     """
 
     e11: Fraction
@@ -171,6 +174,11 @@ class Mat2:
 
     def __mul__(self, other) -> Mat2:
         """Matrix product with a Mat2, else scaling by `other`."""
+        if other is self:
+            a, b, c, d = self.e11, self.e12, self.e21, self.e22
+            bc = b * c
+            t = a + d
+            return Mat2(a * a + bc, b * t, c * t, d * d + bc)
         if isinstance(other, Mat2):
             return Mat2(
                 self.e11 * other.e11 + self.e12 * other.e21,
@@ -205,7 +213,9 @@ class QuadNum:
     Arithmetic is only defined between operands sharing the same D; mixing
     discriminants is a usage bug and raises ValueError.  Multiplication is
     (x + y*sqrt(D)) * (u + v*sqrt(D)) = (xu + yvD) + (xv + yu)*sqrt(D),
-    exactly.  Rationals embed as x + 0*sqrt(D).
+    exactly.  A square (`z * z`, the same object on both sides) takes 3
+    field products, not 4: (x*x + y*y*D) + 2*(x*y)*sqrt(D).  Rationals
+    embed as x + 0*sqrt(D).
     """
 
     rat: Fraction
@@ -243,6 +253,9 @@ class QuadNum:
         return QuadNum(-self.rat, -self.coeff, self.disc)
 
     def __mul__(self, other: QuadNum | Fraction | int) -> QuadNum:
+        if other is self:
+            x, y = self.rat, self.coeff
+            return QuadNum(x * x + y * y * self.disc, 2 * (x * y), self.disc)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

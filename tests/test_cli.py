@@ -462,6 +462,20 @@ def test_bench_naive_route_is_the_fraction_recurrence(a, b):
         assert value.entries() == expected.entries(), n
 
 
+@pytest.mark.parametrize("n", [-1, -4])
+def test_bench_naive_route_refuses_negative_indices(monkeypatch, n):
+    # The refusal comes first: no rule or starting matrix is computed.
+    monkeypatch.setattr(cli, "generator_matrix", None)
+    with pytest.raises(ValueError, match=r"^matrix terms are defined for n >= 0$"):
+        cli._naive_term(BiParams(1, 1), n)
+
+
+def test_bench_negative_ladder_entry_is_refused_before_either_route(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "term_fast", None)
+    code, out, err = run_cli(capsys, "bench", "--ladder", "-4")
+    assert (code, out, err) == (2, "", "error: matrix terms are defined for n >= 0\n")
+
+
 def test_bench_at_a_rational_pair(capsys):
     code, out, _ = run_cli(capsys, "bench", "--a", "5/7", "--b", "-7/9",
                            "--ladder", "0,1,2,257", "--repeat", "1")
@@ -472,10 +486,15 @@ def test_bench_at_a_rational_pair(capsys):
 
 # Each call exits 1 if a log-time route disagrees with the plain Fraction
 # recurrence; at n = 2049 and 4097 the routes' final division by M^(n//2)
-# (`exact.div_power`) runs on large numerators.
+# (`exact.div_power`) runs on large numerators.  Their half-indices 1024
+# and 2048 are powers of two, so the power loop only squares; at n = 4095
+# and 8191 every bit of the half-index is set, and each square is followed
+# by a product of a large power with the base.
 @pytest.mark.parametrize("argv", [
-    ("bench", "--a", "1/2", "--b=-3/4", "--ladder", "1,2,4097", "--repeat", "1"),
-    *(("matrix", f"--a={a}", f"--b={b}", "--n", "2049", "--method", "all")
+    *(("bench", "--a", "1/2", "--b=-3/4", "--ladder", ladder, "--repeat", "1")
+      for ladder in ("1,2,4097", "8191")),
+    *(("matrix", f"--a={a}", f"--b={b}", "--n", n, "--method", "all")
+      for n in ("2049", "4095")
       for a, b in [("5/7", "-7/9"), ("2", "-3"), ("1/2", "-3/4")]),
 ], ids=" ".join)
 def test_log_time_routes_agree_with_the_recurrence(capsys, argv):

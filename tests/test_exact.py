@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -207,3 +208,138 @@ def test_doubled_quadnum_is_twice_the_fraction_arithmetic():
             assert doubled(z) * k == k * doubled(z) == doubled(z * k)
             for e in range(6):
                 assert doubled(z) ** e == doubled(z ** e)
+
+
+# Operands with entries of a few bits and of a few hundred, for the square
+# branches of `__mul__` and the shape of `_power`.
+def _random_int(rng):
+    return rng.randint(-9, 9) if rng.random() < 0.5 else rng.getrandbits(300) - 2 ** 299
+
+
+def _random_fraction(rng):
+    return F(_random_int(rng), rng.choice([1, rng.randint(1, 9), rng.getrandbits(200) + 1]))
+
+
+def _random_doubled(rng, t, c):
+    # 2(p + q*w) for w = (t + sqrt(D))/2 with D = t^2 - 4c, an algebraic
+    # integer, so the halving product stays exact.
+    p, q = _random_int(rng), _random_int(rng)
+    return _DoubledQuadNum(2 * p + q * t, q, t * t - 4 * c)
+
+
+def _square_operands():
+    rng = random.Random(29)
+    for _ in range(60):
+        yield Mat2(*(_random_int(rng) for _ in range(4)))
+        yield Mat2(*(_random_fraction(rng) for _ in range(4)))
+        for disc in (F(-7), F(0), F(9), F(-3, 4), F(25, 4)):  # negative, zero, squares
+            yield QuadNum(_random_fraction(rng), _random_fraction(rng), disc)
+        for t, c in ((7, 1), (4, -3), (2, 1), (4, 4), (-3, -10)):  # D = 45, 28, 0, 0, 49
+            yield _random_doubled(rng, t, c)
+
+
+def test_square_branch_equals_general_product():
+    for x in _square_operands():
+        copy = dataclasses.replace(x)  # equal but distinct: the general product
+        assert copy is not x and copy == x
+        square, product = x * x, x * copy
+        assert square == product
+        assert type(square) is type(product) is type(x)
+        assert [type(v) for v in dataclasses.astuple(square)] == [
+            type(v) for v in dataclasses.astuple(product)]
+        if type(x) is _DoubledQuadNum:
+            assert type(square.rat) is type(square.coeff) is int
+
+
+# Every k up to 130, and 2^j - 1, 2^j and 2^j + 1 up to j = 20: the
+# exponents whose bits after the leading one are all 0, all 1, or 0...01.
+EXPONENTS = sorted({*range(131), *(2 ** j + d for j in range(1, 21) for d in (-1, 0, 1))})
+
+
+def _assert_powers_match_iterated_product(x, one, k_max):
+    acc = one
+    for k in range(k_max + 1):
+        if k in EXPONENTS:
+            assert x ** k == acc, k
+        acc = acc * x
+
+
+def test_power_matches_iterated_product():
+    rng = random.Random(31)
+    operands = [
+        (Mat2(*(rng.randint(-9, 9) for _ in range(4))), Mat2.identity()),
+        (Mat2(*(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))), Mat2.identity()),
+    ]
+    for disc in (F(-7), F(0), F(9)):
+        operands.append((QuadNum(F(rng.randint(-9, 9), rng.randint(1, 9)),
+                                 F(rng.randint(-9, 9), rng.randint(1, 9)), disc),
+                         QuadNum.from_rational(1, disc)))
+    for t, c in ((7, 1), (2, 1), (-3, -10)):
+        x = _DoubledQuadNum(2 * rng.randint(-9, 9) + 5 * t, 5, t * t - 4 * c)
+        operands.append((x, _DoubledQuadNum.from_rational(1, x.disc)))
+    for x, one in operands:
+        _assert_powers_match_iterated_product(x, one, 2 ** 10 + 1)
+
+
+@pytest.mark.parametrize("x, one, period", [
+    # unipotent: the k-fold product adds k times the nilpotent part
+    (Mat2(1, F(1, 3), 0, 1), Mat2.identity(), None),
+    (QuadNum(1, F(2, 5), 0), QuadNum.from_rational(1, 0), None),   # sqrt(0)^2 = 0
+    (_DoubledQuadNum(2, 3, 0), _DoubledQuadNum.from_rational(1, 0), None),
+    # order 6: roots of y^2 - y + 1
+    (Mat2(0, F(-1, 2), 2, 1), Mat2.identity(), 6),
+    (QuadNum(F(1, 2), F(1, 2), -3), QuadNum.from_rational(1, -3), 6),
+    (_DoubledQuadNum(1, 1, -3), _DoubledQuadNum.from_rational(1, -3), 6),
+], ids=[f"{kind}-{cls}" for kind in ("unipotent", "order6")
+         for cls in ("Mat2", "QuadNum", "DoubledQuadNum")])
+def test_power_matches_iterated_product_up_to_2_to_the_20(x, one, period):
+    # The k-fold product of these operands is known up to 2^20 + 1 without
+    # taking it: a linear function of k, or periodic in k.  Taking it up to
+    # 130 checks that form, then every listed exponent is checked against it.
+    products = [one]
+    for _ in range(130):
+        products.append(products[-1] * x)
+    if period is None:
+        f0, f1 = dataclasses.astuple(one), dataclasses.astuple(products[1])
+
+        def expected(k):
+            return type(x)(*(u + k * (v - u) for u, v in zip(f0, f1)))
+    else:
+        assert products[period] == one
+
+        def expected(k):
+            return products[k % period]
+    for k in range(131):
+        assert products[k] == expected(k)
+    for k in EXPONENTS:
+        assert x ** k == expected(k), k
+
+
+def test_power_of_an_int_base_stays_int():
+    m, z = Mat2(1, 2, 3, -4), _DoubledQuadNum(5, 1, 21)
+    for k in (1, 2, 3, 7, 8, 127, 128, 129):
+        assert all(type(e) is int for e in (m ** k).entries())
+        assert type((z ** k).rat) is type((z ** k).coeff) is int
+    assert m ** 0 == Mat2.identity() and z ** 0 == _DoubledQuadNum(2, 0, 21)
+
+
+@pytest.mark.parametrize("cls, x", [
+    (Mat2, Mat2(1, 1, 1, 0)),
+    (QuadNum, QuadNum(F(1, 2), F(1, 2), 9)),
+    (_DoubledQuadNum, _DoubledQuadNum(5, 1, 21)),
+], ids=["Mat2", "QuadNum", "DoubledQuadNum"])
+def test_power_multiplies_only_squares_and_by_the_base(monkeypatch, cls, x):
+    calls = []
+    general = cls.__mul__
+
+    def recording(self, other):
+        calls.append((self, other))
+        return general(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", recording)
+    for k in (*range(1, 40), 255, 256, 257, 1000):
+        calls.clear()
+        x ** k
+        assert all(other is self or other is x for self, other in calls), k
+        squares = sum(other is self for self, other in calls)
+        assert (squares, len(calls) - squares) == (k.bit_length() - 1, bin(k).count("1") - 1), k
