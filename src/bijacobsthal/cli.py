@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 import time
@@ -26,9 +25,9 @@ from typing import Optional, Sequence
 from . import verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
-from .matrixseq import generator_matrix, term_fast
+from .matrixseq import _check_index, generator_matrix, term_fast
 from .report import WEIGHTED_SUM_T6, csv_fields, json_value, reports_to_csv
-from .scalar import BiParams, SeqKind, scalar_term
+from .scalar import BiParams, SeqKind, _step, scalar_term
 from .verifier import (
     GridSpec,
     expected_failure,
@@ -200,30 +199,28 @@ def _timed_min(fn, repeat: int) -> tuple[float, Mat2]:
 def _naive_term(params: BiParams, n: int) -> Mat2:
     """J[n] by the definitional recurrence, on integer numerators.
 
-    J[k] = A[k] / D[k] with D[0] = 1, D[1] = q[1] the common denominator
-    of J[1], and D[k] = q[k] * D[k-1] where p[k]/q[k] is the k-th
-    multiplier, the even or odd one of the jhat rule.  Then
-    A[k] = p[k] * A[k-1] + lag * q[k] * q[k-1] * A[k-2] on plain ints, and
-    the four entries are divided once, at the end.  No memo is read.
-    An index below 0 is refused as `term_fast` refuses it.
+    J follows the jhat rule from J[0] = I and J[1], so
+    J[k] = u[k]*J[1] + v[k]*I, where u and v follow the same rule from
+    (0, 1) and (1, 0).  Write the multipliers in lowest terms as
+    p_even/q_even and p_odd/q_odd, and let d[0] = 1 and d[k] = q[k]*d[k-1],
+    q[k] being the denominator of the k-th multiplier.  Then U = d*u and
+    V = d*v are integers, start at U = (0, q_odd) and V = (1, 0), and
+    follow one integer rule, (p_even, p_odd, lag*q_even*q_odd), for every
+    k >= 2.  The loop steps them with `scalar._step`, and the result is
+    divided once, at the end, by d[n] = q_odd^((n+1)//2) * q_even^(n//2).
+    No memo is read.  An index below 0 is refused as every matrix route
+    refuses it.
     """
-    if n < 0:
-        raise ValueError("matrix terms are defined for n >= 0")
-    if n == 0:
-        return Mat2.identity()
+    _check_index(n)
     even, odd, lag = SeqKind.BP_JACOBSTHAL.rule(params)
-    steps = (even.numerator, even.denominator), (odd.numerator, odd.denominator)
-    j1 = generator_matrix(params).entries()
-    den = math.lcm(*(e.denominator for e in j1))
-    prev, cur = (1, 0, 0, 1), tuple(e.numerator * (den // e.denominator) for e in j1)
-    q_prev = den
+    rule = even.numerator, odd.numerator, lag * even.denominator * odd.denominator
+    u, v = (0, odd.denominator), (1, 0)
     for k in range(2, n + 1):
-        p, q = steps[k & 1]
-        c = lag * q * q_prev
-        prev, cur = cur, tuple(p * x + c * y for x, y in zip(cur, prev))
-        den *= q
-        q_prev = q
-    return Mat2(*(Fraction(x, den) for x in cur))
+        u = u[1], _step(rule, k, *u)
+        v = v[1], _step(rule, k, *v)
+    last = min(n, 1)  # u and v hold terms n-1 and n, or 0 and 1 below n = 2
+    den = odd.denominator ** ((n + 1) // 2) * even.denominator ** (n // 2)
+    return (u[last] * generator_matrix(params) + v[last] * Mat2.identity()) / den
 
 
 def bench_rows(params: BiParams, ladder: Sequence[int],
@@ -260,9 +257,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return MISMATCH
-    print("method,n,wall_ms,term_bits")
-    for method, n, seconds, bits in rows:
-        print(f"{method},{n},{seconds * 1000:.3f},{bits}")
+    _emit("csv", None, "method,n,wall_ms,term_bits",
+          [(method, n, f"{seconds * 1000:.3f}", bits)
+           for method, n, seconds, bits in rows], None)
     return OK
 
 

@@ -59,6 +59,12 @@ class DegenerateDiscriminantError(ValueError):
     """
 
 
+def _check_index(n: int) -> None:
+    """Refuse an index below 0, the one domain rule of every matrix route."""
+    if n < 0:
+        raise ValueError("matrix terms are defined for n >= 0")
+
+
 def generator_matrix(params: BiParams) -> Mat2:
     """J[1] = [[b, 2b/a], [1, 0]]."""
     return Mat2(params.b, 2 * params.b / params.a, Fraction(1), Fraction(0))
@@ -85,15 +91,13 @@ def clear_caches() -> None:
 
 def term_recurrence(params: BiParams, n: int) -> Mat2:
     """J[n] by the definitional recurrence (memoized per params)."""
-    if n < 0:
-        raise ValueError("matrix terms are defined for n >= 0")
+    _check_index(n)
     return _memo.term((SeqKind.BP_JACOBSTHAL, params), n)
 
 
 def term_closed(params: BiParams, n: int) -> Mat2:
     """J[n] assembled from scalar terms (n = 0 consumes jhat[-1] = 1/2)."""
-    if n < 0:
-        raise ValueError("matrix terms are defined for n >= 0")
+    _check_index(n)
     jhat = SeqKind.BP_JACOBSTHAL
     jm1, jn, jp1 = (scalar_term(jhat, params, i) for i in (n - 1, n, n + 1))
     ratio = params.b / params.a
@@ -109,8 +113,7 @@ def term_fast(params: BiParams, n: int) -> Mat2:
     diagonal of u*J[1], and each entry is divided once, by M^m, with
     `div_power`.
     """
-    if n < 0:
-        raise ValueError("matrix terms are defined for n >= 0")
+    _check_index(n)
     u, v, den, m = _two_step(SeqKind.BP_JACOBSTHAL, params, n)
     gen = u * generator_matrix(params)
     return _div_entries((gen.e11 + v, gen.e12, gen.e21, gen.e22 + v), den, m)
@@ -123,8 +126,7 @@ def _div_entries(entries, base: int, k: int) -> Mat2:
 
 def det_closed(params: BiParams, n: int) -> Fraction:
     """det J[n] = 2^n * (-b/a)^parity(n), exactly."""
-    if n < 0:
-        raise ValueError("matrix terms are defined for n >= 0")
+    _check_index(n)
     value = Fraction(2) ** n
     if parity(n):
         value *= -params.b / params.a
@@ -191,8 +193,7 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     is raised once; 2*Y1 and 2*Y2 each take one more product.  At integer
     ab, M = 1 and nothing is divided.
     """
-    if n < 0:
-        raise ValueError("matrix terms are defined for n >= 0")
+    _check_index(n)
     if params.disc == 0:
         raise DegenerateDiscriminantError(
             "ab = -8 gives a repeated characteristic root; the root-based "

@@ -1,6 +1,6 @@
 """Structured pass/fail records for identity checks.
 
-A report covers one identity at one parameter point over one index range.
+A report covers one identity at one parameter point up to one index, n_max.
 `first_mismatch` builds a PASS or a FAIL, and `skipped` a SKIPPED; only a
 FAIL carries the first failing index and the exact nonzero residual
 (lhs - rhs), and a SKIPPED always carries a machine-readable reason.
@@ -79,7 +79,7 @@ def json_value(value: Any) -> Any:
 class IdentityReport:
     identity: str
     params: "BiParams"
-    index_range: tuple[int, int]
+    n_max: int
     status: str
     x: Optional[Fraction] = None
     skip_reason: Optional[str] = None
@@ -97,10 +97,6 @@ class IdentityReport:
             raise ValueError("only FAIL reports carry first_failure and residual")
         if self.status == SKIPPED and not self.skip_reason:
             raise ValueError("SKIPPED reports need a reason")
-
-    @property
-    def n_max(self) -> int:
-        return self.index_range[1]
 
     @property
     def ok(self) -> bool:
@@ -139,21 +135,21 @@ class IdentityReport:
         return f"{line}  [{self.note}]" if self.note else line
 
 
-def first_mismatch(identity: str, params: "BiParams", index_range: tuple[int, int],
+def first_mismatch(identity: str, params: "BiParams", n_max: int,
                    cases: Iterable[tuple[int, Any, Any, Optional[str]]],
                    x: Optional[Fraction] = None, note: Optional[str] = None) -> IdentityReport:
     """FAIL at the first case (n, lhs, rhs, why) with lhs != rhs, carrying the
     residual lhs - rhs and the note `why`; PASS with `note` otherwise."""
     for n, lhs, rhs, why in cases:
         if lhs != rhs:
-            return IdentityReport(identity, params, index_range, FAIL, x=x,
+            return IdentityReport(identity, params, n_max, FAIL, x=x,
                                   first_failure=n, residual=lhs - rhs, note=why)
-    return IdentityReport(identity, params, index_range, PASS, x=x, note=note)
+    return IdentityReport(identity, params, n_max, PASS, x=x, note=note)
 
 
-def skipped(identity: str, params: "BiParams", index_range: tuple[int, int],
+def skipped(identity: str, params: "BiParams", n_max: int,
             reason: str, x: Optional[Fraction] = None) -> IdentityReport:
-    return IdentityReport(identity, params, index_range, SKIPPED,
+    return IdentityReport(identity, params, n_max, SKIPPED,
                           x=x, skip_reason=reason)
 
 

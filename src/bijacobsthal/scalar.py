@@ -13,8 +13,8 @@ of `SeqKind`: the parameter on the even step (the other one takes the odd
 step), the lag coefficient, and the start terms t0 and t1.  The table is
 unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
 series, and `_step` is the one forward step: both prefix memos (scalar
-terms here, matrix terms in `matrixseq`) and `matrixseq.iter_terms` call
-it.  `_two_step` and the CLI's integer-numerator recurrence read the same
+terms here, matrix terms in `matrixseq`), `matrixseq.iter_terms` and the
+CLI's integer-numerator recurrence call it.  `_two_step` reads the same
 (even, odd, lag).
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
@@ -236,4 +236,4 @@ def verify_lucas_relations(params: BiParams, n_max: int) -> IdentityReport:
                    "C[n] = 2*jhat[n-1] + jhat[n+1] failed")
             yield (n, shift * jhat(n), 2 * cluc(n - 1) + cluc(n + 1),
                    "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed")
-    return first_mismatch(LUCAS_RELATIONS, params, (1, n_max), cases())
+    return first_mismatch(LUCAS_RELATIONS, params, n_max, cases())

@@ -95,7 +95,7 @@ def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
             e = parity(n)
             lhs = ratio ** e * jhat(n - 1) * jhat(n + 1) - ratio ** (1 - e) * jhat(n) ** 2
             yield n, lhs, (-1) ** e * Fraction(2) ** (n - 1), None
-    return first_mismatch(CASSINI, params, (1, n_max), cases())
+    return first_mismatch(CASSINI, params, n_max, cases())
 
 
 def verify_det(params: BiParams, n_max: int) -> IdentityReport:
@@ -104,7 +104,7 @@ def verify_det(params: BiParams, n_max: int) -> IdentityReport:
         raise ValueError("n_max must be at least 0")
     cases = ((n, term_recurrence(params, n).det(), det_closed(params, n), None)
              for n in range(n_max + 1))
-    return first_mismatch(DET, params, (0, n_max), cases)
+    return first_mismatch(DET, params, n_max, cases)
 
 
 def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
@@ -124,7 +124,7 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
             lhs = term_recurrence(params, n)
             rhs = shift * term_recurrence(params, n - 2) - 4 * term_recurrence(params, n - 4)
             yield n // 2, lhs, rhs, f"{'odd' if n & 1 else 'even'}-index doubling failed"
-    return first_mismatch(DOUBLING, params, (2, m_max), cases())
+    return first_mismatch(DOUBLING, params, m_max, cases())
 
 
 def _partial_sums(params: BiParams, x: Fraction, n_max: int):
@@ -174,11 +174,11 @@ def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if params.ab == 1:
-        return skipped(SUM_T5, params, (1, n_max), "denominator 1-ab vanishes")
+        return skipped(SUM_T5, params, n_max, "denominator 1-ab vanishes")
 
     cases = ((n, sum_closed_form(params, n), direct, None)
              for n, direct in enumerate(_partial_sums(params, 1, n_max), 1))
-    return first_mismatch(SUM_T5, params, (1, n_max), cases)
+    return first_mismatch(SUM_T5, params, n_max, cases)
 
 
 def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
@@ -271,14 +271,14 @@ def verify_weighted_sum_t6(params: BiParams, x: Fraction,
         raise ValueError("n_max must be at least 1")
     x = as_rational(x)
     if x == 0:
-        return skipped(WEIGHTED_SUM_T6, params, (1, n_max), "x = 0", x=x)
+        return skipped(WEIGHTED_SUM_T6, params, n_max, "x = 0", x=x)
     if _t6_denominator(params, x) == 0:
-        return skipped(WEIGHTED_SUM_T6, params, (1, n_max),
+        return skipped(WEIGHTED_SUM_T6, params, n_max,
                        "denominator x^2-(ab+4)x+4 vanishes", x=x)
 
     cases = ((n, weighted_sum_printed_form(params, x, n), direct, None)
              for n, direct in enumerate(_partial_sums(params, x, n_max), 1))
-    return first_mismatch(WEIGHTED_SUM_T6, params, (1, n_max), cases, x=x)
+    return first_mismatch(WEIGHTED_SUM_T6, params, n_max, cases, x=x)
 
 
 def root_claim_beta_shift_holds(params: BiParams) -> bool:
@@ -318,7 +318,7 @@ def verify_root_identities(params: BiParams) -> IdentityReport:
     note = f"printed claim beta+2 = -beta/alpha holds: {claim}"
     cases = ((0, part, 0, f"{name} failed with difference {diff}; {note}")
              for name, diff in differences for part in (diff.rat, diff.coeff))
-    return first_mismatch(ROOT_IDENTITIES, params, (0, 0), cases, note=note)
+    return first_mismatch(ROOT_IDENTITIES, params, 0, cases, note=note)
 
 
 def verify_series_match(params: BiParams, count: int) -> IdentityReport:
@@ -327,7 +327,7 @@ def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     coeffs = series_coeffs(build_ogf(params), count)
     cases = ((m, coeff, term_recurrence(params, m), None)
              for m, coeff in enumerate(coeffs))
-    return first_mismatch(SERIES_MATCH, params, (0, count - 1), cases)
+    return first_mismatch(SERIES_MATCH, params, count - 1, cases)
 
 
 def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
@@ -345,7 +345,7 @@ def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
     cases = ((n, value, reference, f"{name} route disagrees with recurrence")
              for n in range(n_max + 1)
              for name, value, reference in route_values(routes, params, n))
-    return first_mismatch(CROSS_METHOD, params, (0, n_max), cases, note=note)
+    return first_mismatch(CROSS_METHOD, params, n_max, cases, note=note)
 
 
 # suite -> the reports it yields at one grid point.  The runners look the

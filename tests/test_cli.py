@@ -462,6 +462,24 @@ def test_bench_naive_route_is_the_fraction_recurrence(a, b):
         assert value.entries() == expected.entries(), n
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
+def test_bench_naive_route_steps_only_through_the_step_rule(monkeypatch, a, b):
+    # Two integer sequences, u and v, take one `_step` each per index k >= 2.
+    calls = []
+    step = cli._step
+
+    def counting_step(*args):
+        calls.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(cli, "_step", counting_step)
+    params = BiParams(a, b)
+    for n, expected in enumerate(islice(iter_terms(params), 40)):
+        calls.clear()
+        assert cli._naive_term(params, n) == expected, n
+        assert sorted(calls) == [k for k in range(2, n + 1) for _ in "uv"], n
+
+
 @pytest.mark.parametrize("n", [-1, -4])
 def test_bench_naive_route_refuses_negative_indices(monkeypatch, n):
     # The refusal comes first: no rule or starting matrix is computed.

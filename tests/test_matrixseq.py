@@ -93,9 +93,10 @@ def test_iter_terms_matches_term_recurrence():
 
 def test_negative_index_rejected():
     p = BiParams(2, 1)
-    for fn in (term_recurrence, term_closed, term_fast, det_closed):
-        with pytest.raises(ValueError):
-            fn(p, -1)
+    for fn in (term_recurrence, term_closed, term_fast, term_binet, det_closed):
+        for n in (-1, -4):
+            with pytest.raises(ValueError, match=r"^matrix terms are defined for n >= 0$"):
+                fn(p, n)
 
 
 def test_det_closed_examples():

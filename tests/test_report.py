@@ -18,24 +18,24 @@ P = BiParams(2, 1)
 
 def test_fail_requires_failure_data():
     with pytest.raises(ValueError):
-        IdentityReport("DET", P, (0, 8), "FAIL")
+        IdentityReport("DET", P, 8, "FAIL")
     with pytest.raises(ValueError):
-        IdentityReport("DET", P, (0, 8), "FAIL", first_failure=3, residual=F(0))
+        IdentityReport("DET", P, 8, "FAIL", first_failure=3, residual=F(0))
     with pytest.raises(ValueError):
-        IdentityReport("DET", P, (0, 8), "FAIL", first_failure=3,
+        IdentityReport("DET", P, 8, "FAIL", first_failure=3,
                        residual=Mat2.zero())
 
 
 def test_skip_requires_reason():
     with pytest.raises(ValueError):
-        IdentityReport("SUM_T5", P, (1, 8), "SKIPPED")
-    report = skipped("SUM_T5", BiParams(1, 1), (1, 8), "denominator 1-ab vanishes")
+        IdentityReport("SUM_T5", P, 8, "SKIPPED")
+    report = skipped("SUM_T5", BiParams(1, 1), 8, "denominator 1-ab vanishes")
     assert report.status_label() == "SKIPPED(denominator 1-ab vanishes)"
     assert report.ok
 
 
 def test_json_shape_scalar_residual():
-    report = first_mismatch("DET", P, (0, 16), [(5, F(-3, 7), 0, None)])
+    report = first_mismatch("DET", P, 16, [(5, F(-3, 7), 0, None)])
     data = json.loads(report.to_json())
     assert data == {
         "identity": "DET",
@@ -51,7 +51,7 @@ def test_json_shape_scalar_residual():
 
 def test_json_shape_matrix_residual_and_x():
     residual = Mat2(F(1, 2), 0, 0, F(1, 2))
-    report = first_mismatch("WEIGHTED_SUM_T6", P, (1, 16),
+    report = first_mismatch("WEIGHTED_SUM_T6", P, 16,
                             [(1, residual, Mat2.zero(), None)], x=F(2))
     data = json.loads(report.to_json())
     assert data["x"] == "2"
@@ -61,7 +61,7 @@ def test_json_shape_matrix_residual_and_x():
 
 
 def test_pass_json_omits_optional_fields():
-    data = first_mismatch("CASSINI", P, (1, 128), []).to_json_dict()
+    data = first_mismatch("CASSINI", P, 128, []).to_json_dict()
     assert "x" not in data
     assert "first_failure" not in data
     assert "residual" not in data
@@ -70,11 +70,11 @@ def test_pass_json_omits_optional_fields():
 
 def test_csv_rows():
     reports = [
-        first_mismatch("CASSINI", P, (1, 128), []),
-        first_mismatch("WEIGHTED_SUM_T6", P, (1, 16),
+        first_mismatch("CASSINI", P, 128, []),
+        first_mismatch("WEIGHTED_SUM_T6", P, 16,
                        [(1, Mat2(F(1, 2), 0, 0, F(1, 2)), Mat2.zero(), None)],
                        x=F(2)),
-        first_mismatch("DET", P, (0, 16), [(5, F(-3, 7), 0, None)]),
+        first_mismatch("DET", P, 16, [(5, F(-3, 7), 0, None)]),
     ]
     lines = reports_to_csv(reports).splitlines()
     assert lines[0] == CSV_HEADER
@@ -85,9 +85,9 @@ def test_csv_rows():
 
 def test_only_fail_reports_carry_failure_data():
     with pytest.raises(ValueError):
-        IdentityReport("DET", P, (0, 8), "PASS", residual=F(1))
+        IdentityReport("DET", P, 8, "PASS", residual=F(1))
     with pytest.raises(ValueError):
-        IdentityReport("DET", P, (0, 8), "PASS", first_failure=3)
+        IdentityReport("DET", P, 8, "PASS", first_failure=3)
 
 
 def _all_formats(report):
@@ -96,7 +96,7 @@ def _all_formats(report):
 
 def test_fail_with_int_residual_and_x():
     cases = [(1, 4, 4, None), (3, 7, 2, "lhs exceeds rhs")]
-    report = first_mismatch("SUM_T5", P, (1, 8), cases, x=F(-1, 2))
+    report = first_mismatch("SUM_T5", P, 8, cases, x=F(-1, 2))
     assert report.residual == 5 and type(report.residual) is int
     assert _all_formats(report) == (
         {"identity": "SUM_T5", "a": "2", "b": "1", "x": "-1/2", "n_max": 8,
@@ -108,7 +108,7 @@ def test_fail_with_int_residual_and_x():
 
 
 def test_skipped_with_x():
-    report = skipped("WEIGHTED_SUM_T6", P, (1, 16),
+    report = skipped("WEIGHTED_SUM_T6", P, 16,
                      "denominator x^2-(ab+4)x+4 vanishes", x=F(2, 3))
     assert _all_formats(report) == (
         {"identity": "WEIGHTED_SUM_T6", "a": "2", "b": "1", "x": "2/3",
@@ -121,7 +121,7 @@ def test_skipped_with_x():
 
 
 def test_pass_note_only_in_plain_text():
-    report = first_mismatch("ROOT_IDENTITIES", BiParams(F(1, 2), -3), (0, 0),
+    report = first_mismatch("ROOT_IDENTITIES", BiParams(F(1, 2), -3), 0,
                             [(0, F(1, 3), F(1, 3), "never shown")],
                             note="alpha*beta = -2ab holds")
     assert _all_formats(report) == (

@@ -235,4 +235,4 @@ def test_lucas_relations_samples():
 def test_lucas_relations_report_on_rational_params():
     report = verify_lucas_relations(BiParams(F(1, 2), F(-3, 4)), 128)
     assert report.status == "PASS"
-    assert report.index_range == (1, 128)
+    assert report.n_max == 128

@@ -1,0 +1,50 @@
+"""Count the code lines of the library, per module and in total.
+
+    python3 tools/code_lines.py
+
+A code line is a line of `src/bijacobsthal/*.py` that holds a token
+other than a comment; blank lines, comment lines and the lines of
+module, class and function docstrings do not count.  The output is one "count module" line per module and a final
+"count total" line.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+_HAS_DOCSTRING = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    """The number of lines in `source` that hold a code token."""
+    docstring_lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _HAS_DOCSTRING) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            docstring_lines.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines)
+
+
+def main() -> int:
+    package = Path(__file__).parent.parent / "src" / "bijacobsthal"
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:5d} {path.name}")
+    print(f"{total:5d} total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
