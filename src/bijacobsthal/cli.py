@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
-from .matrixseq import _check_index, generator_matrix, term_fast
+from .matrixseq import _check_index, _cleared_rule, generator_matrix, term_fast
 from .report import WEIGHTED_SUM_T6, csv_fields, json_value, reports_to_csv
 from .scalar import BiParams, SeqKind, _step, scalar_term
 from .verifier import (
@@ -201,26 +201,21 @@ def _naive_term(params: BiParams, n: int) -> Mat2:
 
     J follows the jhat rule from J[0] = I and J[1], so
     J[k] = u[k]*J[1] + v[k]*I, where u and v follow the same rule from
-    (0, 1) and (1, 0).  Write the multipliers in lowest terms as
-    p_even/q_even and p_odd/q_odd, and let d[0] = 1 and d[k] = q[k]*d[k-1],
-    q[k] being the denominator of the k-th multiplier.  Then U = d*u and
-    V = d*v are integers, start at U = (0, q_odd) and V = (1, 0), and
-    follow one integer rule, (p_even, p_odd, lag*q_even*q_odd), for every
-    k >= 2.  The loop steps them with `scalar._step`, and the result is
-    divided once, at the end, by d[n] = q_odd^((n+1)//2) * q_even^(n//2).
-    No memo is read.  An index below 0 is refused as every matrix route
-    refuses it.
+    (0, 1) and (1, 0).  With `matrixseq._cleared_rule`'s denominators d[k],
+    U = d*u and V = d*v are integers, start at U = (0, d[1]) and
+    V = (1, 0), and follow its one integer rule for every k >= 2.  The
+    loop steps them with `scalar._step`, and the result is divided once,
+    at the end, by d[n].  No memo is read.  An index below 0 is refused as
+    every matrix route refuses it.
     """
     _check_index(n)
-    even, odd, lag = SeqKind.BP_JACOBSTHAL.rule(params)
-    rule = even.numerator, odd.numerator, lag * even.denominator * odd.denominator
-    u, v = (0, odd.denominator), (1, 0)
+    rule, d = _cleared_rule(params)
+    u, v = (0, d(1)), (1, 0)
     for k in range(2, n + 1):
         u = u[1], _step(rule, k, *u)
         v = v[1], _step(rule, k, *v)
     last = min(n, 1)  # u and v hold terms n-1 and n, or 0 and 1 below n = 2
-    den = odd.denominator ** ((n + 1) // 2) * even.denominator ** (n // 2)
-    return (u[last] * generator_matrix(params) + v[last] * Mat2.identity()) / den
+    return (u[last] * generator_matrix(params) + v[last] * Mat2.identity()) / d(n)
 
 
 def bench_rows(params: BiParams, ladder: Sequence[int],

@@ -130,9 +130,11 @@ class Mat2:
     Entries are exact rationals wherever the library builds a Mat2, but
     any commutative ring works: `*` is the matrix product for Mat2
     operands and scaling for every other operand; `+`/`-` are entrywise;
-    `**` is binary exponentiation.  A square (`m * m`, the same object on
-    both sides) takes 5 entry products, not 8: with bc = b*c and
-    t = a + d it is [[a*a + bc, b*t], [c*t, d*d + bc]].
+    `/` divides every entry exactly, keeping an int matrix int when the
+    int divisor divides each entry; `**` is binary exponentiation.  A
+    square (`m * m`, the same object on both sides) takes 5 entry
+    products, not 8: with bc = b*c and t = a + d it is
+    [[a*a + bc, b*t], [c*t, d*d + bc]].
     """
 
     e11: Fraction
@@ -196,6 +198,12 @@ class Mat2:
         return Mat2(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
 
     def __truediv__(self, other) -> Mat2:
+        """Every entry divided by `other`, exactly: an int matrix stays int
+        when an int `other` divides each entry, else the quotient is taken
+        over the rationals (or over the entries' own field)."""
+        entries = self.entries()
+        if type(other) is int and all(type(e) is int and not e % other for e in entries):
+            return Mat2(*(e // other for e in entries))
         return self.scale(Fraction(1) / other)
 
     def __pow__(self, k: int) -> Mat2:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .exact import Mat2, QuadNum, _DoubledQuadNum, div_power, parity
 from .scalar import BiParams, SeqKind, _PrefixMemo, _step, _two_step, scalar_term
@@ -72,12 +72,32 @@ def generator_matrix(params: BiParams) -> Mat2:
 
 def iter_terms(params: BiParams) -> Iterator[Mat2]:
     """Yield J[0], J[1], J[2], ... freshly (no cache), by the jhat step rule."""
-    rule = SeqKind.BP_JACOBSTHAL.rule(params)
-    prev, cur = Mat2.identity(), generator_matrix(params)
+    return _walk(SeqKind.BP_JACOBSTHAL.rule(params),
+                 Mat2.identity(), generator_matrix(params))
+
+
+def _walk(rule: tuple, prev, cur) -> Iterator:
+    """Yield prev, cur and every later term of `rule`'s recurrence."""
     yield prev
     for n in count(2):
         yield cur
         prev, cur = cur, _step(rule, n, prev, cur)
+
+
+def _cleared_rule(params: BiParams) -> tuple[tuple, Callable[[int], int]]:
+    """(rule, d): the jhat rule on integer numerators, and its denominators.
+
+    Write the multipliers in lowest terms as p_even/q_even and p_odd/q_odd,
+    and let d[0] = 1 and d[k] = q[k]*d[k-1], q[k] being the denominator of
+    the k-th multiplier, so d[k] = q_odd^((k+1)//2) * q_even^(k//2).  If t
+    follows the jhat rule, d*t follows `rule` = (p_even, p_odd,
+    lag*q_even*q_odd) for every k >= 2, so a recurrence started on integers
+    stays on them.  `d` maps k to d[k].
+    """
+    even, odd, lag = SeqKind.BP_JACOBSTHAL.rule(params)
+    q_even, q_odd = even.denominator, odd.denominator
+    rule = even.numerator, odd.numerator, lag * q_even * q_odd
+    return rule, lambda k: q_odd ** ((k + 1) // 2) * q_even ** (k // 2)
 
 
 # A table of its own: its keys are the scalar memo's jhat keys, so a shared

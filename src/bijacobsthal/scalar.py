@@ -13,8 +13,9 @@ of `SeqKind`: the parameter on the even step (the other one takes the odd
 step), the lag coefficient, and the start terms t0 and t1.  The table is
 unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
 series, and `_step` is the one forward step: both prefix memos (scalar
-terms here, matrix terms in `matrixseq`), `matrixseq.iter_terms` and the
-CLI's integer-numerator recurrence call it.  `_two_step` reads the same
+terms here, matrix terms in `matrixseq`), `matrixseq._walk` (behind
+`iter_terms` and the verifier's cleared partial sums) and the CLI's
+integer-numerator recurrence call it.  `_two_step` reads the same
 (even, odd, lag).
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
@@ -33,6 +34,7 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import Mat2, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
@@ -44,7 +46,9 @@ class BiParams:
 
     `ab` and `disc` = ab*(ab+8) are derived; disc is the discriminant of
     the characteristic equation x^2 - ab*x - 2ab = 0 shared by the
-    Jacobsthal-kind sequences.
+    Jacobsthal-kind sequences.  A pair is a memo key on every term read,
+    so its hash is computed once, when it is made, and `ab` and `disc`
+    once, when first read.
     """
 
     a: Fraction
@@ -55,12 +59,16 @@ class BiParams:
         object.__setattr__(self, "b", as_rational(self.b))
         if self.a == 0 or self.b == 0:
             raise ValueError("bi-periodic parameters a and b must both be nonzero")
+        object.__setattr__(self, "_hash", hash((self.a, self.b)))
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def ab(self) -> Fraction:
         return self.a * self.b
 
-    @property
+    @cached_property
     def disc(self) -> Fraction:
         return self.ab * (self.ab + 8)
 

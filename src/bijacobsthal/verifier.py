@@ -10,6 +10,21 @@ failing index and the exact residual, never an exception.  The term
 routes are listed once, in `ROUTES` (which is `cli.METHODS`), and the
 suites once, in `_SUITES`.
 
+The two partial-sum suites, SUM_T5 and WEIGHTED_SUM_T6, compare both
+sides multiplied by one known nonzero factor F per (point, x, n_max),
+F = c * m * d[n_max] (see `_Cleared`): c clears the denominators of J[1],
+m is the numerator of the closed form's denominator and d[n_max] is the
+running denominator of the integer recurrence.  The closed forms and the
+direct sum read every term, J[0] and J[1] included, through one term
+source, so they are linear in the terms, and the same formula code fed
+the integer terms F*J[k] gives F times its value.  At integer (a, b) and
+x both sides are then matrices of plain ints; elsewhere the terms are
+still ints, and the same code runs with the rational a, b and x.
+Clearing one nonzero factor from both sides does not change which side
+is normative: the direct sum stays the oracle.  A FAIL goes back to
+Fraction once, at its first failing index, for its residual in the
+original units.
+
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
 * WEIGHTED_SUM_T6: the printed closed form for sum_k J[k]/x^k is wrong for
@@ -28,10 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import Mat2, as_rational, parity
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
+    _cleared_rule,
+    _walk,
     char_roots,
     det_closed,
     generator_matrix,
@@ -127,16 +145,85 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
     return first_mismatch(DOUBLING, params, m_max, cases())
 
 
-def _partial_sums(params: BiParams, x: Fraction, n_max: int):
+def _plain(value: Fraction) -> Fraction | int:
+    """value as an int when it is integral, so that products with the
+    integer terms of a cleared point stay plain ints."""
+    return value.numerator if value.denominator == 1 else value
+
+
+class _Cleared:
+    """A parameter point whose terms are cleared of denominators.
+
+    `term(k)` is F*J[k] with plain int entries, for 0 <= k <= n_max, and
+    F = c * m * d[n_max]:
+
+    * c clears the denominators of J[1] (at integer (a, b) it divides a),
+      so c*J[0] = c*I and c*J[1] are integral;
+    * m is the numerator of the closed form's denominator `den`, so that
+      at integer (a, b) and x the closed form's quotient is integral too;
+    * d[k] is `matrixseq._cleared_rule`'s running denominator, so
+      d[k]*c*m*J[k] follows the integer rule from c*m*I and d[1]*c*m*J[1];
+      d[k] divides d[n_max], and each term is rescaled by their quotient.
+
+    Terms are stepped only as far as they are read.  `a`, `b` and `ab` are
+    the point's own values through `_plain`, so the closed forms read them
+    as they read a `BiParams`.
+    """
+
+    def __init__(self, params: BiParams, den: Fraction, n_max: int) -> None:
+        rule, d = _cleared_rule(params)
+        j1 = generator_matrix(params).entries()
+        scale = lcm(*(e.denominator for e in j1)) * den.numerator
+        self.params, self.factor = params, scale * d(n_max)
+        self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
+        lift = scale * d(1)  # a multiple of every denominator in J[1]
+        start = (Mat2(scale, 0, 0, scale),
+                 Mat2(*(e.numerator * (lift // e.denominator) for e in j1)))
+        self._terms: list[Mat2] = []
+        self._more = (t * (d(n_max) // d(k))
+                      for k, t in enumerate(_walk(rule, *start)))
+
+    def term(self, k: int) -> Mat2:
+        while len(self._terms) <= k:
+            self._terms.append(next(self._more))
+        return self._terms[k]
+
+
+def _term_source(params):
+    """J[k] as a function of k, the one way the sum forms read terms: a
+    cleared point's own F*J[k], or the recurrence at any other point."""
+    if isinstance(params, _Cleared):
+        return params.term
+    return lambda k: term_recurrence(params, k)
+
+
+def _partial_sums(params, x: Fraction, n_max: int):
     """Yield sum_{k=0}^{n-1} J[k] / x^k for n = 1, ..., n_max, term by term;
     a term is scaled only when its weight is not 1."""
-    total = Mat2.zero()
-    weight = Fraction(1)
-    for k in range(n_max):
-        term = term_recurrence(params, k)
-        total = total + (term if weight == 1 else term * weight)
+    term = _term_source(params)
+    total, weight = term(0), Fraction(1)
+    yield total
+    for k in range(1, n_max):
         weight /= x
+        total = total + (term(k) if weight == 1 else term(k) * weight)
         yield total
+
+
+def _cleared_cases(closed, cleared: _Cleared, x, n_max: int):
+    """The cases of a partial-sum suite, checked on cleared terms.
+
+    For n = 1, ..., n_max, closed(cleared, n) is F times the closed form
+    and the cleared direct sum F times the direct one; at integer (a, b)
+    and x both are matrices of plain ints.  Only the first n where they
+    differ yields a case (n, lhs, rhs, None), and in the original units:
+    the closed form at the point itself, and the direct sum divided back
+    by F.  So `first_mismatch` builds the FAIL it builds on Fractions,
+    and the direct side stays the oracle.
+    """
+    for n, direct in enumerate(_partial_sums(cleared, x, n_max), 1):
+        if closed(cleared, n) != direct:
+            yield n, closed(cleared.params, n), direct / cleared.factor, None
+            return
 
 
 def sum_direct(params: BiParams, n: int) -> Mat2:
@@ -160,25 +247,27 @@ def sum_closed_form(params: BiParams, n: int) -> Mat2:
     if params.ab == 1:
         raise ZeroDivisionError("closed form divides by 1 - ab")
     sel_n, sel_n1 = _selectors(params, n)
+    term = _term_source(params)
     numerator = (
-        term_recurrence(params, n) * (1 - sel_n)
-        + term_recurrence(params, n - 1) * (2 * (1 - sel_n1))
-        + generator_matrix(params) * (params.a - 1)
-        + Mat2.identity() * (2 * params.b - params.ab - 1)
+        term(n) * (1 - sel_n)
+        + term(n - 1) * (2 * (1 - sel_n1))
+        + term(1) * (params.a - 1)
+        + term(0) * (2 * params.b - params.ab - 1)
     )
     return numerator / (1 - params.ab)
 
 
 def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
-    """Closed-form partial sum against the direct sum, 1 <= n <= n_max."""
+    """Closed-form partial sum against the direct sum, 1 <= n <= n_max,
+    on terms cleared by F = c * m * d[n_max] (see `_Cleared`)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if params.ab == 1:
         return skipped(SUM_T5, params, n_max, "denominator 1-ab vanishes")
 
-    cases = ((n, sum_closed_form(params, n), direct, None)
-             for n, direct in enumerate(_partial_sums(params, 1, n_max), 1))
-    return first_mismatch(SUM_T5, params, n_max, cases)
+    cleared = _Cleared(params, 1 - params.ab, n_max)
+    return first_mismatch(SUM_T5, params, n_max,
+                          _cleared_cases(sum_closed_form, cleared, 1, n_max))
 
 
 def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
@@ -207,18 +296,18 @@ def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     This is a checker input, not a trusted formula: it reduces to the plain
     summation form at x = 1 but is refuted by the direct sum for x != 1.
     """
-    x = as_rational(x)
+    x = _plain(as_rational(x))  # an integral x stays an int, like cleared terms
     if n < 1:
         raise ValueError("partial sums are defined for n >= 1")
     den = _t6_denominator(params, x)
     if den == 0:
         raise ZeroDivisionError("x^2 - (ab+4)x + 4 vanishes at this x")
     sel_n, sel_n1 = _selectors(params, n)
-    j0 = Mat2.identity()
-    j1 = generator_matrix(params)
+    term = _term_source(params)
+    j0, j1 = term(0), term(1)
     numerator = (
-        term_recurrence(params, n) * (2 - x - sel_n * x)
-        + term_recurrence(params, n - 1) * (2 * (2 - sel_n1 - x))
+        term(n) * (2 - x - sel_n * x)
+        + term(n - 1) * (2 * (2 - sel_n1 - x))
         + (j1 - params.b * j0) * (x * x)
         + (-2 * j1 + 3 * params.b * j0 + params.a * j1 - j0 - params.ab * j0) * x
     )
@@ -272,13 +361,15 @@ def verify_weighted_sum_t6(params: BiParams, x: Fraction,
     x = as_rational(x)
     if x == 0:
         return skipped(WEIGHTED_SUM_T6, params, n_max, "x = 0", x=x)
-    if _t6_denominator(params, x) == 0:
+    den = _t6_denominator(params, x)
+    if den == 0:
         return skipped(WEIGHTED_SUM_T6, params, n_max,
                        "denominator x^2-(ab+4)x+4 vanishes", x=x)
 
-    cases = ((n, weighted_sum_printed_form(params, x, n), direct, None)
-             for n, direct in enumerate(_partial_sums(params, x, n_max), 1))
-    return first_mismatch(WEIGHTED_SUM_T6, params, n_max, cases, x=x)
+    cleared = _Cleared(params, den, n_max)
+    printed = lambda p, n: weighted_sum_printed_form(p, x, n)
+    return first_mismatch(WEIGHTED_SUM_T6, params, n_max,
+                          _cleared_cases(printed, cleared, x, n_max), x=x)
 
 
 def root_claim_beta_shift_holds(params: BiParams) -> bool:
@@ -374,8 +465,11 @@ DEFAULT_N_MAX = 128
 class GridSpec:
     """A verification sweep: parameter values, index bound, suites, weights.
 
-    Zero parameter values are rejected outright; degenerate combinations of
-    otherwise-valid values are handled downstream as SKIPPED reports.
+    Each a, b and x value and each suite is kept once, by value, in the
+    order first given, so '2,2/1' is one value of a and a repeated suite
+    runs once.  Zero parameter values are rejected outright; degenerate
+    combinations of otherwise-valid values are handled downstream as
+    SKIPPED reports.
     """
 
     a_values: tuple[Fraction, ...]
@@ -385,13 +479,10 @@ class GridSpec:
     x_values: tuple[Fraction, ...] = DEFAULT_X_VALUES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_values",
-                           tuple(as_rational(v) for v in self.a_values))
-        object.__setattr__(self, "b_values",
-                           tuple(as_rational(v) for v in self.b_values))
-        object.__setattr__(self, "x_values",
-                           tuple(as_rational(v) for v in self.x_values))
-        object.__setattr__(self, "suites", tuple(self.suites))
+        for name in ("a_values", "b_values", "x_values"):
+            values = (as_rational(v) for v in getattr(self, name))
+            object.__setattr__(self, name, tuple(dict.fromkeys(values)))
+        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
         if not self.a_values or not self.b_values:
             raise ValueError("grid needs at least one a value and one b value")
         if any(v == 0 for v in self.a_values + self.b_values):

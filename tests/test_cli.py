@@ -308,6 +308,34 @@ def test_verify_csv_header(capsys):
                                    "residual_e11,residual_e12,residual_e21,residual_e22")
 
 
+@pytest.mark.parametrize("repeat", [
+    ("--a", "2,2/1", "--b", "1", "--x", "1"),
+    ("--a", "2", "--b", "1", "--x", "1", "--suite", "SUM_T5"),
+    ("--a", "2", "--b", "1", "--x", "1,1"),
+], ids=["a", "suite", "x"])
+def test_verify_keeps_each_value_and_suite_once(capsys, repeat):
+    # a value or suite given twice is one grid point, one suite or one
+    # weight: each report is printed, and computed, once
+    code, once, _ = run_cli(capsys, "verify", "--suite", "SUM_T5", "--suite",
+                            "WEIGHTED_SUM_T6", "--a", "2", "--b", "1", "--x", "1",
+                            "--n-max", "8")
+    assert code == 0 and len(once.splitlines()) == 2
+    calls = []
+
+    def counted(name):
+        real = getattr(verifier, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("verify_sum_t5", "verify_weighted_sum_t6"):
+            mp.setattr(verifier, name, counted(name))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "SUM_T5", "--suite",
+                               "WEIGHTED_SUM_T6", *repeat, "--n-max", "8")
+    assert code == 0
+    assert out == once
+    assert sorted(calls) == ["verify_sum_t5", "verify_weighted_sum_t6"]
+
+
 def test_verify_negative_grid_split_tokens(capsys):
     # '--a -3..3' as two separate argv tokens must parse like '--a=-3..3'
     code, out, _ = run_cli(capsys, "verify", "--suite", "ROOT_IDENTITIES",

@@ -62,6 +62,10 @@ def test_mat2_ops():
     assert j1 - j1 == Mat2.zero()
     assert (-j1) == j1 * -1
     assert j1 / 2 == Mat2(F(1, 2), F(1, 2), F(1, 2), 0)
+    # An int matrix that an int divides stays int; rationals stay Fraction.
+    assert all(type(e) is int for e in (Mat2(4, -6, 0, 2) / -2).entries())
+    assert Mat2(4, -6, 0, 2) / -2 == Mat2(-2, 3, 0, -1)
+    assert all(type(e) is F for e in (Mat2(F(4), 2, 0, 2) / 2).entries())
     assert j1 ** 0 == Mat2.identity()
     assert j1 ** 5 == j1 * j1 * j1 * j1 * j1
     # An int base keeps int entries: the identity only answers k = 0.

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,8 @@ from bijacobsthal.report import (
     CROSS_METHOD,
     SUM_T5,
     WEIGHTED_SUM_T6,
+    first_mismatch,
+    skipped,
 )
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term
 from bijacobsthal.verifier import (
@@ -128,6 +131,78 @@ def test_weighted_sum_printed_form_matches_plain_sum_at_x_1():
             assert weighted_sum_printed_form(params, F(1), n) == \
                 sum_closed_form(params, n)
         assert verify_weighted_sum_t6(params, F(1), 64).status == "PASS"
+
+
+def _fraction_reference(params, x, n_max):
+    """A sum suite's report on Fractions, index by index: the public closed
+    form against `sum_direct` (x is None) or `weighted_sum_direct`."""
+    if x is None:
+        if params.ab == 1:
+            return skipped(SUM_T5, params, n_max, "denominator 1-ab vanishes")
+        cases = ((n, sum_closed_form(params, n), sum_direct(params, n), None)
+                 for n in range(1, n_max + 1))
+        return first_mismatch(SUM_T5, params, n_max, cases)
+    if x * x - (params.ab + 4) * x + 4 == 0:
+        return skipped(WEIGHTED_SUM_T6, params, n_max,
+                       "denominator x^2-(ab+4)x+4 vanishes", x=x)
+    cases = ((n, weighted_sum_printed_form(params, x, n),
+              weighted_sum_direct(params, x, n), None)
+             for n in range(1, n_max + 1))
+    return first_mismatch(WEIGHTED_SUM_T6, params, n_max, cases, x=x)
+
+
+# ab = 1 (both sums' denominators at x = 1, and at x = 4), ab = -8 (the
+# repeated root), a = +-1/2, and the ab where the printed form's
+# denominator vanishes at x = -1, 1/2, 3 and -2/3: -9, 9/2, 1/3, -32/3
+_SWEEP_FIXED = ((F(1, 2), F(2)), (F(-1, 2), F(-2)), (F(2), F(-4)),
+                (F(1, 2), F(-16)), (F(-1, 2), F(3, 5)), (F(3), F(-3)),
+                (F(3, 2), F(3)), (F(1, 3), F(1)), (F(-2, 3), F(16)))
+
+
+def _sweep_pairs(count=40, seed=19):
+    rng = random.Random(seed)
+    pairs = list(_SWEEP_FIXED)
+    while len(pairs) < count:
+        a, b = (F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+                for _ in range(2))
+        pairs.append((a, b))
+    return [BiParams(a, b) for a, b in pairs]
+
+
+def test_cleared_sum_suites_match_the_fraction_reference():
+    statuses = set()
+    for params in _sweep_pairs():
+        for n_max in (1, 2, 7, 64):
+            for x in (None, F(1), F(2), F(1, 2), F(3), F(-1), F(4), F(-2, 3)):
+                report = (verify_sum_t5(params, n_max) if x is None
+                          else verify_weighted_sum_t6(params, x, n_max))
+                expected = _fraction_reference(params, x, n_max)
+                assert report == expected, (params, x, n_max)
+                assert report.to_json() == expected.to_json()
+                statuses.add((report.status, x is None or x == 1))
+    # PASS and SKIPPED on both sides of x = 1, and a FAIL residual wherever
+    # x != 1 is not skipped
+    assert statuses == {("PASS", True), ("SKIPPED", True), ("FAIL", False),
+                        ("SKIPPED", False)}
+
+
+@pytest.mark.parametrize("params", [BiParams(2, 1), BiParams(-3, 2),
+                                    BiParams(F(1, 2), F(-3, 4)),
+                                    BiParams(F(5, 7), F(-7, 9))], ids=str)
+def test_cleared_terms_are_the_factor_times_the_recurrence(params):
+    cleared = verifier_mod._Cleared(params, 1 - params.ab, 40)
+    assert cleared.factor != 0
+    for k in (40, *range(40)):  # read out of order, as the closed forms do
+        term = cleared.term(k)
+        assert all(type(e) is int for e in term.entries())
+        assert term == cleared.factor * term_recurrence(params, k)
+    # the one formula code, fed the cleared terms, gives F times its value,
+    # on plain ints at an integer pair
+    for n in range(1, 41):
+        closed = sum_closed_form(cleared, n)
+        assert closed == cleared.factor * sum_closed_form(params, n)
+        if params.a.denominator == params.b.denominator == 1:
+            assert all(type(e) is int for e in closed.entries())
 
 
 def test_weighted_sum_skips():
@@ -323,6 +398,7 @@ def _bump_coeff(m):
 
 
 _P = BiParams(2, 1)
+_Q = BiParams(F(1, 2), F(-3, 4))
 _I = Mat2.identity()
 _I_JSON = '{"e11": "1", "e12": "0", "e21": "0", "e22": "1"}'
 _I_CSV = "1,0,0,1"
@@ -399,6 +475,23 @@ _FORCED_FAILS = {
         f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
         f"WEIGHTED_SUM_T6,2,1,1,8,FAIL,3,{_I_CSV}",
         "WEIGHTED_SUM_T6 a=2 b=1 x=1 n_max=8 FAIL first_failure=3"
+        f" residual={_I_PLAIN}"),
+    # at a rational pair the suites compare cleared terms F*J[k]; the bump
+    # still reads as I, so the FAIL's residual is in the original units
+    "sum-t5-rational": (
+        verifier_mod, "sum_closed_form", lambda f: _bump(f, _at(3)),
+        lambda: verifier_mod.verify_sum_t5(_Q, 8), 3, _I, None, None,
+        '{"identity": "SUM_T5", "a": "1/2", "b": "-3/4", "n_max": 8, '
+        f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
+        f"SUM_T5,1/2,-3/4,,8,FAIL,3,{_I_CSV}",
+        f"SUM_T5 a=1/2 b=-3/4 n_max=8 FAIL first_failure=3 residual={_I_PLAIN}"),
+    "weighted-sum-t6-rational": (
+        verifier_mod, "weighted_sum_printed_form", lambda f: _bump(f, _at(3)),
+        lambda: verifier_mod.verify_weighted_sum_t6(_Q, F(1), 8), 3, _I, None, F(1),
+        '{"identity": "WEIGHTED_SUM_T6", "a": "1/2", "b": "-3/4", "x": "1", '
+        f'"n_max": 8, "status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
+        f"WEIGHTED_SUM_T6,1/2,-3/4,1,8,FAIL,3,{_I_CSV}",
+        "WEIGHTED_SUM_T6 a=1/2 b=-3/4 x=1 n_max=8 FAIL first_failure=3"
         f" residual={_I_PLAIN}"),
     "series-match": (
         verifier_mod, "series_coeffs", _bump_coeff(5),

@@ -4,8 +4,8 @@
 
 A code line is a line of `src/bijacobsthal/*.py` that holds a token
 other than a comment; blank lines, comment lines and the lines of
-module, class and function docstrings do not count.  The output is one "count module" line per module and a final
-"count total" line.
+module, class and function docstrings do not count.  The output is one
+"count module" line per module and a final "count total" line.
 """
 
 from __future__ import annotations
