@@ -71,6 +71,12 @@ def parity(n: int) -> int:
     return n & 1
 
 
+def _plain(value: Fraction) -> Fraction | int:
+    """value as an int when it is integral, so that products with integer
+    terms stay plain ints."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def div_power(q: Fraction | int, base: int, k: int) -> Fraction:
     """q / base**k in lowest terms, for q in lowest terms and base >= 1.
 

@@ -10,6 +10,12 @@ as a formal power series (no convergence is modeled).  `series_coeffs`
 expands it by plain polynomial long division against the denominator
 coefficients, so the expansion is an independent witness for the term
 recurrence rather than a restatement of it.
+
+`build_ogf` reads J[0], J[1], a, b and ab through `matrixseq._term_source`,
+as the verifier's sum forms do, so it takes a `BiParams` or a cleared
+point (`matrixseq._Cleared`).  The numerator is linear in the terms, so a
+cleared point's F*J[k] give F times the numerator, and at integer (a, b)
+every coefficient is a plain int.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Mat2
-from .matrixseq import generator_matrix
+from .matrixseq import _term_source
 from .scalar import BiParams
 
 
@@ -38,8 +44,10 @@ class RationalOGF:
 
 
 def build_ogf(params: BiParams) -> RationalOGF:
-    j0 = Mat2.identity()
-    j1 = generator_matrix(params)
+    """The generating function at `params`, a `BiParams` or a cleared point;
+    the denominator's constants are in ab's own ring (ab ** 0 is its 1)."""
+    term = _term_source(params)
+    j0, j1 = term(0), term(1)
     ab = params.ab
     numerator = (
         j0,
@@ -47,7 +55,8 @@ def build_ogf(params: BiParams) -> RationalOGF:
         params.a * j1 - (ab + 2) * j0,
         2 * params.b * j0 - 2 * j1,
     )
-    denominator = (Fraction(1), Fraction(0), -(ab + 4), Fraction(0), Fraction(4))
+    one = ab ** 0
+    denominator = (one, 0 * one, -(ab + 4), 0 * one, 4 * one)
     return RationalOGF(numerator, denominator)
 
 
@@ -73,16 +82,25 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
 
     Plain long division: with denominator d0 + d1*x + ... (d0 = 1) and
     numerator N, coefficient c[m] = N[m] - sum_{i>=1} d[i] * c[m-i].
-    Nothing here knows about the matrix recurrence; coefficient m equaling
-    J[m] is the claim under test elsewhere.
+    A zero d[i] contributes nothing, so the sum runs over the nonzero
+    d[i] alone, wherever they are (the Jacobsthal denominator's odd ones
+    are zero); each is negated once, up front.  Past the numerator, a
+    coefficient starts from the zero of the numerator's own ring, so an
+    int numerator gives int coefficients.  Nothing here knows about the
+    matrix recurrence; coefficient m equaling J[m] is the claim under
+    test elsewhere.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    num, den = ogf.numerator, ogf.denominator
+    num = ogf.numerator
+    zero = 0 * num[0] if num else Mat2.zero()
+    steps = [(i, -d) for i, d in enumerate(ogf.denominator) if i and d]
     out: list[Mat2] = []
     for m in range(count):
-        acc = num[m] if m < len(num) else Mat2.zero()
-        for i in range(1, min(m, len(den) - 1) + 1):
-            acc = acc - den[i] * out[m - i]
+        acc = num[m] if m < len(num) else zero
+        for i, d in steps:
+            if i > m:
+                break
+            acc = acc + d * out[m - i]
         out.append(acc)
     return out

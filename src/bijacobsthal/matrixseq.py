@@ -27,8 +27,10 @@ the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held
 doubled so that both of its fields are plain ints (each product is halved
 exactly, see `exact._DoubledQuadNum`).  Every term is then an integer
 combination over M^(n//2), a denominator known from n alone, so no
-Fraction and no gcd of large numbers enters the power loop, and
-each output entry is divided once, at the end, by `exact.div_power`,
+Fraction and no gcd of large numbers enters the power loop.  Each
+output entry is assembled directly from the power's int parts, as a
+small rational times one or two of them, with no matrix of Fractions
+built on the way, and divided once, at the end, by `exact.div_power`,
 which strips only the factors of M and so takes linear time.  The
 closed route stays on plain Fraction arithmetic.
 
@@ -38,15 +40,21 @@ recurrence memo and `iter_terms` step with `scalar._step` on the
 table in `scalar`, and `term_fast` raises the two-step matrix that
 `scalar._two_step` builds from the same rule.  The four routes are
 separate computations and cross-check one another.
+
+`_term_source` is the one way the verifier's sum forms and
+`genfunc.build_ogf` read terms: the recurrence at a `BiParams`, or the
+integer terms F*J[k] of a `_Cleared` point, which steps `_cleared_rule`.
+It lives here because `genfunc` cannot import from `verifier`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Callable, Iterator
 
-from .exact import Mat2, QuadNum, _DoubledQuadNum, div_power, parity
+from .exact import Mat2, QuadNum, _DoubledQuadNum, _plain, div_power, parity
 from .scalar import BiParams, SeqKind, _PrefixMemo, _step, _two_step, scalar_term
 
 
@@ -115,6 +123,55 @@ def term_recurrence(params: BiParams, n: int) -> Mat2:
     return _memo.term((SeqKind.BP_JACOBSTHAL, params), n)
 
 
+class _Cleared:
+    """A parameter point whose terms are cleared of denominators.
+
+    `term(k)` is F*J[k] with plain int entries, for 0 <= k <= n_max, and
+    F = c * m * d[n_max]:
+
+    * c clears the denominators of J[1] (at integer (a, b) it divides a),
+      so c*J[0] = c*I and c*J[1] are integral;
+    * m is the numerator of `den`, the denominator of the formula that
+      reads the terms (1 when it has none), so that at integer (a, b) and
+      x a sum form's quotient is integral too;
+    * d[k] is `_cleared_rule`'s running denominator, so d[k]*c*m*J[k]
+      follows the integer rule from c*m*I and d[1]*c*m*J[1]; d[k] divides
+      d[n_max], and each term is rescaled by their quotient.
+
+    Terms are stepped only as far as they are read.  `a`, `b` and `ab` are
+    the point's own values through `exact._plain`, so the sum forms and
+    `genfunc.build_ogf` read them as they read a `BiParams`.
+    """
+
+    def __init__(self, params: BiParams, den: Fraction | int,
+                 n_max: int) -> None:
+        rule, d = _cleared_rule(params)
+        j1 = generator_matrix(params).entries()
+        scale = lcm(*(e.denominator for e in j1)) * den.numerator
+        self.params, self.factor = params, scale * d(n_max)
+        self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
+        lift = scale * d(1)  # a multiple of every denominator in J[1]
+        start = (Mat2(scale, 0, 0, scale),
+                 Mat2(*(e.numerator * (lift // e.denominator) for e in j1)))
+        self._terms: list[Mat2] = []
+        self._more = (t * (d(n_max) // d(k))
+                      for k, t in enumerate(_walk(rule, *start)))
+
+    def term(self, k: int) -> Mat2:
+        while len(self._terms) <= k:
+            self._terms.append(next(self._more))
+        return self._terms[k]
+
+
+def _term_source(params) -> Callable[[int], Mat2]:
+    """J[k] as a function of k, the one way the sum forms and the
+    generating function read terms: a cleared point's own F*J[k], or the
+    recurrence at any other point."""
+    if isinstance(params, _Cleared):
+        return params.term
+    return lambda k: term_recurrence(params, k)
+
+
 def term_closed(params: BiParams, n: int) -> Mat2:
     """J[n] assembled from scalar terms (n = 0 consumes jhat[-1] = 1/2)."""
     _check_index(n)
@@ -129,14 +186,19 @@ def term_fast(params: BiParams, n: int) -> Mat2:
     """J[n] in O(log n) integer ring operations and one division per entry.
 
     J is the jhat recurrence started at J[0] = I and J[1], so with
-    `scalar._two_step`, J[n] = (u*J[1] + v*I) / M^m.  v is added to the
-    diagonal of u*J[1], and each entry is divided once, by M^m, with
-    `div_power`.
+    `scalar._two_step`, J[n] = (u*J[1] + v*I) / M^m.  With J[1]'s entries
+    as `generator_matrix` states them, [[b, 2b/a], [1, 0]], that folds to
+
+        J[n] = [[b*u + v, (2b/a)*u], [u, v]] / M^m,
+
+    so the products by J[1]'s entries 1 and 0 are not taken.  Each entry
+    is divided once, by M^m, with `div_power`.
     """
     _check_index(n)
     u, v, den, m = _two_step(SeqKind.BP_JACOBSTHAL, params, n)
-    gen = u * generator_matrix(params)
-    return _div_entries((gen.e11 + v, gen.e12, gen.e21, gen.e22 + v), den, m)
+    b = _plain(params.b)
+    entries = (b * u + v, _plain(2 * b / params.a) * u, u, v)
+    return _div_entries(entries, den, m)
 
 
 def _div_entries(entries, base: int, k: int) -> Mat2:
@@ -207,11 +269,20 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     2*M*alpha = N + sqrt(N(N+8M)), 2*Y2 that of 2*(M*g)^(h+1), and
     sqrt(N(N+8M)) = M*sqrt(D),
 
-        J[n] = (2 * Y1 * M^(1-e) * X + b^e * 2 * Y2 * I) / M^h,
+        J[n] = (2 * Y1 * M^(1-e) * X + b^e * 2 * Y2 * I) / M^h.
 
-    and each entry is divided once, by M^h, with `div_power`.  2*(M*g)^h
-    is raised once; 2*Y1 and 2*Y2 each take one more product.  At integer
-    ab, M = 1 and nothing is divided.
+    No matrix is built for X or I: with J[1]'s entries as
+    `generator_matrix` states them, [[b, 2b/a], [1, 0]], and M*ab = N, each
+    entry folds to a small rational times 2*Y1 plus one times 2*Y2,
+
+        n odd:   [[b*2Y2, (2b/a)*2Y1], [2Y1, b*(2Y2 - 2Y1)]] / M^h,
+        n even:  [[2Y2 - 2M*2Y1, 2bM*2Y1], [aM*2Y1, 2Y2 - (2M+N)*2Y1]] / M^h,
+
+    where the even index's 2*Y1 is the sqrt(N(N+8M)) part of 2*(M*g)^h
+    itself.  Each entry is divided once, by M^h, with `div_power`.
+    2*(M*g)^h is raised once; 2*Y1 and 2*Y2 each take at most one more
+    product.  At integer (a, b), M = 1, every factor is a plain int and
+    nothing is divided.
     """
     _check_index(n)
     if params.disc == 0:
@@ -224,16 +295,15 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     root = _DoubledQuadNum(num + 4 * den, 1, disc)  # 2*M*g
     h = n // 2
     power = root ** h
+    two_y2 = (power * root).coeff
+    b = _plain(params.b)
     if parity(n):
-        numerator = generator_matrix(params) - params.b * Mat2.identity()
-        b_e = params.b
         two_y1 = (power * _DoubledQuadNum(num, 1, disc)).coeff  # 2*M*alpha
+        entries = (b * two_y2, _plain(2 * b / params.a) * two_y1,
+                   two_y1, b * (two_y2 - two_y1))
     else:
-        numerator = (
-            params.a * generator_matrix(params)
-            - (2 + params.ab) * Mat2.identity()
-        )
-        b_e = 1
-        two_y1 = den * power.coeff  # M^(1-e) = M
-    total = numerator * two_y1 + (b_e * (power * root).coeff) * Mat2.identity()
-    return _div_entries(total.entries(), den, h)
+        two_y1 = power.coeff
+        entries = (two_y2 - 2 * den * two_y1, _plain(2 * b * den) * two_y1,
+                   _plain(params.a * den) * two_y1,
+                   two_y2 - (2 * den + num) * two_y1)
+    return _div_entries(entries, den, h)

@@ -48,7 +48,10 @@ class BiParams:
     the characteristic equation x^2 - ab*x - 2ab = 0 shared by the
     Jacobsthal-kind sequences.  A pair is a memo key on every term read,
     so its hash is computed once, when it is made, and `ab` and `disc`
-    once, when first read.
+    once, when first read.  The hash reads the doubled numerators and the
+    denominators: CPython hashes -1 as it hashes -2, so hashing a and b
+    themselves put (-1, b) and (-2, b) in one bucket, and a doubled
+    numerator is even, never -1.
     """
 
     a: Fraction
@@ -59,7 +62,9 @@ class BiParams:
         object.__setattr__(self, "b", as_rational(self.b))
         if self.a == 0 or self.b == 0:
             raise ValueError("bi-periodic parameters a and b must both be nonzero")
-        object.__setattr__(self, "_hash", hash((self.a, self.b)))
+        a, b = self.a, self.b
+        object.__setattr__(self, "_hash", hash(
+            (2 * a.numerator, a.denominator, 2 * b.numerator, b.denominator)))
 
     def __hash__(self) -> int:
         return self._hash

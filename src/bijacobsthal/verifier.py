@@ -12,18 +12,27 @@ suites once, in `_SUITES`.
 
 The two partial-sum suites, SUM_T5 and WEIGHTED_SUM_T6, compare both
 sides multiplied by one known nonzero factor F per (point, x, n_max),
-F = c * m * d[n_max] (see `_Cleared`): c clears the denominators of J[1],
-m is the numerator of the closed form's denominator and d[n_max] is the
-running denominator of the integer recurrence.  The closed forms and the
-direct sum read every term, J[0] and J[1] included, through one term
-source, so they are linear in the terms, and the same formula code fed
-the integer terms F*J[k] gives F times its value.  At integer (a, b) and
-x both sides are then matrices of plain ints; elsewhere the terms are
-still ints, and the same code runs with the rational a, b and x.
-Clearing one nonzero factor from both sides does not change which side
-is normative: the direct sum stays the oracle.  A FAIL goes back to
-Fraction once, at its first failing index, for its residual in the
-original units.
+F = c * m * d[n_max] (see `matrixseq._Cleared`): c clears the
+denominators of J[1], m is the numerator of the closed form's denominator
+and d[n_max] is the running denominator of the integer recurrence.  The
+closed forms and the direct sum read every term, J[0] and J[1] included,
+through one term source, so they are linear in the terms, and the same
+formula code fed the integer terms F*J[k] gives F times its value.  At
+integer (a, b) and x both sides are then matrices of plain ints;
+elsewhere the terms are still ints, and the same code runs with the
+rational a, b and x.  Clearing one nonzero factor from both sides does
+not change which side is normative: the direct sum stays the oracle.  A
+FAIL goes back to Fraction once, at its first failing index, for its
+residual in the original units.
+
+SERIES_MATCH compares cleared sides the same way, with F = c * d[count-1]:
+`genfunc.build_ogf` reads its terms through the same term source
+(`matrixseq._term_source`), so the long division at the cleared point
+yields F*J[m], which is compared with the cleared recurrence's F*J[m];
+both are plain ints at integer (a, b).  A FAIL compares the public
+expansion with `term_recurrence` at its index.  DOUBLING and DET stay on
+the Fraction memo of `term_recurrence` on purpose: they check identities
+among the memo's own terms, so a corrupted memo shows in them.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -43,16 +52,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .exact import Mat2, as_rational, parity
+from .exact import Mat2, _plain, as_rational, parity
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
-    _cleared_rule,
-    _walk,
+    _Cleared,
+    _term_source,
     char_roots,
     det_closed,
-    generator_matrix,
     term_binet,
     term_closed,
     term_fast,
@@ -145,66 +152,17 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
     return first_mismatch(DOUBLING, params, m_max, cases())
 
 
-def _plain(value: Fraction) -> Fraction | int:
-    """value as an int when it is integral, so that products with the
-    integer terms of a cleared point stay plain ints."""
-    return value.numerator if value.denominator == 1 else value
-
-
-class _Cleared:
-    """A parameter point whose terms are cleared of denominators.
-
-    `term(k)` is F*J[k] with plain int entries, for 0 <= k <= n_max, and
-    F = c * m * d[n_max]:
-
-    * c clears the denominators of J[1] (at integer (a, b) it divides a),
-      so c*J[0] = c*I and c*J[1] are integral;
-    * m is the numerator of the closed form's denominator `den`, so that
-      at integer (a, b) and x the closed form's quotient is integral too;
-    * d[k] is `matrixseq._cleared_rule`'s running denominator, so
-      d[k]*c*m*J[k] follows the integer rule from c*m*I and d[1]*c*m*J[1];
-      d[k] divides d[n_max], and each term is rescaled by their quotient.
-
-    Terms are stepped only as far as they are read.  `a`, `b` and `ab` are
-    the point's own values through `_plain`, so the closed forms read them
-    as they read a `BiParams`.
-    """
-
-    def __init__(self, params: BiParams, den: Fraction, n_max: int) -> None:
-        rule, d = _cleared_rule(params)
-        j1 = generator_matrix(params).entries()
-        scale = lcm(*(e.denominator for e in j1)) * den.numerator
-        self.params, self.factor = params, scale * d(n_max)
-        self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
-        lift = scale * d(1)  # a multiple of every denominator in J[1]
-        start = (Mat2(scale, 0, 0, scale),
-                 Mat2(*(e.numerator * (lift // e.denominator) for e in j1)))
-        self._terms: list[Mat2] = []
-        self._more = (t * (d(n_max) // d(k))
-                      for k, t in enumerate(_walk(rule, *start)))
-
-    def term(self, k: int) -> Mat2:
-        while len(self._terms) <= k:
-            self._terms.append(next(self._more))
-        return self._terms[k]
-
-
-def _term_source(params):
-    """J[k] as a function of k, the one way the sum forms read terms: a
-    cleared point's own F*J[k], or the recurrence at any other point."""
-    if isinstance(params, _Cleared):
-        return params.term
-    return lambda k: term_recurrence(params, k)
-
-
 def _partial_sums(params, x: Fraction, n_max: int):
     """Yield sum_{k=0}^{n-1} J[k] / x^k for n = 1, ..., n_max, term by term;
-    a term is scaled only when its weight is not 1."""
+    the weight is divided only when x is not 1, and a term is scaled only
+    when its weight is not 1."""
     term = _term_source(params)
     total, weight = term(0), Fraction(1)
+    divide = x != 1
     yield total
     for k in range(1, n_max):
-        weight /= x
+        if divide:
+            weight /= x
         total = total + (term(k) if weight == 1 else term(k) * weight)
         yield total
 
@@ -214,16 +172,16 @@ def _cleared_cases(closed, cleared: _Cleared, x, n_max: int):
 
     For n = 1, ..., n_max, closed(cleared, n) is F times the closed form
     and the cleared direct sum F times the direct one; at integer (a, b)
-    and x both are matrices of plain ints.  Only the first n where they
-    differ yields a case (n, lhs, rhs, None), and in the original units:
-    the closed form at the point itself, and the direct sum divided back
-    by F.  So `first_mismatch` builds the FAIL it builds on Fractions,
-    and the direct side stays the oracle.
+    and x both are matrices of plain ints.  Only an n where they differ
+    yields a case (n, lhs, rhs, None), and in the original units: the
+    closed form at the point itself, and the direct sum divided back by F.
+    So `first_mismatch` builds the FAIL it builds on Fractions, stopping at
+    the first such case, and the direct side stays the oracle; a cleared
+    mismatch that the original units do not confirm ends nothing.
     """
     for n, direct in enumerate(_partial_sums(cleared, x, n_max), 1):
         if closed(cleared, n) != direct:
             yield n, closed(cleared.params, n), direct / cleared.factor, None
-            return
 
 
 def sum_direct(params: BiParams, n: int) -> Mat2:
@@ -259,7 +217,7 @@ def sum_closed_form(params: BiParams, n: int) -> Mat2:
 
 def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
     """Closed-form partial sum against the direct sum, 1 <= n <= n_max,
-    on terms cleared by F = c * m * d[n_max] (see `_Cleared`)."""
+    on terms cleared by F = c * m * d[n_max] (see `matrixseq._Cleared`)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if params.ab == 1:
@@ -414,11 +372,26 @@ def verify_root_identities(params: BiParams) -> IdentityReport:
 
 def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     """Generating-function expansion against the recurrence, coefficient
-    by coefficient for 0 <= m < count."""
-    coeffs = series_coeffs(build_ogf(params), count)
-    cases = ((m, coeff, term_recurrence(params, m), None)
-             for m, coeff in enumerate(coeffs))
-    return first_mismatch(SERIES_MATCH, params, count - 1, cases)
+    by coefficient for 0 <= m < count, on terms cleared by
+    F = c * d[count-1] (see `matrixseq._Cleared`).
+
+    The expansion at the cleared point is F times the series, and at an
+    integer pair both sides are matrices of plain ints.  As in
+    `_cleared_cases`, only an m where they differ yields a case, in the
+    original units: the public expansion at the point itself against
+    `term_recurrence`.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    cleared = _Cleared(params, 1, count - 1)
+    coeffs = series_coeffs(build_ogf(cleared), count)
+
+    def cases():
+        for m, coeff in enumerate(coeffs):
+            if coeff != cleared.term(m):
+                yield (m, series_coeffs(build_ogf(params), count)[m],
+                       term_recurrence(params, m), None)
+    return first_mismatch(SERIES_MATCH, params, count - 1, cases())
 
 
 def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:

@@ -101,3 +101,42 @@ def test_series_times_denominator_reproduces_numerator(params):
             assert acc == ogf.numerator[m]
         else:
             assert acc == Mat2.zero()
+
+
+def _long_division(ogf, count):
+    """The textbook long division, every denominator coefficient taken."""
+    num, den = ogf.numerator, ogf.denominator
+    out = []
+    for m in range(count):
+        acc = num[m] if m < len(num) else Mat2.zero()
+        for i in range(1, min(m, len(den) - 1) + 1):
+            acc = acc - den[i] * out[m - i]
+        out.append(acc)
+    return out
+
+
+def test_series_skips_only_zero_denominator_coefficients():
+    # 1/(1 - x - x^2): the odd coefficient is nonzero, so the Fibonacci
+    # numbers appear only if the skip of zeros is not tied to positions
+    fib = series_coeffs(RationalOGF((Mat2.identity(),), (1, -1, -1)), 12)
+    assert [c.e11 for c in fib] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+    assert all(c == c.e11 * Mat2.identity() for c in fib)
+    p = BiParams(F(1, 2), F(-3, 4))
+    ogfs = [
+        RationalOGF((Mat2(1, 2, 3, 4), Mat2(0, 1, 0, 0)), (F(1), F(0), F(-2), F(3))),
+        RationalOGF((Mat2(1, 0, 0, 1),), (F(1), F(1, 2), F(0), F(0), F(-1, 3))),
+        RationalOGF((Mat2(2, 1, 1, 0),), (F(1),)),
+        build_ogf(p),
+    ]
+    for ogf in ogfs:
+        assert series_coeffs(ogf, 40) == _long_division(ogf, 40)
+
+
+def test_series_stays_in_the_numerator_ring():
+    # an int numerator gives int coefficients past the numerator too, and
+    # a pair's denominator keeps its Fraction constants
+    ints = series_coeffs(RationalOGF((Mat2(1, 0, 0, 1), Mat2(2, 0, 1, 0)),
+                                     (1, 0, -6, 0, 4)), 20)
+    assert all(type(e) is int for c in ints for e in c.entries())
+    for params in (BiParams(2, 1), BiParams(F(1, 2), F(-3, 4))):
+        assert all(type(d) is F for d in build_ogf(params).denominator)

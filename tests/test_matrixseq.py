@@ -225,6 +225,10 @@ def test_log_time_routes_take_one_power_and_read_no_memo(monkeypatch, params,
 
 @pytest.mark.parametrize("params, with_binet", [
     (BiParams(1, 1), True),
+    # integer pairs where 2b/a is not an integer: the log-time routes fold
+    # their entries on ints and still return Fractions
+    (BiParams(3, -1), True),
+    (BiParams(-3, 2), True),
     (BiParams(F(1, 2), F(-3, 4)), True),
     (BiParams(2, -4), False),  # ab = -8: the root-based route refuses
 ])

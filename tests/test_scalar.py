@@ -236,3 +236,17 @@ def test_lucas_relations_report_on_rational_params():
     report = verify_lucas_relations(BiParams(F(1, 2), F(-3, 4)), 128)
     assert report.status == "PASS"
     assert report.n_max == 128
+
+
+def test_biparams_hash_agrees_with_equality_and_separates_minus_one():
+    for a, b in ((-1, 3), (F(-1, 2), 2), (-2, -1), (5, F(7, 3))):
+        same = [BiParams(a, b), BiParams(F(a), F(b)), BiParams(str(a), str(b))]
+        assert len({hash(p) for p in same}) == 1
+        assert all(p == same[0] for p in same)
+    # CPython hashes -1 and -2 alike; the pairs must not share a bucket
+    assert hash(-1) == hash(-2)
+    for b in (-2, -1, 1, 3, F(1, 2)):
+        assert hash(BiParams(-1, b)) != hash(BiParams(-2, b))
+        assert hash(BiParams(b, -1)) != hash(BiParams(b, -2))
+    grid = [BiParams(a, b) for a in range(-3, 4) for b in range(-3, 4) if a and b]
+    assert len({hash(p) for p in grid}) == len(grid)

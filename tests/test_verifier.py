@@ -5,9 +5,11 @@ import pytest
 
 from bijacobsthal import scalar as scalar_mod, verifier as verifier_mod
 from bijacobsthal.exact import Mat2, QuadNum
+from bijacobsthal.genfunc import build_ogf, series_coeffs
 from bijacobsthal.matrixseq import term_recurrence
 from bijacobsthal.report import (
     CROSS_METHOD,
+    SERIES_MATCH,
     SUM_T5,
     WEIGHTED_SUM_T6,
     first_mismatch,
@@ -186,6 +188,20 @@ def test_cleared_sum_suites_match_the_fraction_reference():
                         ("SKIPPED", False)}
 
 
+def test_cleared_series_match_matches_the_fraction_reference():
+    for params in _sweep_pairs():
+        for count in (1, 2, 8, 65):
+            report = verify_series_match(params, count)
+            coeffs = series_coeffs(build_ogf(params), count)
+            expected = first_mismatch(
+                SERIES_MATCH, params, count - 1,
+                ((m, coeff, term_recurrence(params, m), None)
+                 for m, coeff in enumerate(coeffs)))
+            assert report == expected, (params, count)
+            assert report.to_json() == expected.to_json()
+            assert report.status == "PASS"
+
+
 @pytest.mark.parametrize("params", [BiParams(2, 1), BiParams(-3, 2),
                                     BiParams(F(1, 2), F(-3, 4)),
                                     BiParams(F(5, 7), F(-7, 9))], ids=str)
@@ -203,6 +219,12 @@ def test_cleared_terms_are_the_factor_times_the_recurrence(params):
         assert closed == cleared.factor * sum_closed_form(params, n)
         if params.a.denominator == params.b.denominator == 1:
             assert all(type(e) is int for e in closed.entries())
+    # and the generating function, fed the cleared point, expands to F*J[m]
+    series = verifier_mod._Cleared(params, 1, 40)
+    for m, coeff in enumerate(series_coeffs(build_ogf(series), 41)):
+        assert coeff == series.factor * term_recurrence(params, m)
+        if params.a.denominator == params.b.denominator == 1:
+            assert all(type(e) is int for e in coeff.entries())
 
 
 def test_weighted_sum_skips():
@@ -500,6 +522,13 @@ _FORCED_FAILS = {
         f'"status": "FAIL", "first_failure": 5, "residual": {_I_JSON}}}',
         f"SERIES_MATCH,2,1,,7,FAIL,5,{_I_CSV}",
         f"SERIES_MATCH a=2 b=1 n_max=7 FAIL first_failure=5 residual={_I_PLAIN}"),
+    "series-match-rational": (
+        verifier_mod, "series_coeffs", _bump_coeff(5),
+        lambda: verifier_mod.verify_series_match(_Q, 8), 5, _I, None, None,
+        '{"identity": "SERIES_MATCH", "a": "1/2", "b": "-3/4", "n_max": 7, '
+        f'"status": "FAIL", "first_failure": 5, "residual": {_I_JSON}}}',
+        f"SERIES_MATCH,1/2,-3/4,,7,FAIL,5,{_I_CSV}",
+        f"SERIES_MATCH a=1/2 b=-3/4 n_max=7 FAIL first_failure=5 residual={_I_PLAIN}"),
     **{
         f"cross-{route}": (
             verifier_mod.ROUTES, route, lambda f: _bump(f, _at(5)),
@@ -546,3 +575,28 @@ def test_forced_mismatch_reports_first_failure(monkeypatch, case):
     assert report.to_json() == as_json
     assert report.to_csv_row() == as_csv
     assert report.to_plain() == as_plain
+
+
+def test_a_cleared_mismatch_the_fraction_side_does_not_confirm_ends_nothing(
+        monkeypatch):
+    # Each patch errs at 2 on the cleared point only, and at 5 on both: the
+    # check goes on past 2 and fails at 5, in the original units.
+    real_series = verifier_mod.series_coeffs
+    real_sum = verifier_mod.sum_closed_form
+
+    def series(ogf, count):
+        out = real_series(ogf, count)
+        for m in (2, 5) if type(ogf.numerator[0].e11) is int else (5,):
+            out[m] = out[m] + _I
+        return out
+
+    def closed(params, n):
+        value = real_sum(params, n)
+        cleared = isinstance(params, verifier_mod._Cleared)
+        return value + _I if n == 5 or (n == 2 and cleared) else value
+
+    monkeypatch.setattr(verifier_mod, "series_coeffs", series)
+    monkeypatch.setattr(verifier_mod, "sum_closed_form", closed)
+    for report in (verify_series_match(_P, 8), verify_sum_t5(_P, 8)):
+        assert (report.status, report.first_failure, report.residual) == \
+            ("FAIL", 5, _I)
