@@ -26,7 +26,8 @@ from . import verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import _check_index, _cleared_rule, generator_matrix, term_fast
-from .report import WEIGHTED_SUM_T6, csv_fields, json_value, reports_to_csv
+from .report import (CSV_HEADER, WEIGHTED_SUM_T6, IdentityReport, csv_fields,
+                     json_value)
 from .scalar import BiParams, SeqKind, _step, scalar_term
 from .verifier import (
     GridSpec,
@@ -167,21 +168,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         suites=suites,
         x_values=tuple(parse_rational(p) for p in args.x.split(",")),
     )
-    reports = run_grid(grid)
-    if args.format == "json":
-        for report in reports:
-            print(report.to_json())
-    elif args.format == "csv":
-        print(reports_to_csv(reports))
-    else:
-        for report in reports:
-            print(report.to_plain())
-    unexpected = [
-        r for r in reports
-        if r.status == "FAIL" and not (args.expect_errata and expected_failure(r))
-    ]
+    render = {"json": IdentityReport.to_json, "csv": IdentityReport.to_csv_row,
+              "plain": IdentityReport.to_plain}[args.format]
+    if args.format == "csv":
+        print(CSV_HEADER)
+    unexpected = 0
+    for report in run_grid(grid):
+        print(render(report))
+        unexpected += (report.status == "FAIL"
+                       and not (args.expect_errata and expected_failure(report)))
     if unexpected:
-        print(f"{len(unexpected)} unexpected failing report(s)", file=sys.stderr)
+        print(f"{unexpected} unexpected failing report(s)", file=sys.stderr)
         return MISMATCH
     return OK
 

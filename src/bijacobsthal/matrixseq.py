@@ -136,7 +136,8 @@ class _Cleared:
       x a sum form's quotient is integral too;
     * d[k] is `_cleared_rule`'s running denominator, so d[k]*c*m*J[k]
       follows the integer rule from c*m*I and d[1]*c*m*J[1]; d[k] divides
-      d[n_max], and each term is rescaled by their quotient.
+      d[n_max], and each term is rescaled by their quotient when that
+      is not 1 (it is 1 at every k when (a, b) is an integer pair).
 
     Terms are stepped only as far as they are read.  `a`, `b` and `ab` are
     the point's own values through `exact._plain`, so the sum forms and
@@ -148,13 +149,14 @@ class _Cleared:
         rule, d = _cleared_rule(params)
         j1 = generator_matrix(params).entries()
         scale = lcm(*(e.denominator for e in j1)) * den.numerator
-        self.params, self.factor = params, scale * d(n_max)
+        top = d(n_max)
+        self.params, self.factor = params, scale * top
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
         lift = scale * d(1)  # a multiple of every denominator in J[1]
         start = (Mat2(scale, 0, 0, scale),
                  Mat2(*(e.numerator * (lift // e.denominator) for e in j1)))
         self._terms: list[Mat2] = []
-        self._more = (t * (d(n_max) // d(k))
+        self._more = (t if d(k) == top else t * (top // d(k))
                       for k, t in enumerate(_walk(rule, *start)))
 
     def term(self, k: int) -> Mat2:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import Mat2, _plain, as_rational, parity
 from .genfunc import build_ogf, series_coeffs
@@ -418,7 +419,7 @@ def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
 _SUITES = {
     CASSINI: lambda p, g: [verify_cassini(p, g.n_max)],
     DET: lambda p, g: [verify_det(p, g.n_max)],
-    DOUBLING: lambda p, g: [verify_doubling(p, max(2, g.n_max // 2))],
+    DOUBLING: lambda p, g: [verify_doubling(p, g.n_max // 2)],
     LUCAS_RELATIONS: lambda p, g: [verify_lucas_relations(p, g.n_max)],
     SUM_T5: lambda p, g: [verify_sum_t5(p, g.n_max)],
     WEIGHTED_SUM_T6: lambda p, g: [verify_weighted_sum_t6(p, x, g.n_max)
@@ -438,11 +439,11 @@ DEFAULT_N_MAX = 128
 class GridSpec:
     """A verification sweep: parameter values, index bound, suites, weights.
 
-    Each a, b and x value and each suite is kept once, by value, in the
-    order first given, so '2,2/1' is one value of a and a repeated suite
-    runs once.  Zero parameter values are rejected outright; degenerate
-    combinations of otherwise-valid values are handled downstream as
-    SKIPPED reports.
+    Each a, b and x value and each suite is kept once, by value, and
+    sorted, so '2,2/1' is one value of a, a repeated suite runs once, and
+    grids that differ only in the order of their values are equal.  Zero
+    parameter values are rejected outright; degenerate combinations of
+    otherwise-valid values are handled downstream as SKIPPED reports.
     """
 
     a_values: tuple[Fraction, ...]
@@ -453,9 +454,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("a_values", "b_values", "x_values"):
-            values = (as_rational(v) for v in getattr(self, name))
-            object.__setattr__(self, name, tuple(dict.fromkeys(values)))
-        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
+            values = {as_rational(v) for v in getattr(self, name)}
+            object.__setattr__(self, name, tuple(sorted(values)))
+        object.__setattr__(self, "suites", tuple(sorted(set(self.suites))))
         if not self.a_values or not self.b_values:
             raise ValueError("grid needs at least one a value and one b value")
         if any(v == 0 for v in self.a_values + self.b_values):
@@ -473,26 +474,20 @@ def default_grid(n_max: int = DEFAULT_N_MAX,
                     n_max=n_max, suites=suites)
 
 
-def _run_point(params: BiParams, grid: GridSpec) -> list[IdentityReport]:
-    return [r for suite in grid.suites for r in _SUITES[suite](params, grid)]
+def run_grid(grid: GridSpec) -> Iterator[IdentityReport]:
+    """Yield the report of every requested suite at every grid point, each
+    as it is made.
 
-
-def run_grid(grid: GridSpec) -> list[IdentityReport]:
-    """Run every requested suite at every grid point.
-
-    Points are independent, so this could fan out across workers; the
-    result is sorted by (a, b, identity, x) either way, making the output
+    Points run a, then b, then suite, in the grid's sorted order, and
+    WEIGHTED_SUM_T6 yields its reports by sorted x.  A suite's name is its
+    reports' identity, so the reports come sorted by (a, b, identity, x),
     a pure function of the GridSpec.
     """
-    reports: list[IdentityReport] = []
     for a in grid.a_values:
         for b in grid.b_values:
-            reports.extend(_run_point(BiParams(a, b), grid))
-    reports.sort(key=lambda r: (
-        r.params.a, r.params.b, r.identity,
-        r.x if r.x is not None else Fraction(0),
-    ))
-    return reports
+            params = BiParams(a, b)
+            for suite in grid.suites:
+                yield from _SUITES[suite](params, grid)
 
 
 def expected_failure(report: IdentityReport) -> bool:

@@ -156,9 +156,9 @@ def test_criterion_7_weighted_sum_erratum():
         # the failure is reported, not hidden
         report = verify_weighted_sum_t6(p, F(2), 16)
         assert report.status == "FAIL" and report.residual is not None
-        grid_reports = run_grid(GridSpec((F(2),), (F(1),), n_max=16,
-                                         suites=(WEIGHTED_SUM_T6,),
-                                         x_values=(F(2),)))
+        grid_reports = list(run_grid(GridSpec((F(2),), (F(1),), n_max=16,
+                                              suites=(WEIGHTED_SUM_T6,),
+                                              x_values=(F(2),))))
         assert [r.status for r in grid_reports] == ["FAIL"]
         # at x = 1 the printed form passes exactly where the plain sum does
         for params in GRID:

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -334,6 +336,27 @@ def test_verify_keeps_each_value_and_suite_once(capsys, repeat):
     assert code == 0
     assert out == once
     assert sorted(calls) == ["verify_sum_t5", "verify_weighted_sum_t6"]
+
+
+def test_verify_prints_each_point_before_the_next_runs(monkeypatch):
+    # stdout length as each CASSINI run starts: the second point's first
+    # suite starts after the first point's two reports are printed
+    out = io.StringIO()
+    seen = []
+    real = verifier.verify_cassini
+
+    def spy(params, n_max):
+        seen.append((params.a, len(out.getvalue())))
+        return real(params, n_max)
+
+    monkeypatch.setattr(verifier, "verify_cassini", spy)
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", "DET", "--suite", "CASSINI",
+                     "--a", "2,1", "--b", "1", "--n-max", "4"])
+    first_point = ("CASSINI a=1 b=1 n_max=4 PASS\n"
+                   "DET a=1 b=1 n_max=4 PASS\n")
+    assert code == 0 and out.getvalue().startswith(first_point)
+    assert seen == [(1, 0), (2, len(first_point))]
 
 
 def test_verify_negative_grid_split_tokens(capsys):

@@ -8,7 +8,9 @@ from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.genfunc import build_ogf, series_coeffs
 from bijacobsthal.matrixseq import term_recurrence
 from bijacobsthal.report import (
+    CASSINI,
     CROSS_METHOD,
+    DET,
     SERIES_MATCH,
     SUM_T5,
     WEIGHTED_SUM_T6,
@@ -289,7 +291,7 @@ def test_run_grid_ordering_and_skips():
         suites=(SUM_T5, WEIGHTED_SUM_T6, CROSS_METHOD),
         x_values=(F(1), F(2)),
     )
-    reports = run_grid(grid)
+    reports = list(run_grid(grid))
     # sorted by (a, b, identity, x), pure function of the grid spec
     keys = [(r.params.a, r.params.b, r.identity, r.x or F(0)) for r in reports]
     assert keys == sorted(keys)
@@ -300,7 +302,7 @@ def test_run_grid_ordering_and_skips():
         suites=(CROSS_METHOD, SUM_T5, WEIGHTED_SUM_T6),
         x_values=(F(1), F(2)),
     )
-    assert run_grid(shuffled) == reports
+    assert list(run_grid(shuffled)) == reports
     by_key = {(str(r.params.a), str(r.params.b), r.identity, str(r.x)): r
               for r in reports}
     assert by_key[("1", "1", SUM_T5, "None")].status == "SKIPPED"
@@ -308,13 +310,45 @@ def test_run_grid_ordering_and_skips():
     assert by_key[("1", "1", WEIGHTED_SUM_T6, "1")].status == "SKIPPED"
     assert by_key[("1", "1", WEIGHTED_SUM_T6, "2")].status == "FAIL"
     assert by_key[("2", "1", SUM_T5, "None")].status == "PASS"
+    # a grid keeps its values sorted and once, so order and repeats vanish
+    assert GridSpec(
+        a_values=(F(1), F(-1), F(2), F(4, 2), F(1)),
+        b_values=(F(-1), F(1), F(-1)),
+        n_max=16,
+        suites=(CROSS_METHOD, SUM_T5, WEIGHTED_SUM_T6, SUM_T5),
+        x_values=(F(2), F(1), F(2)),
+    ) == grid
+    # the grid given out of order: the reports come with strictly
+    # increasing (a, b, identity, x) keys, with no sort after the fact
+    roadmap = GridSpec(a_values=(F(3), F(-1, 2), F(1)), b_values=(F(2), F(-3)),
+                       n_max=12, x_values=(F(3), F(1, 2), F(1), F(-2)))
+    keys = [(r.params.a, r.params.b, r.identity, r.x or F(0))
+            for r in run_grid(roadmap)]
+    assert len(keys) == 3 * 2 * (len(ALL_IDENTITIES) - 1 + 4)
+    assert all(left < right for left, right in zip(keys, keys[1:]))
+
+
+def test_run_grid_yields_each_report_as_it_is_made(monkeypatch):
+    # the first report is yielded before the second point's suites run
+    calls = []
+    real = verifier_mod.verify_cassini
+    monkeypatch.setattr(verifier_mod, "verify_cassini",
+                        lambda p, n_max: calls.append(p) or real(p, n_max))
+    grid = GridSpec((F(2), F(1)), (F(1),), n_max=8, suites=(DET, CASSINI))
+    reports = run_grid(grid)
+    first = next(reports)
+    assert (first.identity, first.params) == (CASSINI, BiParams(1, 1))
+    assert calls == [BiParams(1, 1)]
+    assert [(r.identity, r.params.a) for r in reports] == [
+        (DET, 1), (CASSINI, 2), (DET, 2)]
+    assert calls == [BiParams(1, 1), BiParams(2, 1)]
 
 
 def test_run_grid_determinism_and_residual_recheck():
     grid = GridSpec((F(2),), (F(1),), n_max=12,
                     suites=(WEIGHTED_SUM_T6,), x_values=(F(2),))
-    first = run_grid(grid)
-    second = run_grid(grid)
+    first = list(run_grid(grid))
+    second = list(run_grid(grid))
     assert first == second
     (report,) = first
     assert report.status == "FAIL"
@@ -359,7 +393,7 @@ def test_floats_refused_where_values_enter():
 
 def test_default_grid_all_suites_small():
     grid = GridSpec(GRID_VALUES, GRID_VALUES, n_max=16, suites=ALL_IDENTITIES)
-    reports = run_grid(grid)
+    reports = list(run_grid(grid))
     assert len(reports) == 36 * (len(ALL_IDENTITIES) - 1 + 4)
     for report in reports:
         if report.status == "FAIL":
