@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 from . import verifier
 from .exact import Mat2, format_rational, parse_rational
 from .genfunc import build_ogf, series_coeffs
-from .matrixseq import _check_index, _cleared_rule, generator_matrix, term_fast
+from .matrixseq import term_fast, term_naive
 from .report import (CSV_HEADER, WEIGHTED_SUM_T6, IdentityReport, csv_fields,
                      json_value)
-from .scalar import BiParams, SeqKind, _step, scalar_term
+from .scalar import BiParams, SeqKind, scalar_term
 from .verifier import (
     GridSpec,
     expected_failure,
@@ -193,39 +193,17 @@ def _timed_min(fn, repeat: int) -> tuple[float, Mat2]:
     return best, value
 
 
-def _naive_term(params: BiParams, n: int) -> Mat2:
-    """J[n] by the definitional recurrence, on integer numerators.
-
-    J follows the jhat rule from J[0] = I and J[1], so
-    J[k] = u[k]*J[1] + v[k]*I, where u and v follow the same rule from
-    (0, 1) and (1, 0).  With `matrixseq._cleared_rule`'s denominators d[k],
-    U = d*u and V = d*v are integers, start at U = (0, d[1]) and
-    V = (1, 0), and follow its one integer rule for every k >= 2.  The
-    loop steps them with `scalar._step`, and the result is divided once,
-    at the end, by d[n].  No memo is read.  An index below 0 is refused as
-    every matrix route refuses it.
-    """
-    _check_index(n)
-    rule, d = _cleared_rule(params)
-    u, v = (0, d(1)), (1, 0)
-    for k in range(2, n + 1):
-        u = u[1], _step(rule, k, *u)
-        v = v[1], _step(rule, k, *v)
-    last = min(n, 1)  # u and v hold terms n-1 and n, or 0 and 1 below n = 2
-    return (u[last] * generator_matrix(params) + v[last] * Mat2.identity()) / d(n)
-
-
 def bench_rows(params: BiParams, ladder: Sequence[int],
                repeat: int) -> list[tuple[str, int, float, int]]:
     """Wall-time rows (method, n, seconds, term_bits); min over `repeat` runs.
 
-    The naive route is `_naive_term`, the recurrence run freshly each time,
-    so neither side benefits from caches.  Outputs of the two routes are
-    checked equal; a mismatch raises.
+    The naive route is `matrixseq.term_naive`, the recurrence run freshly
+    each time, so neither side benefits from caches.  Outputs of the two
+    routes are checked equal; a mismatch raises.
     """
     rows = []
     for n in ladder:
-        naive_t, naive_value = _timed_min(lambda: _naive_term(params, n), repeat)
+        naive_t, naive_value = _timed_min(lambda: term_naive(params, n), repeat)
         fast_t, fast_value = _timed_min(lambda: term_fast(params, n), repeat)
         if naive_value != fast_value:
             raise AssertionError(f"bench self-test failed at n={n}")

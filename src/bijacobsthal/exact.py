@@ -200,7 +200,10 @@ class Mat2:
         return self.scale(other)
 
     def scale(self, c) -> Mat2:
-        """c times every entry; c is any scalar of the entries' ring."""
+        """c times every entry; c is any scalar of the entries' ring.  A
+        Mat2 is immutable, so scaling by 1 returns the matrix itself."""
+        if c == 1:
+            return self
         return Mat2(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
 
     def __truediv__(self, other) -> Mat2:

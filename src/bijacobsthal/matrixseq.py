@@ -21,36 +21,47 @@ polynomial x^2 - (ab+4)x + 4 is the index-doubling recurrence: J is the
 jhat recurrence started at J[0] = I and J[1], so it runs the same
 `scalar._two_step` as `scalar_term_fast`.
 
+Every integer or log-time computation here reads J[n] through its
+coordinates in the basis {J[1], I}: J is the jhat recurrence started at
+J[0] = I and J[1], so J[n] = u[n]*J[1] + v[n]*I, where u and v follow the
+same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
+
+* the walk, `_cleared_walk`: the one integer recurrence, a generator of
+  the cleared pairs (U[k], V[k]) = d[k]*(u[k], v[k]).  `_Cleared` and the
+  `bench` naive route `term_naive` read it;
+* the fold, `_fold`: the entries of u*(c*J[1]) + v*(c*I), with the
+  products by J[1]'s entries 1 and 0 not taken.  `term_fast`,
+  `term_binet` and `_Cleared` call it.
+
 The two log-time routes raise integers, not rationals: `term_fast` an
 integer two-step matrix and, with ab = N/M in lowest terms, `term_binet`
 the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held
 doubled so that both of its fields are plain ints (each product is halved
-exactly, see `exact._DoubledQuadNum`).  Every term is then an integer
-combination over M^(n//2), a denominator known from n alone, so no
-Fraction and no gcd of large numbers enters the power loop.  Each
-output entry is assembled directly from the power's int parts, as a
-small rational times one or two of them, with no matrix of Fractions
-built on the way, and divided once, at the end, by `exact.div_power`,
-which strips only the factors of M and so takes linear time.  The
-closed route stays on plain Fraction arithmetic.
+exactly, see `exact._DoubledQuadNum`).  Each reduces its power to one
+(u, v) over M^(n//2), a denominator known from n alone, so no Fraction
+and no gcd of large numbers enters the power loop; the fold divides each
+entry once, at the end, by `exact.div_power`, which strips only the
+factors of M and so takes linear time.  The recurrence memo and the
+closed route never touch the walk or the fold and stay on plain Fraction
+arithmetic, so a bad fold shows as a route disagreement.
 
 No route here states the step rule.  J is the jhat recurrence, so the
-recurrence memo and `iter_terms` step with `scalar._step` on the
-(even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
+recurrence memo, `iter_terms` and the walk step with `scalar._step` on
+the (even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
 table in `scalar`, and `term_fast` raises the two-step matrix that
 `scalar._two_step` builds from the same rule.  The four routes are
 separate computations and cross-check one another.
 
 `_term_source` is the one way the verifier's sum forms and
 `genfunc.build_ogf` read terms: the recurrence at a `BiParams`, or the
-integer terms F*J[k] of a `_Cleared` point, which steps `_cleared_rule`.
-It lives here because `genfunc` cannot import from `verifier`.
+integer terms F*J[k] of a `_Cleared` point.  It lives here because
+`genfunc` cannot import from `verifier`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import lcm
 from typing import Callable, Iterator
 
@@ -92,20 +103,40 @@ def _walk(rule: tuple, prev, cur) -> Iterator:
         prev, cur = cur, _step(rule, n, prev, cur)
 
 
-def _cleared_rule(params: BiParams) -> tuple[tuple, Callable[[int], int]]:
-    """(rule, d): the jhat rule on integer numerators, and its denominators.
+def _cleared_walk(params: BiParams) -> tuple[Iterator[tuple[int, int]],
+                                              Callable[[int], int]]:
+    """(walk, d): the cleared pairs (U[k], V[k]) = d[k]*(u[k], v[k]) for
+    k = 0, 1, 2, ..., with J[k] = u[k]*J[1] + v[k]*I, and their denominators.
 
     Write the multipliers in lowest terms as p_even/q_even and p_odd/q_odd,
     and let d[0] = 1 and d[k] = q[k]*d[k-1], q[k] being the denominator of
     the k-th multiplier, so d[k] = q_odd^((k+1)//2) * q_even^(k//2).  If t
-    follows the jhat rule, d*t follows `rule` = (p_even, p_odd,
-    lag*q_even*q_odd) for every k >= 2, so a recurrence started on integers
-    stays on them.  `d` maps k to d[k].
+    follows the jhat rule, d*t follows the integer rule (p_even, p_odd,
+    lag*q_even*q_odd) for every k >= 2, so U and V, started at (0, d[1])
+    and (1, 0), stay on integers.  Each is stepped by `_walk` only as far
+    as it is read.  `d` maps k to d[k].
     """
     even, odd, lag = SeqKind.BP_JACOBSTHAL.rule(params)
     q_even, q_odd = even.denominator, odd.denominator
     rule = even.numerator, odd.numerator, lag * q_even * q_odd
-    return rule, lambda k: q_odd ** ((k + 1) // 2) * q_even ** (k // 2)
+    d = lambda k: q_odd ** ((k + 1) // 2) * q_even ** (k // 2)
+    return zip(_walk(rule, 0, d(1)), _walk(rule, 1, 0)), d
+
+
+def _fold(row: tuple, c, u, v, den: int | None = None, m: int = 0) -> Mat2:
+    """u*(c*J[1]) + v*(c*I), with `row` = (row0, row1) the first row of
+    c*J[1].  J[1]'s second row is (1, 0), so that is
+
+        [[row0*u + c*v, row1*u], [c*u, c*v]],
+
+    and the products by J[1]'s entries 1 and 0 are not taken.  With `den`,
+    each entry is divided once, by den**m, with `div_power`.
+    """
+    row0, row1 = row
+    entries = (row0 * u + c * v, row1 * u, c * u, c * v)
+    if den is None:
+        return Mat2(*entries)
+    return Mat2(*(div_power(e, den, m) for e in entries))
 
 
 # A table of its own: its keys are the scalar memo's jhat keys, so a shared
@@ -134,10 +165,10 @@ class _Cleared:
     * m is the numerator of `den`, the denominator of the formula that
       reads the terms (1 when it has none), so that at integer (a, b) and
       x a sum form's quotient is integral too;
-    * d[k] is `_cleared_rule`'s running denominator, so d[k]*c*m*J[k]
-      follows the integer rule from c*m*I and d[1]*c*m*J[1]; d[k] divides
-      d[n_max], and each term is rescaled by their quotient when that
-      is not 1 (it is 1 at every k when (a, b) is an integer pair).
+    * d[k] is the running denominator of `_cleared_walk`, so
+      d[k]*c*m*J[k] is the fold of its cleared pair (U[k], V[k]) with
+      c*m*J[1]; d[k] divides d[n_max], and each term is rescaled by their
+      quotient (1 at every k when (a, b) is an integer pair).
 
     Terms are stepped only as far as they are read.  `a`, `b` and `ab` are
     the point's own values through `exact._plain`, so the sum forms and
@@ -146,18 +177,16 @@ class _Cleared:
 
     def __init__(self, params: BiParams, den: Fraction | int,
                  n_max: int) -> None:
-        rule, d = _cleared_rule(params)
-        j1 = generator_matrix(params).entries()
-        scale = lcm(*(e.denominator for e in j1)) * den.numerator
+        walk, d = _cleared_walk(params)
+        j1_row = params.b, 2 * params.b / params.a  # the other row is (1, 0)
+        scale = lcm(*(e.denominator for e in j1_row)) * den.numerator
         top = d(n_max)
         self.params, self.factor = params, scale * top
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
-        lift = scale * d(1)  # a multiple of every denominator in J[1]
-        start = (Mat2(scale, 0, 0, scale),
-                 Mat2(*(e.numerator * (lift // e.denominator) for e in j1)))
+        row = tuple((scale * e).numerator for e in j1_row)
         self._terms: list[Mat2] = []
-        self._more = (t if d(k) == top else t * (top // d(k))
-                      for k, t in enumerate(_walk(rule, *start)))
+        self._more = (_fold(row, scale, u, v).scale(top // d(k))
+                      for k, (u, v) in enumerate(walk))
 
     def term(self, k: int) -> Mat2:
         while len(self._terms) <= k:
@@ -188,24 +217,27 @@ def term_fast(params: BiParams, n: int) -> Mat2:
     """J[n] in O(log n) integer ring operations and one division per entry.
 
     J is the jhat recurrence started at J[0] = I and J[1], so with
-    `scalar._two_step`, J[n] = (u*J[1] + v*I) / M^m.  With J[1]'s entries
-    as `generator_matrix` states them, [[b, 2b/a], [1, 0]], that folds to
-
-        J[n] = [[b*u + v, (2b/a)*u], [u, v]] / M^m,
-
-    so the products by J[1]'s entries 1 and 0 are not taken.  Each entry
-    is divided once, by M^m, with `div_power`.
+    `scalar._two_step`, J[n] = (u*J[1] + v*I) / M^m: the fold with c = 1,
+    each entry divided once, by M^m.
     """
     _check_index(n)
     u, v, den, m = _two_step(SeqKind.BP_JACOBSTHAL, params, n)
     b = _plain(params.b)
-    entries = (b * u + v, _plain(2 * b / params.a) * u, u, v)
-    return _div_entries(entries, den, m)
+    return _fold((b, _plain(2 * b / params.a)), 1, u, v, den, m)
 
 
-def _div_entries(entries, base: int, k: int) -> Mat2:
-    """The matrix of the given entries, each divided by base**k."""
-    return Mat2(*(div_power(e, base, k) for e in entries))
+def term_naive(params: BiParams, n: int) -> Mat2:
+    """J[n] by the definitional recurrence, freshly: `bench`'s naive route.
+
+    The cleared walk is read at n, and J[n] is assembled as
+    (U*J[1] + V*I) / d[n] with `Mat2` ops, not with the fold, so `bench`'s
+    self-test compares two different assemblies.  No memo is read.  An
+    index below 0 is refused as every matrix route refuses it.
+    """
+    _check_index(n)
+    walk, d = _cleared_walk(params)
+    u, v = next(islice(walk, n, None))
+    return (u * generator_matrix(params) + v * Mat2.identity()) / d(n)
 
 
 def det_closed(params: BiParams, n: int) -> Fraction:
@@ -242,7 +274,7 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     with h = floor(n/2), e = parity(n) and u(k) = (alpha^k - beta^k) /
     (alpha - beta), which is always rational.  The numerator matrix X is
     [[0, 2b/a], [1, -b]] for odd n (that is J[1] - b*J[0]) and
-    [[-2, 2b], [a, -2-ab]] for even n (that is a*J[1] - 2*J[0] - ab*J[0]).
+    [[-2, 2b], [a, -2-ab]] for even n (that is a*J[1] - (2 + ab)*J[0]).
 
     Requires disc != 0 (ab != -8); raises DegenerateDiscriminantError
     otherwise.  The sqrt(D) parts cancel exactly and the result is a
@@ -273,18 +305,17 @@ def term_binet(params: BiParams, n: int) -> Mat2:
 
         J[n] = (2 * Y1 * M^(1-e) * X + b^e * 2 * Y2 * I) / M^h.
 
-    No matrix is built for X or I: with J[1]'s entries as
-    `generator_matrix` states them, [[b, 2b/a], [1, 0]], and M*ab = N, each
-    entry folds to a small rational times 2*Y1 plus one times 2*Y2,
+    No matrix is built for X or I: each parity reduces to one (u, v) with
+    J[n] = (u*J[1] + v*I) / M^h, and M*ab = N,
 
-        n odd:   [[b*2Y2, (2b/a)*2Y1], [2Y1, b*(2Y2 - 2Y1)]] / M^h,
-        n even:  [[2Y2 - 2M*2Y1, 2bM*2Y1], [aM*2Y1, 2Y2 - (2M+N)*2Y1]] / M^h,
+        n odd:   u = 2Y1,         v = b*(2Y2 - 2Y1),
+        n even:  u = aM*2Y1,      v = 2Y2 - (2M+N)*2Y1,
 
     where the even index's 2*Y1 is the sqrt(N(N+8M)) part of 2*(M*g)^h
-    itself.  Each entry is divided once, by M^h, with `div_power`.
-    2*(M*g)^h is raised once; 2*Y1 and 2*Y2 each take at most one more
-    product.  At integer (a, b), M = 1, every factor is a plain int and
-    nothing is divided.
+    itself.  The fold with c = 1 gives the entries, each divided once, by
+    M^h, with `div_power`.  2*(M*g)^h is raised once; 2*Y1 and 2*Y2 each
+    take at most one more product.  At integer (a, b), M = 1, every factor
+    is a plain int and nothing is divided.
     """
     _check_index(n)
     if params.disc == 0:
@@ -301,11 +332,8 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     b = _plain(params.b)
     if parity(n):
         two_y1 = (power * _DoubledQuadNum(num, 1, disc)).coeff  # 2*M*alpha
-        entries = (b * two_y2, _plain(2 * b / params.a) * two_y1,
-                   two_y1, b * (two_y2 - two_y1))
+        u, v = two_y1, b * (two_y2 - two_y1)
     else:
         two_y1 = power.coeff
-        entries = (two_y2 - 2 * den * two_y1, _plain(2 * b * den) * two_y1,
-                   _plain(params.a * den) * two_y1,
-                   two_y2 - (2 * den + num) * two_y1)
-    return _div_entries(entries, den, h)
+        u, v = _plain(params.a * den) * two_y1, two_y2 - (2 * den + num) * two_y1
+    return _fold((b, _plain(2 * b / params.a)), 1, u, v, den, h)

@@ -13,10 +13,10 @@ of `SeqKind`: the parameter on the even step (the other one takes the odd
 step), the lag coefficient, and the start terms t0 and t1.  The table is
 unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
 series, and `_step` is the one forward step: both prefix memos (scalar
-terms here, matrix terms in `matrixseq`), `matrixseq._walk` (behind
-`iter_terms` and the verifier's cleared partial sums) and the CLI's
-integer-numerator recurrence call it.  `_two_step` reads the same
-(even, odd, lag).
+terms here, matrix terms in `matrixseq`) and `matrixseq._walk` call it;
+the walk is behind `iter_terms` and `matrixseq`'s one cleared integer
+walk, which the verifier's cleared terms and `bench`'s naive route read.
+`_two_step` reads the same (even, odd, lag).
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the

@@ -155,16 +155,13 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
 
 def _partial_sums(params, x: Fraction, n_max: int):
     """Yield sum_{k=0}^{n-1} J[k] / x^k for n = 1, ..., n_max, term by term;
-    the weight is divided only when x is not 1, and a term is scaled only
-    when its weight is not 1."""
+    a weight of 1 leaves a term as it is (`Mat2.scale`)."""
     term = _term_source(params)
     total, weight = term(0), Fraction(1)
-    divide = x != 1
     yield total
     for k in range(1, n_max):
-        if divide:
-            weight /= x
-        total = total + (term(k) if weight == 1 else term(k) * weight)
+        weight /= x
+        total = total + term(k) * weight
         yield total
 
 

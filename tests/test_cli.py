@@ -9,14 +9,12 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction as F
-from itertools import islice
 
 import pytest
 
 from bijacobsthal import ALL_IDENTITIES, cli, report, verifier
 from bijacobsthal.cli import main, parse_grid_values
 from bijacobsthal.exact import Mat2, parse_rational
-from bijacobsthal.matrixseq import iter_terms
 from bijacobsthal.scalar import BiParams
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -500,43 +498,6 @@ def test_bench_csv_shape(capsys):
     fast64 = lines[2].split(",")
     assert naive64[0] == "recurrence" and fast64[0] == "fast"
     assert naive64[3] == fast64[3] == "64"  # bits of jhat grows like n at (1,1)
-
-
-@pytest.mark.parametrize("a, b", [
-    (1, 1), (F(1, 2), F(-3, 4)), (F(5, 7), F(-7, 9)), (2, -4), (F(-3, 2), F(2, 3)),
-], ids=str)
-def test_bench_naive_route_is_the_fraction_recurrence(a, b):
-    params = BiParams(a, b)
-    for n, expected in enumerate(islice(iter_terms(params), 65)):
-        value = cli._naive_term(params, n)
-        assert all(type(e) is F for e in value.entries())
-        assert value.entries() == expected.entries(), n
-
-
-@pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
-def test_bench_naive_route_steps_only_through_the_step_rule(monkeypatch, a, b):
-    # Two integer sequences, u and v, take one `_step` each per index k >= 2.
-    calls = []
-    step = cli._step
-
-    def counting_step(*args):
-        calls.append(args[1])
-        return step(*args)
-
-    monkeypatch.setattr(cli, "_step", counting_step)
-    params = BiParams(a, b)
-    for n, expected in enumerate(islice(iter_terms(params), 40)):
-        calls.clear()
-        assert cli._naive_term(params, n) == expected, n
-        assert sorted(calls) == [k for k in range(2, n + 1) for _ in "uv"], n
-
-
-@pytest.mark.parametrize("n", [-1, -4])
-def test_bench_naive_route_refuses_negative_indices(monkeypatch, n):
-    # The refusal comes first: no rule or starting matrix is computed.
-    monkeypatch.setattr(cli, "generator_matrix", None)
-    with pytest.raises(ValueError, match=r"^matrix terms are defined for n >= 0$"):
-        cli._naive_term(BiParams(1, 1), n)
 
 
 def test_bench_negative_ladder_entry_is_refused_before_either_route(capsys, monkeypatch):

@@ -74,6 +74,14 @@ def test_mat2_ops():
         j1 ** -1
 
 
+def test_mat2_scaling_by_one_is_the_matrix_itself():
+    # A Mat2 is immutable, so a unit scaling builds no new matrix.
+    for m in (Mat2(F(1, 2), -3, 0, F(7, 5)), Mat2(4, -6, 0, 2)):
+        assert m.scale(1) is m
+        assert m * F(1) is m
+        assert F(1) * m is m
+
+
 def _assert_same_fraction(got, expected):
     assert type(got) is F
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import partial
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -17,6 +18,7 @@ from bijacobsthal.matrixseq import (
     term_binet,
     term_closed,
     term_fast,
+    term_naive,
     term_recurrence,
 )
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
@@ -424,3 +426,64 @@ def test_log_time_routes_match_the_oracle_at_random_pairs():
                                       scalar_term(kind, params, n)), (params, kind, n)
     scalar_mod.clear_caches()
     matrixseq_mod.clear_caches()
+
+
+@pytest.mark.parametrize("a, b", [
+    (1, 1), (F(1, 2), F(-3, 4)), (F(5, 7), F(-7, 9)), (2, -4), (F(-3, 2), F(2, 3)),
+], ids=str)
+def test_bench_naive_route_is_the_fraction_recurrence(a, b):
+    params = BiParams(a, b)
+    for n, expected in enumerate(islice(iter_terms(params), 65)):
+        value = term_naive(params, n)
+        assert all(type(e) is F for e in value.entries())
+        assert value.entries() == expected.entries(), n
+
+
+def _count_steps(monkeypatch):
+    """Record the index of every `_step` call the cleared walk makes."""
+    calls = []
+    step = matrixseq_mod._step
+
+    def counting_step(*args):
+        calls.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(matrixseq_mod, "_step", counting_step)
+    return calls
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
+def test_bench_naive_route_steps_only_through_the_step_rule(monkeypatch, a, b):
+    # Two integer sequences, u and v, take one `_step` each per index k >= 2.
+    calls = _count_steps(monkeypatch)
+    params = BiParams(a, b)
+    for n, expected in enumerate(islice(iter_terms(params), 40)):
+        calls.clear()
+        assert term_naive(params, n) == expected, n
+        assert sorted(calls) == [k for k in range(2, n + 1) for _ in "uv"], n
+
+
+@pytest.mark.parametrize("n", [-1, -4])
+def test_bench_naive_route_refuses_negative_indices(monkeypatch, n):
+    # The refusal comes first: no walk or starting matrix is built.
+    monkeypatch.setattr(matrixseq_mod, "_cleared_walk", None)
+    monkeypatch.setattr(matrixseq_mod, "generator_matrix", None)
+    with pytest.raises(ValueError, match=r"^matrix terms are defined for n >= 0$"):
+        term_naive(BiParams(1, 1), n)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
+def test_cleared_terms_step_only_as_far_as_they_are_read(monkeypatch, a, b):
+    # Term k of a fresh point takes one `_step` of U and one of V per index
+    # 2..k, and a term already read takes none.
+    calls = _count_steps(monkeypatch)
+    params = BiParams(a, b)
+    for k in range(41):
+        cleared = matrixseq_mod._Cleared(params, 1, 40)
+        calls.clear()
+        assert cleared.term(k) == cleared.factor * term_recurrence(params, k), k
+        assert sorted(calls) == [j for j in range(2, k + 1) for _ in "uv"], k
+        calls.clear()
+        cleared.term(k)
+        cleared.term(k // 2)
+        assert calls == [], k
