@@ -158,28 +158,29 @@ class _Cleared:
     """A parameter point whose terms are cleared of denominators.
 
     `term(k)` is F*J[k] with plain int entries, for 0 <= k <= n_max, and
-    F = c * m * d[n_max]:
+    F = c * d[n_max], one factor for every formula that reads the terms:
 
     * c clears the denominators of J[1] (at integer (a, b) it divides a),
       so c*J[0] = c*I and c*J[1] are integral;
-    * m is the numerator of `den`, the denominator of the formula that
-      reads the terms (1 when it has none), so that at integer (a, b) and
-      x a sum form's quotient is integral too;
-    * d[k] is the running denominator of `_cleared_walk`, so
-      d[k]*c*m*J[k] is the fold of its cleared pair (U[k], V[k]) with
-      c*m*J[1]; d[k] divides d[n_max], and each term is rescaled by their
-      quotient (1 at every k when (a, b) is an integer pair).
+    * d[k] is the running denominator of `_cleared_walk`, so d[k]*c*J[k]
+      is the fold of its cleared pair (U[k], V[k]) with c*J[1]; d[k]
+      divides d[n_max], and each term is rescaled by their quotient (1 at
+      every k when (a, b) is an integer pair).
+
+    The formulas are linear in the terms, so fed F*J[k] they give F times
+    their value for any nonzero F.  On a PASS at an integer pair that is
+    the direct side's plain int matrix; a form that fails there may divide
+    to a Fraction, which compares the same.
 
     Terms are stepped only as far as they are read.  `a`, `b` and `ab` are
     the point's own values through `exact._plain`, so the sum forms and
     `genfunc.build_ogf` read them as they read a `BiParams`.
     """
 
-    def __init__(self, params: BiParams, den: Fraction | int,
-                 n_max: int) -> None:
+    def __init__(self, params: BiParams, n_max: int) -> None:
         walk, d = _cleared_walk(params)
         j1_row = params.b, 2 * params.b / params.a  # the other row is (1, 0)
-        scale = lcm(*(e.denominator for e in j1_row)) * den.numerator
+        scale = lcm(*(e.denominator for e in j1_row))
         top = d(n_max)
         self.params, self.factor = params, scale * top
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import Mat2, as_rational, div_power
+from .exact import Mat2, _plain, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 
 
@@ -185,8 +185,10 @@ def _two_step(kind: SeqKind, params: BiParams,
         u = P11,      v = P21/e        (n odd)
         u = e * P12,  v = P22          (n even),
 
-    so the power runs on plain ints.  The starting terms may come from any
-    ring the rationals scale: `scalar_term_fast` passes scalars and
+    so the power runs on plain ints, and u and v are returned as ints
+    wherever they are integral, which is at every integer pair (P21 is a
+    multiple of N = ab there).  The starting terms may come from any ring
+    the rationals scale: `scalar_term_fast` passes scalars and
     `matrixseq.term_fast` the matrices J[0] = I and J[1].  The caller
     divides once, by M^m, with `div_power`, which cancels only factors of
     M in linear time.
@@ -196,8 +198,8 @@ def _two_step(kind: SeqKind, params: BiParams,
     num, den = params.ab.numerator, params.ab.denominator
     p = Mat2(num + c * den, den, c * num, c * den) ** m
     if n & 1:
-        return p.e11, p.e21 / even, den, m
-    return even * p.e12, p.e22, den, m
+        return _plain(p.e11), _plain(p.e21 / even), den, m
+    return _plain(even * p.e12), _plain(p.e22), den, m
 
 
 def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:

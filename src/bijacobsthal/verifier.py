@@ -10,29 +10,24 @@ failing index and the exact residual, never an exception.  The term
 routes are listed once, in `ROUTES` (which is `cli.METHODS`), and the
 suites once, in `_SUITES`.
 
-The two partial-sum suites, SUM_T5 and WEIGHTED_SUM_T6, compare both
-sides multiplied by one known nonzero factor F per (point, x, n_max),
-F = c * m * d[n_max] (see `matrixseq._Cleared`): c clears the
-denominators of J[1], m is the numerator of the closed form's denominator
-and d[n_max] is the running denominator of the integer recurrence.  The
-closed forms and the direct sum read every term, J[0] and J[1] included,
-through one term source, so they are linear in the terms, and the same
-formula code fed the integer terms F*J[k] gives F times its value.  At
-integer (a, b) and x both sides are then matrices of plain ints;
-elsewhere the terms are still ints, and the same code runs with the
-rational a, b and x.  Clearing one nonzero factor from both sides does
-not change which side is normative: the direct sum stays the oracle.  A
-FAIL goes back to Fraction once, at its first failing index, for its
-residual in the original units.
-
-SERIES_MATCH compares cleared sides the same way, with F = c * d[count-1]:
-`genfunc.build_ogf` reads its terms through the same term source
-(`matrixseq._term_source`), so the long division at the cleared point
-yields F*J[m], which is compared with the cleared recurrence's F*J[m];
-both are plain ints at integer (a, b).  A FAIL compares the public
-expansion with `term_recurrence` at its index.  DOUBLING and DET stay on
-the Fraction memo of `term_recurrence` on purpose: they check identities
-among the memo's own terms, so a corrupted memo shows in them.
+Three suites, SUM_T5, WEIGHTED_SUM_T6 and SERIES_MATCH, compare both
+sides multiplied by one known nonzero factor F = c * d[n_max] per point
+and index bound (see `matrixseq._Cleared`): c clears the denominators of
+J[1] and d[n_max] is the running denominator of the integer recurrence.
+One factor serves all three.  The closed forms, the direct sum and
+`genfunc.build_ogf` read every term, J[0] and J[1] included, through one
+term source (`matrixseq._term_source`), so they are linear in the terms,
+and the same formula code fed the integer terms F*J[k] gives F times its
+value: the long division yields F*J[m], compared with the cleared
+recurrence's F*J[m].  At integer (a, b) and 1/x both sides are then
+matrices of plain ints; elsewhere the terms are still ints, and the same
+code runs with the rational a, b and x.  Clearing one nonzero factor
+from both sides does not change which side is normative.  One rule,
+`_confirmed`, turns the cleared sides into cases: an index where they
+differ goes back to Fraction once, for its residual in the original
+units, and the first one confirmed there is the FAIL.  DOUBLING and DET
+stay on the Fraction memo of `term_recurrence` on purpose: they check
+identities among the memo's own terms, so a corrupted memo shows in them.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -154,32 +149,47 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
 
 
 def _partial_sums(params, x: Fraction, n_max: int):
-    """Yield sum_{k=0}^{n-1} J[k] / x^k for n = 1, ..., n_max, term by term;
-    a weight of 1 leaves a term as it is (`Mat2.scale`)."""
+    """Yield sum_{k=0}^{n-1} J[k] / x^k for n = 1, ..., n_max, term by term.
+
+    The weight starts at the int 1 and is multiplied by 1/x, an int when x
+    is 1 or 1/k, at each step; a weight of 1 leaves a term as it is
+    (`Mat2.scale`)."""
     term = _term_source(params)
-    total, weight = term(0), Fraction(1)
+    total, weight, step = term(0), 1, _plain(1 / as_rational(x))
     yield total
     for k in range(1, n_max):
-        weight /= x
+        weight *= step
         total = total + term(k) * weight
         yield total
 
 
-def _cleared_cases(closed, cleared: _Cleared, x, n_max: int):
-    """The cases of a partial-sum suite, checked on cleared terms.
+def _confirmed(cleared: _Cleared, points, original):
+    """The cases of a cleared suite, in the original units.
 
-    For n = 1, ..., n_max, closed(cleared, n) is F times the closed form
-    and the cleared direct sum F times the direct one; at integer (a, b)
-    and x both are matrices of plain ints.  Only an n where they differ
-    yields a case (n, lhs, rhs, None), and in the original units: the
-    closed form at the point itself, and the direct sum divided back by F.
-    So `first_mismatch` builds the FAIL it builds on Fractions, stopping at
-    the first such case, and the direct side stays the oracle; a cleared
-    mismatch that the original units do not confirm ends nothing.
+    `points` yields (n, lhs, rhs) on the cleared terms: both sides are F
+    times their values, and at integer (a, b) and 1/x matrices of plain
+    ints.  Only an n where they differ yields a case (n, lhs, rhs, None):
+    original(n), the checked side at the point itself, against rhs divided
+    back by F.  So `first_mismatch` builds the FAIL it builds on
+    Fractions, stopping at the first such case, and the normative side
+    stays the oracle; a cleared mismatch that the original units do not
+    confirm ends nothing.
     """
-    for n, direct in enumerate(_partial_sums(cleared, x, n_max), 1):
-        if closed(cleared, n) != direct:
-            yield n, closed(cleared.params, n), direct / cleared.factor, None
+    for n, lhs, rhs in points:
+        if lhs != rhs:
+            yield n, original(n), rhs / cleared.factor, None
+
+
+def _check_sums(identity: str, params: BiParams, closed, n_max: int,
+                x: Fraction | None = None) -> IdentityReport:
+    """The report of a partial-sum suite: closed(point, n) against the
+    direct sum of J[k]/x^k (of J[k] when x is None), 1 <= n <= n_max, on
+    the terms of one cleared point."""
+    cleared = _Cleared(params, n_max)
+    sums = enumerate(_partial_sums(cleared, 1 if x is None else x, n_max), 1)
+    points = ((n, closed(cleared, n), direct) for n, direct in sums)
+    cases = _confirmed(cleared, points, lambda n: closed(params, n))
+    return first_mismatch(identity, params, n_max, cases, x=x)
 
 
 def sum_direct(params: BiParams, n: int) -> Mat2:
@@ -215,15 +225,12 @@ def sum_closed_form(params: BiParams, n: int) -> Mat2:
 
 def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
     """Closed-form partial sum against the direct sum, 1 <= n <= n_max,
-    on terms cleared by F = c * m * d[n_max] (see `matrixseq._Cleared`)."""
+    on terms cleared by F = c * d[n_max] (see `matrixseq._Cleared`)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if params.ab == 1:
         return skipped(SUM_T5, params, n_max, "denominator 1-ab vanishes")
-
-    cleared = _Cleared(params, 1 - params.ab, n_max)
-    return first_mismatch(SUM_T5, params, n_max,
-                          _cleared_cases(sum_closed_form, cleared, 1, n_max))
+    return _check_sums(SUM_T5, params, sum_closed_form, n_max)
 
 
 def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
@@ -317,15 +324,11 @@ def verify_weighted_sum_t6(params: BiParams, x: Fraction,
     x = as_rational(x)
     if x == 0:
         return skipped(WEIGHTED_SUM_T6, params, n_max, "x = 0", x=x)
-    den = _t6_denominator(params, x)
-    if den == 0:
+    if _t6_denominator(params, x) == 0:
         return skipped(WEIGHTED_SUM_T6, params, n_max,
                        "denominator x^2-(ab+4)x+4 vanishes", x=x)
-
-    cleared = _Cleared(params, den, n_max)
     printed = lambda p, n: weighted_sum_printed_form(p, x, n)
-    return first_mismatch(WEIGHTED_SUM_T6, params, n_max,
-                          _cleared_cases(printed, cleared, x, n_max), x=x)
+    return _check_sums(WEIGHTED_SUM_T6, params, printed, n_max, x)
 
 
 def root_claim_beta_shift_holds(params: BiParams) -> bool:
@@ -374,22 +377,18 @@ def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     F = c * d[count-1] (see `matrixseq._Cleared`).
 
     The expansion at the cleared point is F times the series, and at an
-    integer pair both sides are matrices of plain ints.  As in
-    `_cleared_cases`, only an m where they differ yields a case, in the
-    original units: the public expansion at the point itself against
-    `term_recurrence`.
+    integer pair both sides are matrices of plain ints.  `_confirmed`
+    turns an m where they differ into a case: the public expansion at the
+    point itself against the cleared term divided back by F.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    cleared = _Cleared(params, 1, count - 1)
-    coeffs = series_coeffs(build_ogf(cleared), count)
-
-    def cases():
-        for m, coeff in enumerate(coeffs):
-            if coeff != cleared.term(m):
-                yield (m, series_coeffs(build_ogf(params), count)[m],
-                       term_recurrence(params, m), None)
-    return first_mismatch(SERIES_MATCH, params, count - 1, cases())
+    cleared = _Cleared(params, count - 1)
+    coeffs = enumerate(series_coeffs(build_ogf(cleared), count))
+    points = ((m, coeff, cleared.term(m)) for m, coeff in coeffs)
+    original = lambda m: series_coeffs(build_ogf(params), count)[m]
+    cases = _confirmed(cleared, points, original)
+    return first_mismatch(SERIES_MATCH, params, count - 1, cases)
 
 
 def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:

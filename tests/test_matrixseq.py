@@ -479,7 +479,7 @@ def test_cleared_terms_step_only_as_far_as_they_are_read(monkeypatch, a, b):
     calls = _count_steps(monkeypatch)
     params = BiParams(a, b)
     for k in range(41):
-        cleared = matrixseq_mod._Cleared(params, 1, 40)
+        cleared = matrixseq_mod._Cleared(params, 40)
         calls.clear()
         assert cleared.term(k) == cleared.factor * term_recurrence(params, k), k
         assert sorted(calls) == [j for j in range(2, k + 1) for _ in "uv"], k

@@ -250,3 +250,14 @@ def test_biparams_hash_agrees_with_equality_and_separates_minus_one():
         assert hash(BiParams(b, -1)) != hash(BiParams(b, -2))
     grid = [BiParams(a, b) for a in range(-3, 4) for b in range(-3, 4) if a and b]
     assert len({hash(p) for p in grid}) == len(grid)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (-3, 2), (3, -2), (2, -4)], ids=str)
+def test_two_step_coordinates_are_ints_at_integer_pairs(a, b):
+    params = BiParams(a, b)
+    for n in range(41):
+        u, v, den, m = scalar_mod._two_step(SeqKind.BP_JACOBSTHAL, params, n)
+        assert (type(u), type(v), den, m) == (int, int, 1, n // 2), n
+        fast = term_fast(params, n)
+        assert fast == term_recurrence(params, n), n
+        assert all(type(e) is F for e in fast.entries()), n

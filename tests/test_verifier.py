@@ -208,7 +208,7 @@ def test_cleared_series_match_matches_the_fraction_reference():
                                     BiParams(F(1, 2), F(-3, 4)),
                                     BiParams(F(5, 7), F(-7, 9))], ids=str)
 def test_cleared_terms_are_the_factor_times_the_recurrence(params):
-    cleared = verifier_mod._Cleared(params, 1 - params.ab, 40)
+    cleared = verifier_mod._Cleared(params, 40)
     assert cleared.factor != 0
     for k in (40, *range(40)):  # read out of order, as the closed forms do
         term = cleared.term(k)
@@ -222,11 +222,21 @@ def test_cleared_terms_are_the_factor_times_the_recurrence(params):
         if params.a.denominator == params.b.denominator == 1:
             assert all(type(e) is int for e in closed.entries())
     # and the generating function, fed the cleared point, expands to F*J[m]
-    series = verifier_mod._Cleared(params, 1, 40)
+    series = verifier_mod._Cleared(params, 40)
     for m, coeff in enumerate(series_coeffs(build_ogf(series), 41)):
         assert coeff == series.factor * term_recurrence(params, m)
         if params.a.denominator == params.b.denominator == 1:
             assert all(type(e) is int for e in coeff.entries())
+
+
+@pytest.mark.parametrize("x", [F(1), F(1, 2), F(-1, 3)], ids=str)
+def test_partial_sums_of_a_cleared_integer_pair_are_int_matrices(x):
+    # 1/x is an int here, so every weight is an int and no term leaves the ints
+    params = BiParams(-3, 2)
+    cleared = verifier_mod._Cleared(params, 24)
+    for n, total in enumerate(verifier_mod._partial_sums(cleared, x, 24), 1):
+        assert all(type(e) is int for e in total.entries()), n
+        assert total == cleared.factor * weighted_sum_direct(params, x, n), n
 
 
 def test_weighted_sum_skips():
