@@ -114,13 +114,14 @@ def _power(base, k: int, one, what: str):
     integer two-step matrix K, the doubled root 2*M*g), so that product
     takes time linear in the size of the result; only the squares, which
     `__mul__` computes with fewer big products, multiply big by big.
-    Every product keeps the base's entry type (an int base stays int),
-    and `one` is returned only for k = 0.
+    Every product keeps the base's entry type (an int base stays int).
+    `one` makes the unit, and is called only for k = 0, so no other power
+    builds one.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"{what} powers require a non-negative integer exponent")
     if not k:
-        return one
+        return one()
     result = base
     for bit in bin(k)[3:]:
         result = result * result
@@ -216,7 +217,7 @@ class Mat2:
         return self.scale(Fraction(1) / other)
 
     def __pow__(self, k: int) -> Mat2:
-        return _power(self, k, Mat2.identity(), "matrix")
+        return _power(self, k, Mat2.identity, "matrix")
 
     def __str__(self) -> str:
         f = format_rational
@@ -285,7 +286,7 @@ class QuadNum:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> QuadNum:
-        return _power(self, k, type(self).from_rational(1, self.disc), "quadratic")
+        return _power(self, k, lambda: self.from_rational(1, self.disc), "quadratic")
 
     def is_zero(self) -> bool:
         return self.rat == 0 and self.coeff == 0

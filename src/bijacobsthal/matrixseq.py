@@ -30,8 +30,9 @@ same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
   the cleared pairs (U[k], V[k]) = d[k]*(u[k], v[k]).  `_Cleared` and the
   `bench` naive route `term_naive` read it;
 * the fold, `_fold`: the entries of u*(c*J[1]) + v*(c*I), with the
-  products by J[1]'s entries 1 and 0 not taken.  `term_fast`,
-  `term_binet` and `_Cleared` call it.
+  products by J[1]'s entries 1 and 0 not taken.  `_Cleared` calls it,
+  and so does `_over_power`, the one finish of `term_fast` and
+  `term_binet`.
 
 The two log-time routes raise integers, not rationals: `term_fast` an
 integer two-step matrix and, with ab = N/M in lowest terms, `term_binet`
@@ -39,11 +40,12 @@ the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held
 doubled so that both of its fields are plain ints (each product is halved
 exactly, see `exact._DoubledQuadNum`).  Each reduces its power to one
 (u, v) over M^(n//2), a denominator known from n alone, so no Fraction
-and no gcd of large numbers enters the power loop; the fold divides each
-entry once, at the end, by `exact.div_power`, which strips only the
-factors of M and so takes linear time.  The recurrence memo and the
-closed route never touch the walk or the fold and stay on plain Fraction
-arithmetic, so a bad fold shows as a route disagreement.
+and no gcd of large numbers enters the power loop.  Both end in
+`_over_power`: the fold with c = 1, each entry divided once, by
+`exact.div_power`, which strips only the factors of M and so takes
+linear time.  The recurrence memo and the closed route never touch the
+walk or the fold and stay on plain Fraction arithmetic, so a bad fold
+shows as a route disagreement.
 
 No route here states the step rule.  J is the jhat recurrence, so the
 recurrence memo, `iter_terms` and the walk step with `scalar._step` on
@@ -123,19 +125,23 @@ def _cleared_walk(params: BiParams) -> tuple[Iterator[tuple[int, int]],
     return zip(_walk(rule, 0, d(1)), _walk(rule, 1, 0)), d
 
 
-def _fold(row: tuple, c, u, v, den: int | None = None, m: int = 0) -> Mat2:
-    """u*(c*J[1]) + v*(c*I), with `row` = (row0, row1) the first row of
-    c*J[1].  J[1]'s second row is (1, 0), so that is
+def _fold(row: tuple, c, u, v) -> tuple:
+    """The entries of u*(c*J[1]) + v*(c*I), with `row` = (row0, row1) the
+    first row of c*J[1].  J[1]'s second row is (1, 0), so that is
 
         [[row0*u + c*v, row1*u], [c*u, c*v]],
 
-    and the products by J[1]'s entries 1 and 0 are not taken.  With `den`,
-    each entry is divided once, by den**m, with `div_power`.
+    and the products by J[1]'s entries 1 and 0 are not taken.
     """
     row0, row1 = row
-    entries = (row0 * u + c * v, row1 * u, c * u, c * v)
-    if den is None:
-        return Mat2(*entries)
+    return row0 * u + c * v, row1 * u, c * u, c * v
+
+
+def _over_power(params: BiParams, u, v, den: int, m: int) -> Mat2:
+    """(u*J[1] + v*I) / den^m, the one finish of the log-time routes: the
+    fold with c = 1, each entry divided once, with `div_power`."""
+    b = _plain(params.b)
+    entries = _fold((b, _plain(2 * b / params.a)), 1, u, v)
     return Mat2(*(div_power(e, den, m) for e in entries))
 
 
@@ -182,11 +188,11 @@ class _Cleared:
         j1_row = params.b, 2 * params.b / params.a  # the other row is (1, 0)
         scale = lcm(*(e.denominator for e in j1_row))
         top = d(n_max)
-        self.params, self.factor = params, scale * top
+        self.factor = scale * top
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
         row = tuple((scale * e).numerator for e in j1_row)
         self._terms: list[Mat2] = []
-        self._more = (_fold(row, scale, u, v).scale(top // d(k))
+        self._more = (Mat2(*_fold(row, scale, u, v)).scale(top // d(k))
                       for k, (u, v) in enumerate(walk))
 
     def term(self, k: int) -> Mat2:
@@ -217,14 +223,12 @@ def term_closed(params: BiParams, n: int) -> Mat2:
 def term_fast(params: BiParams, n: int) -> Mat2:
     """J[n] in O(log n) integer ring operations and one division per entry.
 
-    J is the jhat recurrence started at J[0] = I and J[1], so with
-    `scalar._two_step`, J[n] = (u*J[1] + v*I) / M^m: the fold with c = 1,
-    each entry divided once, by M^m.
+    J is the jhat recurrence started at J[0] = I and J[1], so
+    `scalar._two_step` gives J[n] = (u*J[1] + v*I) / M^m, and
+    `_over_power` finishes it.
     """
     _check_index(n)
-    u, v, den, m = _two_step(SeqKind.BP_JACOBSTHAL, params, n)
-    b = _plain(params.b)
-    return _fold((b, _plain(2 * b / params.a)), 1, u, v, den, m)
+    return _over_power(params, *_two_step(SeqKind.BP_JACOBSTHAL, params, n))
 
 
 def term_naive(params: BiParams, n: int) -> Mat2:
@@ -313,8 +317,8 @@ def term_binet(params: BiParams, n: int) -> Mat2:
         n even:  u = aM*2Y1,      v = 2Y2 - (2M+N)*2Y1,
 
     where the even index's 2*Y1 is the sqrt(N(N+8M)) part of 2*(M*g)^h
-    itself.  The fold with c = 1 gives the entries, each divided once, by
-    M^h, with `div_power`.  2*(M*g)^h is raised once; 2*Y1 and 2*Y2 each
+    itself.  `_over_power` finishes J[n] from (u, v) and M^h, as it does
+    for `term_fast`.  2*(M*g)^h is raised once; 2*Y1 and 2*Y2 each
     take at most one more product.  At integer (a, b), M = 1, every factor
     is a plain int and nothing is divided.
     """
@@ -337,4 +341,4 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     else:
         two_y1 = power.coeff
         u, v = _plain(params.a * den) * two_y1, two_y2 - (2 * den + num) * two_y1
-    return _fold((b, _plain(2 * b / params.a)), 1, u, v, den, h)
+    return _over_power(params, u, v, den, h)

@@ -187,11 +187,11 @@ def _two_step(kind: SeqKind, params: BiParams,
 
     so the power runs on plain ints, and u and v are returned as ints
     wherever they are integral, which is at every integer pair (P21 is a
-    multiple of N = ab there).  The starting terms may come from any ring
-    the rationals scale: `scalar_term_fast` passes scalars and
-    `matrixseq.term_fast` the matrices J[0] = I and J[1].  The caller
-    divides once, by M^m, with `div_power`, which cancels only factors of
-    M in linear time.
+    multiple of N = ab there).  No starting terms are read here: the
+    caller applies (u, v) to its own, `scalar_term_fast` to the kind's t[0]
+    and t[1] and `matrixseq.term_fast` to J[0] = I and J[1], and divides
+    once, by M^m, with `div_power`, which cancels only factors of M in
+    linear time.
     """
     even, _, c = kind.rule(params)
     m = n // 2

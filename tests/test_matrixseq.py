@@ -300,6 +300,23 @@ def test_log_time_powers_run_on_integers(monkeypatch, params):
             (base, result)
 
 
+@pytest.mark.parametrize("a, b", [(3, 2), (2, -3), (F(1, 2), F(-3, 4))], ids=str)
+def test_log_time_routes_build_no_unit_past_n_1(monkeypatch, a, b):
+    # A power builds its unit only at exponent 0, so past n = 1 neither
+    # route builds the identity matrix or the doubled root's 1.
+    params = BiParams(a, b)
+    expected = [term_recurrence(params, n) for n in range(41)]
+
+    def refuse(cls, *args):
+        raise AssertionError(f"{cls.__name__} built a unit")
+
+    monkeypatch.setattr(Mat2, "identity", classmethod(refuse))
+    monkeypatch.setattr(exact._DoubledQuadNum, "from_rational", classmethod(refuse))
+    for n in range(2, 41):
+        assert term_fast(params, n) == expected[n], n
+        assert term_binet(params, n) == expected[n], n
+
+
 def test_binet_halving_product_shifts_even_fields(monkeypatch):
     # 200 seeded pairs, numerators and denominators in +-1..12, and four
     # fixed pairs: ab = 1 and ab = -9 (N(N+8M) = 9, a perfect square),
