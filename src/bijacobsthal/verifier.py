@@ -16,18 +16,20 @@ and index bound (see `matrixseq._Cleared`): c clears the denominators of
 J[1] and d[n_max] is the running denominator of the integer recurrence.
 One factor serves all three.  The closed forms, the direct sum and
 `genfunc.build_ogf` read every term, J[0] and J[1] included, through one
-term source (`matrixseq._term_source`), so they are linear in the terms,
-and the same formula code fed the integer terms F*J[k] gives F times its
-value: the long division yields F*J[m], compared with the cleared
-recurrence's F*J[m].  At integer (a, b) and 1/x both sides are then
-matrices of plain ints; elsewhere the terms are still ints, and the same
-code runs with the rational a, b and x.  Clearing one nonzero factor
-from both sides does not change which side is normative.  One rule,
-`_confirmed`, turns the cleared sides into cases: an index where they
-differ goes back to Fraction once, for its residual in the original
-units, and the first one confirmed there is the FAIL.  DOUBLING and DET
-stay on the Fraction memo of `term_recurrence` on purpose: they check
-identities among the memo's own terms, so a corrupted memo shows in them.
+term source (`matrixseq._term_source`); the three closed forms take it,
+with their n >= 1 rule and parity selectors, from `_form_inputs`.  So
+they are linear in the terms, and the same formula code fed the integer
+terms F*J[k] gives F times its value: the long division yields F*J[m],
+compared with the cleared recurrence's F*J[m].  At integer (a, b) and
+1/x both sides are then matrices of plain ints; elsewhere the terms are
+still ints, and the same code runs with the rational a, b and x.
+Clearing one nonzero factor from both sides does not change which side
+is normative.  One rule, `_confirmed`, turns the cleared sides into
+cases: an index where they differ goes back to Fraction once, for its
+residual in the original units, and the first one confirmed there is the
+FAIL.  DOUBLING and DET stay on the Fraction memo of `term_recurrence`
+on purpose: they check identities among the memo's own terms, so a
+corrupted memo shows in them.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -197,9 +199,14 @@ def sum_direct(params: BiParams, n: int) -> Mat2:
     return weighted_sum_direct(params, 1, n)
 
 
-def _selectors(params: BiParams, n: int) -> tuple[Fraction, Fraction]:
-    """(a^e * b^(1-e), a^(1-e) * b^e) with e = parity(n), as in the sum forms."""
-    return (params.a, params.b) if parity(n) else (params.b, params.a)
+def _form_inputs(params, n: int):
+    """What every closed sum form reads at index n >= 1: the point's term
+    function (`matrixseq._term_source`) and the selectors
+    a^e * b^(1-e), a^(1-e) * b^e with e = parity(n)."""
+    if n < 1:
+        raise ValueError("partial sums are defined for n >= 1")
+    sel_n, sel_n1 = (params.a, params.b) if parity(n) else (params.b, params.a)
+    return _term_source(params), sel_n, sel_n1
 
 
 def sum_closed_form(params: BiParams, n: int) -> Mat2:
@@ -208,12 +215,9 @@ def sum_closed_form(params: BiParams, n: int) -> Mat2:
     [J[n]*(1 - a^e*b^(1-e)) + 2*J[n-1]*(1 - a^(1-e)*b^e)
      + J[1]*(a-1) + J[0]*(2b-ab-1)] / (1-ab),   e = parity(n).
     """
-    if n < 1:
-        raise ValueError("partial sums are defined for n >= 1")
+    term, sel_n, sel_n1 = _form_inputs(params, n)
     if params.ab == 1:
         raise ZeroDivisionError("closed form divides by 1 - ab")
-    sel_n, sel_n1 = _selectors(params, n)
-    term = _term_source(params)
     numerator = (
         term(n) * (1 - sel_n)
         + term(n - 1) * (2 * (1 - sel_n1))
@@ -260,13 +264,10 @@ def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     summation form at x = 1 but is refuted by the direct sum for x != 1.
     """
     x = _plain(as_rational(x))  # an integral x stays an int, like cleared terms
-    if n < 1:
-        raise ValueError("partial sums are defined for n >= 1")
+    term, sel_n, sel_n1 = _form_inputs(params, n)
     den = _t6_denominator(params, x)
     if den == 0:
         raise ZeroDivisionError("x^2 - (ab+4)x + 4 vanishes at this x")
-    sel_n, sel_n1 = _selectors(params, n)
-    term = _term_source(params)
     j0, j1 = term(0), term(1)
     numerator = (
         term(n) * (2 - x - sel_n * x)
@@ -295,19 +296,17 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     beta+2 (at x = 1 or x = 2 that means ab = 1).
     """
     x = as_rational(x)
-    if n < 1:
-        raise ValueError("partial sums are defined for n >= 1")
+    term, sel_n, sel_n1 = _form_inputs(params, n)
     if x == 0:
         raise ZeroDivisionError("weights divide by powers of x")
     ogf = build_ogf(params)
     den = sum(d * x ** (4 - i) for i, d in enumerate(ogf.denominator))
     if den == 0:
         raise ZeroDivisionError("x^4 - (ab+4)x^2 + 4 vanishes at this x")
-    sel_n, sel_n1 = _selectors(params, n)
     numerator = (
         sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator)), Mat2.zero())
-        - term_recurrence(params, n) * (x ** (2 - n) * (x * x + sel_n * x - 2))
-        - term_recurrence(params, n - 1) * (2 * x ** (1 - n) * (x * x + sel_n1 * x - 2))
+        - term(n) * (x ** (2 - n) * (x * x + sel_n * x - 2))
+        - term(n - 1) * (2 * x ** (1 - n) * (x * x + sel_n1 * x - 2))
     )
     return numerator / den
 

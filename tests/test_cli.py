@@ -506,6 +506,14 @@ def test_bench_negative_ladder_entry_is_refused_before_either_route(capsys, monk
     assert (code, out, err) == (2, "", "error: matrix terms are defined for n >= 0\n")
 
 
+def test_bench_self_test_failure_exits_1_with_the_index(capsys, monkeypatch):
+    naive = cli.term_naive
+    monkeypatch.setattr(cli, "term_naive",
+                        lambda params, n: naive(params, n) + Mat2(1, 0, 0, 0))
+    code, out, err = run_cli(capsys, "bench", "--ladder", "3", "--repeat", "1")
+    assert (code, out, err) == (1, "", "bench self-test failed at n=3\n")
+
+
 def test_bench_at_a_rational_pair(capsys):
     code, out, _ = run_cli(capsys, "bench", "--a", "5/7", "--b", "-7/9",
                            "--ladder", "0,1,2,257", "--repeat", "1")

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from bijacobsthal import scalar as scalar_mod, verifier as verifier_mod
+from bijacobsthal import matrixseq as matrixseq_mod, scalar as scalar_mod
+from bijacobsthal import verifier as verifier_mod
 from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.genfunc import build_ogf, series_coeffs
 from bijacobsthal.matrixseq import term_recurrence
@@ -221,6 +222,20 @@ def test_cleared_terms_are_the_factor_times_the_recurrence(params):
         assert closed == cleared.factor * sum_closed_form(params, n)
         if params.a.denominator == params.b.denominator == 1:
             assert all(type(e) is int for e in closed.entries())
+    # so do both weighted forms, reading J[n] and J[n-1] from the cleared
+    # point and never through the Fraction memo
+    for form in (weighted_sum_printed_form, weighted_sum_corrected_form):
+        for x in (F(2), F(-1, 3)):
+            for n in range(1, 41):
+                try:
+                    value = form(params, x, n)
+                except ZeroDivisionError:  # the form's denominator vanishes
+                    continue
+                weighted = form(cleared, x, n)
+                assert weighted == cleared.factor * value, (form.__name__, x, n)
+                assert not any(type(e) is float for e in weighted.entries())
+    assert not any(isinstance(part, verifier_mod._Cleared)
+                   for key in matrixseq_mod._memo._series for part in key)
     # and the generating function, fed the cleared point, expands to F*J[m]
     series = verifier_mod._Cleared(params, 40)
     for m, coeff in enumerate(series_coeffs(build_ogf(series), 41)):
@@ -237,6 +252,50 @@ def test_partial_sums_of_a_cleared_integer_pair_are_int_matrices(x):
     for n, total in enumerate(verifier_mod._partial_sums(cleared, x, 24), 1):
         assert all(type(e) is int for e in total.entries()), n
         assert total == cleared.factor * weighted_sum_direct(params, x, n), n
+
+
+_N_RULE = (ValueError, "partial sums are defined for n >= 1")
+
+
+# Each refusal of the sum functions and the suites' index bounds, with its
+# exact message; where two checks would refuse, the first one listed in the
+# function wins (the n rule before 1 - ab, before x = 0, before a vanishing
+# denominator).
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: sum_closed_form(BiParams(2, 1), 0), _N_RULE),
+    (lambda: sum_closed_form(BiParams(1, 1), 0), _N_RULE),
+    (lambda: sum_closed_form(BiParams(1, 1), 4),
+     (ZeroDivisionError, "closed form divides by 1 - ab")),
+    (lambda: weighted_sum_direct(BiParams(2, 1), F(2), 0), _N_RULE),
+    (lambda: weighted_sum_direct(BiParams(2, 1), F(0), 0), _N_RULE),
+    (lambda: weighted_sum_direct(BiParams(2, 1), F(0), 2),
+     (ZeroDivisionError, "weights divide by powers of x")),
+    (lambda: weighted_sum_printed_form(BiParams(2, 1), F(2), 0), _N_RULE),
+    (lambda: weighted_sum_printed_form(BiParams(1, 1), F(1), 0), _N_RULE),
+    (lambda: weighted_sum_printed_form(BiParams(1, 1), F(1), 3),
+     (ZeroDivisionError, "x^2 - (ab+4)x + 4 vanishes at this x")),
+    (lambda: weighted_sum_corrected_form(BiParams(2, 1), F(2), 0), _N_RULE),
+    (lambda: weighted_sum_corrected_form(BiParams(2, 1), F(0), 0), _N_RULE),
+    (lambda: weighted_sum_corrected_form(BiParams(1, 1), F(0), 3),
+     (ZeroDivisionError, "weights divide by powers of x")),
+    (lambda: weighted_sum_corrected_form(BiParams(1, 1), F(1), 3),
+     (ZeroDivisionError, "x^4 - (ab+4)x^2 + 4 vanishes at this x")),
+    (lambda: verify_cassini(BiParams(2, 1), 0),
+     (ValueError, "n_max must be at least 1")),
+    (lambda: verify_det(BiParams(2, 1), -1),
+     (ValueError, "n_max must be at least 0")),
+    (lambda: verify_sum_t5(BiParams(1, 1), 0),
+     (ValueError, "n_max must be at least 1")),
+    (lambda: verify_weighted_sum_t6(BiParams(2, 1), F(0), 0),
+     (ValueError, "n_max must be at least 1")),
+    (lambda: verify_cross_method(BiParams(2, 1), -1),
+     (ValueError, "n_max must be at least 0")),
+])
+def test_sum_and_suite_refusals(call, refusal):
+    kind, message = refusal
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)
 
 
 def test_weighted_sum_skips():
