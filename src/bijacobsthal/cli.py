@@ -1,6 +1,10 @@
 """Command-line front end.
 
-Subcommands: term, matrix, series, sum, verify, bench.  Every rational on
+Subcommands: term, matrix, series, sum, verify, bench.  `main` runs the
+subcommand's handler `cmd_<name>`, looked up by name at each call; the
+parser, built once per process, names no handler.  `term`, `matrix`,
+`series` and `sum` take their point (`--a`, `--b` and the index option)
+from one helper in `build_parser`.  Every rational on
 the wire is the exact string "p/q" (or "p" when the denominator is 1);
 no floating point is ever printed except benchmark wall times.  `_emit`
 prints term, matrix, series and sum through the one encoder of each format:
@@ -239,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every `main` call in a process shares it, so a short query does not
     rebuild the argparse tree, which costs more than the query itself; a
-    one-shot `python -m bijacobsthal` still builds it once.  The parser
-    holds the `cmd_*` handlers it was built with, so a `cli.cmd_*`
-    monkeypatched after it exists is not seen.
+    one-shot `python -m bijacobsthal` still builds it once.  It holds no
+    handler: `main` finds `cmd_<command>` by name at each call.
     `build_parser.__wrapped__()` builds a fresh one.
     """
     parser = argparse.ArgumentParser(
@@ -256,42 +259,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "json", "csv"),
                        default="plain")
 
+    def add_point(p: argparse.ArgumentParser, index: str = "--n") -> None:
+        for option in ("--a", "--b", index):
+            p.add_argument(option, required=True)
+
     p_term = sub.add_parser("term", help="one scalar sequence term")
     p_term.add_argument("--kind", required=True,
                         choices=[k.value for k in SeqKind])
-    p_term.add_argument("--a", required=True)
-    p_term.add_argument("--b", required=True)
-    p_term.add_argument("--n", required=True)
+    add_point(p_term)
     add_common(p_term)
-    p_term.set_defaults(handler=cmd_term)
 
     p_matrix = sub.add_parser("matrix", help="one matrix term")
-    p_matrix.add_argument("--a", required=True)
-    p_matrix.add_argument("--b", required=True)
-    p_matrix.add_argument("--n", required=True)
+    add_point(p_matrix)
     p_matrix.add_argument("--method", default="all",
                           choices=(*METHODS.keys(), "all"))
     add_common(p_matrix)
-    p_matrix.set_defaults(handler=cmd_matrix)
 
     p_series = sub.add_parser("series", help="generating-function expansion")
-    p_series.add_argument("--a", required=True)
-    p_series.add_argument("--b", required=True)
-    p_series.add_argument("--count", required=True)
+    add_point(p_series, "--count")
     add_common(p_series)
-    p_series.set_defaults(handler=cmd_series)
 
     p_sum = sub.add_parser("sum", help="partial sums, oracle vs closed form")
-    p_sum.add_argument("--a", required=True)
-    p_sum.add_argument("--b", required=True)
-    p_sum.add_argument("--n", required=True)
+    add_point(p_sum)
     p_sum.add_argument("--x", default=None,
                        help="weight 1/x^k per term (omit for the plain sum)")
     p_sum.add_argument("--both", action="store_true",
                        help="print the closed form next to the oracle and "
                             "flag MATCH/MISMATCH")
     add_common(p_sum)
-    p_sum.set_defaults(handler=cmd_sum)
 
     p_verify = sub.add_parser("verify", help="identity suites over a grid")
     p_verify.add_argument("--suite", action="append", required=True,
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="tolerate the documented expected failures "
                                f"({WEIGHTED_SUM_T6} with x != 1)")
     add_common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="naive vs fast wall time (CSV)")
     p_bench.add_argument("--a", default="1")
@@ -317,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=",".join(str(n) for n in DEFAULT_BENCH_LADDER))
     p_bench.add_argument("--repeat", default="1",
                          help="timed runs per point; the minimum is kept")
-    p_bench.set_defaults(handler=cmd_bench)
 
     return parser
 
@@ -343,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, ZeroDivisionError) as exc:  # includes DegenerateDiscriminantError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

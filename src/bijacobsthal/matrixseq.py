@@ -163,15 +163,17 @@ def term_recurrence(params: BiParams, n: int) -> Mat2:
 class _Cleared:
     """A parameter point whose terms are cleared of denominators.
 
-    `term(k)` is F*J[k] with plain int entries, for 0 <= k <= n_max, and
-    F = c * d[n_max], one factor for every formula that reads the terms:
+    `term(k)` is F*J[k] with plain int entries, for 0 <= k <= bound, where
+    bound = max(n_max, 1) because every formula reads J[0] and J[1], and
+    F = c * d[bound], one factor for every formula that reads the terms:
 
     * c clears the denominators of J[1] (at integer (a, b) it divides a),
       so c*J[0] = c*I and c*J[1] are integral;
     * d[k] is the running denominator of `_cleared_walk`, so d[k]*c*J[k]
       is the fold of its cleared pair (U[k], V[k]) with c*J[1]; d[k]
-      divides d[n_max], and each term is rescaled by their quotient (1 at
-      every k when (a, b) is an integer pair).
+      divides d[bound], and each term is rescaled by their quotient (1 at
+      every k when (a, b) is an integer pair).  Past the bound d[k] need
+      not divide d[bound], so `term` refuses any k outside 0..bound.
 
     The formulas are linear in the terms, so fed F*J[k] they give F times
     their value for any nonzero F.  On a PASS at an integer pair that is
@@ -187,7 +189,8 @@ class _Cleared:
         walk, d = _cleared_walk(params)
         j1_row = params.b, 2 * params.b / params.a  # the other row is (1, 0)
         scale = lcm(*(e.denominator for e in j1_row))
-        top = d(n_max)
+        self.bound = max(n_max, 1)
+        top = d(self.bound)
         self.factor = scale * top
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
         row = tuple((scale * e).numerator for e in j1_row)
@@ -196,6 +199,8 @@ class _Cleared:
                       for k, (u, v) in enumerate(walk))
 
     def term(self, k: int) -> Mat2:
+        if not 0 <= k <= self.bound:
+            raise ValueError(f"cleared terms are defined for 0 <= k <= {self.bound}")
         while len(self._terms) <= k:
             self._terms.append(next(self._more))
         return self._terms[k]

@@ -373,7 +373,7 @@ def verify_root_identities(params: BiParams) -> IdentityReport:
 def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     """Generating-function expansion against the recurrence, coefficient
     by coefficient for 0 <= m < count, on terms cleared by
-    F = c * d[count-1] (see `matrixseq._Cleared`).
+    F = c * d[max(count-1, 1)] (see `matrixseq._Cleared`).
 
     The expansion at the cleared point is F times the series, and at an
     integer pair both sides are matrices of plain ints.  `_confirmed`

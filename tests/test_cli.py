@@ -424,7 +424,8 @@ def _exit_output(capsys, parse, argv):
     (["term", "--kind", "nope", "--a", "2", "--b", "1", "--n", "5"], 2),
     (["matrix", "--method", "nope", "--a", "2", "--b", "1", "--n", "3"], 2),
     (["verify", "--suite", "NOPE", "--a", "1..2", "--b", "1..2"], 2),
-    (["term", "--help"], 0),
+    *(([*command, "--help"], 0) for command in
+      ([], ["term"], ["matrix"], ["series"], ["sum"], ["verify"], ["bench"])),
 ], ids=lambda v: (" ".join(v) or "no-subcommand") if isinstance(v, list) else None)
 def test_error_and_help_paths_repeat_on_one_process(capsys, monkeypatch, argv, code):
     monkeypatch.setenv("COLUMNS", "80")
@@ -437,6 +438,24 @@ def test_error_and_help_paths_repeat_on_one_process(capsys, monkeypatch, argv, c
     fresh = _exit_output(capsys, fresh_parser.parse_args, argv)
     assert first == second == fresh
     assert first[0] == code and (first[1] or first[2])
+
+
+def test_main_runs_the_handler_bound_when_it_is_called(capsys, monkeypatch):
+    term = ["term", "--kind", "jhat", "--a", "2", "--b", "1", "--n", "5"]
+    assert run_cli(capsys, *term) == (0, "20\n", "")  # the parser now exists
+    argvs = {
+        "term": term,
+        "matrix": ["matrix", "--a", "2", "--b", "1", "--n", "3"],
+        "series": ["series", "--a", "2", "--b", "1", "--count", "2"],
+        "sum": ["sum", "--a", "2", "--b", "1", "--n", "2"],
+        "verify": ["verify", "--suite", "DET", "--a", "1", "--b", "1"],
+        "bench": ["bench", "--ladder", "1"],
+    }
+    for code, command in enumerate(argvs, 10):
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda args, code=code: print(args.command) or code)
+    for code, (command, argv) in enumerate(argvs.items(), 10):
+        assert run_cli(capsys, *argv) == (code, f"{command}\n", "")
 
 
 def test_one_parser_per_process_keeps_no_state_between_calls(capsys):

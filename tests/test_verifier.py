@@ -215,6 +215,12 @@ def test_cleared_terms_are_the_factor_times_the_recurrence(params):
         term = cleared.term(k)
         assert all(type(e) is int for e in term.entries())
         assert term == cleared.factor * term_recurrence(params, k)
+    # a point cleared for n_max = 0 still serves J[1], which every formula
+    # reads, so a one-coefficient series reads a true J[1]
+    zero = verifier_mod._Cleared(params, 0)
+    for k in (0, 1):
+        assert zero.term(k) == zero.factor * term_recurrence(params, k), k
+    assert verify_series_match(params, 1).status == "PASS"
     # the one formula code, fed the cleared terms, gives F times its value,
     # on plain ints at an integer pair
     for n in range(1, 41):
@@ -255,10 +261,12 @@ def test_partial_sums_of_a_cleared_integer_pair_are_int_matrices(x):
 
 
 _N_RULE = (ValueError, "partial sums are defined for n >= 1")
+_CLEARED_TO_4 = (ValueError, "cleared terms are defined for 0 <= k <= 4")
 
 
-# Each refusal of the sum functions and the suites' index bounds, with its
-# exact message; where two checks would refuse, the first one listed in the
+# Each refusal of the sum functions, the suites' index bounds and a cleared
+# point's bound (past it the rescaling would floor), with its exact
+# message; where two checks would refuse, the first one listed in the
 # function wins (the n rule before 1 - ab, before x = 0, before a vanishing
 # denominator).
 @pytest.mark.parametrize("call, refusal", [
@@ -290,6 +298,8 @@ _N_RULE = (ValueError, "partial sums are defined for n >= 1")
      (ValueError, "n_max must be at least 1")),
     (lambda: verify_cross_method(BiParams(2, 1), -1),
      (ValueError, "n_max must be at least 0")),
+    *((lambda k=k: verifier_mod._Cleared(BiParams(F(1, 2), F(-3, 4)), 4).term(k),
+       _CLEARED_TO_4) for k in (-1, 5, 8, 12)),
 ])
 def test_sum_and_suite_refusals(call, refusal):
     kind, message = refusal
