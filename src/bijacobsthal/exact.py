@@ -111,9 +111,10 @@ def _power(base, k: int, one, what: str):
     TAOCP vol. 2, section 4.6.3).  That is bit_length(k) - 1 squares and
     popcount(k) - 1 other products, and each other product is by the
     original base.  The library raises bases with small entries (the
-    integer two-step matrix K, the doubled root 2*M*g), so that product
-    takes time linear in the size of the result; only the squares, which
-    `__mul__` computes with fewer big products, multiply big by big.
+    integer two-step matrix K, the doubled root 2*M*g, the bordered sum
+    map), so that product takes time linear in the size of the result;
+    only the squares, which `__mul__` computes with fewer big products,
+    multiply big by big.
     Every product keeps the base's entry type (an int base stays int).
     `one` makes the unit, and is called only for k = 0, so no other power
     builds one.
@@ -222,6 +223,36 @@ class Mat2:
     def __str__(self) -> str:
         f = format_rational
         return f"[[{f(self.e11)},{f(self.e12)}],[{f(self.e21)},{f(self.e22)}]]"
+
+
+class _Bordered:
+    """The 3x3 matrix [[K, 0], [r, s]]: a `Mat2` K bordered below by a row
+    r = (r1, r2) and a corner s, with zeros above the corner.  Products
+    keep that shape,
+
+        [[K, 0], [r, s]] * [[K', 0], [r', s']] = [[K*K', 0], [r*K' + s*r', s*s']],
+
+    so 3 of the 9 entries are never computed, and a square squares K with
+    `Mat2`'s 5-product square.  `**` is `_power`, as for `Mat2`.  It is
+    only raised, never compared or hashed, so it is a plain class: a
+    dataclass would cost every import its generated methods.
+    """
+
+    __slots__ = ("block", "row", "corner")
+
+    def __init__(self, block: Mat2, row: tuple, corner: int) -> None:
+        self.block, self.row, self.corner = block, row, corner
+
+    def __mul__(self, other: _Bordered) -> _Bordered:
+        k = other.block
+        (r1, r2), (o1, o2), s = self.row, other.row, self.corner
+        return _Bordered(self.block * k,
+                         (r1 * k.e11 + r2 * k.e21 + s * o1,
+                          r1 * k.e12 + r2 * k.e22 + s * o2),
+                         s * other.corner)
+
+    def __pow__(self, k: int) -> _Bordered:
+        return _power(self, k, lambda: _Bordered(Mat2(1, 0, 0, 1), (0, 0), 1), "bordered")
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
   `bench` naive route `term_naive` read it;
 * the fold, `_fold`: the entries of u*(c*J[1]) + v*(c*I), with the
   products by J[1]'s entries 1 and 0 not taken.  `_Cleared` calls it,
-  and so does `_over_power`, the one finish of `term_fast` and
-  `term_binet`.
+  and so does `_over_power`, the one finish of `term_fast`, `term_binet`
+  and the log-time partial sum `verifier.weighted_sum_direct`.
 
 The two log-time routes raise integers, not rationals: `term_fast` an
 integer two-step matrix and, with ab = N/M in lowest terms, `term_binet`
@@ -55,9 +55,11 @@ table in `scalar`, and `term_fast` raises the two-step matrix that
 separate computations and cross-check one another.
 
 `_term_source` is the one way the verifier's sum forms and
-`genfunc.build_ogf` read terms: the recurrence at a `BiParams`, or the
-integer terms F*J[k] of a `_Cleared` point.  It lives here because
-`genfunc` cannot import from `verifier`.
+`genfunc.build_ogf` read terms: `term_fast` at a `BiParams`, so the
+`sum` subcommand's closed forms read J[n] and J[n-1] in O(log n) and
+fill no memo; the integer terms F*J[k] of a `_Cleared` point; or the
+recurrence at a point over any other ring, which `term_fast` cannot
+clear.  It lives here because `genfunc` cannot import from `verifier`.
 """
 
 from __future__ import annotations
@@ -138,8 +140,9 @@ def _fold(row: tuple, c, u, v) -> tuple:
 
 
 def _over_power(params: BiParams, u, v, den: int, m: int) -> Mat2:
-    """(u*J[1] + v*I) / den^m, the one finish of the log-time routes: the
-    fold with c = 1, each entry divided once, with `div_power`."""
+    """(u*J[1] + v*I) / den^m, the one finish of the log-time routes and
+    of the log-time partial sum: the fold with c = 1, each entry divided
+    once, with `div_power`."""
     b = _plain(params.b)
     entries = _fold((b, _plain(2 * b / params.a)), 1, u, v)
     return Mat2(*(div_power(e, den, m) for e in entries))
@@ -208,10 +211,14 @@ class _Cleared:
 
 def _term_source(params) -> Callable[[int], Mat2]:
     """J[k] as a function of k, the one way the sum forms and the
-    generating function read terms: a cleared point's own F*J[k], or the
-    recurrence at any other point."""
+    generating function read terms: a cleared point's own F*J[k],
+    `term_fast` at a `BiParams`, so a closed form reads J[n] in O(log n)
+    and fills no memo, or the recurrence at any other point (a point over
+    a symbolic ring, which `term_fast` cannot clear)."""
     if isinstance(params, _Cleared):
         return params.term
+    if isinstance(params, BiParams):
+        return lambda k: term_fast(params, k)
     return lambda k: term_recurrence(params, k)
 
 

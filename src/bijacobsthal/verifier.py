@@ -14,12 +14,13 @@ Three suites, SUM_T5, WEIGHTED_SUM_T6 and SERIES_MATCH, compare both
 sides multiplied by one known nonzero factor F = c * d[n_max] per point
 and index bound (see `matrixseq._Cleared`): c clears the denominators of
 J[1] and d[n_max] is the running denominator of the integer recurrence.
-One factor serves all three.  The closed forms, the direct sum and
-`genfunc.build_ogf` read every term, J[0] and J[1] included, through one
-term source (`matrixseq._term_source`); the three closed forms take it,
-with their n >= 1 rule and parity selectors, from `_form_inputs`.  So
-they are linear in the terms, and the same formula code fed the integer
-terms F*J[k] gives F times its value: the long division yields F*J[m],
+One factor serves all three.  The closed forms and `genfunc.build_ogf`
+read every term, J[0] and J[1] included, through one term source
+(`matrixseq._term_source`); the three closed forms take it, with their
+n >= 1 rule and parity selectors, from `_form_inputs`.  The direct sum,
+`_partial_sums`, walks the cleared point's terms.  So both sides are
+linear in the terms, and the same formula code fed the integer terms
+F*J[k] gives F times its value: the long division yields F*J[m],
 compared with the cleared recurrence's F*J[m].  At integer (a, b) and
 1/x both sides are then matrices of plain ints; elsewhere the terms are
 still ints, and the same code runs with the rational a, b and x.
@@ -30,6 +31,13 @@ residual in the original units, and the first one confirmed there is the
 FAIL.  DOUBLING and DET stay on the Fraction memo of `term_recurrence`
 on purpose: they check identities among the memo's own terms, so a
 corrupted memo shows in them.
+
+The public direct sums, `sum_direct` and `weighted_sum_direct`, are not
+the suites' direct side: each is one power of the bordered sum map
+(`scalar._two_step_sum`), in O(log n) integer ring operations, and the
+closed forms at a `BiParams` read J[n] and J[n-1] by `term_fast`.  So the
+`sum` subcommand fills no memo, and the suites still check the closed
+forms against a term walk, not against that power.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -55,6 +63,7 @@ from .exact import Mat2, _plain, as_rational, parity
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
     _Cleared,
+    _over_power,
     _term_source,
     char_roots,
     det_closed,
@@ -77,7 +86,8 @@ from .report import (
     first_mismatch,
     skipped,
 )
-from .scalar import BiParams, SeqKind, scalar_term, verify_lucas_relations
+from .scalar import (BiParams, SeqKind, _two_step_sum, scalar_term,
+                     verify_lucas_relations)
 
 # route name -> J[n] by that route; `cli.METHODS` is this same dict.
 ROUTES = {
@@ -150,13 +160,16 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
     return first_mismatch(DOUBLING, params, m_max, cases())
 
 
-def _partial_sums(params, x: Fraction, n_max: int):
-    """Yield sum_{k=0}^{n-1} J[k] / x^k for n = 1, ..., n_max, term by term.
+def _partial_sums(cleared: _Cleared, x: Fraction, n_max: int):
+    """Yield sum_{k=0}^{n-1} F*J[k] / x^k for n = 1, ..., n_max, term by
+    term on a cleared point's terms: the sum suites' normative direct side,
+    a walk, so the closed forms are checked against a computation that is
+    not the power of `weighted_sum_direct`.
 
     The weight starts at the int 1 and is multiplied by 1/x, an int when x
     is 1 or 1/k, at each step; a weight of 1 leaves a term as it is
     (`Mat2.scale`)."""
-    term = _term_source(params)
+    term = cleared.term
     total, weight, step = term(0), 1, _plain(1 / as_rational(x))
     yield total
     for k in range(1, n_max):
@@ -195,7 +208,7 @@ def _check_sums(identity: str, params: BiParams, closed, n_max: int,
 
 
 def sum_direct(params: BiParams, n: int) -> Mat2:
-    """sum_{k=0}^{n-1} J[k] by plain term-by-term addition (the oracle)."""
+    """sum_{k=0}^{n-1} J[k]: `weighted_sum_direct` at x = 1, in O(log n)."""
     return weighted_sum_direct(params, 1, n)
 
 
@@ -242,15 +255,17 @@ def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
 
 
 def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
-    """sum_{k=0}^{n-1} J[k] / x^k term by term (the oracle); x != 0."""
+    """sum_{k=0}^{n-1} J[k] / x^k in O(log n) integer ring operations;
+    x != 0.  One power of the bordered sum map of `scalar._two_step_sum`
+    gives the sum in the basis {J[1], I} over D^(n//2), and
+    `matrixseq._over_power` finishes it as it finishes `term_fast`, with
+    one division per entry."""
     x = as_rational(x)
     if n < 1:
         raise ValueError("partial sums are defined for n >= 1")
     if x == 0:
         raise ZeroDivisionError("weights divide by powers of x")
-    for total in _partial_sums(params, x, n):
-        pass
-    return total
+    return _over_power(params, *_two_step_sum(params, x, n))
 
 
 def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
@@ -291,7 +306,7 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
          - 2*x^(1-n) * J[n-1] * (x^2 + a^(1-e)*b^e*x - 2)]
         / (x^4*D(1/x)),   e = parity(n).
 
-    Validated against weighted_sum_direct over the whole default grid; the
+    Validated against a term-by-term sum over the whole default grid; the
     denominator vanishes exactly when x^2 hits a shifted root alpha+2 or
     beta+2 (at x = 1 or x = 2 that means ab = 1).
     """

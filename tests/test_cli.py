@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bijacobsthal import ALL_IDENTITIES, cli, report, verifier
+from bijacobsthal import ALL_IDENTITIES, cli, matrixseq, report, verifier
 from bijacobsthal.cli import main, parse_grid_values
 from bijacobsthal.exact import Mat2, parse_rational
 from bijacobsthal.scalar import BiParams
@@ -189,6 +189,22 @@ def test_sum_json(capsys):
     assert data["direct"]["e11"] == "3/2"
     assert data["closed_form"]["e11"] == "3"
     assert data["match"] is False
+
+
+def test_sum_fills_no_matrix_memo(capsys):
+    # the direct sum is one power and the closed forms read J[n] and
+    # J[n-1] by `term_fast`, so no `sum` call walks the recurrence memo
+    matrixseq.clear_caches()
+    point = ("sum", "--a", "1/2", "--b=-3/4", "--n", "40")
+    for extra, exit_code in [((), 0), (("--both",), 0), (("--x=-2/3",), 0),
+                             (("--x=-2/3", "--both"), 1)]:
+        code, out, err = run_cli(capsys, *point, *extra)
+        assert (code, err) == (exit_code, ""), extra
+        assert out
+    assert not matrixseq._memo._series
+    # plain `sum` still computes the closed form, so ab = 1 still refuses
+    assert run_cli(capsys, "sum", "--a", "1", "--b", "1", "--n", "5") == (
+        2, "", "error: closed form divides by 1 - ab\n")
 
 
 def _raise(*args, **kwargs):

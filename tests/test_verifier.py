@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -7,7 +8,7 @@ from bijacobsthal import matrixseq as matrixseq_mod, scalar as scalar_mod
 from bijacobsthal import verifier as verifier_mod
 from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.genfunc import build_ogf, series_coeffs
-from bijacobsthal.matrixseq import term_recurrence
+from bijacobsthal.matrixseq import iter_terms, term_recurrence
 from bijacobsthal.report import (
     CASSINI,
     CROSS_METHOD,
@@ -42,6 +43,19 @@ from bijacobsthal.verifier import (
 
 GRID_VALUES = tuple(F(v) for v in (-3, -2, -1, 1, 2, 3))
 GRID = [BiParams(a, b) for a in GRID_VALUES for b in GRID_VALUES]
+
+
+def _walk_sums(params, x, n_max):
+    """[sum_{k<n} J[k] / x^k for n = 1, ..., n_max], added term by term
+    over `iter_terms` in Fractions: the tests' own reference for the direct
+    sums, so no test checks the log-time `weighted_sum_direct` against
+    itself."""
+    total, weight, sums = Mat2.zero(), F(1), []
+    for term in islice(iter_terms(params), n_max):
+        total = total + term * weight
+        weight /= x
+        sums.append(total)
+    return sums
 
 
 def test_cassini_hand_values():
@@ -107,9 +121,7 @@ def test_weighted_sum_direct_values():
 @pytest.mark.parametrize("params", [BiParams(2, 1), BiParams(F(1, 2), F(-3, 4))], ids=str)
 def test_weighted_sum_direct_at_negative_weights(params, x):
     # the weight 1/x^k alternates in sign, so it is 1 only at every other k
-    for n in range(1, 12):
-        expected = sum((term_recurrence(params, k) * x ** -k for k in range(n)),
-                       Mat2.zero())
+    for n, expected in enumerate(_walk_sums(params, x, 11), 1):
         assert weighted_sum_direct(params, x, n) == expected
 
 
@@ -140,19 +152,19 @@ def test_weighted_sum_printed_form_matches_plain_sum_at_x_1():
 
 def _fraction_reference(params, x, n_max):
     """A sum suite's report on Fractions, index by index: the public closed
-    form against `sum_direct` (x is None) or `weighted_sum_direct`."""
+    form against the in-test sum `_walk_sums` (at x = 1 when x is None)."""
     if x is None:
         if params.ab == 1:
             return skipped(SUM_T5, params, n_max, "denominator 1-ab vanishes")
-        cases = ((n, sum_closed_form(params, n), sum_direct(params, n), None)
-                 for n in range(1, n_max + 1))
+        sums = enumerate(_walk_sums(params, F(1), n_max), 1)
+        cases = ((n, sum_closed_form(params, n), direct, None) for n, direct in sums)
         return first_mismatch(SUM_T5, params, n_max, cases)
     if x * x - (params.ab + 4) * x + 4 == 0:
         return skipped(WEIGHTED_SUM_T6, params, n_max,
                        "denominator x^2-(ab+4)x+4 vanishes", x=x)
-    cases = ((n, weighted_sum_printed_form(params, x, n),
-              weighted_sum_direct(params, x, n), None)
-             for n in range(1, n_max + 1))
+    sums = enumerate(_walk_sums(params, x, n_max), 1)
+    cases = ((n, weighted_sum_printed_form(params, x, n), direct, None)
+             for n, direct in sums)
     return first_mismatch(WEIGHTED_SUM_T6, params, n_max, cases, x=x)
 
 
@@ -189,6 +201,23 @@ def test_cleared_sum_suites_match_the_fraction_reference():
     # x != 1 is not skipped
     assert statuses == {("PASS", True), ("SKIPPED", True), ("FAIL", False),
                         ("SKIPPED", False)}
+
+
+@pytest.mark.parametrize("x", [F(1), F(1, 3), F(3), F(-2, 3)], ids=str)
+def test_log_time_sums_match_the_walk_to_300(x):
+    # seeded pairs with ab = 1, ab = -8 and a = +-1/2 among them; every n
+    # to 300, so both parities, at weights 1, 1/k, an integer and a
+    # negative rational
+    pairs = _sweep_pairs(count=16)
+    assert {1, -8} <= {p.ab for p in pairs}
+    assert {F(1, 2), F(-1, 2)} <= {p.a for p in pairs}
+    for params in pairs:
+        for n, expected in enumerate(_walk_sums(params, x, 300), 1):
+            total = weighted_sum_direct(params, x, n)
+            assert total == expected, (params, n)
+            assert all(type(e) is F for e in total.entries()), (params, n)
+            if x == 1:
+                assert sum_direct(params, n) == expected, (params, n)
 
 
 def test_cleared_series_match_matches_the_fraction_reference():
@@ -255,9 +284,10 @@ def test_partial_sums_of_a_cleared_integer_pair_are_int_matrices(x):
     # 1/x is an int here, so every weight is an int and no term leaves the ints
     params = BiParams(-3, 2)
     cleared = verifier_mod._Cleared(params, 24)
+    reference = _walk_sums(params, x, 24)
     for n, total in enumerate(verifier_mod._partial_sums(cleared, x, 24), 1):
         assert all(type(e) is int for e in total.entries()), n
-        assert total == cleared.factor * weighted_sum_direct(params, x, n), n
+        assert total == cleared.factor * reference[n - 1], n
 
 
 _N_RULE = (ValueError, "partial sums are defined for n >= 1")
@@ -320,9 +350,8 @@ def test_weighted_sum_corrected_form_matches_oracle(params):
     for x in (F(1), F(2), F(1, 2), F(3), F(-4, 3)):
         if x ** 4 - (params.ab + 4) * x ** 2 + 4 == 0:
             continue
-        for n in range(1, 33):
-            assert weighted_sum_corrected_form(params, x, n) == \
-                weighted_sum_direct(params, x, n)
+        for n, direct in enumerate(_walk_sums(params, x, 32), 1):
+            assert weighted_sum_corrected_form(params, x, n) == direct
 
 
 def test_root_identities_suite():
