@@ -111,10 +111,10 @@ def _power(base, k: int, one, what: str):
     TAOCP vol. 2, section 4.6.3).  That is bit_length(k) - 1 squares and
     popcount(k) - 1 other products, and each other product is by the
     original base.  The library raises bases with small entries (the
-    integer two-step matrix K, the doubled root 2*M*g, the bordered sum
-    map), so that product takes time linear in the size of the result;
-    only the squares, which `__mul__` computes with fewer big products,
-    multiply big by big.
+    integer two-step matrix K, the doubled root 2*M*g, and q^2 K bordered
+    by the partial sum's column), so that product takes time linear in the
+    size of the result; only the squares, which `__mul__` computes with
+    fewer big products, multiply big by big.
     Every product keeps the base's entry type (an int base stays int).
     `one` makes the unit, and is called only for k = 0, so no other power
     builds one.
@@ -226,11 +226,13 @@ class Mat2:
 
 
 class _Bordered:
-    """The 3x3 matrix [[K, 0], [r, s]]: a `Mat2` K bordered below by a row
-    r = (r1, r2) and a corner s, with zeros above the corner.  Products
-    keep that shape,
+    """The 3x3 matrix [[K, c], [0, s]]: a `Mat2` K bordered on the right by
+    a column c = (c1, c2) and below by a corner s, with zeros left of the
+    corner.  It acts on the right of a row (r1, r2, r3): K maps (r1, r2)
+    as a `Mat2` does, and the third place becomes r1*c1 + r2*c2 + s*r3.
+    Products keep that shape,
 
-        [[K, 0], [r, s]] * [[K', 0], [r', s']] = [[K*K', 0], [r*K' + s*r', s*s']],
+        [[K, c], [0, s]] * [[K', c'], [0, s']] = [[K*K', K*c' + s'*c], [0, s*s']],
 
     so 3 of the 9 entries are never computed, and a square squares K with
     `Mat2`'s 5-product square.  `**` is `_power`, as for `Mat2`.  It is
@@ -238,18 +240,18 @@ class _Bordered:
     dataclass would cost every import its generated methods.
     """
 
-    __slots__ = ("block", "row", "corner")
+    __slots__ = ("block", "column", "corner")
 
-    def __init__(self, block: Mat2, row: tuple, corner: int) -> None:
-        self.block, self.row, self.corner = block, row, corner
+    def __init__(self, block: Mat2, column: tuple, corner: int) -> None:
+        self.block, self.column, self.corner = block, column, corner
 
     def __mul__(self, other: _Bordered) -> _Bordered:
-        k = other.block
-        (r1, r2), (o1, o2), s = self.row, other.row, self.corner
-        return _Bordered(self.block * k,
-                         (r1 * k.e11 + r2 * k.e21 + s * o1,
-                          r1 * k.e12 + r2 * k.e22 + s * o2),
-                         s * other.corner)
+        k = self.block
+        (c1, c2), (o1, o2), s = self.column, other.column, other.corner
+        return _Bordered(k * other.block,
+                         (k.e11 * o1 + k.e12 * o2 + s * c1,
+                          k.e21 * o1 + k.e22 * o2 + s * c2),
+                         self.corner * s)
 
     def __pow__(self, k: int) -> _Bordered:
         return _power(self, k, lambda: _Bordered(Mat2(1, 0, 0, 1), (0, 0), 1), "bordered")

@@ -32,7 +32,7 @@ same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
 * the fold, `_fold`: the entries of u*(c*J[1]) + v*(c*I), with the
   products by J[1]'s entries 1 and 0 not taken.  `_Cleared` calls it,
   and so does `_over_power`, the one finish of `term_fast`, `term_binet`
-  and the log-time partial sum `verifier.weighted_sum_direct`.
+  and the log-time partial sum `_weighted_sum`.
 
 The two log-time routes raise integers, not rationals: `term_fast` an
 integer two-step matrix and, with ab = N/M in lowest terms, `term_binet`
@@ -45,14 +45,17 @@ and no gcd of large numbers enters the power loop.  Both end in
 `exact.div_power`, which strips only the factors of M and so takes
 linear time.  The recurrence memo and the closed route never touch the
 walk or the fold and stay on plain Fraction arithmetic, so a bad fold
-shows as a route disagreement.
+shows as a route disagreement.  `_weighted_sum`, behind the public
+direct sums of `verifier`, raises the same integer two-step matrix
+bordered by an accumulator column, and ends in `_over_power` too.
 
 No route here states the step rule.  J is the jhat recurrence, so the
 recurrence memo, `iter_terms` and the walk step with `scalar._step` on
 the (even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
-table in `scalar`, and `term_fast` raises the two-step matrix that
-`scalar._two_step` builds from the same rule.  The four routes are
-separate computations and cross-check one another.
+table in `scalar`, and `term_fast` (through `scalar._two_step`) and
+`_weighted_sum` raise the one integer two-step matrix, which
+`SeqKind._two_step_matrix` builds from the same rule.  The four routes
+are separate computations and cross-check one another.
 
 `_term_source` is the one way the verifier's sum forms and
 `genfunc.build_ogf` read terms: `term_fast` at a `BiParams`, so the
@@ -69,7 +72,7 @@ from itertools import count, islice
 from math import lcm
 from typing import Callable, Iterator
 
-from .exact import Mat2, QuadNum, _DoubledQuadNum, _plain, div_power, parity
+from .exact import Mat2, QuadNum, _Bordered, _DoubledQuadNum, _plain, div_power, parity
 from .scalar import BiParams, SeqKind, _PrefixMemo, _step, _two_step, scalar_term
 
 
@@ -146,6 +149,44 @@ def _over_power(params: BiParams, u, v, den: int, m: int) -> Mat2:
     b = _plain(params.b)
     entries = _fold((b, _plain(2 * b / params.a)), 1, u, v)
     return Mat2(*(div_power(e, den, m) for e in entries))
+
+
+def _weighted_sum(params: BiParams, x: Fraction, n: int) -> Mat2:
+    """S[n] = sum_{k<n} J[k]/x^k for n >= 1 and x != 0, in O(log n)
+    integer ring operations and one division per entry.
+
+    The doubling of `term_fast` carries an accumulator (Fiduccia, SIAM J.
+    Comput. 14, 1985).  With w = 1/x, e the jhat rule's even multiplier
+    and K the jhat kind's `_two_step_matrix`, the row
+    (w^(2m) J[2m+1], w^(2m) J[2m]/e, S[2m]) steps to m + 1 by
+    [[w^2 K/M, (w, e)], [0, 1]], since S[2m+2] = S[2m] + w^(2m) J[2m] +
+    w^(2m+1) J[2m+1].  With x = p/q and e = en/ed in lowest terms and
+    D = p^2 M, that map times D, with its third coordinate scaled by ed,
+    is the `exact._Bordered`
+
+        [[q^2 K, (pqM*ed, D*en)], [0, D]]
+
+    on plain ints.  From the row (J[1], I/e, 0), its m-th power
+    (m = n // 2), with column (c0, c1) and block P, gives
+    ed*D^m*S[2m] = c0*J[1] + c1*I/e in the third place, and at odd n
+    S[2m+1] adds w^(2m) J[2m] = (e*P12*J[1] + P22*I)/D^m, `_two_step`'s
+    even read-out.  So
+
+        S[n] = ((c0 + [n odd]*en*P12)/ed * J[1]
+                + (c1 + [n odd]*en*P22)/en * I) / D^m,
+
+    which `_over_power` finishes as it finishes `term_fast`.
+    """
+    jhat, m = SeqKind.BP_JACOBSTHAL, n // 2
+    even, den = jhat.rule(params)[0], params.ab.denominator
+    p, q, en, ed = x.numerator, x.denominator, even.numerator, even.denominator
+    corner = p * p * den
+    block = jhat._two_step_matrix(params).scale(q * q)
+    power = _Bordered(block, (p * q * den * ed, corner * en), corner) ** m
+    u, v = power.column
+    if n & 1:
+        u, v = u + en * power.block.e12, v + en * power.block.e22
+    return _over_power(params, _plain(Fraction(u, ed)), _plain(Fraction(v, en)), corner, m)
 
 
 # A table of its own: its keys are the scalar memo's jhat keys, so a shared

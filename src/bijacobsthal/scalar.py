@@ -16,7 +16,8 @@ series, and `_step` is the one forward step: both prefix memos (scalar
 terms here, matrix terms in `matrixseq`) and `matrixseq._walk` call it;
 the walk is behind `iter_terms` and `matrixseq`'s one cleared integer
 walk, which the verifier's cleared terms and `bench`'s naive route read.
-`_two_step` and `_two_step_sum` read the same (even, odd, lag).
+`_two_step` raises the integer two-step matrix that
+`SeqKind._two_step_matrix` builds from the same (even, odd, lag).
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import Mat2, _Bordered, _plain, as_rational, div_power
+from .exact import Mat2, _plain, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 
 
@@ -103,6 +104,22 @@ class SeqKind(enum.Enum):
     def initial_terms(self, params: BiParams) -> tuple[Fraction, Fraction]:
         t0, t1 = self._start
         return Fraction(t0), params.a if t1 == "a" else Fraction(t1)
+
+    def _two_step_matrix(self, params: BiParams) -> Mat2:
+        """K = [[N + cM, M], [cN, cM]], the integer two-step matrix, with c
+        the lag coefficient and eo = ab = N/M in lowest terms (e and o the
+        multipliers at even and odd indices).
+
+        Two steps compose into one matrix: (t[2m+1], t[2m]) steps to m + 1
+        by T = [[eo + c, e], [co, c]], acting on the right of the row.
+        Conjugating T by diag(1, 1/e) gives [[ab + c, 1], [c*ab, c]], which
+        is K/M, so the row (t[2m+1], t[2m]/e) steps by K/M.  This is the one
+        place K is built: `_two_step` raises it for every log-time term
+        route, and `matrixseq._weighted_sum` borders it for the partial
+        sums.
+        """
+        num, den, c = params.ab.numerator, params.ab.denominator, self._lag
+        return Mat2(num + c * den, den, c * num, c * den)
 
 
 def _step(rule: tuple, n: int, prev, cur):
@@ -175,12 +192,8 @@ def _two_step(kind: SeqKind, params: BiParams,
               n: int) -> tuple[Fraction | int, Fraction | int, int, int]:
     """(u, v, M, m) with t[n] = (u*t[1] + v*t[0]) / M^m and m = n // 2.
 
-    With (e, o, c) the kind's rule (the multipliers at even and odd
-    indices and the lag coefficient), two steps compose into one matrix:
-    (t[2m+1], t[2m]) = (t[1], t[0]) * T^m with T = [[eo + c, e], [co, c]].
-    eo = ab = N/M in lowest terms, and conjugating T by diag(1, 1/e) gives
-    [[ab + c, 1], [c*ab, c]], which is K/M with the integer matrix
-    K = [[N + cM, M], [cN, cM]].  With P = K^m,
+    The row (t[2m+1], t[2m]/e), e the even multiplier, steps to m + 1 by
+    K/M, with K the kind's `_two_step_matrix`.  With P = K^m,
 
         u = P11,      v = P21/e        (n odd)
         u = e * P12,  v = P22          (n even),
@@ -193,53 +206,11 @@ def _two_step(kind: SeqKind, params: BiParams,
     once, by M^m, with `div_power`, which cancels only factors of M in
     linear time.
     """
-    even, _, c = kind.rule(params)
-    m = n // 2
-    num, den = params.ab.numerator, params.ab.denominator
-    p = Mat2(num + c * den, den, c * num, c * den) ** m
+    even, m, den = kind.rule(params)[0], n // 2, params.ab.denominator
+    p = kind._two_step_matrix(params) ** m
     if n & 1:
         return _plain(p.e11), _plain(p.e21 / even), den, m
     return _plain(even * p.e12), _plain(p.e22), den, m
-
-
-def _two_step_sum(params: BiParams, x: Fraction,
-                  n: int) -> tuple[Fraction | int, Fraction | int, int, int]:
-    """(u, v, D, m) with sum_{k<n} J[k]/x^k = (u*J[1] + v*I) / D^m and
-    m = n // 2, for the jhat recurrence J started at J[0] = I and J[1].
-
-    With (e, o, c) the jhat rule and w = 1/x, the doubling of `_two_step`
-    carries an accumulator (Fiduccia, SIAM J. Comput. 14, 1985): the
-    triple (A, B, S) = (w^(2m) J[2m+1], w^(2m) J[2m], S[2m]), with
-    S[n] the sum above, steps from m to m + 1 by the scalar matrix
-
-        [[w^2 (eo + c), w^2 oc, 0], [w^2 e, w^2 c, 0], [w, 1, 1]],
-
-    starting from (J[1], I, 0).  With eo = ab = N/M, o = on/od and
-    x = p/q in lowest terms, it acts on (A, o*B, on*S) as the integer
-    matrix K/D, D = p^2 M, with
-
-        K = [[q^2 (N + cM), c q^2 M, 0],
-             [q^2 N,        c q^2 M, 0],
-             [pqM on,       p^2 M od, D]],
-
-    an `exact._Bordered`, raised on plain ints.  From (J[1], o*I, 0),
-    on * D^m * S[2m] is the third coordinate of K^m's image, and at odd n
-    S[2m+1] = S[2m] + B adds on*B = od*(o*B), od times the second.  Only
-    scalars are raised; J[1] and I enter once, in the caller's finish,
-    which divides by D^m.  u and v are over on and od, small divisors.
-    """
-    _, odd, c = SeqKind.BP_JACOBSTHAL.rule(params)
-    m = n // 2
-    num, den = params.ab.numerator, params.ab.denominator
-    p, q = x.numerator, x.denominator
-    on, od = odd.numerator, odd.denominator
-    qq, corner = q * q, p * p * den
-    block = Mat2(qq * (num + c * den), c * qq * den, qq * num, c * qq * den)
-    power = _Bordered(block, (p * q * den * on, corner * od), corner) ** m
-    u, v = power.row
-    if n & 1:
-        u, v = u + od * power.block.e21, v + od * power.block.e22
-    return _plain(Fraction(u, on)), _plain(Fraction(v, od)), corner, m
 
 
 def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:

@@ -33,11 +33,12 @@ on purpose: they check identities among the memo's own terms, so a
 corrupted memo shows in them.
 
 The public direct sums, `sum_direct` and `weighted_sum_direct`, are not
-the suites' direct side: each is one power of the bordered sum map
-(`scalar._two_step_sum`), in O(log n) integer ring operations, and the
-closed forms at a `BiParams` read J[n] and J[n-1] by `term_fast`.  So the
-`sum` subcommand fills no memo, and the suites still check the closed
-forms against a term walk, not against that power.
+the suites' direct side: each is one power of `term_fast`'s integer
+two-step matrix bordered by an accumulator column
+(`matrixseq._weighted_sum`), in O(log n) integer ring operations, and
+the closed forms at a `BiParams` read J[n] and J[n-1] by `term_fast`.
+So the `sum` subcommand fills no memo, and the suites still check the
+closed forms against a term walk, not against that power.
 
 Two checks are known to fail and are kept on purpose (see ERRATA.md):
 
@@ -63,8 +64,8 @@ from .exact import Mat2, _plain, as_rational, parity
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
     _Cleared,
-    _over_power,
     _term_source,
+    _weighted_sum,
     char_roots,
     det_closed,
     term_binet,
@@ -86,8 +87,7 @@ from .report import (
     first_mismatch,
     skipped,
 )
-from .scalar import (BiParams, SeqKind, _two_step_sum, scalar_term,
-                     verify_lucas_relations)
+from .scalar import BiParams, SeqKind, scalar_term, verify_lucas_relations
 
 # route name -> J[n] by that route; `cli.METHODS` is this same dict.
 ROUTES = {
@@ -256,16 +256,16 @@ def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
 
 def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
     """sum_{k=0}^{n-1} J[k] / x^k in O(log n) integer ring operations;
-    x != 0.  One power of the bordered sum map of `scalar._two_step_sum`
-    gives the sum in the basis {J[1], I} over D^(n//2), and
-    `matrixseq._over_power` finishes it as it finishes `term_fast`, with
-    one division per entry."""
+    x != 0.  The inputs are checked here, and `matrixseq._weighted_sum`
+    raises `term_fast`'s two-step matrix bordered by an accumulator column
+    and finishes the sum as `term_fast` is finished, with one division
+    per entry."""
     x = as_rational(x)
     if n < 1:
         raise ValueError("partial sums are defined for n >= 1")
     if x == 0:
         raise ZeroDivisionError("weights divide by powers of x")
-    return _over_power(params, *_two_step_sum(params, x, n))
+    return _weighted_sum(params, x, n)
 
 
 def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:

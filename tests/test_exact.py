@@ -7,6 +7,7 @@ import pytest
 from bijacobsthal.exact import (
     Mat2,
     QuadNum,
+    _Bordered,
     _DoubledQuadNum,
     div_power,
     format_rational,
@@ -333,6 +334,35 @@ def test_power_of_an_int_base_stays_int():
         assert all(type(e) is int for e in (m ** k).entries())
         assert type((z ** k).rat) is type((z ** k).coeff) is int
     assert m ** 0 == Mat2.identity() and z ** 0 == _DoubledQuadNum(2, 0, 21)
+
+
+def _bordered_lists(m):
+    """A `_Bordered` [[K, c], [0, s]] as a plain 3x3 list of rows."""
+    k, (c1, c2) = m.block, m.column
+    return [[k.e11, k.e12, c1], [k.e21, k.e22, c2], [0, 0, m.corner]]
+
+
+@pytest.mark.parametrize("column", [(3, -18), (F(-5, 4), F(2, 3))],
+                         ids=["int", "rational column"])
+def test_bordered_powers_are_3x3_products(column):
+    # Each power equals the k-fold product of the same matrix written out as
+    # plain 3x3 lists; the int block and corner stay int, and so does the
+    # column when it starts int.
+    base = _Bordered(Mat2(5, 1, -4, 2), column, 9)
+    plain = _bordered_lists(base)
+    expected = [[int(i == j) for j in range(3)] for i in range(3)]
+    int_column = all(type(c) is int for c in column)
+    for k in range(10):
+        power = base ** k
+        assert _bordered_lists(power) == expected, k
+        assert all(type(e) is int for e in (*power.block.entries(), power.corner)), k
+        if int_column:
+            assert all(type(c) is int for c in power.column), k
+        expected = [[sum(expected[i][t] * plain[t][j] for t in range(3))
+                     for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError,
+                       match="^bordered powers require a non-negative integer exponent$"):
+        base ** -1
 
 
 @pytest.mark.parametrize("cls, x", [

@@ -8,7 +8,7 @@ from bijacobsthal import matrixseq as matrixseq_mod, scalar as scalar_mod
 from bijacobsthal import verifier as verifier_mod
 from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.genfunc import build_ogf, series_coeffs
-from bijacobsthal.matrixseq import iter_terms, term_recurrence
+from bijacobsthal.matrixseq import iter_terms, term_fast, term_recurrence
 from bijacobsthal.report import (
     CASSINI,
     CROSS_METHOD,
@@ -19,7 +19,7 @@ from bijacobsthal.report import (
     first_mismatch,
     skipped,
 )
-from bijacobsthal.scalar import BiParams, SeqKind, scalar_term
+from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
 from bijacobsthal.verifier import (
     ALL_IDENTITIES,
     GridSpec,
@@ -218,6 +218,25 @@ def test_log_time_sums_match_the_walk_to_300(x):
             assert all(type(e) is F for e in total.entries()), (params, n)
             if x == 1:
                 assert sum_direct(params, n) == expected, (params, n)
+
+
+@pytest.mark.parametrize("params", [BiParams(F(1, 2), F(-3, 4)), BiParams(3, 2)], ids=str)
+def test_log_time_terms_and_sums_raise_the_one_two_step_matrix(monkeypatch, params):
+    # Doubling the integer two-step matrix where it is built moves every
+    # log-time term off the recurrence and every sum that reads it (n >= 3)
+    # off the walk, so no route builds a two-step matrix of its own.
+    x = F(-2, 3)
+    terms = {kind: [scalar_term(kind, params, n) for n in range(16)] for kind in SeqKind}
+    matrices = [term_recurrence(params, n) for n in range(16)]
+    sums = _walk_sums(params, x, 16)
+    real = SeqKind._two_step_matrix
+    monkeypatch.setattr(SeqKind, "_two_step_matrix", lambda kind, p: real(kind, p) * 2)
+    for n in range(2, 16):
+        assert term_fast(params, n) != matrices[n], n
+        for kind in SeqKind:
+            assert scalar_term_fast(kind, params, n) != terms[kind][n], (kind, n)
+        if n >= 3:
+            assert weighted_sum_direct(params, x, n) != sums[n - 1], n
 
 
 def test_cleared_series_match_matches_the_fraction_reference():
