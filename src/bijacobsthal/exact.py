@@ -13,6 +13,11 @@ although z may have halves.  Its product halves (2z)(2z') = 4zz' exactly:
 zz' is in Z[w], so 2zz' has int fields and both fields of 4zz' = 2(2zz')
 are even.
 
+`_MatrixPoly` holds s*K + t*I, an element of the commutative ring Z[K]
+of a 2x2 matrix K, by its two coordinates.  By Cayley-Hamilton a power
+of K stays in that ring, so it is raised there, with three big products
+per square in place of `Mat2`'s five.
+
 Exactness is checked once, where values enter from outside the program:
 `as_rational` refuses floats and parses 'p/q' strings for the parameters,
 the grid values and the sum weights.  `Mat2` and `QuadNum` take their
@@ -111,10 +116,11 @@ def _power(base, k: int, one, what: str):
     TAOCP vol. 2, section 4.6.3).  That is bit_length(k) - 1 squares and
     popcount(k) - 1 other products, and each other product is by the
     original base.  The library raises bases with small entries (the
-    integer two-step matrix K, the doubled root 2*M*g, and q^2 K bordered
-    by the partial sum's column), so that product takes time linear in the
-    size of the result; only the squares, which `__mul__` computes with
-    fewer big products, multiply big by big.
+    integer two-step matrix K as s*K + t*I with (s, t) = (1, 0), the
+    doubled root 2*M*g, and q^2 K bordered by the partial sum's column),
+    so that product takes time linear in the size of the result; only the
+    squares, which `__mul__` computes with fewer big products, multiply
+    big by big.
     Every product keeps the base's entry type (an int base stays int).
     `one` makes the unit, and is called only for k = 0, so no other power
     builds one.
@@ -255,6 +261,41 @@ class _Bordered:
 
     def __pow__(self, k: int) -> _Bordered:
         return _power(self, k, lambda: _Bordered(Mat2(1, 0, 0, 1), (0, 0), 1), "bordered")
+
+
+class _MatrixPoly:
+    """s*K + t*I for a 2x2 matrix K of trace tau and determinant delta.
+
+    K^2 = tau*K - delta*I (Cayley-Hamilton), so these elements form a
+    commutative ring, and
+
+        (sK + tI)(s'K + t'I) = (tau*s*s' + s*t' + t*s')K + (t*t' - delta*s*s')I.
+
+    A square (`x * x`, the same object on both sides) is
+    (tau*s^2 + 2st)K + (t^2 - delta*s^2)I: three products of two big
+    operands, s*s, s*t and t*t.  The products by tau and delta, and by the
+    base K = (1, 0) that `_power` multiplies by, take linear time.  `**`
+    is `_power`; like `_Bordered` it is only raised, so it is a plain
+    class.
+    """
+
+    __slots__ = ("s", "t", "trace", "det")
+
+    def __init__(self, s, t, trace, det) -> None:
+        self.s, self.t, self.trace, self.det = s, t, trace, det
+
+    def __mul__(self, other: _MatrixPoly) -> _MatrixPoly:
+        s, t, tau, delta = self.s, self.t, self.trace, self.det
+        if other is self:
+            ss = s * s
+            return _MatrixPoly(tau * ss + 2 * (s * t), t * t - delta * ss, tau, delta)
+        ss = s * other.s
+        return _MatrixPoly(tau * ss + s * other.t + t * other.s,
+                           t * other.t - delta * ss, tau, delta)
+
+    def __pow__(self, k: int) -> _MatrixPoly:
+        return _power(self, k, lambda: _MatrixPoly(0, 1, self.trace, self.det),
+                      "matrix polynomial")
 
 
 @dataclass(frozen=True)

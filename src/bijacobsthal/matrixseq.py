@@ -35,10 +35,12 @@ same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
   and the log-time partial sum `_weighted_sum`.
 
 The two log-time routes raise integers, not rationals: `term_fast` an
-integer two-step matrix and, with ab = N/M in lowest terms, `term_binet`
-the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held
-doubled so that both of its fields are plain ints (each product is halved
-exactly, see `exact._DoubledQuadNum`).  Each reduces its power to one
+integer two-step matrix K, in the ring Z[K] as s*K + t*I (three big
+products per square, see `exact._MatrixPoly`), and, with ab = N/M in
+lowest terms, `term_binet` the algebraic integer
+M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held doubled so that both of its
+fields are plain ints (each product is halved exactly, see
+`exact._DoubledQuadNum`).  Each reduces its power to one
 (u, v) over M^(n//2), a denominator known from n alone, so no Fraction
 and no gcd of large numbers enters the power loop.  Both end in
 `_over_power`: the fold with c = 1, each entry divided once, by

@@ -17,7 +17,8 @@ terms here, matrix terms in `matrixseq`) and `matrixseq._walk` call it;
 the walk is behind `iter_terms` and `matrixseq`'s one cleared integer
 walk, which the verifier's cleared terms and `bench`'s naive route read.
 `_two_step` raises the integer two-step matrix that
-`SeqKind._two_step_matrix` builds from the same (even, odd, lag).
+`SeqKind._two_step_matrix` builds from the same (even, odd, lag), in the
+ring it spans with I.
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import Mat2, _plain, as_rational, div_power
+from .exact import Mat2, _MatrixPoly, _plain, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 
 
@@ -196,18 +197,22 @@ def _two_step(kind: SeqKind, params: BiParams,
     K/M, with K the kind's `_two_step_matrix`.  With P = K^m,
 
         u = P11,      v = P21/e        (n odd)
-        u = e * P12,  v = P22          (n even),
+        u = e * P12,  v = P22          (n even).
 
-    so the power runs on plain ints, and u and v are returned as ints
-    wherever they are integral, which is at every integer pair (P21 is a
-    multiple of N = ab there).  No starting terms are read here: the
-    caller applies (u, v) to its own, `scalar_term_fast` to the kind's t[0]
-    and t[1] and `matrixseq.term_fast` to J[0] = I and J[1], and divides
-    once, by M^m, with `div_power`, which cancels only factors of M in
-    linear time.
+    K^m is raised as s*K + t*I in the ring Z[K] (`exact._MatrixPoly`, on
+    K's trace and determinant), so the power runs on plain ints, three
+    big products per square, and P = s*K + t*I is read back as a `Mat2`.
+    u and v are returned as ints wherever they are integral, which is at
+    every integer pair (P21 is a multiple of N = ab there).  No starting
+    terms are read here: the caller applies (u, v) to its own,
+    `scalar_term_fast` to the kind's t[0] and t[1] and `matrixseq.term_fast`
+    to J[0] = I and J[1], and divides once, by M^m, with `div_power`, which
+    cancels only factors of M in linear time.
     """
     even, m, den = kind.rule(params)[0], n // 2, params.ab.denominator
-    p = kind._two_step_matrix(params) ** m
+    k = kind._two_step_matrix(params)
+    power = _MatrixPoly(1, 0, k.e11 + k.e22, k.det()) ** m
+    p = k * power.s + Mat2(power.t, 0, 0, power.t)
     if n & 1:
         return _plain(p.e11), _plain(p.e21 / even), den, m
     return _plain(even * p.e12), _plain(p.e22), den, m

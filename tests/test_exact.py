@@ -9,6 +9,7 @@ from bijacobsthal.exact import (
     QuadNum,
     _Bordered,
     _DoubledQuadNum,
+    _MatrixPoly,
     div_power,
     format_rational,
     parity,
@@ -365,11 +366,32 @@ def test_bordered_powers_are_3x3_products(column):
         base ** -1
 
 
+@pytest.mark.parametrize("k", [Mat2(5, 1, -4, 2), Mat2(3 ** 40, 7 ** 25, -(2 ** 90), 5 ** 30)],
+                         ids=["int", "large trace and det"])
+def test_matrix_poly_powers_are_products_in_z_k(k):
+    # Each power equals the k-fold product, and read back as s*K + t*I it
+    # equals the Mat2 power; the int fields stay int.
+    trace, det = k.e11 + k.e22, k.det()
+    base = _MatrixPoly(1, 0, trace, det)
+    expected = _MatrixPoly(0, 1, trace, det)
+    for e in range(10):
+        power = base ** e
+        assert (power.s, power.t) == (expected.s, expected.t), e
+        assert (power.trace, power.det) == (trace, det), e
+        assert all(type(x) is int for x in (power.s, power.t)), e
+        assert k * power.s + Mat2(power.t, 0, 0, power.t) == k ** e, e
+        expected = expected * base
+    with pytest.raises(ValueError,
+                       match="^matrix polynomial powers require a non-negative integer exponent$"):
+        base ** -1
+
+
 @pytest.mark.parametrize("cls, x", [
     (Mat2, Mat2(1, 1, 1, 0)),
     (QuadNum, QuadNum(F(1, 2), F(1, 2), 9)),
     (_DoubledQuadNum, _DoubledQuadNum(5, 1, 21)),
-], ids=["Mat2", "QuadNum", "DoubledQuadNum"])
+    (_MatrixPoly, _MatrixPoly(1, 0, 7, 12)),
+], ids=["Mat2", "QuadNum", "DoubledQuadNum", "MatrixPoly"])
 def test_power_multiplies_only_squares_and_by_the_base(monkeypatch, cls, x):
     calls = []
     general = cls.__mul__

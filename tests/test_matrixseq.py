@@ -275,11 +275,14 @@ def test_log_time_powers_run_on_integers(monkeypatch, params):
         return result
 
     def entries(value):
+        if isinstance(value, exact._MatrixPoly):
+            return (value.s, value.t, value.trace, value.det)
         return value.entries() if isinstance(value, Mat2) else (value.rat, value.coeff)
 
     monkeypatch.setattr(exact, "_power", recording_power)
-    # n >= 2, because the exponent n // 2 = 0 answers with the Fraction identity.
-    indices = [*range(2, 41), 4096, 4097]
+    # The units (0, 1) of Z[K] and 2 of the doubled root are ints, so the
+    # exponent n // 2 = 0 of n = 0 and 1 is checked too.
+    indices = [*range(41), 4096, 4097]
     for route in [term_fast] + [partial(scalar_term_fast, kind) for kind in SeqKind]:
         seen.clear()
         for n in indices:
@@ -291,8 +294,7 @@ def test_log_time_powers_run_on_integers(monkeypatch, params):
     if params.disc == 0:
         return
     seen.clear()
-    # The doubled root's `1` is the int 2, so n = 0 and 1 are checked too.
-    for n in [0, 1, *indices]:
+    for n in indices:
         term_binet(params, n)
     assert seen
     for base, result in seen:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 from functools import partial
 
 import pytest
 
+from bijacobsthal.exact import _plain
 from bijacobsthal.scalar import (
     BiParams,
     SeqKind,
@@ -261,3 +263,32 @@ def test_two_step_coordinates_are_ints_at_integer_pairs(a, b):
         fast = term_fast(params, n)
         assert fast == term_recurrence(params, n), n
         assert all(type(e) is F for e in fast.entries()), n
+
+
+def _two_step_by_mat2_power(kind, params, n):
+    # The read-out of `_two_step` from the plain Mat2 power K ** m.
+    even, m, den = kind.rule(params)[0], n // 2, params.ab.denominator
+    p = kind._two_step_matrix(params) ** m
+    if n & 1:
+        return _plain(p.e11), _plain(p.e21 / even), den, m
+    return _plain(even * p.e12), _plain(p.e22), den, m
+
+
+def _two_step_pairs():
+    # ab = 1, ab = -8 and a = 1/2 and -1/2 first, then seeded rational pairs.
+    rng = random.Random(11)
+    fixed = [BiParams(F(1, 2), 2), BiParams(-4, 2), BiParams(F(1, 2), F(-3, 4)),
+             BiParams(F(-1, 2), F(5, 3))]
+    return fixed + [BiParams(F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12)),
+                             F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12)))
+                    for _ in range(4)]
+
+
+@pytest.mark.parametrize("kind", list(SeqKind))
+def test_two_step_matches_the_mat2_power_read_out(kind):
+    for params in _two_step_pairs():
+        for n in (*range(81), 4095, 4096, 4097):
+            got = scalar_mod._two_step(kind, params, n)
+            expected = _two_step_by_mat2_power(kind, params, n)
+            assert got == expected, (params, n)
+            assert [type(x) for x in got] == [type(x) for x in expected], (params, n)
