@@ -82,30 +82,48 @@ def _plain(value: Fraction) -> Fraction | int:
     return value.numerator if value.denominator == 1 else value
 
 
-def div_power(q: Fraction | int, base: int, k: int) -> Fraction:
-    """q / base**k in lowest terms, for q in lowest terms and base >= 1.
+def _divide(x: int, den: int, base: int, power: int, k: int) -> Fraction:
+    """x / (den * power) in lowest terms, for ints x, den >= 1 and
+    power = base**k, base >= 1, with den small and power given, so that a
+    caller stepping k keeps the power and never recomputes it.
 
-    Only factors of base can cancel from the numerator x of q.  Each round
-    strips g = gcd(x, base) from x; that is a gcd with a small number, so
-    it takes time linear in the size of x.  The rounds stop at the first
-    g = 1, or after k of them.  Every prime of base is then gone from x or
-    from the denominator, so the result is built directly, without the
-    quadratic-time gcd that Fraction(x, d) takes.  This is the only code
-    that sets Fraction's private fields, which are the same from Python
-    3.10 to 3.13.
+    Zero is 0/1 at once.  Otherwise only factors of den and of base can
+    cancel from x, in rounds.  The first takes g = gcd(x, den*base) (den
+    alone at k = 0): its part own = gcd(g, den) is gcd(x, den), and the
+    rest, g/own, is gcd(x/own, base).  Each later round strips
+    g = gcd(x, base) from x.  Each is a gcd with a small number, so it
+    takes time linear in the size of x, and most terms take one.  The
+    rounds stop at the first one that strips no factor of base, or after
+    k of them.  Every prime of base is then gone from x or from the
+    denominator, and x is coprime to the rest of den, so the result is
+    built directly, without the quadratic-time gcd that Fraction(x, d)
+    takes.  This is the only code that sets Fraction's private fields,
+    which are the same from Python 3.10 to 3.13.
     """
-    x = q.numerator
-    cancelled = 1
-    for _ in range(k):
-        g = gcd(x, base)
-        if g == 1:
-            break
-        x //= g
-        cancelled *= g
+    if not x:
+        return Fraction(0)
+    g = gcd(x, den * base if k else den)
+    if g != 1:
+        own = gcd(g, den)
+        x, den, cancelled = x // g, den // own, g // own
+        for _ in range(k - 1 if cancelled != 1 else 0):
+            g = gcd(x, base)
+            if g == 1:
+                break
+            x //= g
+            cancelled *= g
+        if cancelled != 1:
+            power //= cancelled
     result = object.__new__(Fraction)
     result._numerator = x
-    result._denominator = q.denominator * (base ** k // cancelled)
+    result._denominator = power if den == 1 else den * power
     return result
+
+
+def div_power(q: Fraction | int, base: int, k: int) -> Fraction:
+    """q / base**k in lowest terms, for q in lowest terms and base >= 1:
+    `_divide` of q's numerator by its denominator times base**k."""
+    return _divide(q.numerator, q.denominator, base, base ** k, k)
 
 
 def _power(base, k: int, one, what: str):

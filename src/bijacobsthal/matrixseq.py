@@ -44,17 +44,21 @@ fields are plain ints (each product is halved exactly, see
 (u, v) over M^(n//2), a denominator known from n alone, so no Fraction
 and no gcd of large numbers enters the power loop.  Both end in
 `_over_power`: the fold with c = 1, each entry divided once, by
-`exact.div_power`, which strips only the factors of M and so takes
-linear time.  The recurrence memo and the closed route never touch the
-walk or the fold and stay on plain Fraction arithmetic, so a bad fold
-shows as a route disagreement.  `_weighted_sum`, behind the public
+`exact._divide`, which strips only the factors of M (raised once for
+the four entries) and so takes linear time.  The recurrence memo and the
+closed route never touch the walk, the fold or K: they read the prefix
+memos of `scalar`, which step the rational recurrence on plain ints by
+`SeqKind._integer_rule` and divide each new term once, entry by entry,
+back to the `Fraction`s that rational arithmetic gives.  So a bad fold
+still shows as a route disagreement.  `_weighted_sum`, behind the public
 direct sums of `verifier`, raises the same integer two-step matrix
 bordered by an accumulator column, and ends in `_over_power` too.
 
 No route here states the step rule.  J is the jhat recurrence, so the
 recurrence memo, `iter_terms` and the walk step with `scalar._step` on
 the (even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
-table in `scalar`, and `term_fast` (through `scalar._two_step`) and
+table in `scalar` (the memo on the integer rule derived from it), and
+`term_fast` (through `scalar._two_step`) and
 `_weighted_sum` raise the one integer two-step matrix, which
 `SeqKind._two_step_matrix` builds from the same rule.  The four routes
 are separate computations and cross-check one another.
@@ -74,7 +78,7 @@ from itertools import count, islice
 from math import lcm
 from typing import Callable, Iterator
 
-from .exact import Mat2, QuadNum, _Bordered, _DoubledQuadNum, _plain, div_power, parity
+from .exact import Mat2, QuadNum, _Bordered, _DoubledQuadNum, _divide, _plain, parity
 from .scalar import BiParams, SeqKind, _PrefixMemo, _step, _two_step, scalar_term
 
 
@@ -147,10 +151,10 @@ def _fold(row: tuple, c, u, v) -> tuple:
 def _over_power(params: BiParams, u, v, den: int, m: int) -> Mat2:
     """(u*J[1] + v*I) / den^m, the one finish of the log-time routes and
     of the log-time partial sum: the fold with c = 1, each entry divided
-    once, with `div_power`."""
-    b = _plain(params.b)
+    once, with `exact._divide`, by den^m raised once for all four."""
+    b, power = _plain(params.b), den ** m
     entries = _fold((b, _plain(2 * b / params.a)), 1, u, v)
-    return Mat2(*(div_power(e, den, m) for e in entries))
+    return Mat2(*(_divide(e.numerator, e.denominator, den, power, m) for e in entries))
 
 
 def _weighted_sum(params: BiParams, x: Fraction, n: int) -> Mat2:

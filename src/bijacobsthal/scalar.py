@@ -20,6 +20,13 @@ walk, which the verifier's cleared terms and `bench`'s naive route read.
 `SeqKind._two_step_matrix` builds from the same (even, odd, lag), in the
 ring it spans with I.
 
+At a `BiParams` point the prefix memos step on plain ints:
+`SeqKind._integer_rule`, derived from the same (even, odd, lag), is the
+rule that each term times a weight follows, and each new term is that
+integer divided once by its weight, in linear time (`exact._divide`).
+So a memo read returns the same `Fraction` the rational recurrence
+gives, without a `Fraction` operation, and its gcd, per step.
+
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
 classical Jacobsthal-Lucas numbers 2, 1, 5, 7, 17, 31, ...
@@ -37,8 +44,9 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
-from .exact import Mat2, _MatrixPoly, _plain, as_rational, div_power
+from .exact import Mat2, _MatrixPoly, _divide, _plain, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 
 
@@ -122,6 +130,30 @@ class SeqKind(enum.Enum):
         num, den, c = params.ab.numerator, params.ab.denominator, self._lag
         return Mat2(num + c * den, den, c * num, c * den)
 
+    def _integer_rule(self, params: BiParams) -> tuple[tuple[int, int, int],
+                                                       tuple[int, int], int]:
+        """(rule, (w0, w1), M): a rule on plain ints that w[k]*t[k] follows,
+        with w[2j] = w0*M^j and w[2j+1] = w1*M^j.
+
+        Write the even and odd multipliers in lowest terms as pe/qe and
+        po/qo, and let g_e = gcd(pe, qo) and g_o = gcd(po, qe).  Then
+        M = qe*qo/(g_e*g_o) is the denominator of ab, and with w0 = g_o and
+        w1 = qo,
+
+            w[2j]*t[2j]     = (pe/g_e)*w[2j-1]*t[2j-1] + lag*M*w[2j-2]*t[2j-2]
+            w[2j+1]*t[2j+1] = (po/g_o)*w[2j]*t[2j]     + lag*M*w[2j-1]*t[2j-1],
+
+        so the rule is (pe/g_e, po/g_o, lag*M), which `_step` reads as it
+        reads `rule`.  The weights grow by M every two steps, not by the
+        qe*qo that clearing each multiplier's own denominator would take.
+        """
+        even, odd, lag = self.rule(params)
+        g_even = gcd(even.numerator, odd.denominator)
+        g_odd = gcd(odd.numerator, even.denominator)
+        den = params.ab.denominator
+        rule = even.numerator // g_even, odd.numerator // g_odd, lag * den
+        return rule, (g_odd, odd.denominator), den
+
 
 def _step(rule: tuple, n: int, prev, cur):
     """t[n] from t[n-2] = prev and t[n-1] = cur (scalars or `Mat2`s), by a
@@ -129,17 +161,73 @@ def _step(rule: tuple, n: int, prev, cur):
     return rule[n & 1] * cur + rule[2] * prev
 
 
-class _PrefixMemo:
-    """Bounded memo of sequence prefixes, one list per (kind, params) key.
+def _entries(value) -> tuple:
+    return value.entries() if isinstance(value, Mat2) else (value,)
 
-    `start(key)` gives the first two terms of a series; the kind's rule is
-    resolved once, when the series is created, and `_step` extends it.
-    Each term is computed before it is appended, so a step that raises
-    leaves the list holding exactly the terms before it, and the next call
-    resumes from there.  One lock is held across lookup, eviction and
-    extension, so threads sharing a series never append the same index
-    twice.  At most `max_keys` series are kept; the oldest-inserted one is
-    evicted first.
+
+def _entrywise(fn, value):
+    """fn of a scalar, or of each entry of a `Mat2`."""
+    return Mat2(*map(fn, value.entries())) if isinstance(value, Mat2) else fn(value)
+
+
+class _Series:
+    """One memoized series: its terms t[0..k] and the state that steps it.
+
+    At a `BiParams` point the series steps s[i] = c*w[i]*t[i] on plain
+    ints (or `Mat2`s of ints) by `SeqKind._integer_rule`, with c the least
+    integer that clears w[0]*t[0] and w[1]*t[1].  Besides the terms it
+    keeps only s[k-1], s[k] and M^(k//2), and each new term is s divided
+    once, entry by entry, by c*w[0] or c*w[1] times that power, with
+    `exact._divide`, in time linear in its size.  At a point over any
+    other ring (a symbolic one) it steps t itself by `SeqKind.rule`, with
+    no division, in the same loop.
+    """
+
+    __slots__ = ("rule", "terms", "prev", "cur", "scales", "base", "power")
+
+    def __init__(self, kind: SeqKind, params, t0, t1) -> None:
+        self.terms, self.power = [t0, t1], 1
+        if not isinstance(params, BiParams):
+            self.rule, self.scales, self.base = kind.rule(params), None, 1
+            self.prev, self.cur = t0, t1
+            return
+        self.rule, weights, self.base = kind._integer_rule(params)
+        starts = [w * t for w, t in zip(weights, (t0, t1))]
+        c = lcm(*(e.denominator for t in starts for e in _entries(t)))
+        self.scales = tuple(c * w for w in weights)
+        self.prev, self.cur = (_entrywise(lambda e: (c * e).numerator, t) for t in starts)
+
+    def term(self, n: int):
+        terms, rule, scales = self.terms, self.rule, self.scales
+        while len(terms) <= n:
+            k = len(terms)
+            s = _step(rule, k, self.prev, self.cur)
+            power = self.power if k & 1 else self.power * self.base
+            if scales is None:
+                value = s
+            elif isinstance(s, Mat2):
+                den, m = scales[k & 1], k >> 1
+                value = Mat2(*(_divide(e, den, self.base, power, m) for e in s.entries()))
+            else:
+                value = _divide(s, scales[k & 1], self.base, power, k >> 1)
+            terms.append(value)
+            self.prev, self.cur, self.power = self.cur, s, power
+        return terms[n]
+
+
+class _PrefixMemo:
+    """Bounded memo of sequence prefixes, one `_Series` per (kind, params)
+    key.
+
+    `start(key)` gives the first two terms of a series; its integer rule
+    (or, over another ring, its rule) is resolved once, when the series is
+    created, and `_step` extends it.  Each term is computed before it is
+    appended and before the stepping state moves, so a step that raises
+    leaves the series holding exactly the terms before it, and the next
+    call resumes from there.  One lock is held across lookup, eviction
+    and extension, so threads sharing a series never append the same
+    index twice.  At most `max_keys` series are kept; the oldest-inserted
+    one is evicted first.
     """
 
     max_keys = 64
@@ -155,19 +243,15 @@ class _PrefixMemo:
             if series is None:
                 while len(self._series) >= self.max_keys:
                     del self._series[next(iter(self._series))]
-                kind, params = key
-                series = self._series[key] = kind.rule(params), self._start(key)
-            rule, terms = series
-            while len(terms) <= n:
-                terms.append(_step(rule, len(terms), terms[-2], terms[-1]))
-            return terms[n]
+                series = self._series[key] = _Series(*key, *self._start(key))
+            return series.term(n)
 
     def clear(self) -> None:
         with self._lock:
             self._series.clear()
 
 
-_memo = _PrefixMemo(lambda key: list(key[0].initial_terms(key[1])))
+_memo = _PrefixMemo(lambda key: key[0].initial_terms(key[1]))
 
 
 def clear_caches() -> None:
@@ -206,8 +290,9 @@ def _two_step(kind: SeqKind, params: BiParams,
     every integer pair (P21 is a multiple of N = ab there).  No starting
     terms are read here: the caller applies (u, v) to its own,
     `scalar_term_fast` to the kind's t[0] and t[1] and `matrixseq.term_fast`
-    to J[0] = I and J[1], and divides once, by M^m, with `div_power`, which
-    cancels only factors of M in linear time.
+    to J[0] = I and J[1], and divides once, by M^m, with `exact._divide`
+    (through `div_power` here), which cancels only factors of M in linear
+    time.
     """
     even, m, den = kind.rule(params)[0], n // 2, params.ab.denominator
     k = kind._two_step_matrix(params)

@@ -10,6 +10,7 @@ from bijacobsthal.exact import (
     _Bordered,
     _DoubledQuadNum,
     _MatrixPoly,
+    _divide,
     div_power,
     format_rational,
     parity,
@@ -127,6 +128,19 @@ def test_div_power_matches_fraction_at_random():
         num = rng.choice([1, -1]) * base ** rng.randint(0, 15) * rng.randint(0, 10 ** 6)
         q = F(num, rng.randint(1, 10 ** 4))
         _assert_same_fraction(div_power(q, base, k), q / base ** k)
+
+
+def test_divide_reads_the_power_it_is_given():
+    # x / (den * base**k) for dens that share primes with base and with x,
+    # k = 0, and zero; the power is passed in, never recomputed.
+    rng = random.Random(30)
+    for _ in range(3000):
+        base = rng.choice([1, 2, 6, 9, 12, 49, 360])
+        den = rng.choice([1, 2, 3, 5, 7, 21, 35, 98])
+        k = rng.randint(0, 10)
+        x = (rng.choice([1, -1]) * rng.choice([base, den, 3, 7]) ** rng.randint(0, 14)
+             * rng.randint(0, 10 ** 4))
+        _assert_same_fraction(_divide(x, den, base, base ** k, k), F(x, den * base ** k))
 
 
 def _random_mat(rng):

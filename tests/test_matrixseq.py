@@ -393,15 +393,18 @@ def test_integer_kernels_match_fraction_oracle_at_edge_pairs(params):
     (BiParams(F(1, 2), F(-3, 4)), 8),    # ab = -3/8
 ], ids=str)
 def test_log_time_routes_divide_once_by_a_power_of_m(monkeypatch, params, base):
+    # Every division goes through `exact._divide`: `_over_power` calls it
+    # and `scalar_term_fast` reaches it through `div_power`.
     calls = []
-    real_div_power = exact.div_power
+    real_divide = exact._divide
 
-    def spying_div_power(q, b, k):
+    def spying_divide(x, den, b, power, k):
+        assert power == b ** k
         calls.append((b, k))
-        return real_div_power(q, b, k)
+        return real_divide(x, den, b, power, k)
 
-    monkeypatch.setattr(matrixseq_mod, "div_power", spying_div_power)
-    monkeypatch.setattr(scalar_mod, "div_power", spying_div_power)
+    monkeypatch.setattr(matrixseq_mod, "_divide", spying_divide)
+    monkeypatch.setattr(exact, "_divide", spying_divide)
     routes = [term_binet, term_fast] + [partial(scalar_term_fast, kind) for kind in SeqKind]
     for route in routes:
         for n in [*range(41), 4096, 4097]:

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
 from functools import partial
+from math import gcd, lcm
 
 import pytest
 
-from bijacobsthal.exact import _plain
+from bijacobsthal.exact import Mat2, _plain
 from bijacobsthal.scalar import (
     BiParams,
     SeqKind,
@@ -199,8 +200,9 @@ def test_memo_survives_a_failing_step(monkeypatch, memo, route, fast, key):
     monkeypatch.setattr(scalar_mod, "_step", failing_step)
     with pytest.raises(_StepFails):
         route(p, 20)
-    rule, terms = memo._series[(key, p)]
-    assert rule == key.rule(p)
+    series = memo._series[(key, p)]
+    rule, terms = series.rule, series.terms
+    assert rule == key._integer_rule(p)[0]
     assert terms == [fast(p, n) for n in range(k)]
     assert route(p, 20) == fast(p, 20)
     assert len(terms) == 21
@@ -220,6 +222,91 @@ def test_evicted_series_restarts_from_its_start_terms():
         assert all(key[1] != p for key in memo._series)
         assert route(p, 50) == fast(p, 50)
         memo.clear()
+
+
+# Pairs where the integer rule divides out g_e = gcd(pe, qo) or
+# g_o = gcd(po, qe) > 1 for some kind (pe/qe and po/qo the even and odd
+# multipliers), an integer pair and an ab = -8 pair.
+INTEGER_RULE_PAIRS = [BiParams(F(5, 7), F(-7, 9)), BiParams(F(6, 35), F(10, 21)),
+                      BiParams(F(-4, 9), F(3, 8)), BiParams(3, -2), BiParams(F(1, 2), -16)]
+
+
+def _fraction_walk(even, odd, lag, t0, t1, count):
+    """t[0..count-1] by the plain-Fraction recurrence, stated here."""
+    terms = [F(t0), F(t1)]
+    while len(terms) < count:
+        terms.append((odd if len(terms) % 2 else even) * terms[-1] + lag * terms[-2])
+    return terms
+
+
+def _reference(kind, p, count):
+    # The kind table restated: even multiplier, odd one, lag, t0, t1.
+    a, b = p.a, p.b
+    row = {JHAT: (a, b, 2, 0, 1), JLUCAS: (b, a, 2, 2, a),
+           FIB: (a, b, 1, 0, 1), LUCAS: (b, a, 1, 2, a)}[kind]
+    return _fraction_walk(*row, count)
+
+
+def _in_lowest_terms(value):
+    return (type(value) is F and value.denominator > 0
+            and gcd(value.numerator, value.denominator) == 1)
+
+
+def test_integer_rule_examples():
+    # (rule, (w0, w1), M) with g_e and g_o > 1, and M the denominator of ab.
+    assert JHAT._integer_rule(BiParams(F(5, 7), F(-7, 9))) == ((5, -1, 18), (7, 9), 9)
+    assert JLUCAS._integer_rule(BiParams(F(5, 7), F(-7, 9))) == ((-1, 5, 18), (1, 7), 9)
+    assert JHAT._integer_rule(BiParams(F(6, 35), F(10, 21))) == ((2, 2, 98), (5, 21), 49)
+    assert FIB._integer_rule(BiParams(F(-4, 9), F(3, 8))) == ((-1, 1, 6), (3, 8), 6)
+
+
+@pytest.mark.parametrize("params", INTEGER_RULE_PAIRS, ids=str)
+def test_integer_rule_clears_each_term_by_its_weight(params):
+    for kind in SeqKind:
+        rule, (w0, w1), den = kind._integer_rule(params)
+        assert den == params.ab.denominator
+        assert all(type(x) is int for x in (*rule, w0, w1, den))
+        t = _reference(kind, params, 60)
+        s = [(w1 if k & 1 else w0) * den ** (k // 2) * t[k] for k in range(60)]
+        c = lcm(s[0].denominator, s[1].denominator)
+        assert all((c * x).denominator == 1 for x in s), kind
+        for k in range(2, 60):
+            assert s[k] == rule[k & 1] * s[k - 1] + rule[2] * s[k - 2], (kind, k)
+
+
+@pytest.mark.parametrize("params", INTEGER_RULE_PAIRS, ids=str)
+def test_memos_step_on_integers_and_return_lowest_fractions(monkeypatch, params):
+    # Every kind and the matrix memo equal a plain-Fraction recurrence at
+    # n = 0..600 and 2001, every value a Fraction in lowest terms, and at a
+    # BiParams key `_step` sees only ints or Mat2s of ints.
+    step, steps = scalar_mod._step, []
+
+    def int_step(rule, n, prev, cur):
+        ints = [*rule, *(x for v in (prev, cur) for x in
+                         (v.entries() if isinstance(v, Mat2) else (v,)))]
+        assert all(type(x) is int for x in ints), (rule, n)
+        steps.append(n)
+        return step(rule, n, prev, cur)
+
+    monkeypatch.setattr(scalar_mod, "_step", int_step)
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+    indices = [*range(601), 2001]
+    for kind in SeqKind:
+        expected = _reference(kind, params, 2002)
+        for n in indices:
+            value = scalar_term(kind, params, n)
+            assert value == expected[n] and _in_lowest_terms(value), (kind, n)
+    a, b = params.a, params.b
+    walks = [_fraction_walk(a, b, 2, t0, t1, 2002)  # J[1] = [[b, 2b/a], [1, 0]]
+             for t0, t1 in ((1, b), (0, 2 * b / a), (0, 1), (1, 0))]
+    for n in indices:
+        value = term_recurrence(params, n)
+        assert value == Mat2(*(walk[n] for walk in walks)), n
+        assert all(_in_lowest_terms(e) for e in value.entries()), n
+    assert len(steps) == 5 * 2000
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
 
 
 def test_lucas_relations_samples():
