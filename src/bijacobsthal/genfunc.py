@@ -7,9 +7,13 @@ The ordinary generating function sum_m J[m] x^m equals
                   1 - (ab+4)*x^2 + 4*x^4
 
 as a formal power series (no convergence is modeled).  `series_coeffs`
-expands it by plain polynomial long division against the denominator
+expands it by polynomial long division against the denominator
 coefficients, so the expansion is an independent witness for the term
-recurrence rather than a restatement of it.
+recurrence rather than a restatement of it.  It reads only the generating
+function, never a term route.  Over the rationals the division runs on
+plain ints, each coefficient times a weight that grows by the
+denominator of ab every two steps at most, and divides each coefficient
+back once, in linear time (`exact._divide`).
 
 `build_ogf` reads J[0], J[1], a, b and ab through `matrixseq._term_source`,
 as the verifier's sum forms do, so it takes a `BiParams` or a cleared
@@ -20,10 +24,12 @@ every coefficient is a plain int.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .exact import Mat2
+from .exact import Mat2, _divide
 from .matrixseq import _term_source
 from .scalar import BiParams
 
@@ -80,27 +86,74 @@ def component_form(params: BiParams) -> tuple[tuple[tuple[Fraction, ...], ...], 
 def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
     """First `count` coefficients of the formal power series.
 
-    Plain long division: with denominator d0 + d1*x + ... (d0 = 1) and
-    numerator N, coefficient c[m] = N[m] - sum_{i>=1} d[i] * c[m-i].
-    A zero d[i] contributes nothing, so the sum runs over the nonzero
-    d[i] alone, wherever they are (the Jacobsthal denominator's odd ones
-    are zero); each is negated once, up front.  Past the numerator, a
-    coefficient starts from the zero of the numerator's own ring, so an
-    int numerator gives int coefficients.  Nothing here knows about the
-    matrix recurrence; coefficient m equaling J[m] is the claim under
-    test elsewhere.
+    Long division: with denominator d0 + d1*x + ... (d0 = 1) and numerator
+    N, coefficient c[m] = N[m] - sum_{i>=1} d[i] * c[m-i].  A zero d[i]
+    contributes nothing, so the sum runs over the nonzero d[i] alone,
+    wherever they are (the Jacobsthal denominator's odd ones are zero).
+    Nothing here knows about the matrix recurrence; coefficient m equaling
+    J[m] is the claim under test elsewhere.
+
+    Over the rationals the division runs on plain ints.  Let F clear the
+    numerator's entries, L_e and L_o the denominators of the denominator
+    coefficients of even and odd degree, and B = L_o^2 * L_e.  The loop
+    keeps the int matrix C[m] = F * L_o^(m&1) * B^t[m] * c[m] for the last
+    few m.  t[m] is the largest t[m-i] + need, with need = 0 for odd i at
+    odd m (and everywhere when B = 1) and 1 otherwise, so that C[m-i]
+    enters with the int multiplier d[i] * L_o^(2-(i&1)) * L_e^need times
+    B^(t[m] - t[m-i] - need).  Each factor B that divides all four entries
+    of C[m] is then taken off.  Where none comes off, t[m] = m//2 and the
+    weight grows by B every two steps, not every step (for the Jacobsthal
+    denominator, L_o = 1 and B is the denominator of ab).  Where the
+    coefficients are integral, as a cleared point's F*J[m] are, it comes
+    off at once, and the ints stay the size of the coefficients.  Each
+    c[m] is read back with one `exact._divide` by F * L_o^(m&1) and
+    B^t[m], a power kept as t moves, so it is a `Fraction` in lowest
+    terms.  Where every entry and coefficient is an int already, nothing
+    is divided, so an int numerator gives int coefficients.  Over any
+    other ring the same loop runs with unit factors.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     num = ogf.numerator
     zero = 0 * num[0] if num else Mat2.zero()
     steps = [(i, -d) for i, d in enumerate(ogf.denominator) if i and d]
+    entries = [e for c in (*num, zero) for e in c.entries()]
+    scalars = [*entries, *(d for _, d in steps)]
+    divide, clear, odd, base = False, 1, 1, 1
+    rules = [[(i, 0, d) for i, d in steps]] * 2
+    if all(type(x) in (int, Fraction) for x in scalars):
+        divide = any(type(x) is Fraction for x in scalars)
+        clear = lcm(*(e.denominator for e in entries))
+        even = lcm(*(d.denominator for i, d in steps if not i & 1))
+        odd = lcm(*(d.denominator for i, d in steps if i & 1))
+        base = odd * odd * even
+        num = [Mat2(*((clear * e).numerator for e in c.entries())) for c in num]
+        zero = Mat2(0, 0, 0, 0)
+        rules = [[(i, need, (d * odd ** (2 - (i & 1)) * even ** need).numerator)
+                  for i, d in steps for need in [0 if base == 1 else 1 - (i & p)]]
+                 for p in (0, 1)]
+    power, raised = 1, 0
+    depth = steps[-1][0] if steps else 1
+    cleared: deque = deque(maxlen=depth)  # the last C[m], and their t[m]
+    shifts: deque = deque(maxlen=depth)
     out: list[Mat2] = []
     for m in range(count):
-        acc = num[m] if m < len(num) else zero
-        for i, d in steps:
+        p = m & 1
+        t = 0 if base == 1 else max(
+            [shifts[-i] + need for i, need, _ in rules[p] if i <= m], default=0)
+        acc = num[m].scale(odd ** p * base ** t) if m < len(num) else zero
+        for i, need, d in rules[p]:
             if i > m:
                 break
-            acc = acc + d * out[m - i]
+            acc = acc + d * base ** (t - shifts[-i] - need) * cleared[-i]
+        while t and not any(e % base for e in acc.entries()):
+            acc, t = Mat2(*(e // base for e in acc.entries())), t - 1
+        cleared.append(acc)
+        shifts.append(t)
+        if divide:
+            if t != raised:
+                power, raised = power * base if t == raised + 1 else base ** t, t
+            den = clear * odd ** p
+            acc = Mat2(*(_divide(e, den, base, power, t) for e in acc.entries()))
         out.append(acc)
     return out

@@ -22,10 +22,12 @@ ring it spans with I.
 
 At a `BiParams` point the prefix memos step on plain ints:
 `SeqKind._integer_rule`, derived from the same (even, odd, lag), is the
-rule that each term times a weight follows, and each new term is that
-integer divided once by its weight, in linear time (`exact._divide`).
-So a memo read returns the same `Fraction` the rational recurrence
-gives, without a `Fraction` operation, and its gcd, per step.
+rule that each term times a weight follows.  A memo keeps that integer
+undivided until the term is first read, and then divides it once by its
+weight, in linear time (`exact._divide`).  So a memo read returns the
+same `Fraction` the rational recurrence gives, without a `Fraction`
+operation, and its gcd, per step, and a term that is stepped past but
+never read is never divided.
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
@@ -175,44 +177,50 @@ class _Series:
 
     At a `BiParams` point the series steps s[i] = c*w[i]*t[i] on plain
     ints (or `Mat2`s of ints) by `SeqKind._integer_rule`, with c the least
-    integer that clears w[0]*t[0] and w[1]*t[1].  Besides the terms it
-    keeps only s[k-1], s[k] and M^(k//2), and each new term is s divided
-    once, entry by entry, by c*w[0] or c*w[1] times that power, with
-    `exact._divide`, in time linear in its size.  At a point over any
-    other ring (a symbolic one) it steps t itself by `SeqKind.rule`, with
-    no division, in the same loop.
+    integer that clears w[0]*t[0] and w[1]*t[1], and stores each s[i]
+    undivided.  Its state is s[k-1] and s[k] alone.  A term is divided on
+    its first read, entry by entry, by c*w[0] or c*w[1] times M^(i//2),
+    with `exact._divide`, in time linear in its size, and the `Fraction`
+    (or `Mat2` of them) then replaces s[i], so a second read returns the
+    same object.  A term that is never read is never divided.  At a point
+    over any other ring (a symbolic one) it steps t itself by
+    `SeqKind.rule`, with no division, in the same loop.
     """
 
-    __slots__ = ("rule", "terms", "prev", "cur", "scales", "base", "power")
+    __slots__ = ("rule", "terms", "prev", "cur", "scales", "base")
 
     def __init__(self, kind: SeqKind, params, t0, t1) -> None:
-        self.terms, self.power = [t0, t1], 1
         if not isinstance(params, BiParams):
             self.rule, self.scales, self.base = kind.rule(params), None, 1
             self.prev, self.cur = t0, t1
-            return
-        self.rule, weights, self.base = kind._integer_rule(params)
-        starts = [w * t for w, t in zip(weights, (t0, t1))]
-        c = lcm(*(e.denominator for t in starts for e in _entries(t)))
-        self.scales = tuple(c * w for w in weights)
-        self.prev, self.cur = (_entrywise(lambda e: (c * e).numerator, t) for t in starts)
+        else:
+            self.rule, weights, self.base = kind._integer_rule(params)
+            starts = [w * t for w, t in zip(weights, (t0, t1))]
+            c = lcm(*(e.denominator for t in starts for e in _entries(t)))
+            self.scales = tuple(c * w for w in weights)
+            self.prev, self.cur = (_entrywise(lambda e: (c * e).numerator, t)
+                                   for t in starts)
+        self.terms = [self.prev, self.cur]
 
     def term(self, n: int):
-        terms, rule, scales = self.terms, self.rule, self.scales
+        terms, rule = self.terms, self.rule
         while len(terms) <= n:
-            k = len(terms)
-            s = _step(rule, k, self.prev, self.cur)
-            power = self.power if k & 1 else self.power * self.base
-            if scales is None:
-                value = s
-            elif isinstance(s, Mat2):
-                den, m = scales[k & 1], k >> 1
-                value = Mat2(*(_divide(e, den, self.base, power, m) for e in s.entries()))
-            else:
-                value = _divide(s, scales[k & 1], self.base, power, k >> 1)
-            terms.append(value)
-            self.prev, self.cur, self.power = self.cur, s, power
-        return terms[n]
+            s = _step(rule, len(terms), self.prev, self.cur)
+            terms.append(s)
+            self.prev, self.cur = self.cur, s
+        value = terms[n]
+        matrix = type(value) is Mat2
+        # An int entry is undivided: `_divide` gives a Fraction, even 0/1.
+        if self.scales is None or type(value.e11 if matrix else value) is not int:
+            return value
+        den, base, m = self.scales[n & 1], self.base, n >> 1
+        power = base ** m
+        if matrix:
+            value = Mat2(*[_divide(e, den, base, power, m) for e in value.entries()])
+        else:
+            value = _divide(value, den, base, power, m)
+        terms[n] = value
+        return value
 
 
 class _PrefixMemo:
@@ -224,10 +232,12 @@ class _PrefixMemo:
     created, and `_step` extends it.  Each term is computed before it is
     appended and before the stepping state moves, so a step that raises
     leaves the series holding exactly the terms before it, and the next
-    call resumes from there.  One lock is held across lookup, eviction
-    and extension, so threads sharing a series never append the same
-    index twice.  At most `max_keys` series are kept; the oldest-inserted
-    one is evicted first.
+    call resumes from there.  A term's division on its first read replaces
+    it only once it has succeeded, so a division that raises leaves the
+    term to divide on the next read.  One lock is held across lookup,
+    eviction, extension and that division, so threads sharing a series
+    never append the same index twice or divide one term twice.  At most
+    `max_keys` series are kept; the oldest-inserted one is evicted first.
     """
 
     max_keys = 64

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,7 @@ from bijacobsthal.genfunc import (
     component_form,
     series_coeffs,
 )
-from bijacobsthal.matrixseq import generator_matrix, term_recurrence
+from bijacobsthal.matrixseq import _Cleared, generator_matrix, term_recurrence
 from bijacobsthal.scalar import BiParams
 from bijacobsthal.verifier import verify_series_match
 
@@ -140,3 +141,35 @@ def test_series_stays_in_the_numerator_ring():
     assert all(type(e) is int for c in ints for e in c.entries())
     for params in (BiParams(2, 1), BiParams(F(1, 2), F(-3, 4))):
         assert all(type(d) is F for d in build_ogf(params).denominator)
+
+
+# Pairs whose ab has a denominator M > 1 that shares a factor with the
+# numerator's clearing factor F: at (1/2, -3/4), M = 8 and F = 8.
+INTEGER_EXPANSION_PAIRS = [BiParams(F(1, 2), F(-3, 4)), BiParams(F(5, 7), F(-7, 9)),
+                           BiParams(F(6, 35), F(10, 21))]
+
+
+@pytest.mark.parametrize("params", INTEGER_EXPANSION_PAIRS, ids=str)
+def test_integer_expansion_matches_the_long_division(params):
+    # The integer expansion gives the Fractions of the textbook division,
+    # each in lowest terms, at the pair and at a cleared point, whose
+    # coefficients F*J[m] are integral.
+    for ogf in (build_ogf(params), build_ogf(_Cleared(params, 600))):
+        coeffs = series_coeffs(ogf, 601)
+        assert coeffs == _long_division(ogf, 601)
+        for coeff in coeffs[2:]:
+            assert all(type(e) is F and gcd(e.numerator, e.denominator) == 1
+                       for e in coeff.entries())
+
+
+def test_integer_expansion_with_odd_denominator_coefficients():
+    # L_o > 1: a fractional odd coefficient, alone and beside even ones,
+    # with numerators that are ints, Fractions and both.
+    ogfs = [
+        RationalOGF((Mat2(1, 0, 0, 1),), (F(1), F(1, 2), F(0), F(0), F(-1, 3))),
+        RationalOGF((Mat2(F(1, 6), 2, F(-5, 4), 0), Mat2(0, F(3, 10), 1, F(7, 9))),
+                    (F(1), F(-2, 3), F(5, 4), F(1, 6))),
+        RationalOGF((Mat2(3, 1, 4, 1),), (1, F(-3, 5))),
+    ]
+    for ogf in ogfs:
+        assert series_coeffs(ogf, 601) == _long_division(ogf, 601)

@@ -178,11 +178,16 @@ class _StepFails(Exception):
     pass
 
 
-@pytest.mark.parametrize("memo, route, fast, key", [
+# Each memo with its route, the log-time route it must agree with, and its
+# key's kind.
+MEMO_ROUTES = pytest.mark.parametrize("memo, route, fast, key", [
     (scalar_mod._memo, partial(scalar_term, JLUCAS), partial(scalar_term_fast, JLUCAS),
      JLUCAS),
     (matrixseq_mod._memo, term_recurrence, term_fast, JHAT),
 ], ids=["scalar_term", "term_recurrence"])
+
+
+@MEMO_ROUTES
 def test_memo_survives_a_failing_step(monkeypatch, memo, route, fast, key):
     # A step that raises once at index k leaves the memo holding exactly
     # t[0..k-1]; the next call resumes there and returns the right value.
@@ -201,11 +206,41 @@ def test_memo_survives_a_failing_step(monkeypatch, memo, route, fast, key):
     with pytest.raises(_StepFails):
         route(p, 20)
     series = memo._series[(key, p)]
-    rule, terms = series.rule, series.terms
-    assert rule == key._integer_rule(p)[0]
-    assert terms == [fast(p, n) for n in range(k)]
+    assert series.rule == key._integer_rule(p)[0]
+    assert len(series.terms) == k
+    assert [series.term(n) for n in range(k)] == [fast(p, n) for n in range(k)]
+    assert len(series.terms) == k
     assert route(p, 20) == fast(p, 20)
-    assert len(terms) == 21
+    assert len(series.terms) == 21
+    memo.clear()
+
+
+@MEMO_ROUTES
+def test_memo_survives_a_failing_division(monkeypatch, memo, route, fast, key):
+    # A division that raises once, on the first read of index n, leaves the
+    # series stepped through n with t[n] still to divide; the next read
+    # divides it, and the series steps on from there.
+    p, n = BiParams(F(5, 7), F(-3, 4)), 20
+    memo.clear()
+    divide = scalar_mod._divide
+    failed = []
+
+    def failing_divide(*args):
+        if not failed:
+            failed.append(args)
+            raise _StepFails
+        return divide(*args)
+
+    monkeypatch.setattr(scalar_mod, "_divide", failing_divide)
+    with pytest.raises(_StepFails):
+        route(p, n)
+    series = memo._series[(key, p)]
+    assert len(series.terms) == n + 1
+    value = route(p, n)
+    assert value == fast(p, n)
+    assert route(p, n) is value
+    assert route(p, n + 5) == fast(p, n + 5)
+    assert len(failed) == 1
     memo.clear()
 
 
@@ -305,6 +340,39 @@ def test_memos_step_on_integers_and_return_lowest_fractions(monkeypatch, params)
         assert value == Mat2(*(walk[n] for walk in walks)), n
         assert all(_in_lowest_terms(e) for e in value.entries()), n
     assert len(steps) == 5 * 2000
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+
+
+# Pairs with g_e or g_o > 1, one whose M = 8 shares a factor with the
+# start terms' clearing factor, an integer pair and an ab = -8 pair.
+OUT_OF_ORDER_PAIRS = [BiParams(F(5, 7), F(-7, 9)), BiParams(F(6, 35), F(10, 21)),
+                      BiParams(F(1, 2), F(-3, 4)), BiParams(3, -2), BiParams(F(1, 2), -16)]
+
+
+@pytest.mark.parametrize("params", OUT_OF_ORDER_PAIRS, ids=str)
+def test_memo_reads_out_of_order(params):
+    # Read n = 600, then n - 7, then 0..n, from every kind and the matrix
+    # memo: each read equals a plain-Fraction recurrence and is in lowest
+    # terms, and a repeated read returns the object the first one did.
+    n = 600
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+    a, b = params.a, params.b
+    walks = [_fraction_walk(a, b, 2, t0, t1, n + 1)  # J[1] = [[b, 2b/a], [1, 0]]
+             for t0, t1 in ((1, b), (0, 2 * b / a), (0, 1), (1, 0))]
+    series = [(partial(scalar_term, kind, params), _reference(kind, params, n + 1))
+              for kind in SeqKind]
+    series.append((partial(term_recurrence, params),
+                   [Mat2(*(walk[i] for walk in walks)) for i in range(n + 1)]))
+    for read, expected in series:
+        first = {}
+        for i in (n, n - 7, *range(n + 1)):
+            value = read(i)
+            assert value == expected[i], i
+            entries = value.entries() if isinstance(value, Mat2) else (value,)
+            assert all(_in_lowest_terms(e) for e in entries), i
+            assert first.setdefault(i, value) is value, i
     scalar_mod.clear_caches()
     matrixseq_mod.clear_caches()
 
