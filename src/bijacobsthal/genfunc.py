@@ -11,9 +11,9 @@ expands it by polynomial long division against the denominator
 coefficients, so the expansion is an independent witness for the term
 recurrence rather than a restatement of it.  It reads only the generating
 function, never a term route.  Over the rationals the division runs on
-plain ints, each coefficient times a weight that grows by the
-denominator of ab every two steps at most, and divides each coefficient
-back once, in linear time (`exact._divide`).
+plain ints, entry by entry, each coefficient times a weight that grows by
+the denominator of ab every two steps at most, and divides each
+coefficient back once, in linear time (`exact._divide`).
 
 `build_ogf` reads J[0], J[1], a, b and ab through `matrixseq._term_source`,
 as the verifier's sum forms do, so it takes a `BiParams` or a cleared
@@ -96,10 +96,12 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
     Over the rationals the division runs on plain ints.  Let F clear the
     numerator's entries, L_e and L_o the denominators of the denominator
     coefficients of even and odd degree, and B = L_o^2 * L_e.  The loop
-    keeps the int matrix C[m] = F * L_o^(m&1) * B^t[m] * c[m] for the last
-    few m.  t[m] is the largest t[m-i] + need, with need = 0 for odd i at
-    odd m (and everywhere when B = 1) and 1 otherwise, so that C[m-i]
-    enters with the int multiplier d[i] * L_o^(2-(i&1)) * L_e^need times
+    keeps C[m] = F * L_o^(m&1) * B^t[m] * c[m] for the last few m, each as
+    a list of its four int entries: the division scales and adds entry by
+    entry, so it builds a `Mat2` only for each coefficient it returns.
+    t[m] is the largest t[m-i] + need, with need = 0 for odd i at odd m
+    (and everywhere when B = 1) and 1 otherwise, so that C[m-i] enters
+    with the int multiplier d[i] * L_o^(2-(i&1)) * L_e^need times
     B^(t[m] - t[m-i] - need).  Each factor B that divides all four entries
     of C[m] is then taken off.  Where none comes off, t[m] = m//2 and the
     weight grows by B every two steps, not every step (for the Jacobsthal
@@ -114,10 +116,10 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    num = ogf.numerator
-    zero = 0 * num[0] if num else Mat2.zero()
+    num = [c.entries() for c in ogf.numerator]
+    zero = [0 * e for e in num[0]] if num else [Fraction(0)] * 4
     steps = [(i, -d) for i, d in enumerate(ogf.denominator) if i and d]
-    entries = [e for c in (*num, zero) for e in c.entries()]
+    entries = [e for c in (*num, zero) for e in c]
     scalars = [*entries, *(d for _, d in steps)]
     divide, clear, odd, base = False, 1, 1, 1
     rules = [[(i, 0, d) for i, d in steps]] * 2
@@ -127,8 +129,8 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
         even = lcm(*(d.denominator for i, d in steps if not i & 1))
         odd = lcm(*(d.denominator for i, d in steps if i & 1))
         base = odd * odd * even
-        num = [Mat2(*((clear * e).numerator for e in c.entries())) for c in num]
-        zero = Mat2(0, 0, 0, 0)
+        num = [[(clear * e).numerator for e in c] for c in num]
+        zero = [0] * 4
         rules = [[(i, need, (d * odd ** (2 - (i & 1)) * even ** need).numerator)
                   for i, d in steps for need in [0 if base == 1 else 1 - (i & p)]]
                  for p in (0, 1)]
@@ -141,19 +143,20 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
         p = m & 1
         t = 0 if base == 1 else max(
             [shifts[-i] + need for i, need, _ in rules[p] if i <= m], default=0)
-        acc = num[m].scale(odd ** p * base ** t) if m < len(num) else zero
+        acc = [odd ** p * base ** t * e for e in num[m]] if m < len(num) else zero
         for i, need, d in rules[p]:
             if i > m:
                 break
-            acc = acc + d * base ** (t - shifts[-i] - need) * cleared[-i]
-        while t and not any(e % base for e in acc.entries()):
-            acc, t = Mat2(*(e // base for e in acc.entries())), t - 1
+            f = d * base ** (t - shifts[-i] - need)
+            acc = [e + f * c for e, c in zip(acc, cleared[-i])]
+        while t and not any(e % base for e in acc):
+            acc, t = [e // base for e in acc], t - 1
         cleared.append(acc)
         shifts.append(t)
         if divide:
             if t != raised:
                 power, raised = power * base if t == raised + 1 else base ** t, t
             den = clear * odd ** p
-            acc = Mat2(*(_divide(e, den, base, power, t) for e in acc.entries()))
-        out.append(acc)
+            acc = [_divide(e, den, base, power, t) for e in acc]
+        out.append(Mat2(*acc))
     return out

@@ -48,9 +48,11 @@ and no gcd of large numbers enters the power loop.  Both end in
 the four entries) and so takes linear time.  The recurrence memo and the
 closed route never touch the walk, the fold or K: they read the prefix
 memos of `scalar`, which step the rational recurrence on plain ints by
-`SeqKind._integer_rule` and divide a term once, entry by entry, on its
-first read, back to the `Fraction`s that rational arithmetic gives.  So
-a bad fold still shows as a route disagreement.  `_weighted_sum`, behind
+`SeqKind._integer_rule`, one int lane per entry of J (the step scales
+and adds entry by entry), and on a term's first read divide each of its
+entries once, back to the `Fraction`s that rational arithmetic gives,
+and build its one `Mat2`.  So a bad fold still shows as a route
+disagreement.  `_weighted_sum`, behind
 the public direct sums of `verifier`, raises the same integer two-step
 matrix bordered by an accumulator column, and ends in `_over_power` too.
 

@@ -22,12 +22,15 @@ ring it spans with I.
 
 At a `BiParams` point the prefix memos step on plain ints:
 `SeqKind._integer_rule`, derived from the same (even, odd, lag), is the
-rule that each term times a weight follows.  A memo keeps that integer
-undivided until the term is first read, and then divides it once by its
-weight, in linear time (`exact._divide`).  So a memo read returns the
-same `Fraction` the rational recurrence gives, without a `Fraction`
-operation, and its gcd, per step, and a term that is stepped past but
-never read is never divided.
+rule that each term times a weight follows.  Scaling and adding act
+entry by entry, so each entry of a matrix term follows that rule by
+itself: a memo steps one int lane per entry (one for a scalar series,
+four for a `Mat2` one) and builds no `Mat2` per step.  It keeps the
+integers undivided until the term is first read, and then divides each
+entry once by its weight, in linear time (`exact._divide`).  So a memo
+read returns the same `Fraction` the rational recurrence gives, without
+a `Fraction` operation, and its gcd, per step, and a term that is
+stepped past but never read is never divided.
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
@@ -163,63 +166,80 @@ def _step(rule: tuple, n: int, prev, cur):
     return rule[n & 1] * cur + rule[2] * prev
 
 
-def _entries(value) -> tuple:
-    return value.entries() if isinstance(value, Mat2) else (value,)
-
-
-def _entrywise(fn, value):
-    """fn of a scalar, or of each entry of a `Mat2`."""
-    return Mat2(*map(fn, value.entries())) if isinstance(value, Mat2) else fn(value)
-
-
 class _Series:
-    """One memoized series: its terms t[0..k] and the state that steps it.
+    """One memoized series: one lane per entry of its terms, and a read
+    cache.
 
-    At a `BiParams` point the series steps s[i] = c*w[i]*t[i] on plain
-    ints (or `Mat2`s of ints) by `SeqKind._integer_rule`, with c the least
-    integer that clears w[0]*t[0] and w[1]*t[1], and stores each s[i]
-    undivided.  Its state is s[k-1] and s[k] alone.  A term is divided on
-    its first read, entry by entry, by c*w[0] or c*w[1] times M^(i//2),
-    with `exact._divide`, in time linear in its size, and the `Fraction`
-    (or `Mat2` of them) then replaces s[i], so a second read returns the
-    same object.  A term that is never read is never divided.  At a point
-    over any other ring (a symbolic one) it steps t itself by
-    `SeqKind.rule`, with no division, in the same loop.
+    A scalar series has one lane and a `Mat2` series four, one per entry:
+    scaling and adding act entry by entry, so each entry follows the
+    scalar rule by itself.  The lanes are stepped with `_step` on
+    entries, index by index, and no `Mat2` is built per step.
+    At a `BiParams` point lane j holds s[i] = c*w[i]*t[i] (entry j) on
+    plain ints, stepped by `SeqKind._integer_rule`, with c the least
+    integer that clears w[0]*t[0] and w[1]*t[1].  `terms` is the read
+    cache, as long as the lanes: an index that was stepped but not read
+    holds None.  On its first read a term is divided, entry by entry, by
+    c*w[0] or c*w[1] times M^(i//2), with `exact._divide`, in time linear
+    in its size; the `Fraction` (or the one `Mat2` of them) is stored
+    there, so a second read is one list index and returns the same
+    object.  A term that is never read is never divided.  At a point over
+    any other ring (a symbolic one) the lanes step t itself by
+    `SeqKind.rule` in the same loop, and a read builds the term with no
+    division.
     """
 
-    __slots__ = ("rule", "terms", "prev", "cur", "scales", "base")
+    __slots__ = ("rule", "terms", "lanes", "scales", "base")
 
     def __init__(self, kind: SeqKind, params, t0, t1) -> None:
+        starts = [t.entries() if isinstance(t, Mat2) else (t,) for t in (t0, t1)]
         if not isinstance(params, BiParams):
             self.rule, self.scales, self.base = kind.rule(params), None, 1
-            self.prev, self.cur = t0, t1
         else:
             self.rule, weights, self.base = kind._integer_rule(params)
-            starts = [w * t for w, t in zip(weights, (t0, t1))]
-            c = lcm(*(e.denominator for t in starts for e in _entries(t)))
+            starts = [[w * e for e in t] for w, t in zip(weights, starts)]
+            c = lcm(*(e.denominator for t in starts for e in t))
             self.scales = tuple(c * w for w in weights)
-            self.prev, self.cur = (_entrywise(lambda e: (c * e).numerator, t)
-                                   for t in starts)
-        self.terms = [self.prev, self.cur]
+            starts = [[(c * e).numerator for e in t] for t in starts]
+        self.lanes = [list(lane) for lane in zip(*starts)]
+        self.terms = [None, None]
 
     def term(self, n: int):
-        terms, rule = self.terms, self.rule
-        while len(terms) <= n:
-            s = _step(rule, len(terms), self.prev, self.cur)
-            terms.append(s)
-            self.prev, self.cur = self.cur, s
+        terms, lanes = self.terms, self.lanes
+        if len(terms) <= n:
+            # Every lane's entry of index k is computed before any lane takes
+            # it, so a step that raises leaves the lanes as long as `terms`.
+            # The loop is written out for the two widths, one lane and four.
+            step, rule = _step, self.rule
+            if len(lanes) == 1:
+                (lane,) = lanes
+                for k in range(len(terms), n + 1):
+                    lane.append(step(rule, k, lane[-2], lane[-1]))
+                    terms.append(None)
+            else:
+                e11, e12, e21, e22 = lanes
+                for k in range(len(terms), n + 1):
+                    s11 = step(rule, k, e11[-2], e11[-1])
+                    s12 = step(rule, k, e12[-2], e12[-1])
+                    s21 = step(rule, k, e21[-2], e21[-1])
+                    s22 = step(rule, k, e22[-2], e22[-1])
+                    e11.append(s11)
+                    e12.append(s12)
+                    e21.append(s21)
+                    e22.append(s22)
+                    terms.append(None)
         value = terms[n]
-        matrix = type(value) is Mat2
-        # An int entry is undivided: `_divide` gives a Fraction, even 0/1.
-        if self.scales is None or type(value.e11 if matrix else value) is not int:
+        if value is not None:
             return value
-        den, base, m = self.scales[n & 1], self.base, n >> 1
-        power = base ** m
-        if matrix:
-            value = Mat2(*[_divide(e, den, base, power, m) for e in value.entries()])
+        if self.scales is None:
+            entries = [lane[n] for lane in lanes]
         else:
-            value = _divide(value, den, base, power, m)
-        terms[n] = value
+            den, base, m = self.scales[n & 1], self.base, n >> 1
+            power = base ** m
+            if len(lanes) == 1:  # a scalar read, the most frequent, builds no list
+                value = terms[n] = _divide(lanes[0][n], den, base, power, m)
+                return value
+            entries = [_divide(lane[n], den, base, power, m) for lane in lanes]
+        value = terms[n] = Mat2(*entries) if len(entries) > 1 else entries[0]
         return value
 
 
@@ -229,12 +249,13 @@ class _PrefixMemo:
 
     `start(key)` gives the first two terms of a series; its integer rule
     (or, over another ring, its rule) is resolved once, when the series is
-    created, and `_step` extends it.  Each term is computed before it is
-    appended and before the stepping state moves, so a step that raises
-    leaves the series holding exactly the terms before it, and the next
-    call resumes from there.  A term's division on its first read replaces
-    it only once it has succeeded, so a division that raises leaves the
-    term to divide on the next read.  One lock is held across lookup,
+    created, and `_step` extends each lane.  Every lane's entry of a term
+    is computed before any lane appends it, so a step that raises at
+    index k, in any lane, leaves every lane and the read cache holding
+    exactly t[0..k-1], and the next call resumes from there.  A term's
+    division on its first read is stored only once it has succeeded, so a
+    division that raises leaves the term unread, to divide on the next
+    read.  One lock is held across lookup,
     eviction, extension and that division, so threads sharing a series
     never append the same index twice or divide one term twice.  At most
     `max_keys` series are kept; the oldest-inserted one is evicted first.

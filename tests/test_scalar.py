@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -15,7 +17,7 @@ from bijacobsthal.scalar import (
     scalar_term_fast,
     verify_lucas_relations,
 )
-from bijacobsthal.matrixseq import term_fast, term_recurrence
+from bijacobsthal.matrixseq import iter_terms, term_fast, term_recurrence
 import bijacobsthal.matrixseq as matrixseq_mod
 import bijacobsthal.scalar as scalar_mod
 
@@ -244,6 +246,67 @@ def test_memo_survives_a_failing_division(monkeypatch, memo, route, fast, key):
     memo.clear()
 
 
+def test_matrix_memo_survives_a_step_failing_in_a_later_lane(monkeypatch):
+    # The matrix series steps one lane per entry, index by index.  The third
+    # `_step` call at index k, in the third lane, raises: every lane and the
+    # read cache still hold exactly t[0..k-1], and the next read resumes.
+    p, k = BiParams(F(5, 7), F(-3, 4)), 9
+    memo = matrixseq_mod._memo
+    memo.clear()
+    step, calls = scalar_mod._step, []
+
+    def failing_step(rule, n, prev, cur):
+        if n == k:
+            calls.append(n)
+            if len(calls) == 3:
+                raise _StepFails
+        return step(rule, n, prev, cur)
+
+    monkeypatch.setattr(scalar_mod, "_step", failing_step)
+    with pytest.raises(_StepFails):
+        term_recurrence(p, 20)
+    series = memo._series[(JHAT, p)]
+    assert len(series.terms) == k
+    assert [len(lane) for lane in series.lanes] == [k] * 4
+    assert [series.term(n) for n in range(k)] == [term_fast(p, n) for n in range(k)]
+    assert term_recurrence(p, 20) == term_fast(p, 20)
+    assert [len(lane) for lane in series.lanes] == [21] * 4
+    memo.clear()
+
+
+@MEMO_ROUTES
+def test_memo_reads_below_its_length_without_stepping(monkeypatch, memo, route, fast,
+                                                      key):
+    # An index that was stepped past but never read is divided from the
+    # lanes on its first read; no lane is stepped again.
+    p = BiParams(F(5, 7), F(-3, 4))
+    memo.clear()
+    route(p, 40)
+
+    def no_step(*args):
+        raise AssertionError("a read below the stepped length stepped a lane")
+
+    monkeypatch.setattr(scalar_mod, "_step", no_step)
+    series = memo._series[(key, p)]
+    assert series.terms[17] is None
+    value = route(p, 17)
+    assert value == fast(p, 17) and series.terms[17] is value
+    assert len(series.terms) == 41
+    memo.clear()
+
+
+def test_symbolic_matrix_memo_matches_iter_terms():
+    # Over the Q(a, b) ring of tests/test_ring.py (skipped without sympy)
+    # the matrix memo steps one lane per entry of J, with no division, and
+    # builds the terms that `iter_terms`' Mat2 steps build.
+    from test_ring import SYM
+    matrixseq_mod.clear_caches()
+    expected = list(islice(iter_terms(SYM), 41))
+    term_recurrence(SYM, 40)
+    assert [term_recurrence(SYM, n) for n in range(41)] == expected
+    matrixseq_mod.clear_caches()
+
+
 def test_evicted_series_restarts_from_its_start_terms():
     p = BiParams(F(5, 7), F(-3, 4))
     for memo, route, fast in (
@@ -313,13 +376,12 @@ def test_integer_rule_clears_each_term_by_its_weight(params):
 def test_memos_step_on_integers_and_return_lowest_fractions(monkeypatch, params):
     # Every kind and the matrix memo equal a plain-Fraction recurrence at
     # n = 0..600 and 2001, every value a Fraction in lowest terms, and at a
-    # BiParams key `_step` sees only ints or Mat2s of ints.
+    # BiParams key `_step` sees only ints: the matrix memo steps one lane
+    # per entry, so no Mat2 reaches it.
     step, steps = scalar_mod._step, []
 
     def int_step(rule, n, prev, cur):
-        ints = [*rule, *(x for v in (prev, cur) for x in
-                         (v.entries() if isinstance(v, Mat2) else (v,)))]
-        assert all(type(x) is int for x in ints), (rule, n)
+        assert all(type(x) is int for x in (*rule, prev, cur)), (rule, n)
         steps.append(n)
         return step(rule, n, prev, cur)
 
@@ -339,7 +401,9 @@ def test_memos_step_on_integers_and_return_lowest_fractions(monkeypatch, params)
         value = term_recurrence(params, n)
         assert value == Mat2(*(walk[n] for walk in walks)), n
         assert all(_in_lowest_terms(e) for e in value.entries()), n
-    assert len(steps) == 5 * 2000
+    # Each index 2..2001 is stepped once per lane, (4 + 4) * 2000 steps: one
+    # lane for each of the four scalar kinds and four for the matrix series.
+    assert Counter(steps) == dict.fromkeys(range(2, 2002), 4 + 4)
     scalar_mod.clear_caches()
     matrixseq_mod.clear_caches()
 
