@@ -7,6 +7,16 @@ point appears anywhere.  sqrt(D) is a formal symbol: D may be negative or
 even a perfect square and the ring arithmetic stays valid, nothing ever
 takes a numeric square root.
 
+`Mat2` and `QuadNum` are frozen dataclasses with slots: they compare and
+hash by value, refuse assignment, and hold no `__dict__`.  Each has a
+hand-written `__init__` that stores its fields through the slots' own
+setters, which the module takes once, after the class is made.  The
+`__init__` that a frozen dataclass generates calls `object.__setattr__`
+once per field, by name, and the small-operand work of a verify grid
+builds a value for about every two `Fraction` products, so that fixed
+cost was as large as the arithmetic; the setters take a little over
+half of it.
+
 `_DoubledQuadNum` holds 2z in place of z, for z in a ring Z[w] with
 w = (t + sqrt(D))/2 an algebraic integer, so its fields are plain ints
 although z may have halves.  Its product halves (2z)(2z') = 4zz' exactly:
@@ -30,7 +40,7 @@ closed forms built on it can be evaluated over that ring unchanged.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 
@@ -155,7 +165,7 @@ def _power(base, k: int, one, what: str):
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """2x2 matrix, row-major: [[e11, e12], [e21, e22]].
 
@@ -173,6 +183,12 @@ class Mat2:
     e12: Fraction
     e21: Fraction
     e22: Fraction
+
+    def __init__(self, e11, e12, e21, e22) -> None:
+        _set_e11(self, e11)
+        _set_e12(self, e12)
+        _set_e21(self, e21)
+        _set_e22(self, e22)
 
     @classmethod
     def identity(cls) -> Mat2:
@@ -201,7 +217,8 @@ class Mat2:
     def __sub__(self, other: Mat2) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self + (-other)
+        return Mat2(self.e11 - other.e11, self.e12 - other.e12,
+                    self.e21 - other.e21, self.e22 - other.e22)
 
     def __neg__(self) -> Mat2:
         return Mat2(-self.e11, -self.e12, -self.e21, -self.e22)
@@ -247,6 +264,9 @@ class Mat2:
     def __str__(self) -> str:
         f = format_rational
         return f"[[{f(self.e11)},{f(self.e12)}],[{f(self.e21)},{f(self.e22)}]]"
+
+
+_set_e11, _set_e12, _set_e21, _set_e22 = (getattr(Mat2, f.name).__set__ for f in fields(Mat2))
 
 
 class _Bordered:
@@ -316,7 +336,7 @@ class _MatrixPoly:
                       "matrix polynomial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadNum:
     """Element x + y*sqrt(D) of the formal quadratic extension Q(sqrt(D)).
 
@@ -331,6 +351,11 @@ class QuadNum:
     rat: Fraction
     coeff: Fraction
     disc: Fraction
+
+    def __init__(self, rat, coeff, disc) -> None:
+        _set_rat(self, rat)
+        _set_coeff(self, coeff)
+        _set_disc(self, disc)
 
     @classmethod
     def from_rational(cls, value: Fraction | int, disc: Fraction | int) -> QuadNum:
@@ -389,12 +414,17 @@ class QuadNum:
         return f"{f(self.rat)} {sign} {f(abs(self.coeff))}*sqrt({f(self.disc)})"
 
 
+_set_rat, _set_coeff, _set_disc = (getattr(QuadNum, f.name).__set__ for f in fields(QuadNum))
+
+
 class _DoubledQuadNum(QuadNum):
     """2z with plain int fields, for z in Z[(t + sqrt(D))/2] (see the module
     docstring).  `QuadNum.__mul__` gives the fields of 4zz', and each is
     shifted right by 1 to those of 2zz'.  A rational r is held as 2r, so
     the `1` that `__pow__` starts from is 2.
     """
+
+    __slots__ = ()
 
     @classmethod
     def from_rational(cls, value: int, disc: int) -> _DoubledQuadNum:

@@ -99,6 +99,12 @@ def _check_index(n: int) -> None:
         raise ValueError("matrix terms are defined for n >= 0")
 
 
+def _ratio(params) -> Fraction:
+    """b/a: a `BiParams` keeps it once computed, and a point over another
+    ring (a symbolic one) computes it."""
+    return params.ratio if isinstance(params, BiParams) else params.b / params.a
+
+
 def generator_matrix(params: BiParams) -> Mat2:
     """J[1] = [[b, 2b/a], [1, 0]]."""
     return Mat2(params.b, 2 * params.b / params.a, Fraction(1), Fraction(0))
@@ -154,8 +160,8 @@ def _over_power(params: BiParams, u, v, den: int, m: int) -> Mat2:
     """(u*J[1] + v*I) / den^m, the one finish of the log-time routes and
     of the log-time partial sum: the fold with c = 1, each entry divided
     once, with `exact._divide`, by den^m raised once for all four."""
-    b, power = _plain(params.b), den ** m
-    entries = _fold((b, _plain(2 * b / params.a)), 1, u, v)
+    power = den ** m
+    entries = _fold(params.j1_row, 1, u, v)
     return Mat2(*(_divide(e.numerator, e.denominator, den, power, m) for e in entries))
 
 
@@ -239,7 +245,7 @@ class _Cleared:
 
     def __init__(self, params: BiParams, n_max: int) -> None:
         walk, d = _cleared_walk(params)
-        j1_row = params.b, 2 * params.b / params.a  # the other row is (1, 0)
+        j1_row = params.j1_row  # the other row is (1, 0)
         scale = lcm(*(e.denominator for e in j1_row))
         self.bound = max(n_max, 1)
         top = d(self.bound)
@@ -276,7 +282,7 @@ def term_closed(params: BiParams, n: int) -> Mat2:
     _check_index(n)
     jhat = SeqKind.BP_JACOBSTHAL
     jm1, jn, jp1 = (scalar_term(jhat, params, i) for i in (n - 1, n, n + 1))
-    ratio = params.b / params.a
+    ratio = _ratio(params)
     rpow = ratio if parity(n) else Fraction(1)
     return Mat2(rpow * jp1, 2 * ratio * jn, jn, 2 * rpow * jm1)
 
@@ -309,10 +315,9 @@ def term_naive(params: BiParams, n: int) -> Mat2:
 def det_closed(params: BiParams, n: int) -> Fraction:
     """det J[n] = 2^n * (-b/a)^parity(n), exactly."""
     _check_index(n)
-    value = Fraction(2) ** n
     if parity(n):
-        value *= -params.b / params.a
-    return value
+        return Fraction(-(1 << n)) * _ratio(params)
+    return Fraction(1 << n)
 
 
 def char_roots(params: BiParams) -> tuple[QuadNum, QuadNum]:

@@ -120,14 +120,18 @@ def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    ratio = params.b / params.a
+    ratio = params.ratio
     jhat = lambda i: scalar_term(SeqKind.BP_JACOBSTHAL, params, i)
 
     def cases():
+        # (b/a)^e and (b/a)^(1-e) are b/a and 1 by parity, and the right
+        # side is the int (-1)^e * 2^(n-1).
         for n in range(1, n_max + 1):
-            e = parity(n)
-            lhs = ratio ** e * jhat(n - 1) * jhat(n + 1) - ratio ** (1 - e) * jhat(n) ** 2
-            yield n, lhs, (-1) ** e * Fraction(2) ** (n - 1), None
+            outer, inner = jhat(n - 1) * jhat(n + 1), jhat(n) ** 2
+            if n & 1:
+                yield n, ratio * outer - inner, -(1 << (n - 1)), None
+            else:
+                yield n, outer - ratio * inner, 1 << (n - 1), None
     return first_mismatch(CASSINI, params, n_max, cases())
 
 

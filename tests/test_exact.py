@@ -85,6 +85,47 @@ def test_mat2_scaling_by_one_is_the_matrix_itself():
         assert F(1) * m is m
 
 
+def test_mat2_subtracts_entry_by_entry(monkeypatch):
+    # One matrix is built, with no negation and no addition on the way.
+    def refuse(*args):
+        raise AssertionError("subtraction went through another operator")
+
+    monkeypatch.setattr(Mat2, "__neg__", refuse)
+    monkeypatch.setattr(Mat2, "__add__", refuse)
+    assert Mat2(F(1, 2), 3, -4, F(5, 7)) - Mat2(2, F(-1, 3), 0, F(5, 7)) == \
+        Mat2(F(-3, 2), F(10, 3), -4, 0)
+    assert all(type(e) is int for e in (Mat2(4, -6, 0, 2) - Mat2(1, 1, 1, 1)).entries())
+
+
+# Each value class with its field names, in their order.
+VALUE_CLASSES = pytest.mark.parametrize("cls, names", [
+    (Mat2, ("e11", "e12", "e21", "e22")),
+    (QuadNum, ("rat", "coeff", "disc")),
+    (_DoubledQuadNum, ("rat", "coeff", "disc")),
+], ids=lambda c: getattr(c, "__name__", ""))
+
+
+@VALUE_CLASSES
+def test_value_objects_are_frozen_and_compare_by_value(cls, names):
+    # The hand-written __init__ sets the slots directly; the class is still
+    # a frozen dataclass with its fields in their order, and no __dict__.
+    fields = (F(1, 2), -3, F(7, 5), 2)[:len(names)]
+    value, twin = cls(*fields), cls(**dict(zip(names, fields)))
+    assert tuple(f.name for f in dataclasses.fields(value)) == names
+    assert dataclasses.astuple(value) == fields
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert not hasattr(value, "__dict__")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0)
+    assert getattr(value, names[0]) == fields[0]
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert len({value, twin, cls(*fields)}) == 1
+    changed = dataclasses.replace(value, **{names[0]: 11})
+    assert type(changed) is cls and changed != value
+    assert dataclasses.astuple(changed) == (11, *fields[1:])
+
+
 def _assert_same_fraction(got, expected):
     assert type(got) is F
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
