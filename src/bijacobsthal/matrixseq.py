@@ -99,12 +99,6 @@ def _check_index(n: int) -> None:
         raise ValueError("matrix terms are defined for n >= 0")
 
 
-def _ratio(params) -> Fraction:
-    """b/a: a `BiParams` keeps it once computed, and a point over another
-    ring (a symbolic one) computes it."""
-    return params.ratio if isinstance(params, BiParams) else params.b / params.a
-
-
 def generator_matrix(params: BiParams) -> Mat2:
     """J[1] = [[b, 2b/a], [1, 0]]."""
     return Mat2(params.b, 2 * params.b / params.a, Fraction(1), Fraction(0))
@@ -282,7 +276,7 @@ def term_closed(params: BiParams, n: int) -> Mat2:
     _check_index(n)
     jhat = SeqKind.BP_JACOBSTHAL
     jm1, jn, jp1 = (scalar_term(jhat, params, i) for i in (n - 1, n, n + 1))
-    ratio = _ratio(params)
+    ratio = params.b / params.a
     rpow = ratio if parity(n) else Fraction(1)
     return Mat2(rpow * jp1, 2 * ratio * jn, jn, 2 * rpow * jm1)
 
@@ -316,7 +310,7 @@ def det_closed(params: BiParams, n: int) -> Fraction:
     """det J[n] = 2^n * (-b/a)^parity(n), exactly."""
     _check_index(n)
     if parity(n):
-        return Fraction(-(1 << n)) * _ratio(params)
+        return -(1 << n) * params.b / params.a
     return Fraction(1 << n)
 
 

@@ -59,14 +59,14 @@ from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 class BiParams:
     """Validated parameter pair (a, b), both nonzero exact rationals.
 
-    `ab`, `disc` = ab*(ab+8), `ratio` = b/a and `j1_row` are derived;
-    disc is the discriminant of the characteristic equation
-    x^2 - ab*x - 2ab = 0 shared by the Jacobsthal-kind sequences.  A pair
-    is a memo key on every term read, so its hash is computed once, when
-    it is made, and each derived value once, when first read.  The hash
-    reads the doubled numerators and the denominators: CPython hashes -1
-    as it hashes -2, so hashing a and b themselves put (-1, b) and
-    (-2, b) in one bucket, and a doubled numerator is even, never -1.
+    `ab`, `disc` = ab*(ab+8) and `j1_row` are derived; disc is the
+    discriminant of the characteristic equation x^2 - ab*x - 2ab = 0
+    shared by the Jacobsthal-kind sequences.  A pair is a memo key on
+    every term read, so its hash is computed once, when it is made, and
+    each derived value once, when first read.  The hash reads the doubled
+    numerators and the denominators: CPython hashes -1 as it hashes -2,
+    so hashing a and b themselves put (-1, b) and (-2, b) in one bucket,
+    and a doubled numerator is even, never -1.
     """
 
     a: Fraction
@@ -93,14 +93,10 @@ class BiParams:
         return self.ab * (self.ab + 8)
 
     @cached_property
-    def ratio(self) -> Fraction:
-        return self.b / self.a
-
-    @cached_property
     def j1_row(self) -> tuple[Fraction | int, Fraction | int]:
         """(b, 2b/a), each through `exact._plain`: the first row of the
         matrix sequence's J[1], whose other row is (1, 0)."""
-        return _plain(self.b), _plain(2 * self.ratio)
+        return _plain(self.b), _plain(2 * self.b / self.a)
 
 
 class SeqKind(enum.Enum):
@@ -195,11 +191,8 @@ class _Series:
     c*w[0] or c*w[1] times M^(i//2), with `exact._divide`, in time linear
     in its size; the `Fraction` (or the one `Mat2` of them) is stored
     there, so a second read is one list index and returns the same
-    object.  A step reads only the last two entries of each lane, so a
-    term read more than two steps behind the front drops its lane
-    entries to None once its division has succeeded; the lanes keep
-    their length.  A term that is never read is never divided.  At a
-    point over any other ring (a symbolic one) the lanes step t itself by
+    object.  A term that is never read is never divided.  At a point over
+    any other ring (a symbolic one) the lanes step t itself by
     `SeqKind.rule` in the same loop, and a read builds the term with no
     division.
     """
@@ -248,18 +241,14 @@ class _Series:
             return value
         if self.scales is None:
             entries = [lane[n] for lane in lanes]
-            value = Mat2(*entries) if len(entries) > 1 else entries[0]
         else:
             den, base, m = self.scales[n & 1], self.base, n >> 1
             power = base ** m
             if len(lanes) == 1:  # a scalar read, the most frequent, builds no list
-                value = _divide(lanes[0][n], den, base, power, m)
-            else:
-                value = Mat2(*[_divide(lane[n], den, base, power, m) for lane in lanes])
-        terms[n] = value
-        if n < len(terms) - 3:  # no step reads it again: keep only the term
-            for lane in lanes:
-                lane[n] = None
+                value = terms[n] = _divide(lanes[0][n], den, base, power, m)
+                return value
+            entries = [_divide(lane[n], den, base, power, m) for lane in lanes]
+        value = terms[n] = Mat2(*entries) if len(entries) > 1 else entries[0]
         return value
 
 

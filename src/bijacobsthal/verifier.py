@@ -120,7 +120,7 @@ def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    ratio = params.ratio
+    ratio = params.b / params.a
     jhat = lambda i: scalar_term(SeqKind.BP_JACOBSTHAL, params, i)
 
     def cases():

@@ -1,3 +1,4 @@
+import enum
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -295,36 +296,6 @@ def test_memo_reads_below_its_length_without_stepping(monkeypatch, memo, route, 
     memo.clear()
 
 
-@MEMO_ROUTES
-def test_memo_drops_the_lane_ints_of_a_term_read_behind_the_front(monkeypatch, memo,
-                                                                  route, fast, key):
-    # A step reads only the last two lane entries, so a term read more than
-    # two steps behind the front keeps only its divided value; a failed
-    # division keeps the ints, and the lanes keep their length.
-    p = BiParams(F(5, 7), F(-3, 4))
-    memo.clear()
-    route(p, 40)
-    series = memo._series[(key, p)]
-    divide = scalar_mod._divide
-
-    def failing_divide(*args):
-        raise _StepFails
-
-    monkeypatch.setattr(scalar_mod, "_divide", failing_divide)
-    with pytest.raises(_StepFails):
-        route(p, 17)
-    assert all(type(lane[17]) is int for lane in series.lanes)
-    monkeypatch.setattr(scalar_mod, "_divide", divide)
-    read = {n: route(p, n) for n in (17, 37, 38)}
-    assert all(lane[n] is None for lane in series.lanes for n in (17, 37))
-    assert all(type(lane[n]) is int for lane in series.lanes for n in (16, 38, 39, 40))
-    assert [len(lane) for lane in series.lanes] == [41] * len(series.lanes)
-    assert all(route(p, n) is value for n, value in read.items())
-    assert [route(p, n) for n in range(61)] == [fast(p, n) for n in range(61)]
-    assert [len(lane) for lane in series.lanes] == [61] * len(series.lanes)
-    memo.clear()
-
-
 def test_symbolic_matrix_memo_matches_iter_terms():
     # Over the Q(a, b) ring of tests/test_ring.py (skipped without sympy)
     # the matrix memo steps one lane per entry of J, with no division, and
@@ -489,24 +460,30 @@ def test_lucas_relations_report_on_rational_params():
     assert report.n_max == 128
 
 
-def test_per_point_constants_are_their_definitions_computed_once():
-    # b/a and J[1]'s first row (b, 2b/a), through `_plain`, at integer and
-    # seeded rational pairs; a second read returns the same object.
+def test_j1_row_is_its_definition_computed_once():
+    # J[1]'s first row (b, 2b/a), through `_plain`, at integer and seeded
+    # rational pairs; a second read returns the same object.
     rng = random.Random(20261020)
     draw = lambda: F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
     pairs = [BiParams(2, 1), BiParams(3, 2), BiParams(F(1, 2), F(-3, 4))]
     pairs += [BiParams(draw(), draw()) for _ in range(40)]
     for p in pairs:
-        a, b = p.a, p.b
-        assert type(p.ratio) is F and p.ratio == b / a
-        row = _plain(b), _plain(2 * b / a)
+        row = _plain(p.b), _plain(2 * p.b / p.a)
         assert p.j1_row == row and list(map(type, p.j1_row)) == list(map(type, row))
-        assert p.ratio is p.ratio and p.j1_row is p.j1_row
+        assert p.j1_row is p.j1_row
 
 
-def test_kinds_hash_by_identity():
-    # A kind is half of every memo key; Enum's own __hash__ is a Python call.
-    assert SeqKind.__hash__ is object.__hash__
+def test_memo_reads_make_no_enum_hash_call(monkeypatch):
+    # A kind is half of every memo key, so a read hashes it; Enum's own
+    # __hash__ is a Python call, and a kind hashes by identity instead.
+    def refuse(self):
+        raise AssertionError("a kind was hashed through Enum.__hash__")
+
+    monkeypatch.setattr(enum.Enum, "__hash__", refuse)
+    p = BiParams(F(5, 7), F(-3, 4))
+    for kind in SeqKind:
+        assert [scalar_term(kind, p, n) for n in range(12)] == \
+            [scalar_term_fast(kind, p, n) for n in range(12)]
     assert {kind: kind.value for kind in SeqKind}[JLUCAS] == "jlucas"
 
 
