@@ -18,8 +18,9 @@ coefficient back once, in linear time (`exact._divide`).
 `build_ogf` reads J[0], J[1], a, b and ab through `matrixseq._term_source`,
 as the verifier's sum forms do, so it takes a `BiParams` or a cleared
 point (`matrixseq._Cleared`).  The numerator is linear in the terms, so a
-cleared point's F*J[k] give F times the numerator, and at integer (a, b)
-every coefficient is a plain int.
+cleared point's F*J[k], with F = c * lcm(w[bound-1], w[bound]) and w the
+weights of `SeqKind._integer_rule`, give F times the numerator, and at
+integer (a, b) every coefficient is a plain int.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ coordinates in the basis {J[1], I}: J is the jhat recurrence started at
 J[0] = I and J[1], so J[n] = u[n]*J[1] + v[n]*I, where u and v follow the
 same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
 
-* the walk, `_cleared_walk`: the one integer recurrence, a generator of
-  the cleared pairs (U[k], V[k]) = d[k]*(u[k], v[k]).  `_Cleared` and the
-  `bench` naive route `term_naive` read it;
+* the walk, `_cleared_walk`: a generator of the cleared pairs
+  (U[k], V[k]) = w[k]*(u[k], v[k]), stepped by the integer rule of
+  `SeqKind._integer_rule`, w its weights.  `_Cleared`, which clears by
+  F = c * lcm(w[bound-1], w[bound]), and the `bench` naive route
+  `term_naive` read it;
 * the fold, `_fold`: the entries of u*(c*J[1]) + v*(c*I), with the
   products by J[1]'s entries 1 and 0 not taken.  `_Cleared` calls it,
   and so does `_over_power`, the one finish of `term_fast`, `term_binet`
@@ -59,8 +61,9 @@ matrix bordered by an accumulator column, and ends in `_over_power` too.
 No route here states the step rule.  J is the jhat recurrence, so the
 recurrence memo, `iter_terms` and the walk step with `scalar._step` on
 the (even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
-table in `scalar` (the memo on the integer rule derived from it), and
-`term_fast` (through `scalar._two_step`) and
+table in `scalar` (the memo and the walk on the integer rule that
+`SeqKind._integer_rule` derives from it, the one place the sequence is
+cleared to ints), and `term_fast` (through `scalar._two_step`) and
 `_weighted_sum` raise the one integer two-step matrix, which
 `SeqKind._two_step_matrix` builds from the same rule.  The four routes
 are separate computations and cross-check one another.
@@ -120,22 +123,18 @@ def _walk(rule: tuple, prev, cur) -> Iterator:
 
 def _cleared_walk(params: BiParams) -> tuple[Iterator[tuple[int, int]],
                                               Callable[[int], int]]:
-    """(walk, d): the cleared pairs (U[k], V[k]) = d[k]*(u[k], v[k]) for
-    k = 0, 1, 2, ..., with J[k] = u[k]*J[1] + v[k]*I, and their denominators.
+    """(walk, w): the cleared pairs (U[k], V[k]) = w[k]*(u[k], v[k]) for
+    k = 0, 1, 2, ..., with J[k] = u[k]*J[1] + v[k]*I, and their weights.
 
-    Write the multipliers in lowest terms as p_even/q_even and p_odd/q_odd,
-    and let d[0] = 1 and d[k] = q[k]*d[k-1], q[k] being the denominator of
-    the k-th multiplier, so d[k] = q_odd^((k+1)//2) * q_even^(k//2).  If t
-    follows the jhat rule, d*t follows the integer rule (p_even, p_odd,
-    lag*q_even*q_odd) for every k >= 2, so U and V, started at (0, d[1])
-    and (1, 0), stay on integers.  Each is stepped by `_walk` only as far
-    as it is read.  `d` maps k to d[k].
+    `SeqKind._integer_rule` gives the rule on plain ints that w[k]*t[k]
+    follows for any t on the jhat rule, with the weights
+    w[k] = (w0, w1)[k & 1] * M^(k//2).  So U and V, started at (0, w1)
+    and (w0, 0), stay on integers.  Each is stepped by `_walk` only as far
+    as it is read.  `w` maps k to w[k].
     """
-    even, odd, lag = SeqKind.BP_JACOBSTHAL.rule(params)
-    q_even, q_odd = even.denominator, odd.denominator
-    rule = even.numerator, odd.numerator, lag * q_even * q_odd
-    d = lambda k: q_odd ** ((k + 1) // 2) * q_even ** (k // 2)
-    return zip(_walk(rule, 0, d(1)), _walk(rule, 1, 0)), d
+    rule, (w0, w1), den = SeqKind.BP_JACOBSTHAL._integer_rule(params)
+    w = lambda k: (w0, w1)[k & 1] * den ** (k // 2)
+    return zip(_walk(rule, 0, w1), _walk(rule, w0, 0)), w
 
 
 def _fold(row: tuple, c, u, v) -> tuple:
@@ -217,15 +216,18 @@ class _Cleared:
 
     `term(k)` is F*J[k] with plain int entries, for 0 <= k <= bound, where
     bound = max(n_max, 1) because every formula reads J[0] and J[1], and
-    F = c * d[bound], one factor for every formula that reads the terms:
+    F = c * lcm(w[bound-1], w[bound]), w the weights of
+    `SeqKind._integer_rule`, one factor for every formula that reads the
+    terms:
 
     * c clears the denominators of J[1] (at integer (a, b) it divides a),
       so c*J[0] = c*I and c*J[1] are integral;
-    * d[k] is the running denominator of `_cleared_walk`, so d[k]*c*J[k]
-      is the fold of its cleared pair (U[k], V[k]) with c*J[1]; d[k]
-      divides d[bound], and each term is rescaled by their quotient (1 at
-      every k when (a, b) is an integer pair).  Past the bound d[k] need
-      not divide d[bound], so `term` refuses any k outside 0..bound.
+    * w[k]*c*J[k] is the fold of the cleared pair (U[k], V[k]) of
+      `_cleared_walk` with c*J[1].  w[k] = (w0, w1)[k & 1] * M^(k//2)
+      divides w[bound-1] or w[bound], the last weight of its parity, so
+      each term is rescaled by lcm(w[bound-1], w[bound]) // w[k] (1 at
+      every k when (a, b) is an integer pair).  Past the bound w[k] need
+      not divide that lcm, so `term` refuses any k outside 0..bound.
 
     The formulas are linear in the terms, so fed F*J[k] they give F times
     their value for any nonzero F.  On a PASS at an integer pair that is
@@ -238,16 +240,16 @@ class _Cleared:
     """
 
     def __init__(self, params: BiParams, n_max: int) -> None:
-        walk, d = _cleared_walk(params)
+        walk, w = _cleared_walk(params)
         j1_row = params.j1_row  # the other row is (1, 0)
         scale = lcm(*(e.denominator for e in j1_row))
         self.bound = max(n_max, 1)
-        top = d(self.bound)
+        top = lcm(w(self.bound - 1), w(self.bound))
         self.factor = scale * top
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
         row = tuple((scale * e).numerator for e in j1_row)
         self._terms: list[Mat2] = []
-        self._more = (Mat2(*_fold(row, scale, u, v)).scale(top // d(k))
+        self._more = (Mat2(*_fold(row, scale, u, v)).scale(top // w(k))
                       for k, (u, v) in enumerate(walk))
 
     def term(self, k: int) -> Mat2:
@@ -296,14 +298,15 @@ def term_naive(params: BiParams, n: int) -> Mat2:
     """J[n] by the definitional recurrence, freshly: `bench`'s naive route.
 
     The cleared walk is read at n, and J[n] is assembled as
-    (U*J[1] + V*I) / d[n] with `Mat2` ops, not with the fold, so `bench`'s
-    self-test compares two different assemblies.  No memo is read.  An
-    index below 0 is refused as every matrix route refuses it.
+    (U*J[1] + V*I) / w[n], w the weights of `SeqKind._integer_rule`, with
+    `Mat2` ops, not with the fold, so `bench`'s self-test compares two
+    different assemblies.  No memo is read.  An index below 0 is refused
+    as every matrix route refuses it.
     """
     _check_index(n)
-    walk, d = _cleared_walk(params)
+    walk, w = _cleared_walk(params)
     u, v = next(islice(walk, n, None))
-    return (u * generator_matrix(params) + v * Mat2.identity()) / d(n)
+    return (u * generator_matrix(params) + v * Mat2.identity()) / w(n)
 
 
 def det_closed(params: BiParams, n: int) -> Fraction:

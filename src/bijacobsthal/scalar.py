@@ -14,15 +14,16 @@ step), the lag coefficient, and the start terms t0 and t1.  The table is
 unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
 series, and `_step` is the one forward step: both prefix memos (scalar
 terms here, matrix terms in `matrixseq`) and `matrixseq._walk` call it;
-the walk is behind `iter_terms` and `matrixseq`'s one cleared integer
-walk, which the verifier's cleared terms and `bench`'s naive route read.
+the walk is behind `iter_terms` and `matrixseq._cleared_walk`, which the
+verifier's cleared terms and `bench`'s naive route read.
 `_two_step` raises the integer two-step matrix that
 `SeqKind._two_step_matrix` builds from the same (even, odd, lag), in the
 ring it spans with I.
 
-At a `BiParams` point the prefix memos step on plain ints:
-`SeqKind._integer_rule`, derived from the same (even, odd, lag), is the
-rule that each term times a weight follows.  Scaling and adding act
+At a `BiParams` point the prefix memos and `matrixseq._cleared_walk`
+step on plain ints: `SeqKind._integer_rule`, derived from the same
+(even, odd, lag), is the rule that each term times a weight follows, the
+one place a sequence is cleared to ints.  Scaling and adding act
 entry by entry, so each entry of a matrix term follows that rule by
 itself: a memo steps one int lane per entry (one for a scalar series,
 four for a `Mat2` one) and builds no `Mat2` per step.  It keeps the
@@ -160,6 +161,11 @@ class SeqKind(enum.Enum):
         so the rule is (pe/g_e, po/g_o, lag*M), which `_step` reads as it
         reads `rule`.  The weights grow by M every two steps, not by the
         qe*qo that clearing each multiplier's own denominator would take.
+        It has two readers: the prefix memo's `_Series`, and
+        `matrixseq._cleared_walk`, behind the verifier's cleared terms
+        (F = c * lcm(w[bound-1], w[bound])) and `bench`'s naive route.
+        The log-time routes do not read it, so a wrong rule here still
+        shows as a route disagreement.
         """
         even, odd, lag = self.rule(params)
         g_even = gcd(even.numerator, odd.denominator)

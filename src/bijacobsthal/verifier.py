@@ -11,9 +11,10 @@ routes are listed once, in `ROUTES` (which is `cli.METHODS`), and the
 suites once, in `_SUITES`.
 
 Three suites, SUM_T5, WEIGHTED_SUM_T6 and SERIES_MATCH, compare both
-sides multiplied by one known nonzero factor F = c * d[n_max] per point
-and index bound (see `matrixseq._Cleared`): c clears the denominators of
-J[1] and d[n_max] is the running denominator of the integer recurrence.
+sides multiplied by one known nonzero factor per point and index bound,
+F = c * lcm(w[bound-1], w[bound]), w the weights of
+`SeqKind._integer_rule` (see `matrixseq._Cleared`): c clears the
+denominators of J[1], and w[k]*J[k] is the integer rule's cleared term.
 One factor serves all three.  The closed forms and `genfunc.build_ogf`
 read every term, J[0] and J[1] included, through one term source
 (`matrixseq._term_source`); the three closed forms take it, with their
@@ -246,7 +247,8 @@ def sum_closed_form(params: BiParams, n: int) -> Mat2:
 
 def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
     """Closed-form partial sum against the direct sum, 1 <= n <= n_max,
-    on terms cleared by F = c * d[n_max] (see `matrixseq._Cleared`)."""
+    on terms cleared by F = c * lcm(w[n_max-1], w[n_max]), w the weights of
+    `SeqKind._integer_rule` (see `matrixseq._Cleared`)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if params.ab == 1:
@@ -392,7 +394,8 @@ def verify_root_identities(params: BiParams) -> IdentityReport:
 def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     """Generating-function expansion against the recurrence, coefficient
     by coefficient for 0 <= m < count, on terms cleared by
-    F = c * d[max(count-1, 1)] (see `matrixseq._Cleared`).
+    F = c * lcm(w[bound-1], w[bound]), with bound = max(count-1, 1) and w
+    the weights of `SeqKind._integer_rule` (see `matrixseq._Cleared`).
 
     The expansion at the cleared point is F times the series, and at an
     integer pair both sides are matrices of plain ints.  `_confirmed`

@@ -452,6 +452,7 @@ def test_log_time_routes_match_the_oracle_at_random_pairs():
 
 @pytest.mark.parametrize("a, b", [
     (1, 1), (F(1, 2), F(-3, 4)), (F(5, 7), F(-7, 9)), (2, -4), (F(-3, 2), F(2, 3)),
+    (F(6, 35), F(10, 21)), (F(-4, 9), F(3, 8)), (F(1, 2), -16),
 ], ids=str)
 def test_bench_naive_route_is_the_fraction_recurrence(a, b):
     params = BiParams(a, b)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import islice
+from math import lcm
 
 import pytest
 
@@ -255,8 +256,23 @@ def test_cleared_series_match_matches_the_fraction_reference():
 
 @pytest.mark.parametrize("params", [BiParams(2, 1), BiParams(-3, 2),
                                     BiParams(F(1, 2), F(-3, 4)),
-                                    BiParams(F(5, 7), F(-7, 9))], ids=str)
+                                    BiParams(F(5, 7), F(-7, 9)),
+                                    BiParams(F(6, 35), F(10, 21)),
+                                    BiParams(F(-4, 9), F(3, 8)),
+                                    BiParams(F(1, 2), -16),
+                                    BiParams(F(-3, 2), F(1, 3))], ids=str)
 def test_cleared_terms_are_the_factor_times_the_recurrence(params):
+    # F is one fixed multiple of the lcm L of the entry denominators of
+    # J[0..bound], whatever the bound: the weights grow no faster than
+    # the terms' own denominators
+    quotients = set()
+    for n_max in (2, 10, 40, 400):
+        point = verifier_mod._Cleared(params, n_max)
+        true = lcm(*(e.denominator for k in range(point.bound + 1)
+                     for e in term_recurrence(params, k).entries()))
+        assert point.factor % true == 0, n_max
+        quotients.add(point.factor // true)
+    assert len(quotients) == 1, quotients
     cleared = verifier_mod._Cleared(params, 40)
     assert cleared.factor != 0
     for k in (40, *range(40)):  # read out of order, as the closed forms do
