@@ -11,9 +11,11 @@ expands it by polynomial long division against the denominator
 coefficients, so the expansion is an independent witness for the term
 recurrence rather than a restatement of it.  It reads only the generating
 function, never a term route.  Over the rationals the division runs on
-plain ints, entry by entry, each coefficient times a weight that grows by
-the denominator of ab every two steps at most, and divides each
-coefficient back once, in linear time (`exact._divide`).
+plain ints, entry by entry, each coefficient times a power of one base L,
+the lcm of the denominator coefficients' denominators.  Here L is the
+denominator of ab and the only nonzero coefficients have even degree, so
+the power grows every two steps at most.  Each coefficient is divided
+back once, in linear time (`exact._divide`).
 
 `build_ogf` reads J[0], J[1], a, b and ab through `matrixseq._term_source`,
 as the verifier's sum forms do, so it takes a `BiParams` or a cleared
@@ -94,26 +96,30 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
     Nothing here knows about the matrix recurrence; coefficient m equaling
     J[m] is the claim under test elsewhere.
 
-    Over the rationals the division runs on plain ints.  Let F clear the
-    numerator's entries, L_e and L_o the denominators of the denominator
-    coefficients of even and odd degree, and B = L_o^2 * L_e.  The loop
-    keeps C[m] = F * L_o^(m&1) * B^t[m] * c[m] for the last few m, each as
-    a list of its four int entries: the division scales and adds entry by
-    entry, so it builds a `Mat2` only for each coefficient it returns.
-    t[m] is the largest t[m-i] + need, with need = 0 for odd i at odd m
-    (and everywhere when B = 1) and 1 otherwise, so that C[m-i] enters
-    with the int multiplier d[i] * L_o^(2-(i&1)) * L_e^need times
-    B^(t[m] - t[m-i] - need).  Each factor B that divides all four entries
-    of C[m] is then taken off.  Where none comes off, t[m] = m//2 and the
-    weight grows by B every two steps, not every step (for the Jacobsthal
-    denominator, L_o = 1 and B is the denominator of ab).  Where the
-    coefficients are integral, as a cleared point's F*J[m] are, it comes
-    off at once, and the ints stay the size of the coefficients.  Each
-    c[m] is read back with one `exact._divide` by F * L_o^(m&1) and
-    B^t[m], a power kept as t moves, so it is a `Fraction` in lowest
-    terms.  Where every entry and coefficient is an int already, nothing
-    is divided, so an int numerator gives int coefficients.  Over any
-    other ring the same loop runs with unit factors.
+    Over the rationals the division runs on plain ints, on one base: F
+    clears the numerator's entries and L is the lcm of the denominators of
+    the nonzero d[i], so every L * d[i] is an int.  The loop keeps
+    C[m] = F * L^t[m] * c[m] for the last few m, each as a list of its
+    four int entries: the division scales and adds entry by entry, so it
+    builds a `Mat2` only for each coefficient it returns.  t[m] is one
+    more than the largest t[m-i] over the nonzero d[i] with i <= m (0
+    where there is none, and everywhere when L = 1), so that C[m-i] enters
+    with the int multiplier L * d[i] times L^(t[m] - 1 - t[m-i]), never a
+    negative power of L.  Each factor L that divides all four entries of
+    C[m] is then taken off.  Where none comes off, t[m] counts the most
+    steps i with nonzero d[i] that fit in m: m when d[1] is nonzero, and
+    m//2 for the Jacobsthal denominator, whose nonzero d[i] are d[2] and
+    d[4] alone, so there the weight grows by L every two steps and L is
+    the denominator of ab (d[4] = 4).  That is also what a schedule with
+    a second base for the odd-degree denominators gives there: with no
+    odd-degree coefficient that base is 1, and t[m], the multipliers and
+    the ints are the same.  Where the coefficients are integral, as a
+    cleared point's F*J[m] are, the factor comes off at once, and the ints
+    stay the size of the coefficients.  Each c[m] is read back with one
+    `exact._divide` by F and L^t[m], a power kept as t moves, so it is a
+    `Fraction` in lowest terms.  Where every entry and coefficient is an
+    int already, nothing is divided, so an int numerator gives int
+    coefficients.  Over any other ring the same loop runs with L = 1.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -122,33 +128,28 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
     steps = [(i, -d) for i, d in enumerate(ogf.denominator) if i and d]
     entries = [e for c in (*num, zero) for e in c]
     scalars = [*entries, *(d for _, d in steps)]
-    divide, clear, odd, base = False, 1, 1, 1
-    rules = [[(i, 0, d) for i, d in steps]] * 2
+    divide, clear, base = False, 1, 1
     if all(type(x) in (int, Fraction) for x in scalars):
         divide = any(type(x) is Fraction for x in scalars)
         clear = lcm(*(e.denominator for e in entries))
-        even = lcm(*(d.denominator for i, d in steps if not i & 1))
-        odd = lcm(*(d.denominator for i, d in steps if i & 1))
-        base = odd * odd * even
+        base = lcm(*(d.denominator for _, d in steps))
         num = [[(clear * e).numerator for e in c] for c in num]
         zero = [0] * 4
-        rules = [[(i, need, (d * odd ** (2 - (i & 1)) * even ** need).numerator)
-                  for i, d in steps for need in [0 if base == 1 else 1 - (i & p)]]
-                 for p in (0, 1)]
+        steps = [(i, (base * d).numerator) for i, d in steps]
     power, raised = 1, 0
     depth = steps[-1][0] if steps else 1
     cleared: deque = deque(maxlen=depth)  # the last C[m], and their t[m]
     shifts: deque = deque(maxlen=depth)
     out: list[Mat2] = []
     for m in range(count):
-        p = m & 1
-        t = 0 if base == 1 else max(
-            [shifts[-i] + need for i, need, _ in rules[p] if i <= m], default=0)
-        acc = [odd ** p * base ** t * e for e in num[m]] if m < len(num) else zero
-        for i, need, d in rules[p]:
+        t = 0 if base == 1 else 1 + max(
+            [shifts[-i] for i, _ in steps if i <= m], default=-1)
+        acc = [base ** t * e for e in num[m]] if m < len(num) else zero
+        for i, d in steps:
             if i > m:
                 break
-            f = d * base ** (t - shifts[-i] - need)
+            # t is 0 here only where L = 1, and 1 ** -1 would be a float
+            f = d * base ** (t - 1 - shifts[-i]) if t else d
             acc = [e + f * c for e, c in zip(acc, cleared[-i])]
         while t and not any(e % base for e in acc):
             acc, t = [e // base for e in acc], t - 1
@@ -157,7 +158,6 @@ def series_coeffs(ogf: RationalOGF, count: int) -> list[Mat2]:
         if divide:
             if t != raised:
                 power, raised = power * base if t == raised + 1 else base ** t, t
-            den = clear * odd ** p
-            acc = [_divide(e, den, base, power, t) for e in acc]
+            acc = [_divide(e, clear, base, power, t) for e in acc]
         out.append(Mat2(*acc))
     return out

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from bijacobsthal import genfunc
 from bijacobsthal.exact import Mat2
 from bijacobsthal.genfunc import (
     RationalOGF,
@@ -162,9 +163,38 @@ def test_integer_expansion_matches_the_long_division(params):
                        for e in coeff.entries())
 
 
+@pytest.mark.parametrize("params", INTEGER_EXPANSION_PAIRS, ids=str)
+def test_integer_expansion_weight_exponents(params, monkeypatch):
+    # Each coefficient m is divided back by L^t[m].  At the pair t[m] is at
+    # most m//2: the denominator's nonzero coefficients are d[2] and d[4],
+    # so the weight grows by L every two steps at most.  At a cleared
+    # point, whose coefficients F*J[m] are integral, every factor L comes
+    # off as it is put on, so t[m] is 0.
+    calls, divide = [], genfunc._divide
+
+    def spy(x, den, base, power, k):
+        calls.append((base, power, k))
+        return divide(x, den, base, power, k)
+
+    def exponents(ogf):
+        calls.clear()
+        series_coeffs(ogf, 601)
+        assert len(calls) == 4 * 601
+        assert all(power == base ** k for base, power, k in calls)
+        ks = [k for _, _, k in calls]
+        assert ks[::4] == ks[1::4] == ks[2::4] == ks[3::4]
+        return ks[::4]
+
+    monkeypatch.setattr(genfunc, "_divide", spy)
+    at_pair = exponents(build_ogf(params))
+    assert all(t <= m // 2 for m, t in enumerate(at_pair)) and at_pair[-1] > 0
+    assert exponents(build_ogf(_Cleared(params, 600))) == [0] * 601
+
+
 def test_integer_expansion_with_odd_denominator_coefficients():
-    # L_o > 1: a fractional odd coefficient, alone and beside even ones,
-    # with numerators that are ints, Fractions and both.
+    # A fractional odd-degree coefficient, alone and beside even ones,
+    # with numerators that are ints, Fractions and both: the weight grows
+    # by L at every step, not every two.
     ogfs = [
         RationalOGF((Mat2(1, 0, 0, 1),), (F(1), F(1, 2), F(0), F(0), F(-1, 3))),
         RationalOGF((Mat2(F(1, 6), 2, F(-5, 4), 0), Mat2(0, F(3, 10), 1, F(7, 9))),
