@@ -100,15 +100,20 @@ def _divide(x: int, den: int, base: int, power: int, k: int) -> Fraction:
     Zero is 0/1 at once.  Otherwise only factors of den and of base can
     cancel from x, in rounds.  The first takes g = gcd(x, den*base) (den
     alone at k = 0): its part own = gcd(g, den) is gcd(x, den), and the
-    rest, g/own, is gcd(x/own, base).  Each later round strips
-    g = gcd(x, base) from x.  Each is a gcd with a small number, so it
-    takes time linear in the size of x, and most terms take one.  The
-    rounds stop at the first one that strips no factor of base, or after
-    k of them.  Every prime of base is then gone from x or from the
-    denominator, and x is coprime to the rest of den, so the result is
-    built directly, without the quadratic-time gcd that Fraction(x, d)
-    takes.  This is the only code that sets Fraction's private fields,
-    which are the same from Python 3.10 to 3.13.
+    rest, g/own, is gcd(x/own, base).  A later round takes
+    g = gcd(x, base) and strips g^t, t as large as divides x and as the
+    rounds left allow, in O(log t) divisions (`_strip`): the t rounds that
+    stripping g once each would take, since g stays gcd(x, base) while
+    g^2 divides x.  Each gcd is with a small number, so it takes time
+    linear in the size of x, and most terms take one round.  After a
+    round, some prime of g divides x fewer times than g, so at most as
+    many rounds run as base has prime factors, with multiplicity.  They
+    stop at the first that strips no factor of base, or after k.  Every
+    prime of base is then gone from x or from the denominator, and x is
+    coprime to the rest of den, so the result is built directly, without
+    the quadratic-time gcd that Fraction(x, d) takes.  This is the only
+    code that sets Fraction's private fields, which are the same from
+    Python 3.10 to 3.13.
     """
     if not x:
         return Fraction(0)
@@ -116,18 +121,46 @@ def _divide(x: int, den: int, base: int, power: int, k: int) -> Fraction:
     if g != 1:
         own = gcd(g, den)
         x, den, cancelled = x // g, den // own, g // own
-        for _ in range(k - 1 if cancelled != 1 else 0):
+        rounds = k - 1 if cancelled != 1 else 0
+        while rounds:
             g = gcd(x, base)
             if g == 1:
                 break
-            x //= g
-            cancelled *= g
+            x, t = _strip(x, g, rounds)
+            rounds -= t
+            cancelled *= g ** t
         if cancelled != 1:
             power //= cancelled
     result = object.__new__(Fraction)
     result._numerator = x
     result._denominator = power if den == 1 else den * power
     return result
+
+
+def _strip(x: int, g: int, cap: int) -> tuple[int, int]:
+    """(x / g**t, t) for the largest t <= cap with g**t dividing x, for
+    g > 1 dividing x and cap >= 1, in O(log t) divisions.  With t = 1
+    after the first, x is divided by g**t while that divides and fits
+    under the cap, t doubling each time, then by the same powers, falling,
+    each that still divides and fits.  A power of 2 is read off x's
+    trailing zeros instead."""
+    if not g & (g - 1):
+        shift = g.bit_length() - 1
+        t = min(((x & -x).bit_length() - 1) // shift, cap)
+        return x >> (shift * t), t
+    x, t, taken = x // g, 1, []
+    while 2 * t <= cap:
+        q, r = divmod(x, g)
+        if r:
+            break
+        taken.append((g, t))
+        x, t, g = q, 2 * t, g * g
+    for g, step in reversed(taken):
+        if t + step <= cap:
+            q, r = divmod(x, g)
+            if not r:
+                x, t = q, t + step
+    return x, t
 
 
 def div_power(q: Fraction | int, base: int, k: int) -> Fraction:

@@ -388,14 +388,18 @@ def verify_lucas_relations(params: BiParams, n_max: int) -> IdentityReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    jhat = lambda i: scalar_term(SeqKind.BP_JACOBSTHAL, params, i)
-    cluc = lambda i: scalar_term(SeqKind.BP_JACOBSTHAL_LUCAS, params, i)
-    shift = params.ab + 8
+    jhat, cluc = ([_plain(scalar_term(kind, params, i)) for i in range(n_max + 2)]
+                  for kind in (SeqKind.BP_JACOBSTHAL, SeqKind.BP_JACOBSTHAL_LUCAS))
+    shift = _plain(params.ab + 8)
 
     def cases():
+        # Only a mismatch is yielded, its left side as a Fraction, so that
+        # the residual is one at an integer pair too.
         for n in range(1, n_max + 1):
-            yield (n, cluc(n), 2 * jhat(n - 1) + jhat(n + 1),
-                   "C[n] = 2*jhat[n-1] + jhat[n+1] failed")
-            yield (n, shift * jhat(n), 2 * cluc(n - 1) + cluc(n + 1),
-                   "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed")
+            lhs, rhs = cluc[n], 2 * jhat[n - 1] + jhat[n + 1]
+            if lhs != rhs:
+                yield n, Fraction(lhs), rhs, "C[n] = 2*jhat[n-1] + jhat[n+1] failed"
+            lhs, rhs = shift * jhat[n], 2 * cluc[n - 1] + cluc[n + 1]
+            if lhs != rhs:
+                yield n, Fraction(lhs), rhs, "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed"
     return first_mismatch(LUCAS_RELATIONS, params, n_max, cases())

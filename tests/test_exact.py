@@ -184,6 +184,20 @@ def test_divide_reads_the_power_it_is_given():
         _assert_same_fraction(_divide(x, den, base, base ** k, k), F(x, den * base ** k))
 
 
+def test_divide_strips_deep_valuations():
+    # x shares hundreds of each prime of base, so later rounds strip a
+    # power of gcd(x, base) at a time: base a power of 2 (trailing zeros)
+    # or not, with the cap k binding or not.
+    rng = random.Random(36)
+    for _ in range(400):
+        base = rng.choice([2, 4, 8, 3, 9, 6, 12, 72, 45, 360])
+        den = rng.choice([1, 2, 3, 5])
+        k = rng.randint(1, 120)
+        x = (rng.choice([1, -1]) * 2 ** rng.randint(0, 400) * 3 ** rng.randint(0, 250)
+             * 5 ** rng.randint(0, 100) * rng.randint(1, 10 ** 6))
+        _assert_same_fraction(_divide(x, den, base, base ** k, k), F(x, den * base ** k))
+
+
 def _random_mat(rng):
     return Mat2(*(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
 

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from bijacobsthal import matrixseq as matrixseq_mod, scalar as scalar_mod
+from bijacobsthal import exact as exact_mod, matrixseq as matrixseq_mod, scalar as scalar_mod
 from bijacobsthal import verifier as verifier_mod
 from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.genfunc import build_ogf, series_coeffs
@@ -14,13 +14,21 @@ from bijacobsthal.report import (
     CASSINI,
     CROSS_METHOD,
     DET,
+    DOUBLING,
+    LUCAS_RELATIONS,
     SERIES_MATCH,
     SUM_T5,
     WEIGHTED_SUM_T6,
     first_mismatch,
     skipped,
 )
-from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
+from bijacobsthal.scalar import (
+    BiParams,
+    SeqKind,
+    scalar_term,
+    scalar_term_fast,
+    verify_lucas_relations,
+)
 from bijacobsthal.verifier import (
     ALL_IDENTITIES,
     GridSpec,
@@ -219,6 +227,27 @@ def test_log_time_sums_match_the_walk_to_300(x):
             assert all(type(e) is F for e in total.entries()), (params, n)
             if x == 1:
                 assert sum_direct(params, n) == expected, (params, n)
+
+
+@pytest.mark.parametrize("params, x", [
+    (BiParams(F(1, 2), F(-3, 4)), F(3, 2)),
+    (BiParams(F(1, 2), F(-3, 4)), F(1, 2)),
+    (BiParams(2, 3), F(2)),
+    (BiParams(2, 3), F(2, 3)),
+], ids=str)
+def test_log_time_sums_divide_in_few_rounds(monkeypatch, params, x):
+    # The sum's numerators share many factors with its denominator D^m,
+    # D = p^2 M for x = p/q and ab = N/M: about n of them at these points.
+    # Stripped by their valuation, the gcd calls stay a small multiple of
+    # log n, where one gcd per factor took some 16,000 to 22,000.
+    for n, expected in enumerate(_walk_sums(params, x, 300), 1):
+        assert weighted_sum_direct(params, x, n) == expected, n
+    real, calls = exact_mod.gcd, []
+    monkeypatch.setattr(exact_mod, "gcd", lambda *args: calls.append(args) or real(*args))
+    for n in (2 ** 14, 2 ** 14 + 1):
+        calls.clear()
+        weighted_sum_direct(params, x, n)
+        assert len(calls) <= 4 * n.bit_length(), n
 
 
 @pytest.mark.parametrize("params", [BiParams(F(1, 2), F(-3, 4)), BiParams(3, 2)], ids=str)
@@ -543,6 +572,72 @@ def test_default_grid_all_suites_small():
             assert expected_failure(report), report.to_plain()
 
 
+_JHAT, _JLUCAS = SeqKind.BP_JACOBSTHAL, SeqKind.BP_JACOBSTHAL_LUCAS
+
+
+@pytest.fixture
+def cold_memos():
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+    yield
+    scalar_mod.clear_caches()
+    matrixseq_mod.clear_caches()
+
+
+# memo, kind -> (suite, bound, the first failure when index 10 is wrong):
+# each suite checks identities among the memo's own terms, and its first
+# case that reads index 10 fails
+_MEMO_READERS = {
+    (matrixseq_mod, _JHAT): [(verify_det, 16, 10), (verify_doubling, 8, 5)],
+    (scalar_mod, _JHAT): [(verify_cassini, 16, 9), (verify_lucas_relations, 16, 9)],
+    (scalar_mod, _JLUCAS): [(verify_lucas_relations, 16, 9)],
+}
+
+
+@pytest.mark.parametrize("where", ["read cache", "lane"])
+@pytest.mark.parametrize("module, kind", list(_MEMO_READERS),
+                         ids=lambda v: getattr(v, "value", getattr(v, "__name__", v)))
+def test_a_corrupted_memo_shows_in_the_suites_that_read_it(cold_memos, module, kind, where):
+    # At an integer pair, index 10 goes wrong after its first read (its
+    # cached value doubled), or before it (one lane int moved by 1, so the
+    # read divides the wrong int); the suites read the memo, so they FAIL.
+    params, c = BiParams(1, 2), 10
+    memo = module._memo
+    memo.term((kind, params), c if where == "read cache" else c + 5)
+    series = memo._series[(kind, params)]
+    if where == "read cache":
+        series.terms[c] = series.terms[c] * 2
+    else:
+        assert series.terms[c] is None
+        series.lanes[0][c] += 1
+    for suite, bound, first in _MEMO_READERS[(module, kind)]:
+        report = suite(params, bound)
+        assert (report.status, report.first_failure) == ("FAIL", first), suite
+        residual = report.residual
+        entries = residual.entries() if isinstance(residual, Mat2) else (residual,)
+        assert all(type(e) is F for e in entries), suite
+
+
+@pytest.mark.parametrize("suite, bound, products", [
+    (verify_cassini, 128, 256),
+    (verify_doubling, 64, 1134),
+    (verify_lucas_relations, 128, 384),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_memo_suites_take_int_products_at_an_integer_pair(
+        cold_memos, monkeypatch, suite, bound, products):
+    # At (1, 2), b/a, ab + 4 and ab + 8 are integral and so is every term:
+    # with warm memos these suites take no Fraction product, where reading
+    # the terms as Fractions took `products` of them.
+    params = BiParams(1, 2)
+    assert suite(params, bound).status == "PASS"
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *args, real=real: calls.append(args) or real(*args))
+    assert suite(params, bound).status == "PASS"
+    assert len(calls) == 0, f"{len(calls)} Fraction products, {products} as Fractions"
+
+
 def _bump(fn, hit):
     """fn with 1 (or the identity matrix) added to its value where hit(*args)."""
     def bumped(*args):
@@ -598,10 +693,51 @@ def _bump_coeff(m):
 
 _P = BiParams(2, 1)
 _Q = BiParams(F(1, 2), F(-3, 4))
+_R = BiParams(3, 2)  # J[1] = [[2, 4/3], [1, 0]] mixes ints and Fractions
 _I = Mat2.identity()
 _I_JSON = '{"e11": "1", "e12": "0", "e21": "0", "e22": "1"}'
 _I_CSV = "1,0,0,1"
 _I_PLAIN = "[[1,0],[0,1]]"
+
+# case -> (identity, module, attribute, patch, suite, bound, first_failure,
+# note): the forced cases of the four suites that read the memos, as at _P
+_MEMO_SUITES = {
+    "cassini": (CASSINI, verifier_mod, "scalar_term", lambda f: _bump(f, _at(4)),
+                verifier_mod.verify_cassini, 8, 3, None),
+    "det": (DET, verifier_mod, "det_closed", lambda f: _bump(f, _at(3)),
+            verifier_mod.verify_det, 8, 3, None),
+    "doubling-even": (DOUBLING, verifier_mod, "term_recurrence", lambda f: _bump(f, _at(8)),
+                      verifier_mod.verify_doubling, 6, 4, "even-index doubling failed"),
+    "doubling-odd": (DOUBLING, verifier_mod, "term_recurrence", lambda f: _bump(f, _at(9)),
+                     verifier_mod.verify_doubling, 6, 4, "odd-index doubling failed"),
+    "lucas-first": (LUCAS_RELATIONS, scalar_mod, "scalar_term",
+                    lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL, 4)),
+                    scalar_mod.verify_lucas_relations, 8, 3,
+                    "C[n] = 2*jhat[n-1] + jhat[n+1] failed"),
+    "lucas-second": (LUCAS_RELATIONS, scalar_mod, "scalar_term",
+                     lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL_LUCAS, 4)),
+                     scalar_mod.verify_lucas_relations, 8, 3,
+                     "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed"),
+}
+
+
+def _memo_fail(case, params, residual):
+    """The forced case `case` of `_MEMO_SUITES` at `params`, with its
+    residual there (a Fraction, or I) and the line each serializer prints."""
+    identity, module, attr, patch, suite, bound, first, note = _MEMO_SUITES[case]
+    a, b = params.a, params.b
+    if isinstance(residual, Mat2):
+        as_json, as_csv, as_plain = _I_JSON, _I_CSV, _I_PLAIN
+    else:
+        as_json, as_csv, as_plain = f'"{residual}"', f"{residual},,,", f"{residual}"
+    return (
+        module, attr, patch, lambda: suite(params, bound), first, residual, note, None,
+        f'{{"identity": "{identity}", "a": "{a}", "b": "{b}", "n_max": {bound}, '
+        f'"status": "FAIL", "first_failure": {first}, "residual": {as_json}}}',
+        f"{identity},{a},{b},,{bound},FAIL,{first},{as_csv}",
+        f"{identity} a={a} b={b} n_max={bound} FAIL first_failure={first} residual={as_plain}"
+        + (f"  [{note}]" if note else ""))
+
 
 # (module or dict, attribute or key, patch, suite call, first_failure,
 #  residual, note, x, the line each serializer prints).  Each patch moves one side of one
@@ -717,6 +853,19 @@ _FORCED_FAILS = {
             f"CROSS_METHOD a=2 b=1 n_max=8 FAIL first_failure=5 residual={_I_PLAIN}"
             f"  [{route} route disagrees with recurrence]")
         for route in ("closed", "fast", "binet")
+    },
+    # the four memo-reading suites off (2, 1): a FAIL's residual is a
+    # Fraction (or a Mat2 of them) wherever the terms are ints
+    **{
+        f"{case}-{label}": _memo_fail(case, params, residual)
+        for label, params, residuals in (
+            ("rational", _Q, {"cassini": F(-3, 4), "det": F(-1), "doubling-even": _I,
+                              "doubling-odd": _I, "lucas-first": F(-1),
+                              "lucas-second": F(-1)}),
+            ("3-2", _R, {"cassini": F(2), "det": F(-1), "doubling-even": _I,
+                         "doubling-odd": _I, "lucas-first": F(-1), "lucas-second": F(-1)}),
+        )
+        for case, residual in residuals.items()
     },
     # the residual is the rational part of the first failing check, or its
     # sqrt(D) part when the rational part is zero
