@@ -452,9 +452,11 @@ _set_rat, _set_coeff, _set_disc = (getattr(QuadNum, f.name).__set__ for f in fie
 
 class _DoubledQuadNum(QuadNum):
     """2z with plain int fields, for z in Z[(t + sqrt(D))/2] (see the module
-    docstring).  `QuadNum.__mul__` gives the fields of 4zz', and each is
-    shifted right by 1 to those of 2zz'.  A rational r is held as 2r, so
-    the `1` that `__pow__` starts from is 2.
+    docstring).  A product takes the fields of 4zz' on the two operands'
+    int fields, as `QuadNum.__mul__` does (a square with 3 products), and
+    shifts each right by 1 to those of 2zz'; the square's sqrt(D) field,
+    2*(x*y), is x*y at once.  An int k scales each field by k.  A rational
+    r is held as 2r, so the `1` that `__pow__` starts from is 2.
     """
 
     __slots__ = ()
@@ -464,9 +466,14 @@ class _DoubledQuadNum(QuadNum):
         return cls(2 * value, 0, disc)
 
     def __mul__(self, other: _DoubledQuadNum | int) -> _DoubledQuadNum:
-        product = QuadNum.__mul__(self, other)
-        if product is NotImplemented:
-            return product
-        return _DoubledQuadNum(product.rat >> 1, product.coeff >> 1, self.disc)
+        x, y, disc = self.rat, self.coeff, self.disc
+        if other is self:
+            return _DoubledQuadNum((x * x + y * y * disc) >> 1, x * y, disc)
+        if type(other) is int:
+            return _DoubledQuadNum(x * other, y * other, disc)
+        if other.disc != disc:
+            raise ValueError(f"mismatched discriminants: sqrt({disc}) vs sqrt({other.disc})")
+        u, v = other.rat, other.coeff
+        return _DoubledQuadNum((x * u + y * v * disc) >> 1, (x * v + y * u) >> 1, disc)
 
     __rmul__ = __mul__

@@ -32,9 +32,11 @@ same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
   F = c * lcm(w[bound-1], w[bound]), and the `bench` naive route
   `term_naive` read it;
 * the fold, `_fold`: the entries of u*(c*J[1]) + v*(c*I), with the
-  products by J[1]'s entries 1 and 0 not taken.  `_Cleared` calls it,
-  and so does `_over_power`, the one finish of `term_fast`, `term_binet`
-  and the log-time partial sum `_weighted_sum`.
+  products by J[1]'s entries 1 and 0 not taken, on J[1]'s cleared row
+  (c, c*b, c*2b/a), which a `BiParams` keeps as ints
+  (`BiParams.j1_cleared`), so J[1] is cleared in one place.  `_Cleared`
+  calls it, and so does `_over_power`, the one finish of `term_fast`,
+  `term_binet` and the log-time partial sum `_weighted_sum`.
 
 The two log-time routes raise integers, not rationals: `term_fast` an
 integer two-step matrix K, in the ring Z[K] as s*K + t*I (three big
@@ -45,10 +47,13 @@ fields are plain ints (each product is halved exactly, see
 `exact._DoubledQuadNum`).  Each reduces its power to one
 (u, v) over M^(n//2), a denominator known from n alone, so no Fraction
 and no gcd of large numbers enters the power loop.  Both end in
-`_over_power`: the fold with c = 1, each entry divided once, by
-`exact._divide`, which strips only the factors of M (raised once for
-the four entries) and so takes linear time.  The recurrence memo and the
-closed route never touch the walk, the fold or K: they read the prefix
+`_over_power`: u and v over one denominator d, the fold on J[1]'s
+cleared row, each entry divided once, by c*d*M^(n//2), with
+`exact._divide`, which strips only the factors of c*d and of M (raised
+once for the four entries) and so takes linear time.  At an integer pair
+no `Fraction` operation runs from the power to the division.  The
+recurrence memo and the closed route never touch the walk, the fold, the
+cleared row, K or the doubled roots: they read the prefix
 memos of `scalar`, which step the rational recurrence on plain ints by
 `SeqKind._integer_rule`, one int lane per entry of J (the step scales
 and adds entry by entry), and on a term's first read divide each of its
@@ -83,7 +88,7 @@ from itertools import count, islice
 from math import lcm
 from typing import Callable, Iterator
 
-from .exact import Mat2, QuadNum, _Bordered, _DoubledQuadNum, _divide, _plain, parity
+from .exact import Mat2, QuadNum, _Bordered, _divide, _plain, parity
 from .scalar import BiParams, SeqKind, _PrefixMemo, _step, _two_step, scalar_term
 
 
@@ -137,25 +142,31 @@ def _cleared_walk(params: BiParams) -> tuple[Iterator[tuple[int, int]],
     return zip(_walk(rule, 0, w1), _walk(rule, w0, 0)), w
 
 
-def _fold(row: tuple, c, u, v) -> tuple:
-    """The entries of u*(c*J[1]) + v*(c*I), with `row` = (row0, row1) the
-    first row of c*J[1].  J[1]'s second row is (1, 0), so that is
+def _fold(cleared: tuple, u, v) -> tuple:
+    """The entries of u*(c*J[1]) + v*(c*I), with `cleared` = (c, row0, row1)
+    and (row0, row1) the first row of c*J[1] (`BiParams.j1_cleared`).
+    J[1]'s second row is (1, 0), so that is
 
         [[row0*u + c*v, row1*u], [c*u, c*v]],
 
     and the products by J[1]'s entries 1 and 0 are not taken.
     """
-    row0, row1 = row
+    c, row0, row1 = cleared
     return row0 * u + c * v, row1 * u, c * u, c * v
 
 
 def _over_power(params: BiParams, u, v, den: int, m: int) -> Mat2:
-    """(u*J[1] + v*I) / den^m, the one finish of the log-time routes and
-    of the log-time partial sum: the fold with c = 1, each entry divided
-    once, with `exact._divide`, by den^m raised once for all four."""
-    power = den ** m
-    entries = _fold(params.j1_row, 1, u, v)
-    return Mat2(*(_divide(e.numerator, e.denominator, den, power, m) for e in entries))
+    """(u*J[1] + v*I) / den^m for rationals u and v, the one finish of the
+    log-time routes and of the log-time partial sum, on ints.  With
+    d = lcm of u's and v's denominators, it folds the ints d*u and d*v
+    with J[1]'s cleared row (c, c*b, c*2b/a) and divides each entry once,
+    with `exact._divide`, by c*d times den^m, raised once for all four."""
+    du, dv, power = u.denominator, v.denominator, den ** m
+    d = lcm(du, dv)
+    u, v = u.numerator * (d // du), v.numerator * (d // dv)
+    cleared = params.j1_cleared
+    whole = cleared[0] * d
+    return Mat2(*[_divide(e, whole, den, power, m) for e in _fold(cleared, u, v)])
 
 
 def _weighted_sum(params: BiParams, x: Fraction, n: int) -> Mat2:
@@ -193,7 +204,7 @@ def _weighted_sum(params: BiParams, x: Fraction, n: int) -> Mat2:
     u, v = power.column
     if n & 1:
         u, v = u + en * power.block.e12, v + en * power.block.e22
-    return _over_power(params, _plain(Fraction(u, ed)), _plain(Fraction(v, en)), corner, m)
+    return _over_power(params, Fraction(u, ed), Fraction(v, en), corner, m)
 
 
 # A table of its own: its keys are the scalar memo's jhat keys, so a shared
@@ -221,7 +232,8 @@ class _Cleared:
     terms:
 
     * c clears the denominators of J[1] (at integer (a, b) it divides a),
-      so c*J[0] = c*I and c*J[1] are integral;
+      so c*J[0] = c*I and c*J[1] are integral; it is the first field of
+      `BiParams.j1_cleared`, the row `_over_power` folds with too;
     * w[k]*c*J[k] is the fold of the cleared pair (U[k], V[k]) of
       `_cleared_walk` with c*J[1].  w[k] = (w0, w1)[k & 1] * M^(k//2)
       divides w[bound-1] or w[bound], the last weight of its parity, so
@@ -241,15 +253,13 @@ class _Cleared:
 
     def __init__(self, params: BiParams, n_max: int) -> None:
         walk, w = _cleared_walk(params)
-        j1_row = params.j1_row  # the other row is (1, 0)
-        scale = lcm(*(e.denominator for e in j1_row))
+        cleared = params.j1_cleared
         self.bound = max(n_max, 1)
         top = lcm(w(self.bound - 1), w(self.bound))
-        self.factor = scale * top
+        self.factor = cleared[0] * top
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
-        row = tuple((scale * e).numerator for e in j1_row)
         self._terms: list[Mat2] = []
-        self._more = (Mat2(*_fold(row, scale, u, v)).scale(top // w(k))
+        self._more = (Mat2(*_fold(cleared, u, v)).scale(top // w(k))
                       for k, (u, v) in enumerate(walk))
 
     def term(self, k: int) -> Mat2:
@@ -274,13 +284,23 @@ def _term_source(params) -> Callable[[int], Mat2]:
 
 
 def term_closed(params: BiParams, n: int) -> Mat2:
-    """J[n] assembled from scalar terms (n = 0 consumes jhat[-1] = 1/2)."""
+    """J[n] assembled from scalar terms (n = 0 consumes jhat[-1] = 1/2).
+
+    b/a and 2b/a are read off a `BiParams` (its `ratio` and J[1]'s corner)
+    and computed at a point over any other ring, which keeps only a, b
+    and ab.
+    """
     _check_index(n)
     jhat = SeqKind.BP_JACOBSTHAL
     jm1, jn, jp1 = (scalar_term(jhat, params, i) for i in (n - 1, n, n + 1))
-    ratio = params.b / params.a
-    rpow = ratio if parity(n) else Fraction(1)
-    return Mat2(rpow * jp1, 2 * ratio * jn, jn, 2 * rpow * jm1)
+    if isinstance(params, BiParams):
+        ratio, twice = params.ratio, params.j1_row[1]
+    else:
+        ratio = params.b / params.a
+        twice = 2 * ratio
+    if parity(n):
+        return Mat2(ratio * jp1, twice * jn, jn, twice * jm1)
+    return Mat2(jp1, twice * jn, jn, 2 * jm1)
 
 
 def term_fast(params: BiParams, n: int) -> Mat2:
@@ -310,11 +330,16 @@ def term_naive(params: BiParams, n: int) -> Mat2:
 
 
 def det_closed(params: BiParams, n: int) -> Fraction:
-    """det J[n] = 2^n * (-b/a)^parity(n), exactly."""
+    """det J[n] = 2^n * (-b/a)^parity(n), exactly.  At odd n that is
+    -2^(n-1) * 2b/a, built at a `BiParams` from J[1]'s corner 2b/a as one
+    `Fraction`, with no `Fraction` arithmetic."""
     _check_index(n)
-    if parity(n):
+    if not parity(n):
+        return Fraction(1 << n)
+    if not isinstance(params, BiParams):  # a point over another ring
         return -(1 << n) * params.b / params.a
-    return Fraction(1 << n)
+    p, q = params.j1_row[1].as_integer_ratio()
+    return Fraction(-(p << (n - 1)), q)
 
 
 def char_roots(params: BiParams) -> tuple[QuadNum, QuadNum]:
@@ -382,26 +407,25 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     where the even index's 2*Y1 is the sqrt(N(N+8M)) part of 2*(M*g)^h
     itself.  `_over_power` finishes J[n] from (u, v) and M^h, as it does
     for `term_fast`.  2*(M*g)^h is raised once; 2*Y1 and 2*Y2 each
-    take at most one more product.  At integer (a, b), M = 1, every factor
-    is a plain int and nothing is divided.
+    take at most one more product.  N, M, the doubled roots 2*M*g and
+    2*M*alpha, b and aM are the point's constants, computed once
+    (`BiParams.binet_constants`).  At integer (a, b), M = 1, every
+    factor is a plain int, and no `Fraction` operation runs.
     """
     _check_index(n)
-    if params.disc == 0:
+    num, den, root, alpha, b, a_den = params.binet_constants
+    if not root.disc:
         raise DegenerateDiscriminantError(
             "ab = -8 gives a repeated characteristic root; the root-based "
             "closed form is undefined there"
         )
-    num, den = params.ab.numerator, params.ab.denominator
-    disc = num * (num + 8 * den)
-    root = _DoubledQuadNum(num + 4 * den, 1, disc)  # 2*M*g
     h = n // 2
     power = root ** h
     two_y2 = (power * root).coeff
-    b = _plain(params.b)
     if parity(n):
-        two_y1 = (power * _DoubledQuadNum(num, 1, disc)).coeff  # 2*M*alpha
+        two_y1 = (power * alpha).coeff
         u, v = two_y1, b * (two_y2 - two_y1)
     else:
         two_y1 = power.coeff
-        u, v = _plain(params.a * den) * two_y1, two_y2 - (2 * den + num) * two_y1
+        u, v = a_den * two_y1, two_y2 - (2 * den + num) * two_y1
     return _over_power(params, u, v, den, h)

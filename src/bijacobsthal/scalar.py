@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .exact import Mat2, _MatrixPoly, _divide, _plain, as_rational, div_power
+from .exact import Mat2, _DoubledQuadNum, _MatrixPoly, _divide, _plain, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 
 
@@ -60,9 +60,10 @@ from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 class BiParams:
     """Validated parameter pair (a, b), both nonzero exact rationals.
 
-    `ab`, `disc` = ab*(ab+8) and `j1_row` are derived; disc is the
-    discriminant of the characteristic equation x^2 - ab*x - 2ab = 0
-    shared by the Jacobsthal-kind sequences.  A pair is a memo key on
+    `ab`, `ratio` = b/a, `disc` = ab*(ab+8), `j1_row`, `j1_cleared` and
+    `binet_constants` are derived; disc is the discriminant of the
+    characteristic equation x^2 - ab*x - 2ab = 0 shared by the
+    Jacobsthal-kind sequences.  A pair is a memo key on
     every term read, so its hash is computed once, when it is made, and
     each derived value once, when first read.  The hash reads the doubled
     numerators and the denominators: CPython hashes -1 as it hashes -2,
@@ -94,10 +95,33 @@ class BiParams:
         return self.ab * (self.ab + 8)
 
     @cached_property
+    def ratio(self) -> Fraction:
+        return self.b / self.a
+
+    @cached_property
     def j1_row(self) -> tuple[Fraction | int, Fraction | int]:
         """(b, 2b/a), each through `exact._plain`: the first row of the
         matrix sequence's J[1], whose other row is (1, 0)."""
         return _plain(self.b), _plain(2 * self.b / self.a)
+
+    @cached_property
+    def j1_cleared(self) -> tuple[int, int, int]:
+        """(c, c*b, c*2b/a) as ints, with c the lcm of the denominators of
+        `j1_row`: c, then c times J[1]'s first row.  J[1] is cleared here
+        only; `matrixseq._fold` reads it."""
+        (b, corner), c = self.j1_row, lcm(*(e.denominator for e in self.j1_row))
+        return c, b.numerator * (c // b.denominator), corner.numerator * (c // corner.denominator)
+
+    @cached_property
+    def binet_constants(self) -> tuple:
+        """(N, M, 2*M*g, 2*M*alpha, b, a*M), the constants that
+        `matrixseq.term_binet` reads on every call: ab = N/M in lowest
+        terms, its two doubled roots, each an `exact._DoubledQuadNum` over
+        N(N+8M), and b and a*M through `exact._plain`."""
+        num, den = self.ab.numerator, self.ab.denominator
+        disc = num * (num + 8 * den)
+        return (num, den, _DoubledQuadNum(num + 4 * den, 1, disc),
+                _DoubledQuadNum(num, 1, disc), _plain(self.b), _plain(self.a * den))
 
 
 class SeqKind(enum.Enum):
@@ -331,9 +355,11 @@ def _two_step(kind: SeqKind, params: BiParams,
 
     K^m is raised as s*K + t*I in the ring Z[K] (`exact._MatrixPoly`, on
     K's trace and determinant), so the power runs on plain ints, three
-    big products per square, and P = s*K + t*I is read back as a `Mat2`.
-    u and v are returned as ints wherever they are integral, which is at
-    every integer pair (P21 is a multiple of N = ab there).  No starting
+    big products per square.  P is read back as the `Mat2` K*s, with t
+    added to the diagonal entries that u and v read, on ints.  u and v are
+    returned as ints wherever they are integral, which is at every
+    integer pair (P21 is a multiple of N = ab there): P21/e is an int
+    division when e is an int that divides P21.  No starting
     terms are read here: the caller applies (u, v) to its own,
     `scalar_term_fast` to the kind's t[0] and t[1] and `matrixseq.term_fast`
     to J[0] = I and J[1], and divides once, by M^m, with `exact._divide`
@@ -343,10 +369,11 @@ def _two_step(kind: SeqKind, params: BiParams,
     even, m, den = kind.rule(params)[0], n // 2, params.ab.denominator
     k = kind._two_step_matrix(params)
     power = _MatrixPoly(1, 0, k.e11 + k.e22, k.det()) ** m
-    p = k * power.s + Mat2(power.t, 0, 0, power.t)
+    p, t, e = k * power.s, power.t, _plain(even)
     if n & 1:
-        return _plain(p.e11), _plain(p.e21 / even), den, m
-    return _plain(even * p.e12), _plain(p.e22), den, m
+        v = p.e21 // e if type(e) is int and not p.e21 % e else _plain(p.e21 / even)
+        return p.e11 + t, v, den, m
+    return _plain(e * p.e12), p.e22 + t, den, m
 
 
 def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:

@@ -131,7 +131,7 @@ def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    p, q = (params.b / params.a).as_integer_ratio()
+    p, q = params.ratio.as_integer_ratio()
     jhat = [_plain(scalar_term(SeqKind.BP_JACOBSTHAL, params, i)) for i in range(n_max + 2)]
 
     def cases():

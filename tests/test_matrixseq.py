@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 from functools import partial
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -22,7 +22,7 @@ from bijacobsthal.matrixseq import (
     term_recurrence,
 )
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
-from bijacobsthal.verifier import sum_direct
+from bijacobsthal.verifier import sum_direct, verify_cross_method
 import bijacobsthal.matrixseq as matrixseq_mod
 import bijacobsthal.scalar as scalar_mod
 
@@ -330,16 +330,20 @@ def test_binet_halving_product_shifts_even_fields(monkeypatch):
 
     pairs = [BiParams(1, 1), BiParams(3, -3), BiParams(1, -3), BiParams(2, 1)]
     pairs += [BiParams(rational(), rational()) for _ in range(200)]
+    # The doubled product takes 4zz' on its int fields and shifts it; the
+    # spy recomputes that unshifted 4zz' with `QuadNum.__mul__` on the same
+    # fields and checks that the result is it, halved.
     products = []
-    real_mul = QuadNum.__mul__
+    real_mul = exact._DoubledQuadNum.__mul__
 
     def spying_mul(self, other):
-        product = real_mul(self, other)
-        if type(self) is exact._DoubledQuadNum:
-            products.append(product)
-        return product
+        product = QuadNum.__mul__(self, other)
+        result = real_mul(self, other)
+        assert result == exact._DoubledQuadNum(product.rat >> 1, product.coeff >> 1, self.disc)
+        products.append(product)
+        return result
 
-    monkeypatch.setattr(QuadNum, "__mul__", spying_mul)
+    monkeypatch.setattr(exact._DoubledQuadNum, "__mul__", spying_mul)
     seen = {"odd N": False, "even N": False, "negative": False, "square": False}
     for params in pairs:
         if params.disc == 0:
@@ -357,6 +361,76 @@ def test_binet_halving_product_shifts_even_fields(monkeypatch):
                 assert product.rat % 2 == 0 and product.coeff % 2 == 0, \
                     (params, n, product)
     assert all(seen.values()), seen
+
+
+FRACTION_OPS = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__add__", "__sub__")
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (3, 1), (-2, 3)], ids=str)
+def test_log_time_routes_take_no_fraction_arithmetic_at_integer_pairs(monkeypatch, a, b):
+    # At an integer pair both routes run on ints from the two-step power or
+    # the doubled root to the one division per entry; at (3, 1) J[1]'s
+    # corner 2b/a = 2/3 is cleared with the rest of its row.
+    params = BiParams(a, b)
+    expected = [term_recurrence(params, n) for n in range(129)]
+    for route in (term_fast, term_binet):
+        route(params, 5)  # the point's own constants, computed once
+    calls = []
+    for name in FRACTION_OPS:
+        real = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    for route in (term_fast, term_binet):
+        calls.clear()
+        values = [route(params, n) for n in range(129)]
+        assert calls == [], (route, len(calls))
+        for n, value in enumerate(values):
+            assert all(type(e) is F for e in value.entries()), (route, n)
+    monkeypatch.undo()
+    for route in (term_fast, term_binet):
+        assert [route(params, n) for n in range(129)] == expected, route
+
+
+@pytest.mark.parametrize("a, b, route", [(3, 1, "binet"), (2, -4, "fast")], ids=str)
+def test_cross_method_shows_a_wrong_cleared_row(monkeypatch, a, b, route):
+    # Both log-time routes finish on J[1]'s cleared row, which the memo and
+    # the closed route never read: a row off by one fails CROSS_METHOD at
+    # n = 1, the first index whose fold reads it, in the first route
+    # checked that reads it (binet, or fast where ab = -8 skips binet).
+    params = BiParams(a, b)
+    c, row0, row1 = params.j1_cleared
+    monkeypatch.setitem(params.__dict__, "j1_cleared", (c, row0 + 1, row1))
+    report = verify_cross_method(params, 16)
+    assert (report.status, report.first_failure) == ("FAIL", 1)
+    assert report.note == f"{route} route disagrees with recurrence"
+    assert all(term_closed(params, n) == term_recurrence(params, n) for n in range(17))
+
+
+def test_routes_in_lowest_terms_where_the_clearing_and_m_share_a_prime():
+    # At (3/2, 1/2) J[1]'s row (1/2, 2/3) is cleared by c = 6, and
+    # ab = 3/4 has M = 4: each entry's division by c*d*M^m cancels factors
+    # of 2 that its two parts share.
+    params = BiParams(F(3, 2), F(1, 2))
+    assert (params.j1_cleared[0], params.ab.denominator) == (6, 4)
+    for n, expected in enumerate(islice(iter_terms(params), 65)):
+        for route in METHODS:
+            value = route(params, n)
+            assert value == expected, (route, n)
+            assert all(type(e) is F and gcd(e.numerator, e.denominator) == 1
+                       for e in value.entries()), (route, n, value)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (3, 5), (4, 1), (F(3, 2), F(1, 2)), (F(-5, 7), 6)],
+                         ids=str)
+def test_det_closed_is_a_fraction_in_lowest_terms(a, b):
+    # At odd n it is -2^(n-1) * 2b/a, built from J[1]'s corner; at (4, 1)
+    # the corner 1/2 has an even denominator that the power of 2 cancels.
+    params = BiParams(a, b)
+    for n in range(40):
+        det = det_closed(params, n)
+        assert type(det) is F, n
+        assert det == (2 ** n) * (-params.b / params.a) ** (n & 1), n
+        assert gcd(det.numerator, det.denominator) == 1, n
 
 
 @pytest.mark.parametrize("a, b", [

@@ -471,6 +471,12 @@ def test_j1_row_is_its_definition_computed_once():
         row = _plain(p.b), _plain(2 * p.b / p.a)
         assert p.j1_row == row and list(map(type, p.j1_row)) == list(map(type, row))
         assert p.j1_row is p.j1_row
+        # Its cleared form (c, c*b, c*2b/a) on ints, c the least that clears.
+        c = lcm(F(p.b).denominator, F(2 * p.b / p.a).denominator)
+        cleared = (c, c * p.b, c * 2 * p.b / p.a)
+        assert p.j1_cleared == cleared and all(type(e) is int for e in p.j1_cleared)
+        assert p.j1_cleared is p.j1_cleared
+        assert p.ratio == p.b / p.a and p.ratio is p.ratio
 
 
 def test_memo_reads_make_no_enum_hash_call(monkeypatch):
