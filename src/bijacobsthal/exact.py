@@ -25,8 +25,13 @@ are even.
 
 `_MatrixPoly` holds s*K + t*I, an element of the commutative ring Z[K]
 of a 2x2 matrix K, by its two coordinates.  By Cayley-Hamilton a power
-of K stays in that ring, so it is raised there, with three big products
-per square in place of `Mat2`'s five.
+of K stays in that ring, so it is raised there.
+
+Both are raised from a base whose norm (det K for `_MatrixPoly`) is
+r^2 for an int r, checked once, where the base is built, and a k-th
+power carries q = r^k, whose square is its own norm.  That ties the
+three values a square reads, so a square takes two big squares and q^2
+in place of two squares and a general product.
 
 Exactness is checked once, where values enter from outside the program:
 `as_rational` refuses floats and parses 'p/q' strings for the parameters,
@@ -180,8 +185,9 @@ def _power(base, k: int, one, what: str):
     integer two-step matrix K as s*K + t*I with (s, t) = (1, 0), the
     doubled root 2*M*g, and q^2 K bordered by the partial sum's column),
     so that product takes time linear in the size of the result; only the
-    squares, which `__mul__` computes with fewer big products, multiply
-    big by big.
+    squares, which `__mul__` computes with fewer big products (for
+    `_MatrixPoly` and `_DoubledQuadNum`, no general one), multiply big by
+    big.
     Every product keeps the base's entry type (an int base stays int).
     `one` makes the unit, and is called only for k = 0, so no other power
     builds one.
@@ -335,38 +341,67 @@ class _Bordered:
 
 
 class _MatrixPoly:
-    """s*K + t*I for a 2x2 matrix K of trace tau and determinant delta.
+    """s*K + t*I for a 2x2 int matrix K of trace tau and determinant
+    delta = r^2, with its root q: an int with q^2 = det(s*K + t*I).
 
     K^2 = tau*K - delta*I (Cayley-Hamilton), so these elements form a
     commutative ring, and
 
         (sK + tI)(s'K + t'I) = (tau*s*s' + s*t' + t*s')K + (t*t' - delta*s*s')I.
 
-    A square (`x * x`, the same object on both sides) is
-    (tau*s^2 + 2st)K + (t^2 - delta*s^2)I: three products of two big
-    operands, s*s, s*t and t*t.  The products by tau and delta, and by the
-    base K = (1, 0) that `_power` multiplies by, take linear time.  `**`
-    is `_power`; like `_Bordered` it is only raised, so it is a plain
-    class.
+    det is multiplicative, so K^k has the root q = r^k: the product takes
+    q*q'.  A square (`x * x`, the same object on both sides) is
+    (tau*s^2 + 2st)K + (t^2 - delta*s^2)I, and its inputs s^2, st and t^2
+    are tied by nu = q^2 = det(sK + tI) = t^2 + tau*st + delta*s^2.  With
+    sigma = 1 for tau <= 0 and -1 for tau > 0,
+
+        (s + sigma*t)^2 = (1 - delta)*s^2 + (2*sigma - tau)*st + nu,
+
+    so st is an exact division by 2*sigma - tau, whose size is 2 + |tau|,
+    never 0, and the square is
+
+        s' = tau*s^2 + 2st,   t' = nu - tau*st - 2*delta*s^2,   q' = nu:
+
+    two squares of big operands, s^2 and (s + sigma*t)^2, and q^2, in
+    place of s*s, s*t and t*t.  q has at most the size of s and t, and
+    less where K's eigenvalues differ in size.  The products by the
+    constants, and by the base K = (1, 0) that `_power` multiplies by,
+    take linear time.  `ring` holds the constants (tau, delta, 1 - delta,
+    whether sigma is 1, 2*sigma - tau, 2*delta), computed once, on the
+    base (`generator`), and shared by every power of it.  `**` is `_power`;
+    like `_Bordered` it is only raised, so it is a plain class.
     """
 
-    __slots__ = ("s", "t", "trace", "det")
+    __slots__ = ("s", "t", "root", "ring")
 
-    def __init__(self, s, t, trace, det) -> None:
-        self.s, self.t, self.trace, self.det = s, t, trace, det
+    def __init__(self, s, t, root, ring) -> None:
+        self.s, self.t, self.root, self.ring = s, t, root, ring
+
+    @classmethod
+    def generator(cls, trace: int, det: int, root: int) -> _MatrixPoly:
+        """K itself, (s, t) = (1, 0), with root r, for K of the given trace
+        and determinant; a ValueError unless r*r == det.  The square's
+        constants are computed here, once for all the powers of K."""
+        if root * root != det:
+            raise ValueError(f"{root} is not a square root of the determinant {det}")
+        plus = trace <= 0
+        return cls(1, 0, root, (trace, det, 1 - det, plus, (2 if plus else -2) - trace, 2 * det))
 
     def __mul__(self, other: _MatrixPoly) -> _MatrixPoly:
-        s, t, tau, delta = self.s, self.t, self.trace, self.det
+        s, t, q, ring = self.s, self.t, self.root, self.ring
         if other is self:
-            ss = s * s
-            return _MatrixPoly(tau * ss + 2 * (s * t), t * t - delta * ss, tau, delta)
+            tau, _, spare, plus, divisor, twice = ring
+            ss, nu = s * s, q * q
+            u = s + t if plus else s - t
+            st = (u * u - spare * ss - nu) // divisor
+            return _MatrixPoly(tau * ss + 2 * st, nu - tau * st - twice * ss, nu, ring)
+        tau, delta = ring[0], ring[1]
         ss = s * other.s
         return _MatrixPoly(tau * ss + s * other.t + t * other.s,
-                           t * other.t - delta * ss, tau, delta)
+                           t * other.t - delta * ss, q * other.root, ring)
 
     def __pow__(self, k: int) -> _MatrixPoly:
-        return _power(self, k, lambda: _MatrixPoly(0, 1, self.trace, self.det),
-                      "matrix polynomial")
+        return _power(self, k, lambda: _MatrixPoly(0, 1, 1, self.ring), "matrix polynomial")
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,29 +486,64 @@ _set_rat, _set_coeff, _set_disc = (getattr(QuadNum, f.name).__set__ for f in fie
 
 
 class _DoubledQuadNum(QuadNum):
-    """2z with plain int fields, for z in Z[(t + sqrt(D))/2] (see the module
-    docstring).  A product takes the fields of 4zz' on the two operands'
-    int fields, as `QuadNum.__mul__` does (a square with 3 products), and
-    shifts each right by 1 to those of 2zz'; the square's sqrt(D) field,
-    2*(x*y), is x*y at once.  An int k scales each field by k.  A rational
-    r is held as 2r, so the `1` that `__pow__` starts from is 2.
+    """2z = X + Y*sqrt(D) with plain int fields, for z in
+    Z[(t + sqrt(D))/2] (see the module docstring), and its root q: an int
+    with q^2 the norm of z, X^2 - D*Y^2 = 4*q^2, or None where none is
+    known.  The root is not a field: values compare and hash by X, Y and
+    D alone.
+
+    A product takes the fields of 4zz' on the two operands' int fields,
+    as `QuadNum.__mul__` does, and shifts each right by 1 to those of
+    2zz', with root q*q'.  A square (`z * z`, the same object on both
+    sides) reads X^2 off the root, X^2 = D*Y^2 + 4q^2, so
+
+        X' = D*Y^2 + 2q^2,   Y' = ((X + Y)^2 - 4q^2 - D*Y^2 - Y^2)/2 = X*Y,
+        q' = q^2:
+
+    two squares of big operands, Y^2 and (X + Y)^2, and q^2, in place of
+    X*X, Y*Y and X*Y.  It needs the root; a value without one is only
+    ever multiplied.  An int k scales each field, and the root, by k.  A
+    rational r is held as 2r with root r, so the `1` that `__pow__`
+    starts from is 2.
     """
 
-    __slots__ = ()
+    __slots__ = ("root",)
+
+    def __init__(self, rat, coeff, disc, root=None) -> None:
+        _set_rat(self, rat)
+        _set_coeff(self, coeff)
+        _set_disc(self, disc)
+        _set_root(self, root)
+
+    @classmethod
+    def with_root(cls, rat: int, coeff: int, disc: int, root: int) -> _DoubledQuadNum:
+        """The value with its root; a ValueError unless
+        rat^2 - disc*coeff^2 == 4*root^2."""
+        if rat * rat - disc * coeff * coeff != 4 * root * root:
+            raise ValueError(f"{root} is not a square root of the norm of "
+                             f"({rat} + {coeff}*sqrt({disc}))/2")
+        return cls(rat, coeff, disc, root)
 
     @classmethod
     def from_rational(cls, value: int, disc: int) -> _DoubledQuadNum:
-        return cls(2 * value, 0, disc)
+        return cls(2 * value, 0, disc, value)
 
     def __mul__(self, other: _DoubledQuadNum | int) -> _DoubledQuadNum:
-        x, y, disc = self.rat, self.coeff, self.disc
+        x, y, disc, q = self.rat, self.coeff, self.disc, self.root
         if other is self:
-            return _DoubledQuadNum((x * x + y * y * disc) >> 1, x * y, disc)
+            yy, qq = y * y, q * q
+            dyy, twice = disc * yy, qq << 1
+            x2, w = dyy + twice, x + y
+            return _DoubledQuadNum(x2, (w * w - x2 - twice - yy) >> 1, disc, qq)
         if type(other) is int:
-            return _DoubledQuadNum(x * other, y * other, disc)
+            return _DoubledQuadNum(x * other, y * other, disc, None if q is None else q * other)
         if other.disc != disc:
             raise ValueError(f"mismatched discriminants: sqrt({disc}) vs sqrt({other.disc})")
-        u, v = other.rat, other.coeff
-        return _DoubledQuadNum((x * u + y * v * disc) >> 1, (x * v + y * u) >> 1, disc)
+        u, v, p = other.rat, other.coeff, other.root
+        return _DoubledQuadNum((x * u + y * v * disc) >> 1, (x * v + y * u) >> 1, disc,
+                               None if q is None or p is None else q * p)
 
     __rmul__ = __mul__
+
+
+_set_root = _DoubledQuadNum.root.__set__

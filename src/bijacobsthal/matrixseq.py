@@ -39,12 +39,15 @@ same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
   `term_binet` and the log-time partial sum `_weighted_sum`.
 
 The two log-time routes raise integers, not rationals: `term_fast` an
-integer two-step matrix K, in the ring Z[K] as s*K + t*I (three big
-products per square, see `exact._MatrixPoly`), and, with ab = N/M in
-lowest terms, `term_binet` the algebraic integer
-M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held doubled so that both of its
-fields are plain ints (each product is halved exactly, see
-`exact._DoubledQuadNum`).  Each reduces its power to one
+integer two-step matrix K, in the ring Z[K] as s*K + t*I (see
+`exact._MatrixPoly`), and, with ab = N/M in lowest terms, `term_binet`
+the algebraic integer M*(alpha+2) = (N+4M + sqrt(N(N+8M)))/2, held
+doubled so that both of its fields are plain ints (each product is
+halved exactly, see `exact._DoubledQuadNum`).  Both bases have a norm
+with an integer root, det K = (cM)^2 for the lag c and 4M^2 for
+M*(alpha+2), and each power carries that root to its own power, so a
+square takes two big squares and the root's square, with no general
+product of two big operands.  Each reduces its power to one
 (u, v) over M^(n//2), a denominator known from n alone, so no Fraction
 and no gcd of large numbers enters the power loop.  Both end in
 `_over_power`: u and v over one denominator d, the fold on J[1]'s
@@ -391,7 +394,10 @@ def term_binet(params: BiParams, n: int) -> Mat2:
     `exact._DoubledQuadNum` with plain int fields.  The power loop raises
     2*M*g = (N+4M) + sqrt(N(N+8M)) with the halving product (2z)(2w) =
     4zw, shifted right by 1 to 2zw; the shift is exact, because 2zw has
-    int fields, so no Fraction and no large gcd enters the loop.  With 2*Y1
+    int fields, so no Fraction and no large gcd enters the loop.  M*g has
+    norm 4M^2, so 2*M*g carries the root 2M, and each square reads the
+    rational field's square off the power's root (2M)^k: two big squares
+    and the root's square.  With 2*Y1
     the sqrt(N(N+8M)) part of 2*(M*alpha)^e (M*g)^h, taken with
     2*M*alpha = N + sqrt(N(N+8M)), 2*Y2 that of 2*(M*g)^(h+1), and
     sqrt(N(N+8M)) = M*sqrt(D),
@@ -406,14 +412,18 @@ def term_binet(params: BiParams, n: int) -> Mat2:
 
     where the even index's 2*Y1 is the sqrt(N(N+8M)) part of 2*(M*g)^h
     itself.  `_over_power` finishes J[n] from (u, v) and M^h, as it does
-    for `term_fast`.  2*(M*g)^h is raised once; 2*Y1 and 2*Y2 each
-    take at most one more product.  N, M, the doubled roots 2*M*g and
-    2*M*alpha, b and aM are the point's constants, computed once
-    (`BiParams.binet_constants`).  At integer (a, b), M = 1, every
-    factor is a plain int, and no `Fraction` operation runs.
+    for `term_fast`.  2*(M*g)^h = X + Y*sqrt(N(N+8M)) is raised once.
+    The other factor of 2*Y2 and of the odd index's 2*Y1 is a doubled
+    root c + sqrt(N(N+8M)), c = N+4M or N, and the halving product's
+    sqrt part is (X + c*Y)/2, so each is that, in linear time, with no
+    product built: 2*M*alpha, whose norm -8NM is not a square, is never
+    raised.  N, M, the doubled root 2*M*g, b and aM are the point's
+    constants, computed once (`BiParams.binet_constants`).  At integer
+    (a, b), M = 1, every factor is a plain int, and no `Fraction`
+    operation runs.
     """
     _check_index(n)
-    num, den, root, alpha, b, a_den = params.binet_constants
+    num, den, root, b, a_den = params.binet_constants
     if not root.disc:
         raise DegenerateDiscriminantError(
             "ab = -8 gives a repeated characteristic root; the root-based "
@@ -421,11 +431,12 @@ def term_binet(params: BiParams, n: int) -> Mat2:
         )
     h = n // 2
     power = root ** h
-    two_y2 = (power * root).coeff
+    x, y = power.rat, power.coeff
+    two_y2 = (x + root.rat * y) >> 1
     if parity(n):
-        two_y1 = (power * alpha).coeff
+        two_y1 = (x + num * y) >> 1
         u, v = two_y1, b * (two_y2 - two_y1)
     else:
-        two_y1 = power.coeff
+        two_y1 = y
         u, v = a_den * two_y1, two_y2 - (2 * den + num) * two_y1
     return _over_power(params, u, v, den, h)

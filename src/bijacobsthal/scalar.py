@@ -60,10 +60,10 @@ from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
 class BiParams:
     """Validated parameter pair (a, b), both nonzero exact rationals.
 
-    `ab`, `ratio` = b/a, `disc` = ab*(ab+8), `j1_row`, `j1_cleared` and
-    `binet_constants` are derived; disc is the discriminant of the
-    characteristic equation x^2 - ab*x - 2ab = 0 shared by the
-    Jacobsthal-kind sequences.  A pair is a memo key on
+    `ab`, `ratio` = b/a, `disc` = ab*(ab+8), `j1_row`, `j1_cleared`,
+    `two_step_bases` and `binet_constants` are derived; disc is the
+    discriminant of the characteristic equation x^2 - ab*x - 2ab = 0
+    shared by the Jacobsthal-kind sequences.  A pair is a memo key on
     every term read, so its hash is computed once, when it is made, and
     each derived value once, when first read.  The hash reads the doubled
     numerators and the denominators: CPython hashes -1 as it hashes -2,
@@ -113,15 +113,24 @@ class BiParams:
         return c, b.numerator * (c // b.denominator), corner.numerator * (c // corner.denominator)
 
     @cached_property
+    def two_step_bases(self) -> dict:
+        """kind -> `SeqKind._two_step_base` at this point: `_two_step`
+        builds a kind's entry on its first call with that kind, and reads
+        it on every later one."""
+        return {}
+
+    @cached_property
     def binet_constants(self) -> tuple:
-        """(N, M, 2*M*g, 2*M*alpha, b, a*M), the constants that
-        `matrixseq.term_binet` reads on every call: ab = N/M in lowest
-        terms, its two doubled roots, each an `exact._DoubledQuadNum` over
-        N(N+8M), and b and a*M through `exact._plain`."""
+        """(N, M, 2*M*g, b, a*M), the constants that `matrixseq.term_binet`
+        reads on every call: ab = N/M in lowest terms, the doubled root
+        2*M*g = (N+4M) + sqrt(N(N+8M)), an `exact._DoubledQuadNum`, and b
+        and a*M through `exact._plain`.  M*g has norm 4M^2, so 2*M*g
+        carries the root 2M, checked here once, which its powers square
+        with."""
         num, den = self.ab.numerator, self.ab.denominator
         disc = num * (num + 8 * den)
-        return (num, den, _DoubledQuadNum(num + 4 * den, 1, disc),
-                _DoubledQuadNum(num, 1, disc), _plain(self.b), _plain(self.a * den))
+        return (num, den, _DoubledQuadNum.with_root(num + 4 * den, 1, disc, 2 * den),
+                _plain(self.b), _plain(self.a * den))
 
 
 class SeqKind(enum.Enum):
@@ -156,7 +165,8 @@ class SeqKind(enum.Enum):
     def _two_step_matrix(self, params: BiParams) -> Mat2:
         """K = [[N + cM, M], [cN, cM]], the integer two-step matrix, with c
         the lag coefficient and eo = ab = N/M in lowest terms (e and o the
-        multipliers at even and odd indices).
+        multipliers at even and odd indices).  Its determinant is (cM)^2,
+        so it has the integer root cM that `_two_step` raises it with.
 
         Two steps compose into one matrix: (t[2m+1], t[2m]) steps to m + 1
         by T = [[eo + c, e], [co, c]], acting on the right of the row.
@@ -168,6 +178,16 @@ class SeqKind(enum.Enum):
         """
         num, den, c = params.ab.numerator, params.ab.denominator, self._lag
         return Mat2(num + c * den, den, c * num, c * den)
+
+    def _two_step_base(self, params: BiParams) -> tuple:
+        """(K, base, even, e): the two-step matrix K, the base that raises
+        it in Z[K] (`exact._MatrixPoly.generator`, which checks K's root
+        cM against det K, c the lag coefficient, and computes the square's
+        constants), and the even multiplier, as it is and through
+        `exact._plain`.  `_two_step` reads it, built once per point."""
+        k, even = self._two_step_matrix(params), self.rule(params)[0]
+        base = _MatrixPoly.generator(k.e11 + k.e22, k.det(), self._lag * params.ab.denominator)
+        return k, base, even, _plain(even)
 
     def _integer_rule(self, params: BiParams) -> tuple[tuple[int, int, int],
                                                        tuple[int, int], int]:
@@ -354,9 +374,14 @@ def _two_step(kind: SeqKind, params: BiParams,
         u = e * P12,  v = P22          (n even).
 
     K^m is raised as s*K + t*I in the ring Z[K] (`exact._MatrixPoly`, on
-    K's trace and determinant), so the power runs on plain ints, three
-    big products per square.  P is read back as the `Mat2` K*s, with t
-    added to the diagonal entries that u and v read, on ints.  u and v are
+    K's trace and determinant), so the power runs on plain ints.  det K
+    is (cM)^2, c the lag coefficient, so the power carries the root
+    (cM)^m, and each square takes two big squares and that root's
+    square.  K, its base in Z[K] (with the root checked against det K)
+    and e are built once per point and kind (`SeqKind._two_step_base`),
+    and kept on the point (`BiParams.two_step_bases`).
+    P is read back as the `Mat2` K*s, with t added to the diagonal
+    entries that u and v read, on ints.  u and v are
     returned as ints wherever they are integral, which is at every
     integer pair (P21 is a multiple of N = ab there): P21/e is an int
     division when e is an int that divides P21.  No starting
@@ -366,10 +391,14 @@ def _two_step(kind: SeqKind, params: BiParams,
     (through `div_power` here), which cancels only factors of M in linear
     time.
     """
-    even, m, den = kind.rule(params)[0], n // 2, params.ab.denominator
-    k = kind._two_step_matrix(params)
-    power = _MatrixPoly(1, 0, k.e11 + k.e22, k.det()) ** m
-    p, t, e = k * power.s, power.t, _plain(even)
+    bases = params.two_step_bases
+    entry = bases.get(kind)
+    if entry is None:
+        entry = bases[kind] = kind._two_step_base(params)
+    k, base, even, e = entry
+    m, den = n // 2, params.ab.denominator
+    power = base ** m
+    p, t = k * power.s, power.t
     if n & 1:
         v = p.e21 // e if type(e) is int and not p.e21 % e else _plain(p.e21 / even)
         return p.e11 + t, v, den, m

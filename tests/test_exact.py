@@ -16,6 +16,7 @@ from bijacobsthal.exact import (
     parity,
     parse_rational,
 )
+from bijacobsthal.scalar import BiParams, SeqKind
 
 
 def test_parity():
@@ -271,15 +272,28 @@ def test_quadnum_scalar_mixing():
     assert u - F(1, 2) == QuadNum(F(0), F(3), F(5))
 
 
+def _assert_root(x):
+    # The carried root q of 2z = X + Y*sqrt(D): X^2 - D*Y^2 = 4*q^2.
+    assert type(x.root) is int
+    assert x.rat * x.rat - x.disc * x.coeff * x.coeff == 4 * x.root * x.root
+
+
 def test_doubled_quadnum_is_twice_the_fraction_arithmetic():
     # z = p + q*w with w = (t + sqrt(D))/2, D = t^2 - 4c, an algebraic
     # integer; _DoubledQuadNum holds 2z, and every product, power and
-    # integer scaling must be twice the Fraction QuadNum result.
+    # integer scaling must be twice the Fraction QuadNum result.  A power
+    # squares on the root of its norm, so it is taken of z*z, whose norm
+    # N(z)^2 has the root N(z), and carries the root of its own norm.
     rng = random.Random(17)
 
-    def doubled(z):
+    def doubled(z, root=None):
         assert (2 * z.rat).denominator == (2 * z.coeff).denominator == 1
-        return _DoubledQuadNum(int(2 * z.rat), int(2 * z.coeff), z.disc)
+        return _DoubledQuadNum(int(2 * z.rat), int(2 * z.coeff), z.disc, root)
+
+    def norm(z):
+        value = z.rat * z.rat - z.disc * z.coeff * z.coeff
+        assert value.denominator == 1
+        return value.numerator
 
     for t, c in ((7, 1), (4, -3), (1, 2), (6, 9), (-3, -10)):
         disc = t * t - 4 * c
@@ -289,8 +303,15 @@ def test_doubled_quadnum_is_twice_the_fraction_arithmetic():
             k = rng.randint(-5, 5)
             assert doubled(z) * doubled(y) == doubled(z * y)
             assert doubled(z) * k == k * doubled(z) == doubled(z * k)
+            zz, yy = doubled(z * z, norm(z)), doubled(y * y, norm(y))
+            for value in (zz * yy, zz * k, k * zz):
+                _assert_root(value)
+            assert zz * yy == doubled(z * z * y * y)
             for e in range(6):
-                assert doubled(z) ** e == doubled(z ** e)
+                power = zz ** e
+                assert power == doubled((z * z) ** e)
+                assert power.root == norm(z) ** e
+                _assert_root(power)
 
 
 # Operands with entries of a few bits and of a few hundred, for the square
@@ -303,11 +324,17 @@ def _random_fraction(rng):
     return F(_random_int(rng), rng.choice([1, rng.randint(1, 9), rng.getrandbits(200) + 1]))
 
 
+def _doubled_square(p, q, t, c):
+    # 2z^2 for z = p + q*w, w = (t + sqrt(D))/2 with D = t^2 - 4c an
+    # algebraic integer, so the halving product stays exact, with the root
+    # of its norm: N(z) = p^2 + pqt + q^2c.  2z is x + y*sqrt(D).
+    x, y, disc = 2 * p + q * t, q, t * t - 4 * c
+    return _DoubledQuadNum.with_root((x * x + disc * y * y) >> 1, x * y, disc,
+                                     p * p + p * q * t + q * q * c)
+
+
 def _random_doubled(rng, t, c):
-    # 2(p + q*w) for w = (t + sqrt(D))/2 with D = t^2 - 4c, an algebraic
-    # integer, so the halving product stays exact.
-    p, q = _random_int(rng), _random_int(rng)
-    return _DoubledQuadNum(2 * p + q * t, q, t * t - 4 * c)
+    return _doubled_square(_random_int(rng), _random_int(rng), t, c)
 
 
 def _square_operands():
@@ -332,6 +359,7 @@ def test_square_branch_equals_general_product():
             type(v) for v in dataclasses.astuple(product)]
         if type(x) is _DoubledQuadNum:
             assert type(square.rat) is type(square.coeff) is int
+            assert square.root == x.root ** 2
 
 
 # Every k up to 130, and 2^j - 1, 2^j and 2^j + 1 up to j = 20: the
@@ -358,7 +386,7 @@ def test_power_matches_iterated_product():
                                  F(rng.randint(-9, 9), rng.randint(1, 9)), disc),
                          QuadNum.from_rational(1, disc)))
     for t, c in ((7, 1), (2, 1), (-3, -10)):
-        x = _DoubledQuadNum(2 * rng.randint(-9, 9) + 5 * t, 5, t * t - 4 * c)
+        x = _doubled_square(rng.randint(-9, 9), 5, t, c)
         operands.append((x, _DoubledQuadNum.from_rational(1, x.disc)))
     for x, one in operands:
         _assert_powers_match_iterated_product(x, one, 2 ** 10 + 1)
@@ -368,11 +396,11 @@ def test_power_matches_iterated_product():
     # unipotent: the k-fold product adds k times the nilpotent part
     (Mat2(1, F(1, 3), 0, 1), Mat2.identity(), None),
     (QuadNum(1, F(2, 5), 0), QuadNum.from_rational(1, 0), None),   # sqrt(0)^2 = 0
-    (_DoubledQuadNum(2, 3, 0), _DoubledQuadNum.from_rational(1, 0), None),
+    (_DoubledQuadNum(2, 3, 0, 1), _DoubledQuadNum.from_rational(1, 0), None),
     # order 6: roots of y^2 - y + 1
     (Mat2(0, F(-1, 2), 2, 1), Mat2.identity(), 6),
     (QuadNum(F(1, 2), F(1, 2), -3), QuadNum.from_rational(1, -3), 6),
-    (_DoubledQuadNum(1, 1, -3), _DoubledQuadNum.from_rational(1, -3), 6),
+    (_DoubledQuadNum(1, 1, -3, 1), _DoubledQuadNum.from_rational(1, -3), 6),
 ], ids=[f"{kind}-{cls}" for kind in ("unipotent", "order6")
          for cls in ("Mat2", "QuadNum", "DoubledQuadNum")])
 def test_power_matches_iterated_product_up_to_2_to_the_20(x, one, period):
@@ -399,10 +427,10 @@ def test_power_matches_iterated_product_up_to_2_to_the_20(x, one, period):
 
 
 def test_power_of_an_int_base_stays_int():
-    m, z = Mat2(1, 2, 3, -4), _DoubledQuadNum(5, 1, 21)
+    m, z = Mat2(1, 2, 3, -4), _DoubledQuadNum.with_root(5, 1, 21, 1)
     for k in (1, 2, 3, 7, 8, 127, 128, 129):
         assert all(type(e) is int for e in (m ** k).entries())
-        assert type((z ** k).rat) is type((z ** k).coeff) is int
+        assert type((z ** k).rat) is type((z ** k).coeff) is type((z ** k).root) is int
     assert m ** 0 == Mat2.identity() and z ** 0 == _DoubledQuadNum(2, 0, 21)
 
 
@@ -435,19 +463,23 @@ def test_bordered_powers_are_3x3_products(column):
         base ** -1
 
 
-@pytest.mark.parametrize("k", [Mat2(5, 1, -4, 2), Mat2(3 ** 40, 7 ** 25, -(2 ** 90), 5 ** 30)],
-                         ids=["int", "large trace and det"])
-def test_matrix_poly_powers_are_products_in_z_k(k):
+@pytest.mark.parametrize("k, root", [
+    (Mat2(5, 1, -4, 1), 3),
+    (Mat2(3 ** 40, 1, 3 ** 40 * 5 ** 30 - 11 ** 40, 5 ** 30), 11 ** 20),
+], ids=["int", "large trace and det"])
+def test_matrix_poly_powers_are_products_in_z_k(k, root):
     # Each power equals the k-fold product, and read back as s*K + t*I it
-    # equals the Mat2 power; the int fields stay int.
+    # equals the Mat2 power; the int fields stay int, the root is the
+    # base's to the power, and every power shares the base's constants.
     trace, det = k.e11 + k.e22, k.det()
-    base = _MatrixPoly(1, 0, trace, det)
-    expected = _MatrixPoly(0, 1, trace, det)
+    assert det == root * root
+    base = _MatrixPoly.generator(trace, det, root)
+    expected = _MatrixPoly(0, 1, 1, base.ring)
     for e in range(10):
         power = base ** e
-        assert (power.s, power.t) == (expected.s, expected.t), e
-        assert (power.trace, power.det) == (trace, det), e
-        assert all(type(x) is int for x in (power.s, power.t)), e
+        assert (power.s, power.t, power.root) == (expected.s, expected.t, root ** e), e
+        assert power.ring is base.ring, e
+        assert all(type(x) is int for x in (power.s, power.t, power.root)), e
         assert k * power.s + Mat2(power.t, 0, 0, power.t) == k ** e, e
         expected = expected * base
     with pytest.raises(ValueError,
@@ -458,8 +490,8 @@ def test_matrix_poly_powers_are_products_in_z_k(k):
 @pytest.mark.parametrize("cls, x", [
     (Mat2, Mat2(1, 1, 1, 0)),
     (QuadNum, QuadNum(F(1, 2), F(1, 2), 9)),
-    (_DoubledQuadNum, _DoubledQuadNum(5, 1, 21)),
-    (_MatrixPoly, _MatrixPoly(1, 0, 7, 12)),
+    (_DoubledQuadNum, _DoubledQuadNum.with_root(5, 1, 21, 1)),
+    (_MatrixPoly, _MatrixPoly.generator(7, 9, 3)),
 ], ids=["Mat2", "QuadNum", "DoubledQuadNum", "MatrixPoly"])
 def test_power_multiplies_only_squares_and_by_the_base(monkeypatch, cls, x):
     calls = []
@@ -476,3 +508,80 @@ def test_power_multiplies_only_squares_and_by_the_base(monkeypatch, cls, x):
         assert all(other is self or other is x for self, other in calls), k
         squares = sum(other is self for self, other in calls)
         assert (squares, len(calls) - squares) == (k.bit_length() - 1, bin(k).count("1") - 1), k
+
+
+# The log-time routes' bases.  A kind's two-step matrix K has trace
+# tau = N + 2cM and det (cM)^2 = r^2, for ab = N/M and c the lag: these
+# give tau > 0, = 0 and < 0, tau = 2 and -2, r = 1 (the lag-1 kinds at
+# integer pairs, where 1 - det = 0), r a power of 2 and r = 9.  The
+# doubled root 2Mg = (N + 4M) + sqrt(N(N + 8M)) has r = 2M: D = 9, the
+# perfect square, at (1, 1), and D < 0 at (1, -3) and (1/2, -3/4); two
+# bases built directly have r = 1 and the odd r = 3.
+TWO_STEP_BASES = [
+    (SeqKind.BP_FIBONACCI, 1, 1),              # tau 3, r 1
+    (SeqKind.BP_LUCAS, 3, -4),                 # tau -10, r 1
+    (SeqKind.BP_JACOBSTHAL, 1, -2),            # tau 2, r 2
+    (SeqKind.BP_JACOBSTHAL, 2, -2),            # tau 0, r 2
+    (SeqKind.BP_JACOBSTHAL_LUCAS, 2, -3),      # tau -2, r 2
+    (SeqKind.BP_JACOBSTHAL, 3, F(-5, 2)),      # tau -7, r 4
+    (SeqKind.BP_JACOBSTHAL, F(1, 2), F(-3, 4)),  # tau 29, r 16
+    (SeqKind.BP_LUCAS, F(1, 3), F(1, 3)),      # tau 19, r 9
+    (SeqKind.BP_FIBONACCI, F(-1, 3), F(5, 2)),  # tau 7, r 6
+]
+DOUBLED_BASES = [
+    *(BiParams(a, b).binet_constants[2] for a, b in
+      ((1, 1), (1, -3), (F(1, 2), F(-3, 4)), (F(1, 3), F(1, 3)))),
+    _DoubledQuadNum.with_root(5, 1, 21, 1),
+    _DoubledQuadNum.with_root(7, 1, 13, 3),
+]
+ROOTED_EXPONENTS = (*range(81), 4095, 4096, 4097)
+
+
+def test_rooted_bases_cover_every_sign_of_the_trace_and_kind_of_root():
+    rings = [kind._two_step_base(BiParams(a, b))[1] for kind, a, b in TWO_STEP_BASES]
+    taus = {base.ring[0] for base in rings}
+    assert {2, 0, -2} <= taus and min(taus) < -2 and max(taus) > 2
+    roots = {base.root for base in rings}
+    assert 1 in roots and 9 in roots and 16 in roots
+    assert any(base.ring[2] == 0 for base in rings)  # 1 - det = 0
+    discs = {x.disc for x in DOUBLED_BASES}
+    assert 9 in discs and min(discs) < 0
+    assert {x.root for x in DOUBLED_BASES} >= {1, 2, 3, 16, 18}
+
+
+@pytest.mark.parametrize("kind, a, b", TWO_STEP_BASES, ids=str)
+def test_matrix_poly_powers_equal_mat2_powers(kind, a, b):
+    # Each power of the base `_two_step` raises, read back as s*K + t*I,
+    # is the Mat2 power of K, and carries the root r^k.
+    params = BiParams(a, b)
+    k, base = kind._two_step_base(params)[:2]
+    root = kind._lag * params.ab.denominator
+    assert base.root == root and k.det() == root * root
+    for e in ROOTED_EXPONENTS:
+        power = base ** e
+        assert k * power.s + Mat2(power.t, 0, 0, power.t) == k ** e, e
+        assert power.root == root ** e, e
+
+
+@pytest.mark.parametrize("x", DOUBLED_BASES, ids=str)
+def test_doubled_powers_equal_quadnum_powers(x):
+    # Each power of 2z is twice the QuadNum power of z, on Fractions, and
+    # carries the root r^k.
+    z = QuadNum(F(x.rat, 2), F(x.coeff, 2), x.disc)
+    for e in ROOTED_EXPONENTS:
+        power, expected = x ** e, z ** e
+        assert (power.rat, power.coeff) == (2 * expected.rat, 2 * expected.coeff), e
+        assert power.root == x.root ** e, e
+
+
+def test_a_wrong_root_is_refused_where_the_base_is_built():
+    with pytest.raises(ValueError, match="^3 is not a square root of the determinant 12$"):
+        _MatrixPoly.generator(7, 12, 3)
+    with pytest.raises(ValueError, match="^4 is not a square root of the determinant 9$"):
+        _MatrixPoly.generator(7, 9, 4)
+    with pytest.raises(ValueError,
+                       match=r"^2 is not a square root of the norm of \(5 \+ 1\*sqrt\(21\)\)/2$"):
+        _DoubledQuadNum.with_root(5, 1, 21, 2)
+    # Either sign of a root is a root.
+    assert _MatrixPoly.generator(7, 9, -3).root == -3
+    assert _DoubledQuadNum.with_root(7, 1, 13, -3).root == -3

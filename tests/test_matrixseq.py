@@ -274,10 +274,11 @@ def test_log_time_powers_run_on_integers(monkeypatch, params):
         seen.append((base, result))
         return result
 
+    # Each power carries the int root of its norm, read here with its fields.
     def entries(value):
         if isinstance(value, exact._MatrixPoly):
-            return (value.s, value.t, value.trace, value.det)
-        return value.entries() if isinstance(value, Mat2) else (value.rat, value.coeff)
+            return (value.s, value.t, value.root)
+        return value.entries() if isinstance(value, Mat2) else (value.rat, value.coeff, value.root)
 
     monkeypatch.setattr(exact, "_power", recording_power)
     # The units (0, 1) of Z[K] and 2 of the doubled root are ints, so the
@@ -353,13 +354,20 @@ def test_binet_halving_product_shifts_even_fields(monkeypatch):
         seen["odd N" if num % 2 else "even N"] = True
         seen["negative"] |= disc < 0
         seen["square"] |= disc >= 0 and isqrt(disc) ** 2 == disc
+        root = params.binet_constants[2]
         for n in [*range(24), 255, 256]:
             products.clear()
             assert term_binet(params, n) == term_fast(params, n), (params, n)
-            assert products, (params, n)
+            assert products or n < 4, (params, n)  # (2Mg)^0 and ^1 take none
             for product in products:
                 assert product.rat % 2 == 0 and product.coeff % 2 == 0, \
                     (params, n, product)
+            # The route reads the sqrt(D) field of the power X + Y*sqrt(D)
+            # times each doubled root c + sqrt(D), (X + c*Y)/2 for c = N + 4M
+            # and c = N, without a product: that shift is exact too.
+            power = root ** (n // 2)
+            for c in (num + 4 * den, num):
+                assert (power.rat + c * power.coeff) % 2 == 0, (params, n, c)
     assert all(seen.values()), seen
 
 

@@ -479,6 +479,29 @@ def test_j1_row_is_its_definition_computed_once():
         assert p.ratio == p.b / p.a and p.ratio is p.ratio
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (2, -3), (F(1, 2), F(-3, 4)), (F(5, 7), F(-7, 9))],
+                         ids=str)
+def test_log_time_bases_are_built_once_with_their_roots(a, b):
+    # Each kind's two-step base carries the root cM of det K, c the lag,
+    # and `_two_step` builds it on the point's first call with that kind
+    # and reads it on every later one; the doubled root 2Mg carries 2M.
+    params = BiParams(a, b)
+    bases, den = params.two_step_bases, params.ab.denominator
+    assert bases is params.two_step_bases and not bases
+    for kind in SeqKind:
+        first = scalar_term_fast(kind, params, 9)
+        entry = bases[kind]
+        assert scalar_term_fast(kind, params, 9) == first and bases[kind] is entry
+    assert list(bases) == list(SeqKind)
+    for kind, (k, base, even, e) in bases.items():
+        assert k == kind._two_step_matrix(params) and (base.s, base.t) == (1, 0)
+        assert base.root == kind._lag * den and base.root ** 2 == k.det()
+        assert base.ring[:2] == (k.e11 + k.e22, k.det())
+        assert even == kind.rule(params)[0] and e == _plain(even) and type(e) is type(_plain(even))
+    num, root = params.ab.numerator, params.binet_constants[2]
+    assert (root.rat, root.coeff, root.root) == (num + 4 * den, 1, 2 * den)
+
+
 def test_memo_reads_make_no_enum_hash_call(monkeypatch):
     # A kind is half of every memo key, so a read hashes it; Enum's own
     # __hash__ is a Python call, and a kind hashes by identity instead.
