@@ -190,7 +190,8 @@ def _power(base, k: int, one, what: str):
     big.
     Every product keeps the base's entry type (an int base stays int).
     `one` makes the unit, and is called only for k = 0, so no other power
-    builds one.
+    builds one.  The log-time term routes reach it through
+    `scalar._stepped_power`, only where they cannot step a kept power.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"{what} powers require a non-negative integer exponent")
@@ -216,6 +217,11 @@ class Mat2:
     square (`m * m`, the same object on both sides) takes 5 entry
     products, not 8: with bc = b*c and t = a + d it is
     [[a*a + bc, b*t], [c*t, d*d + bc]].
+
+    `==` is written by hand: two `Fraction` entries compare by numerator
+    and denominator, and any other pair with `==`.  `Fraction.__eq__`
+    takes an abc `isinstance` check per entry, and the cross-checks
+    compare four entries per index.  Hashing is the dataclass's, by value.
     """
 
     e11: Fraction
@@ -239,6 +245,18 @@ class Mat2:
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.e11, self.e12, self.e21, self.e22)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        for x, y in ((self.e11, other.e11), (self.e12, other.e12),
+                     (self.e21, other.e21), (self.e22, other.e22)):
+            if type(x) is Fraction and type(y) is Fraction:
+                if x._numerator != y._numerator or x._denominator != y._denominator:
+                    return False
+            elif not x == y:
+                return False
+        return True
 
     def det(self) -> Fraction:
         return self.e11 * self.e22 - self.e12 * self.e21

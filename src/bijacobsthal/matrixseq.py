@@ -16,10 +16,12 @@ terms:
 
 which is the `term_closed` route.  `term_binet` evaluates the closed form
 over the formal extension Q(sqrt(D)), D = ab(ab+8).  `term_fast` reads
-J[n] off a single binary power of the two-step map, whose characteristic
-polynomial x^2 - (ab+4)x + 4 is the index-doubling recurrence: J is the
-jhat recurrence started at J[0] = I and J[1], so it runs the same
-`scalar._two_step` as `scalar_term_fast`.
+J[n] off one power of the two-step map, whose characteristic polynomial
+x^2 - (ab+4)x + 4 is the index-doubling recurrence: J is the jhat
+recurrence started at J[0] = I and J[1], so it runs the same
+`scalar._two_step` as `scalar_term_fast`.  J[2m] and J[2m+1] read the
+same power K^m (`term_binet` the same power of its doubled root), so
+both routes step their last power on the point (`scalar._stepped_power`).
 
 Every integer or log-time computation here reads J[n] through its
 coordinates in the basis {J[1], I}: J is the jhat recurrence started at
@@ -92,7 +94,8 @@ from math import lcm
 from typing import Callable, Iterator
 
 from .exact import Mat2, QuadNum, _Bordered, _divide, _plain, parity
-from .scalar import BiParams, SeqKind, _PrefixMemo, _step, _two_step, scalar_term
+from .scalar import (BiParams, SeqKind, _PrefixMemo, _step, _stepped_power, _two_step,
+                     scalar_term)
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -412,7 +415,8 @@ def term_binet(params: BiParams, n: int) -> Mat2:
 
     where the even index's 2*Y1 is the sqrt(N(N+8M)) part of 2*(M*g)^h
     itself.  `_over_power` finishes J[n] from (u, v) and M^h, as it does
-    for `term_fast`.  2*(M*g)^h = X + Y*sqrt(N(N+8M)) is raised once.
+    for `term_fast`.  2*(M*g)^h = X + Y*sqrt(N(N+8M)) is taken once, by
+    `scalar._stepped_power`, from the point's last power of 2*M*g.
     The other factor of 2*Y2 and of the odd index's 2*Y1 is a doubled
     root c + sqrt(N(N+8M)), c = N+4M or N, and the halving product's
     sqrt part is (X + c*Y)/2, so each is that, in linear time, with no
@@ -430,7 +434,7 @@ def term_binet(params: BiParams, n: int) -> Mat2:
             "closed form is undefined there"
         )
     h = n // 2
-    power = root ** h
+    power = _stepped_power(params, root, h)
     x, y = power.rat, power.coeff
     two_y2 = (x + root.rat * y) >> 1
     if parity(n):

@@ -120,6 +120,13 @@ class BiParams:
         return {}
 
     @cached_property
+    def last_powers(self) -> dict:
+        """base -> (k, base**k): the last power that `_stepped_power` took
+        of each of this point's log-time bases (a `two_step_bases` base,
+        or the doubled root of `binet_constants`), with its exponent."""
+        return {}
+
+    @cached_property
     def binet_constants(self) -> tuple:
         """(N, M, 2*M*g, b, a*M), the constants that `matrixseq.term_binet`
         reads on every call: ab = N/M in lowest terms, the doubled root
@@ -363,6 +370,25 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     return _memo.term((kind, params), n)
 
 
+def _stepped_power(params: BiParams, base, k: int):
+    """base**k for one of the point's log-time bases, stepped from the
+    last power of it kept there (`BiParams.last_powers`): at the kept
+    exponent the kept power, at one above it the kept power times the
+    base (one product by a small base, linear time), and at any other k
+    a power by `exact._power`.  A sweep over n reads each half-index
+    n // 2 twice, then the next, so it raises a base once.  The pair is
+    stored as one tuple in one assignment, so a thread that reads a pair
+    another thread wrote gets a power that matches its exponent.
+    """
+    powers = params.last_powers
+    last = powers.get(base)
+    if last is not None and last[0] == k:
+        return last[1]
+    power = last[1] * base if last is not None and last[0] + 1 == k else base ** k
+    powers[base] = k, power
+    return power
+
+
 def _two_step(kind: SeqKind, params: BiParams,
               n: int) -> tuple[Fraction | int, Fraction | int, int, int]:
     """(u, v, M, m) with t[n] = (u*t[1] + v*t[0]) / M^m and m = n // 2.
@@ -379,7 +405,8 @@ def _two_step(kind: SeqKind, params: BiParams,
     (cM)^m, and each square takes two big squares and that root's
     square.  K, its base in Z[K] (with the root checked against det K)
     and e are built once per point and kind (`SeqKind._two_step_base`),
-    and kept on the point (`BiParams.two_step_bases`).
+    and kept on the point (`BiParams.two_step_bases`), and K^m is
+    stepped from the point's last power of K (`_stepped_power`).
     P is read back as the `Mat2` K*s, with t added to the diagonal
     entries that u and v read, on ints.  u and v are
     returned as ints wherever they are integral, which is at every
@@ -397,7 +424,7 @@ def _two_step(kind: SeqKind, params: BiParams,
         entry = bases[kind] = kind._two_step_base(params)
     k, base, even, e = entry
     m, den = n // 2, params.ab.denominator
-    power = base ** m
+    power = _stepped_power(params, base, m)
     p, t = k * power.s, power.t
     if n & 1:
         v = p.e21 // e if type(e) is int and not p.e21 % e else _plain(p.e21 / even)

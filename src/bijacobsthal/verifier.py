@@ -18,7 +18,12 @@ denominators of J[1], and w[k]*J[k] is the integer rule's cleared term.
 One factor serves all three.  The closed forms and `genfunc.build_ogf`
 read every term, J[0] and J[1] included, through one term source
 (`matrixseq._term_source`); the three closed forms take it, with their
-n >= 1 rule and parity selectors, from `_form_inputs`.  The direct sum,
+selectors for each parity of n, from `_form_inputs`.  Each form is
+built once per point (and x) by a `_build_*` function, which computes
+the J[0]/J[1] part, both parities' coefficients and the denominator, and
+returns the form as a function of n; a suite builds one per report.  It
+reads J[n-1], then J[n], so `term_fast` at a `BiParams` steps J[n]'s
+power from J[n-1]'s (`scalar._stepped_power`).  The direct sum,
 `_partial_sums`, walks the cleared point's terms.  So both sides are
 linear in the terms, and the same formula code fed the integer terms
 F*J[k] gives F times its value: the long division yields F*J[m],
@@ -71,7 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import Mat2, _plain, as_rational, parity
+from .exact import Mat2, _plain, as_rational
 from .genfunc import build_ogf, series_coeffs
 from .matrixseq import (
     _Cleared,
@@ -216,26 +221,32 @@ def _confirmed(cleared: _Cleared, points, original):
     `points` yields (n, lhs, rhs) on the cleared terms: both sides are F
     times their values, and at integer (a, b) and 1/x matrices of plain
     ints.  Only an n where they differ yields a case (n, lhs, rhs, None):
-    original(n), the checked side at the point itself, against rhs divided
-    back by F.  So `first_mismatch` builds the FAIL it builds on
+    the checked side at the point itself at n, against rhs divided back
+    by F; `original()` builds that side, a function of n, at the first
+    such n only.  So `first_mismatch` builds the FAIL it builds on
     Fractions, stopping at the first such case, and the normative side
     stays the oracle; a cleared mismatch that the original units do not
     confirm ends nothing.
     """
+    at_point = None
     for n, lhs, rhs in points:
         if lhs != rhs:
-            yield n, original(n), rhs / cleared.factor, None
+            if at_point is None:
+                at_point = original()
+            yield n, at_point(n), rhs / cleared.factor, None
 
 
-def _check_sums(identity: str, params: BiParams, closed, n_max: int,
+def _check_sums(identity: str, params: BiParams, build, n_max: int,
                 x: Fraction | None = None) -> IdentityReport:
-    """The report of a partial-sum suite: closed(point, n) against the
-    direct sum of J[k]/x^k (of J[k] when x is None), 1 <= n <= n_max, on
-    the terms of one cleared point."""
+    """The report of a partial-sum suite: the closed form build(point),
+    a function of n, against the direct sum of J[k]/x^k (of J[k] when x
+    is None), 1 <= n <= n_max, on the terms of one cleared point; built
+    on the point itself only to confirm a cleared mismatch."""
     cleared = _Cleared(params, n_max)
+    closed = build(cleared)
     sums = enumerate(_partial_sums(cleared, 1 if x is None else x, n_max), 1)
-    points = ((n, closed(cleared, n), direct) for n, direct in sums)
-    cases = _confirmed(cleared, points, lambda n: closed(params, n))
+    points = ((n, closed(n), direct) for n, direct in sums)
+    cases = _confirmed(cleared, points, lambda: build(params))
     return first_mismatch(identity, params, n_max, cases, x=x)
 
 
@@ -244,14 +255,42 @@ def sum_direct(params: BiParams, n: int) -> Mat2:
     return weighted_sum_direct(params, 1, n)
 
 
-def _form_inputs(params, n: int):
-    """What every closed sum form reads at index n >= 1: the point's term
-    function (`matrixseq._term_source`) and the selectors
-    a^e * b^(1-e), a^(1-e) * b^e with e = parity(n)."""
+def _check_sum_index(n: int) -> None:
+    """Refuse an index below 1, the one domain rule of every partial sum."""
     if n < 1:
         raise ValueError("partial sums are defined for n >= 1")
-    sel_n, sel_n1 = (params.a, params.b) if parity(n) else (params.b, params.a)
-    return _term_source(params), sel_n, sel_n1
+
+
+def _form_inputs(params):
+    """What every closed sum form reads, once per point: the point's term
+    function (`matrixseq._term_source`) and, for each parity e of n, the
+    selectors (a^e * b^(1-e), a^(1-e) * b^e), so selectors[n & 1]."""
+    return _term_source(params), ((params.b, params.a), (params.a, params.b))
+
+
+def _two_term_form(term, scales: list, fixed: Mat2, den):
+    """n -> (J[n]*s + J[n-1]*s' + fixed) / den with (s, s') = scales[n & 1]:
+    two scaled terms, two sums and one division per n, J[n-1] read
+    first."""
+    def form(n: int) -> Mat2:
+        previous = term(n - 1)
+        at_n, at_previous = scales[n & 1]
+        return (term(n) * at_n + previous * at_previous + fixed) / den
+    return form
+
+
+def _build_sum_closed(params):
+    """`sum_closed_form` at `params` as a function of n >= 1.
+
+    The n-independent parts are computed here, once: J[1]*(a-1) +
+    J[0]*(2b-ab-1), the two coefficients of J[n] and J[n-1] at each
+    parity, and the denominator 1 - ab."""
+    term, selectors = _form_inputs(params)
+    if params.ab == 1:
+        raise ZeroDivisionError("closed form divides by 1 - ab")
+    fixed = term(1) * (params.a - 1) + term(0) * (2 * params.b - params.ab - 1)
+    scales = [(1 - sel_n, 2 * (1 - sel_n1)) for sel_n, sel_n1 in selectors]
+    return _two_term_form(term, scales, fixed, 1 - params.ab)
 
 
 def sum_closed_form(params: BiParams, n: int) -> Mat2:
@@ -260,16 +299,8 @@ def sum_closed_form(params: BiParams, n: int) -> Mat2:
     [J[n]*(1 - a^e*b^(1-e)) + 2*J[n-1]*(1 - a^(1-e)*b^e)
      + J[1]*(a-1) + J[0]*(2b-ab-1)] / (1-ab),   e = parity(n).
     """
-    term, sel_n, sel_n1 = _form_inputs(params, n)
-    if params.ab == 1:
-        raise ZeroDivisionError("closed form divides by 1 - ab")
-    numerator = (
-        term(n) * (1 - sel_n)
-        + term(n - 1) * (2 * (1 - sel_n1))
-        + term(1) * (params.a - 1)
-        + term(0) * (2 * params.b - params.ab - 1)
-    )
-    return numerator / (1 - params.ab)
+    _check_sum_index(n)
+    return _build_sum_closed(params)(n)
 
 
 def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
@@ -280,7 +311,7 @@ def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
         raise ValueError("n_max must be at least 1")
     if params.ab == 1:
         return skipped(SUM_T5, params, n_max, "denominator 1-ab vanishes")
-    return _check_sums(SUM_T5, params, sum_closed_form, n_max)
+    return _check_sums(SUM_T5, params, _build_sum_closed, n_max)
 
 
 def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
@@ -294,11 +325,26 @@ def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
     and finishes the sum as `term_fast` is finished, with one division
     per entry."""
     x = as_rational(x)
-    if n < 1:
-        raise ValueError("partial sums are defined for n >= 1")
+    _check_sum_index(n)
     if x == 0:
         raise ZeroDivisionError("weights divide by powers of x")
     return _weighted_sum(params, x, n)
+
+
+def _build_weighted_printed(params, x: Fraction):
+    """`weighted_sum_printed_form` at `params` and x as a function of
+    n >= 1, built as `_build_sum_closed` is: the x^2 and x parts in J[0]
+    and J[1], both parities' coefficients and the denominator once."""
+    x = _plain(as_rational(x))  # an integral x stays an int, like cleared terms
+    term, selectors = _form_inputs(params)
+    den = _t6_denominator(params, x)
+    if den == 0:
+        raise ZeroDivisionError("x^2 - (ab+4)x + 4 vanishes at this x")
+    j0, j1 = term(0), term(1)
+    a, b, ab = params.a, params.b, params.ab
+    fixed = (j1 - b * j0) * (x * x) + (-2 * j1 + 3 * b * j0 + a * j1 - j0 - ab * j0) * x
+    scales = [(2 - x - sel_n * x, 2 * (2 - sel_n1 - x)) for sel_n, sel_n1 in selectors]
+    return _two_term_form(term, scales, fixed, den)
 
 
 def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
@@ -311,19 +357,32 @@ def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     This is a checker input, not a trusted formula: it reduces to the plain
     summation form at x = 1 but is refuted by the direct sum for x != 1.
     """
-    x = _plain(as_rational(x))  # an integral x stays an int, like cleared terms
-    term, sel_n, sel_n1 = _form_inputs(params, n)
-    den = _t6_denominator(params, x)
+    x = as_rational(x)
+    _check_sum_index(n)
+    return _build_weighted_printed(params, x)(n)
+
+
+def _build_weighted_corrected(params, x: Fraction):
+    """`weighted_sum_corrected_form` at `params` and x as a function of
+    n >= 1: x^4*N(1/x), the denominator and both parities' quadratics in
+    x once, and per n the powers x^(2-n) and x^(1-n)."""
+    x = as_rational(x)
+    if x == 0:
+        raise ZeroDivisionError("weights divide by powers of x")
+    term, selectors = _form_inputs(params)
+    ogf = build_ogf(params)
+    den = sum(d * x ** (4 - i) for i, d in enumerate(ogf.denominator))
     if den == 0:
-        raise ZeroDivisionError("x^2 - (ab+4)x + 4 vanishes at this x")
-    j0, j1 = term(0), term(1)
-    numerator = (
-        term(n) * (2 - x - sel_n * x)
-        + term(n - 1) * (2 * (2 - sel_n1 - x))
-        + (j1 - params.b * j0) * (x * x)
-        + (-2 * j1 + 3 * params.b * j0 + params.a * j1 - j0 - params.ab * j0) * x
-    )
-    return numerator / den
+        raise ZeroDivisionError("x^4 - (ab+4)x^2 + 4 vanishes at this x")
+    fixed = sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator)), Mat2.zero())
+    scales = [(x * x + sel_n * x - 2, x * x + sel_n1 * x - 2) for sel_n, sel_n1 in selectors]
+
+    def form(n: int) -> Mat2:
+        previous = term(n - 1)
+        at_n, at_previous = scales[n & 1]
+        return (fixed - term(n) * (x ** (2 - n) * at_n)
+                - previous * (2 * x ** (1 - n) * at_previous)) / den
+    return form
 
 
 def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
@@ -344,19 +403,8 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     beta+2 (at x = 1 or x = 2 that means ab = 1).
     """
     x = as_rational(x)
-    term, sel_n, sel_n1 = _form_inputs(params, n)
-    if x == 0:
-        raise ZeroDivisionError("weights divide by powers of x")
-    ogf = build_ogf(params)
-    den = sum(d * x ** (4 - i) for i, d in enumerate(ogf.denominator))
-    if den == 0:
-        raise ZeroDivisionError("x^4 - (ab+4)x^2 + 4 vanishes at this x")
-    numerator = (
-        sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator)), Mat2.zero())
-        - term(n) * (x ** (2 - n) * (x * x + sel_n * x - 2))
-        - term(n - 1) * (2 * x ** (1 - n) * (x * x + sel_n1 * x - 2))
-    )
-    return numerator / den
+    _check_sum_index(n)
+    return _build_weighted_corrected(params, x)(n)
 
 
 def verify_weighted_sum_t6(params: BiParams, x: Fraction,
@@ -374,7 +422,7 @@ def verify_weighted_sum_t6(params: BiParams, x: Fraction,
     if _t6_denominator(params, x) == 0:
         return skipped(WEIGHTED_SUM_T6, params, n_max,
                        "denominator x^2-(ab+4)x+4 vanishes", x=x)
-    printed = lambda p, n: weighted_sum_printed_form(p, x, n)
+    printed = lambda point: _build_weighted_printed(point, x)
     return _check_sums(WEIGHTED_SUM_T6, params, printed, n_max, x)
 
 
@@ -434,7 +482,7 @@ def verify_series_match(params: BiParams, count: int) -> IdentityReport:
     cleared = _Cleared(params, count - 1)
     coeffs = enumerate(series_coeffs(build_ogf(cleared), count))
     points = ((m, coeff, cleared.term(m)) for m, coeff in coeffs)
-    original = lambda m: series_coeffs(build_ogf(params), count)[m]
+    original = lambda: series_coeffs(build_ogf(params), count).__getitem__
     cases = _confirmed(cleared, points, original)
     return first_mismatch(SERIES_MATCH, params, count - 1, cases)
 

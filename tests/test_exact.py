@@ -127,6 +127,33 @@ def test_value_objects_are_frozen_and_compare_by_value(cls, names):
     assert dataclasses.astuple(changed) == (11, *fields[1:])
 
 
+def test_mat2_equality_reads_fraction_fields_and_hashes_by_value(monkeypatch):
+    # Two Fraction entries compare by numerator and denominator, with no
+    # Fraction.__eq__ call; any other pair compares with ==, so an int and
+    # an equal Fraction are equal entries.  The hash is the entries' tuple's.
+    entries = (F(1, 2), F(-3), F(0), F(7, 5))
+    value = Mat2(*entries)
+
+    def refuse(self, other):
+        raise AssertionError("Fraction.__eq__ was called")
+
+    monkeypatch.setattr(F, "__eq__", refuse)
+    assert value == Mat2(*(F(e.numerator, e.denominator) for e in entries))
+    for i in range(4):
+        changed = list(entries)
+        changed[i] += F(1, 3)
+        assert value != Mat2(*changed) and not value == Mat2(*changed)
+    monkeypatch.undo()
+    assert value == Mat2(F(1, 2), -3, 0, F(7, 5)) == value
+    assert Mat2(1, 2, 3, 4) == Mat2(1, F(2), 3, 4) and Mat2(1, 2, 3, 4) != Mat2(1, 2, 3, 5)
+    assert Mat2.__eq__(value, entries) is NotImplemented
+    assert value != entries and not value == entries and value != 1
+    assert hash(value) == hash(entries) == hash(Mat2(F(1, 2), -3, 0, F(7, 5)))
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    assert Mat2(a, 1, 0, a * a) == Mat2(a, 1, 0, a * a) != Mat2(a, 1, 0, a)
+
+
 def _assert_same_fraction(got, expected):
     assert type(got) is F
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)

@@ -219,10 +219,59 @@ def test_log_time_routes_take_one_power_and_read_no_memo(monkeypatch, params,
     for route in routes:
         for n in [*range(65), 4096]:
             exponents.clear()
-            route(params, n)
-            assert len(exponents) == 1, (route, n, exponents)
+            # a fresh point per call: a point keeps its last power, so a
+            # second call there at the same or the next half-index raises
+            # nothing (test_stepped_powers_match_a_fresh_point)
+            route(BiParams(params.a, params.b), n)
+            assert exponents == [n // 2], (route, n, exponents)
     assert not scalar_mod._memo._series
     assert not matrixseq_mod._memo._series
+
+
+_STEP_ORDERS = {
+    "ascending": [*range(70), 255, 256, 257],
+    "descending": [257, 256, 255, *range(69, -1, -1)],
+    "repeated": [n for n in range(30) for _ in range(3)],
+    "random": random.Random(39).choices(range(40), k=150),
+}
+
+
+@pytest.mark.parametrize("order", sorted(_STEP_ORDERS))
+@pytest.mark.parametrize("a, b", [(1, 1), (3, -1), (F(1, 2), F(-3, 4)), (F(-3, 2), F(1, 3)),
+                                  (2, -4)], ids=str)  # ab = -8: fast only
+def test_stepped_powers_match_a_fresh_point(monkeypatch, a, b, order):
+    # One point swept in each order keeps its last power of each base and
+    # steps it; every value, and its entries' types, must be what a fresh
+    # point, which raises its power, gives.
+    shared = BiParams(a, b)
+    routes = [term_fast] + [term_binet] * (shared.disc != 0) + [
+        partial(scalar_term_fast, kind) for kind in SeqKind]
+    calls = []
+    real_power = exact._power
+
+    def counting_power(base, k, one, what):
+        calls.append((base, k))
+        return real_power(base, k, one, what)
+
+    monkeypatch.setattr(exact, "_power", counting_power)
+    for n in _STEP_ORDERS[order]:
+        for route in routes:
+            stepped, fresh = route(shared, n), route(BiParams(a, b), n)
+            assert stepped == fresh, (route, n)
+            entries = zip(*(v.entries() if isinstance(v, Mat2) else (v,)
+                            for v in (stepped, fresh)))
+            assert all(type(x) is type(y) for x, y in entries), (route, n)
+    # The shared point keeps one power of each of its bases: the jhat base
+    # of term_fast, which scalar_term_fast reads too, the other three
+    # kinds' bases and the doubled root of term_binet.  In ascending order
+    # it raised each of them twice, at half-index 0 and at the jump to 127.
+    mine = [entry[1] for entry in shared.two_step_bases.values()]
+    mine += [shared.binet_constants[2]] * (shared.disc != 0)
+    assert len(mine) == len(shared.last_powers) == len(routes) - 1
+    assert all(base in shared.last_powers for base in mine)
+    raised = sorted(k for base, k in calls if any(base is own for own in mine))
+    if order == "ascending":
+        assert raised == [0] * len(mine) + [127] * len(mine)
 
 
 @pytest.mark.parametrize("params, with_binet", [
@@ -356,12 +405,16 @@ def test_binet_halving_product_shifts_even_fields(monkeypatch):
         seen["square"] |= disc >= 0 and isqrt(disc) ** 2 == disc
         root = params.binet_constants[2]
         for n in [*range(24), 255, 256]:
-            products.clear()
-            assert term_binet(params, n) == term_fast(params, n), (params, n)
-            assert products or n < 4, (params, n)  # (2Mg)^0 and ^1 take none
-            for product in products:
-                assert product.rat % 2 == 0 and product.coeff % 2 == 0, \
-                    (params, n, product)
+            # A fresh point raises (2Mg)^(n//2); the shared one steps its
+            # last power by one product, or reads it back.
+            for point in (BiParams(params.a, params.b), params):
+                products.clear()
+                assert term_binet(point, n) == term_fast(point, n), (params, n)
+                # (2Mg)^0 and ^1 take none
+                assert products or n < 4 or point is params, (params, n)
+                for product in products:
+                    assert product.rat % 2 == 0 and product.coeff % 2 == 0, \
+                        (params, n, product)
             # The route reads the sqrt(D) field of the power X + Y*sqrt(D)
             # times each doubled root c + sqrt(D), (X + c*Y)/2 for c = N + 4M
             # and c = N, without a product: that shift is exact too.

@@ -7,6 +7,7 @@ import pytest
 
 from bijacobsthal import exact as exact_mod, matrixseq as matrixseq_mod, scalar as scalar_mod
 from bijacobsthal import verifier as verifier_mod
+from bijacobsthal.cli import main
 from bijacobsthal.exact import Mat2, QuadNum
 from bijacobsthal.genfunc import build_ogf, series_coeffs
 from bijacobsthal.matrixseq import iter_terms, term_fast, term_recurrence
@@ -269,6 +270,67 @@ def test_log_time_terms_and_sums_raise_the_one_two_step_matrix(monkeypatch, para
                 scalar_term_fast(kind, params, n)
         if n >= 3:
             assert weighted_sum_direct(params, x, n) != sums[n - 1], n
+
+
+def _count_powers(monkeypatch):
+    """exact._power wrapped: the list it returns gets (base type, k) per call."""
+    calls, real = [], exact_mod._power
+
+    def counting(base, k, one, what):
+        calls.append((type(base).__name__, k))
+        return real(base, k, one, what)
+
+    monkeypatch.setattr(exact_mod, "_power", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [64, 65, 4000, 4001])
+def test_closed_sum_forms_raise_the_two_step_matrix_once(monkeypatch, n):
+    # A form reads J[0] and J[1] (half-index 0), then J[n-1] and J[n]:
+    # at odd n both at half-index n // 2, at even n at n//2 - 1 and n//2.
+    # So K is raised at 0 and once more, and J[n] steps from J[n-1]'s power.
+    calls = _count_powers(monkeypatch)
+    for form in (sum_closed_form, lambda p, n: weighted_sum_printed_form(p, F(3, 2), n),
+                 lambda p, n: weighted_sum_corrected_form(p, F(3, 2), n)):
+        params = BiParams(F(1, 2), F(-3, 4))
+        calls.clear()
+        value = form(params, n)
+        assert calls == [("_MatrixPoly", 0), ("_MatrixPoly", (n - 1) // 2)]
+        assert value == form(BiParams(F(1, 2), F(-3, 4)), n)
+    calls.clear()
+    main(["sum", "--a", "1/2", "--b=-3/4", "--n", str(n), "--both"])
+    assert sorted(calls) == [("_Bordered", n // 2), ("_MatrixPoly", 0),
+                             ("_MatrixPoly", (n - 1) // 2)]
+
+
+def test_default_grid_raises_each_log_time_base_about_once_per_point(monkeypatch):
+    # CROSS_METHOD reads n = 0..128 in order at each of the 36 points, so
+    # term_fast and term_binet step their powers; a few raises more come
+    # from the original-units forms that confirm a WEIGHTED_SUM_T6 FAIL.
+    calls = _count_powers(monkeypatch)
+    assert len(list(run_grid(verifier_mod.default_grid()))) == 432
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("_MatrixPoly") <= 72 and kinds.count("_DoubledQuadNum") <= 36
+    assert len(kinds) == kinds.count("_MatrixPoly") + kinds.count("_DoubledQuadNum")
+
+
+@pytest.mark.parametrize("x", [F(1), F(3)], ids=str)
+def test_a_sum_suite_builds_its_form_once_and_the_point_form_only_to_confirm(
+        monkeypatch, x):
+    # Each build is recorded with its point: one on the cleared point per
+    # report, and one on the point itself only where a cleared mismatch (the
+    # printed form's FAIL at x = 3) needs confirming.
+    built = []
+    for name in ("_build_sum_closed", "_build_weighted_printed"):
+        real = getattr(verifier_mod, name)
+        monkeypatch.setattr(verifier_mod, name,
+                            lambda *args, real=real: built.append(type(args[0])) or real(*args))
+    cleared = verifier_mod._Cleared
+    assert verify_sum_t5(_Q, 16).status == "PASS" and built == [cleared]
+    built.clear()
+    report = verify_weighted_sum_t6(_Q, x, 16)
+    assert report.status == ("PASS" if x == 1 else "FAIL")
+    assert built == [cleared] + [BiParams] * (x != 1)
 
 
 def test_cleared_series_match_matches_the_fraction_reference():
@@ -654,6 +716,11 @@ def _at(n):
     return lambda *args: args[-1] == n
 
 
+def _bump_form(n):
+    """Patch for a closed-form builder: every form it builds is bumped at n."""
+    return lambda build: lambda *point: _bump(build(*point), _at(n))
+
+
 def _kind_at(kind, n):
     return lambda k, params, i: k is kind and i == n
 
@@ -799,14 +866,14 @@ _FORCED_FAILS = {
         "LUCAS_RELATIONS a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"
         "  [(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed]"),
     "sum-t5": (
-        verifier_mod, "sum_closed_form", lambda f: _bump(f, _at(3)),
+        verifier_mod, "_build_sum_closed", _bump_form(3),
         lambda: verifier_mod.verify_sum_t5(_P, 8), 3, _I, None, None,
         '{"identity": "SUM_T5", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
         f'"first_failure": 3, "residual": {_I_JSON}}}',
         f"SUM_T5,2,1,,8,FAIL,3,{_I_CSV}",
         f"SUM_T5 a=2 b=1 n_max=8 FAIL first_failure=3 residual={_I_PLAIN}"),
     "weighted-sum-t6": (
-        verifier_mod, "weighted_sum_printed_form", lambda f: _bump(f, _at(3)),
+        verifier_mod, "_build_weighted_printed", _bump_form(3),
         lambda: verifier_mod.verify_weighted_sum_t6(_P, F(1), 8), 3, _I, None, F(1),
         '{"identity": "WEIGHTED_SUM_T6", "a": "2", "b": "1", "x": "1", "n_max": 8, '
         f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
@@ -816,14 +883,14 @@ _FORCED_FAILS = {
     # at a rational pair the suites compare cleared terms F*J[k]; the bump
     # still reads as I, so the FAIL's residual is in the original units
     "sum-t5-rational": (
-        verifier_mod, "sum_closed_form", lambda f: _bump(f, _at(3)),
+        verifier_mod, "_build_sum_closed", _bump_form(3),
         lambda: verifier_mod.verify_sum_t5(_Q, 8), 3, _I, None, None,
         '{"identity": "SUM_T5", "a": "1/2", "b": "-3/4", "n_max": 8, '
         f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
         f"SUM_T5,1/2,-3/4,,8,FAIL,3,{_I_CSV}",
         f"SUM_T5 a=1/2 b=-3/4 n_max=8 FAIL first_failure=3 residual={_I_PLAIN}"),
     "weighted-sum-t6-rational": (
-        verifier_mod, "weighted_sum_printed_form", lambda f: _bump(f, _at(3)),
+        verifier_mod, "_build_weighted_printed", _bump_form(3),
         lambda: verifier_mod.verify_weighted_sum_t6(_Q, F(1), 8), 3, _I, None, F(1),
         '{"identity": "WEIGHTED_SUM_T6", "a": "1/2", "b": "-3/4", "x": "1", '
         f'"n_max": 8, "status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
@@ -910,7 +977,7 @@ def test_a_cleared_mismatch_the_fraction_side_does_not_confirm_ends_nothing(
     # Each patch errs at 2 on the cleared point only, and at 5 on both: the
     # check goes on past 2 and fails at 5, in the original units.
     real_series = verifier_mod.series_coeffs
-    real_sum = verifier_mod.sum_closed_form
+    real_build = verifier_mod._build_sum_closed
 
     def series(ogf, count):
         out = real_series(ogf, count)
@@ -918,13 +985,17 @@ def test_a_cleared_mismatch_the_fraction_side_does_not_confirm_ends_nothing(
             out[m] = out[m] + _I
         return out
 
-    def closed(params, n):
-        value = real_sum(params, n)
-        cleared = isinstance(params, verifier_mod._Cleared)
-        return value + _I if n == 5 or (n == 2 and cleared) else value
+    def build(point):
+        form = real_build(point)
+        cleared = isinstance(point, verifier_mod._Cleared)
+
+        def closed(n):
+            value = form(n)
+            return value + _I if n == 5 or (n == 2 and cleared) else value
+        return closed
 
     monkeypatch.setattr(verifier_mod, "series_coeffs", series)
-    monkeypatch.setattr(verifier_mod, "sum_closed_form", closed)
+    monkeypatch.setattr(verifier_mod, "_build_sum_closed", build)
     for report in (verify_series_match(_P, 8), verify_sum_t5(_P, 8)):
         assert (report.status, report.first_failure, report.residual) == \
             ("FAIL", 5, _I)
