@@ -4,7 +4,12 @@ Subcommands: term, matrix, series, sum, verify, bench.  `main` runs the
 subcommand's handler `cmd_<name>`, looked up by name at each call; the
 parser, built once per process, names no handler.  `term`, `matrix`,
 `series` and `sum` take their point (`--a`, `--b` and the index option)
-from one helper in `build_parser`.  Every rational on
+from one helper in `build_parser`.  The options are declared once, in
+`build_parser`, and that one option table has two readers:
+`_parse_plain` reads a call made of its subcommand's exact options in one
+pass, and argparse reads every other call, so help, usage errors and the
+forms only argparse accepts (an abbreviated option, `--`) print and parse
+as argparse has them.  Every rational on
 the wire is the exact string "p/q" (or "p" when the denominator is 1);
 no floating point is ever printed except benchmark wall times.  `_emit`
 prints term, matrix, series and sum through the one encoder of each format:
@@ -246,6 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     one-shot `python -m bijacobsthal` still builds it once.  It holds no
     handler: `main` finds `cmd_<command>` by name at each call.
     `build_parser.__wrapped__()` builds a fresh one.
+
+    The options declared here are the one option table, and it has two
+    readers.  `option_tables` holds, per subcommand, the `Action`s that
+    `add_argument` returned, as `_parse_plain` reads them in one pass;
+    argparse reads the same actions for every call that pass refuses.
     """
     parser = argparse.ArgumentParser(
         prog="bijacobsthal",
@@ -312,7 +322,75 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", default="1",
                          help="timed runs per point; the minimum is kept")
 
+    parser.option_tables = {name: _option_table(p) for name, p in sub.choices.items()}
     return parser
+
+
+# The action types `_parse_plain` reads; an option of any other type (the
+# help action among them) is left to argparse.
+_PLAIN_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction,
+                  argparse._AppendAction)
+
+
+def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, list]:
+    """A subcommand's options as `_parse_plain` reads them: each option
+    string of a store, store_true or append action mapped to its action,
+    and the actions whose dest a parse fills (every one but help's)."""
+    actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]
+    options = {option: action for action in actions
+               if type(action) in _PLAIN_ACTIONS
+               for option in action.option_strings}
+    return options, actions
+
+
+def _parse_plain(tables: dict, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives `argv`, read in one pass over its
+    subcommand's option table, or None for an argv this pass does not take.
+
+    It takes a subcommand name, then exact option strings, each as
+    `--opt value` or `--opt=value` and a flag alone, with every value in
+    its choices and every required option given.  As in argparse, the last
+    value of a repeated option wins and an append option collects them.  A
+    value token that starts with '-' is taken only when a digit follows,
+    which is `_merge_negative_values`' rule.  Any other argv (help, an
+    abbreviation, '--', a positional token, and every usage error) gets
+    None, and `main` hands it to argparse, which prints what it prints.
+    """
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, actions = table
+    given: dict = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, equals, value = token.partition("=")
+        action = options.get(option)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            if equals:
+                return None
+            value = action.const
+        else:
+            if not equals:
+                value = next(tokens, None)
+                if value is None or (value[:1] == "-" and not value[1:2].isdigit()):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        if type(action) is argparse._AppendAction:
+            given.setdefault(action, []).append(value)
+        else:
+            given[action] = value
+    values = {"command": argv[0]}
+    for action in actions:
+        if action in given:
+            values[action.dest] = given[action]
+        elif action.required:
+            return None
+        else:
+            values[action.dest] = action.default
+    return argparse.Namespace(**values)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -331,10 +409,10 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = (_parse_plain(parser.option_tables, argv)
+            or parser.parse_args(_merge_negative_values(argv)))
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, ZeroDivisionError) as exc:  # includes DegenerateDiscriminantError

@@ -218,10 +218,12 @@ class Mat2:
     products, not 8: with bc = b*c and t = a + d it is
     [[a*a + bc, b*t], [c*t, d*d + bc]].
 
-    `==` is written by hand: two `Fraction` entries compare by numerator
-    and denominator, and any other pair with `==`.  `Fraction.__eq__`
-    takes an abc `isinstance` check per entry, and the cross-checks
-    compare four entries per index.  Hashing is the dataclass's, by value.
+    `==` is written by hand.  A matrix whose e11 is an int compares its
+    entries as one tuple, which runs in C.  Otherwise two `Fraction`
+    entries compare by numerator and denominator, and any other pair with
+    `==`: `Fraction.__eq__` takes an abc `isinstance` check per entry, and
+    the cross-checks compare four entries per index.  Hashing is the
+    dataclass's, by value.
     """
 
     e11: Fraction
@@ -249,6 +251,9 @@ class Mat2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
+        if type(self.e11) is int:
+            return ((self.e11, self.e12, self.e21, self.e22)
+                    == (other.e11, other.e12, other.e21, other.e22))
         for x, y in ((self.e11, other.e11), (self.e12, other.e12),
                      (self.e21, other.e21), (self.e22, other.e22)):
             if type(x) is Fraction and type(y) is Fraction:

@@ -523,6 +523,98 @@ def test_shared_parser_parses_concurrent_argvs_apart():
         assert got == [expected[i]] * 200, argvs[i]
 
 
+_TERM = ["term", "--kind", "jhat", "--a", "2", "--b", "1", "--n", "5"]
+
+# Argvs of every subcommand that `cli._parse_plain` takes, beside the golden
+# file's and one mixed_queries op list's: `bench` with its defaults, both
+# option forms, a negative rational both ways, a repeated option, two
+# `--suite`s and `--both` twice.
+_PLAIN_ARGVS = [
+    ["bench"],
+    ["bench", "--a", "1/2", "--b=-3/4", "--ladder", "0,1", "--repeat", "2"],
+    ["term", "--kind=lucas", "--a=2", "--b", "1", "--n=7", "--format=csv"],
+    ["term", "--kind", "jhat", "--a", "-3/4", "--b", "1", "--n", "5"],
+    ["term", "--kind", "jhat", "--a=-3/4", "--b", "1", "--n", "5"],
+    [*_TERM, "--n", "8", "--format", "json", "--format", "plain"],
+    ["matrix", "--n", "-2", "--a", "1", "--b", "1", "--method", "fast",
+     "--method", "closed"],
+    ["matrix", "--a", "1", "--b", "1", "--n", "3"],
+    ["series", "--count", "4", "--a", "2/3", "--b", "-3"],
+    ["sum", "--a", "2", "--b", "1", "--n", "4", "--both", "--both", "--x", "-1/2"],
+    ["sum", "--a", "2", "--b", "1", "--n", "4"],
+    ["verify", "--suite", "DET", "--suite", "CASSINI", "--a", "-3..3",
+     "--b=1,2", "--expect-errata"],
+    ["verify", "--suite=all", "--a", "1", "--b", "1", "--n-max", "8",
+     "--x", "1,-2/3", "--format", "json"],
+]
+
+
+def test_the_one_pass_gives_the_namespace_argparse_gives():
+    with open(os.path.join(ROOT, "tests", "golden_cli.json"), encoding="utf-8") as f:
+        golden = [case["argv"] for case in json.load(f)]
+    mixed = [list(op[1]) for op in _benchmark_workloads().mixed_ops(1, 0)]
+    fresh = cli.build_parser.__wrapped__()
+    tables = cli.build_parser().option_tables
+    for argv in [*golden, *mixed, *_PLAIN_ARGVS]:
+        args = cli._parse_plain(tables, argv)
+        assert args is not None, argv
+        expected = fresh.parse_args(cli._merge_negative_values(argv))
+        assert vars(args) == vars(expected), argv
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `main(argv)`, returned or raised."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["term", "-h"], ["nope"],
+    [*_TERM, "--form", "json"],  # an abbreviation, which argparse accepts
+    [*_TERM, "extra"],
+    [*_TERM, "--bogus", "1"],
+    [*_TERM, "--"],
+    [*_TERM[:-2], "--", "--n", "5"],
+    ["sum", "--a", "2", "--b", "1", "--n", "4", "--both=1"],
+    ["term", "--kind", "jhat", "--a", "--b", "1", "--n", "5"],
+    [*_TERM[:-1], "-x"],
+    [*_TERM, "--format"],
+    ["term", "--kind", "nope", *_TERM[3:]],
+    _TERM[:1] + _TERM[3:],
+    ["verify", "--suite", "DET", "--a", "1", "--b", "1", "--n-max", "-", "4"],
+], ids=lambda argv: " ".join(argv) or "no-subcommand")
+def test_argvs_the_pass_refuses_print_what_argparse_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._parse_plain(cli.build_parser().option_tables, argv) is None
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    monkeypatch.setattr(cli, "_parse_plain", lambda tables, argv: None)
+    assert got == _outcome(capsys, argv)
+    assert got[1] or got[2]
+
+
+def test_the_common_forms_never_reach_argparse(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain call")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert run_cli(capsys, *_TERM) == (0, "20\n", "")
+    assert run_cli(capsys, "matrix", "--a", "2", "--b", "1", "--n", "3") == (
+        0, "[[6,4],[4,2]]\n", "")
+    assert run_cli(capsys, "series", "--a", "2", "--b", "1", "--count", "2") == (
+        0, "[[1,0],[0,1]]\n[[1,1],[1,0]]\n", "")
+    assert run_cli(capsys, "sum", "--a", "2", "--b", "1", "--n", "4") == (
+        0, "[[12,7],[7,5]]\n", "")
+    assert run_cli(capsys, "verify", "--suite", "DET", "--a", "1", "--b", "1",
+                   "--n-max", "4") == (0, "DET a=1 b=1 n_max=4 PASS\n", "")
+    code, out, err = run_cli(capsys, "bench", "--ladder", "4", "--repeat", "1")
+    assert (code, out.splitlines()[0], err) == (0, "method,n,wall_ms,term_bits", "")
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "bench", "--ladder", "64,256", "--repeat", "1")
     assert code == 0

@@ -146,6 +146,10 @@ def test_mat2_equality_reads_fraction_fields_and_hashes_by_value(monkeypatch):
     monkeypatch.undo()
     assert value == Mat2(F(1, 2), -3, 0, F(7, 5)) == value
     assert Mat2(1, 2, 3, 4) == Mat2(1, F(2), 3, 4) and Mat2(1, 2, 3, 4) != Mat2(1, 2, 3, 5)
+    # An int e11 compares the entries as one tuple, whatever the others are.
+    assert Mat2(1, F(1, 2), 3, 4) == Mat2(F(1), F(1, 2), 3, F(4)) == Mat2(1, F(1, 2), 3, 4)
+    assert Mat2(1, F(1, 2), 3, 4) != Mat2(1, F(1, 3), 3, 4) and Mat2(1, 2, 3, 4) != Mat2(1, 2, 3, 4.5)
+    assert Mat2.__eq__(Mat2(1, 2, 3, 4), (1, 2, 3, 4)) is NotImplemented
     assert Mat2.__eq__(value, entries) is NotImplemented
     assert value != entries and not value == entries and value != 1
     assert hash(value) == hash(entries) == hash(Mat2(F(1, 2), -3, 0, F(7, 5)))
