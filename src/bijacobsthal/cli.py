@@ -11,7 +11,7 @@ pass, and argparse reads every other call, so help, usage errors and the
 forms only argparse accepts (an abbreviated option, `--`) print and parse
 as argparse has them.  Every rational on
 the wire is the exact string "p/q" (or "p" when the denominator is 1);
-no floating point is ever printed except benchmark wall times.  `_emit`
+no floating point is ever printed except `bench`'s CPU times.  `_emit`
 prints term, matrix, series and sum through the one encoder of each format:
 `report.json_value`, `report.csv_fields` and `exact.format_rational`.
 
@@ -37,7 +37,7 @@ from .genfunc import build_ogf, series_coeffs
 from .matrixseq import term_fast, term_naive
 from .report import (CSV_HEADER, WEIGHTED_SUM_T6, IdentityReport, csv_fields,
                      json_value)
-from .scalar import BiParams, SeqKind, scalar_term
+from .scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
 from .verifier import (
     GridSpec,
     expected_failure,
@@ -108,10 +108,14 @@ def _params(args: argparse.Namespace) -> BiParams:
 
 
 def cmd_term(args: argparse.Namespace) -> int:
+    """One scalar term, from the log-time two-step power
+    (`scalar_term_fast`), so a call steps and keeps no prefix.  A negative
+    n goes to `scalar_term`, which gives jhat[-1] = 1/2 and refuses the
+    rest."""
     params = _params(args)
     kind = SeqKind(args.kind)
     n = _integer(args.n)
-    value = scalar_term(kind, params, n)
+    value = (scalar_term_fast if n >= 0 else scalar_term)(kind, params, n)
     fields = {"kind": kind.value, "a": params.a, "b": params.b, "n": n,
               "value": value}
     _emit(args.format, fields, ",".join(fields), [fields.values()], [[value]])
@@ -193,27 +197,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _timed_min(fn, repeat: int) -> tuple[float, Mat2]:
+    """(seconds, value): the least CPU time of `repeat` calls of `fn`, by
+    `time.process_time`, which other processes are not charged to."""
     best = float("inf")
     value = None
     for _ in range(repeat):
-        start = time.perf_counter()
+        start = time.process_time()
         value = fn()
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     return best, value
 
 
 def bench_rows(params: BiParams, ladder: Sequence[int],
                repeat: int) -> list[tuple[str, int, float, int]]:
-    """Wall-time rows (method, n, seconds, term_bits); min over `repeat` runs.
+    """CPU-time rows (method, n, seconds, term_bits); min over `repeat` runs.
 
     The naive route is `matrixseq.term_naive`, the recurrence run freshly
-    each time, so neither side benefits from caches.  Outputs of the two
-    routes are checked equal; a mismatch raises.
+    each time, and the fast route runs on a new point each time, which
+    has no power of its own kept (`BiParams.last_powers`), so neither
+    side benefits from caches.  Outputs of the two routes are checked
+    equal; a mismatch raises.
     """
     rows = []
     for n in ladder:
         naive_t, naive_value = _timed_min(lambda: term_naive(params, n), repeat)
-        fast_t, fast_value = _timed_min(lambda: term_fast(params, n), repeat)
+        fast_t, fast_value = _timed_min(
+            lambda: term_fast(BiParams(params.a, params.b), n), repeat)
         if naive_value != fast_value:
             raise AssertionError(f"bench self-test failed at n={n}")
         bits = max(e.numerator.bit_length() for e in naive_value.entries())
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                                f"({WEIGHTED_SUM_T6} with x != 1)")
     add_common(p_verify)
 
-    p_bench = sub.add_parser("bench", help="naive vs fast wall time (CSV)")
+    p_bench = sub.add_parser("bench", help="naive vs fast CPU time (CSV)")
     p_bench.add_argument("--a", default="1")
     p_bench.add_argument("--b", default="1")
     p_bench.add_argument("--ladder",
@@ -393,18 +402,25 @@ def _parse_plain(tables: dict, argv: Sequence[str]) -> Optional[argparse.Namespa
     return argparse.Namespace(**values)
 
 
-def _merge_negative_values(argv: list[str]) -> list[str]:
+def _merge_negative_values(tables: dict, argv: list[str]) -> list[str]:
     """Join '--option -3..3' into '--option=-3..3' so argparse does not
-    read negative grid values or rationals as option names.  Any
-    '--option' without '=' is joined with a next token that starts with
-    '-' and a digit."""
+    read negative grid values or rationals as option names.  A token that
+    starts with '-' and a digit is joined onto the '--option' just before
+    it when that has no '=' and takes a value, as the subcommand's table
+    (`_option_table`) finds it: by its exact name, or as the one option it
+    abbreviates.  After a flag, an unknown option or '--' the token stays
+    as typed, for argparse to report."""
+    options = tables[argv[0]][0] if argv and argv[0] in tables else {}
     out: list[str] = []
     for tok in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and tok[:1] == "-" and tok[1:2].isdigit()):
-            out[-1] += f"={tok}"
-        else:
-            out.append(tok)
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and tok[:1] == "-" and tok[1:2].isdigit():
+            found = ({options[prev]} if prev in options else
+                     {a for o, a in options.items() if o.startswith(prev)})
+            if len(found) == 1 and found.pop().nargs != 0:
+                out[-1] += f"={tok}"
+                continue
+        out.append(tok)
     return out
 
 
@@ -412,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = (_parse_plain(parser.option_tables, argv)
-            or parser.parse_args(_merge_negative_values(argv)))
+            or parser.parse_args(_merge_negative_values(parser.option_tables, argv)))
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, ZeroDivisionError) as exc:  # includes DegenerateDiscriminantError

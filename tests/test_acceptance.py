@@ -215,5 +215,5 @@ def test_criterion_10_fast_route_performance():
                 f"fast/naive ratio not strictly decreasing: {ratios}"
             )
 
-    _criterion(10, "fast route agrees at n = 4096 and its wall-time ratio "
+    _criterion(10, "fast route agrees at n = 4096 and its CPU-time ratio "
                    "to the naive route shrinks up the ladder", None, check)

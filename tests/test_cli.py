@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bijacobsthal import ALL_IDENTITIES, cli, matrixseq, report, verifier
+from bijacobsthal import ALL_IDENTITIES, cli, matrixseq, report, scalar, verifier
 from bijacobsthal.cli import main, parse_grid_values
 from bijacobsthal.exact import Mat2, parse_rational
 from bijacobsthal.scalar import BiParams
@@ -69,6 +70,48 @@ def test_term_index_minus_one_names_the_kind_as_typed(capsys, kind):
     code, out, err = run_cli(capsys, "term", "--kind", kind, "--a", "2", "--b", "1",
                              "--n", "-1")
     assert (code, out, err) == (2, "", "error: index -1 is only defined for jhat\n")
+
+
+_TERM_PAIRS = [("2", "1"), ("1", "1"), ("-3", "2"), ("2", "-4"), ("5/7", "-7/9"),
+               ("1/2", "-3/4"), ("-3/2", "1/3")]
+
+
+def test_term_prints_what_rendering_scalar_term_prints(capsys, monkeypatch):
+    # `term` reads the two-step power; with the prefix memo's
+    # `scalar_term` in its place, every kind, format and index prints
+    # the same bytes, ab = 1 and ab = -8 among the pairs
+    rng = random.Random(41)
+    indices = [0, 1, 2, *rng.sample(range(3, 4000), 5), 4095, 4096]
+    argvs = [["term", "--kind", kind, f"--a={a}", f"--b={b}", f"--n={n}",
+              "--format", fmt]
+             for kind in ("jhat", "jlucas", "fibonacci", "lucas")
+             for a, b in _TERM_PAIRS
+             for n in ([-1] if kind == "jhat" else []) + indices
+             for fmt in ("plain", "json", "csv")]
+    got = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "scalar_term_fast", scalar.scalar_term)
+    for argv, outcome in zip(argvs, got):
+        assert outcome[0] == 0 and outcome[1], argv
+        assert outcome == run_cli(capsys, *argv), argv
+
+
+def test_term_fills_no_scalar_memo(capsys):
+    # a term with n >= 0 is one power, and n = -1 is a constant, so no
+    # `term` call steps or keeps a prefix
+    scalar.clear_caches()
+    matrixseq.clear_caches()
+    for kind in ("jhat", "jlucas", "fibonacci", "lucas"):
+        for n, fmt in [("0", "plain"), ("7", "json"), ("300", "csv")]:
+            code, out, err = run_cli(capsys, "term", "--kind", kind, "--a", "1/2",
+                                     "--b=-3/4", "--n", n, "--format", fmt)
+            assert (code, err) == (0, ""), (kind, n)
+            assert out
+    assert run_cli(capsys, "term", "--kind", "jhat", "--a", "2", "--b", "1",
+                   "--n=-1") == (0, "1/2\n", "")
+    assert run_cli(capsys, "term", "--kind", "jhat", "--a", "2", "--b", "1",
+                   "--n=-2")[0] == 2
+    assert not scalar._memo._series
+    assert not matrixseq._memo._series
 
 
 def test_matrix_json_exact_shape(capsys):
@@ -381,12 +424,23 @@ def test_verify_negative_grid_split_tokens(capsys):
     assert len(out.strip().splitlines()) == 36
 
 
-def test_negative_values_join_any_option_without_equals():
+def test_negative_values_join_only_options_that_take_a_value(capsys):
+    # onto an exact option or an abbreviation of one that takes a value,
+    # never onto a flag, an unknown option or '--'
     argv = ["sum", "--a", "-1/2", "--b=-3", "--n", "4", "--x", "-", "--any", "-2..2",
-            "--both", "-x"]
-    assert cli._merge_negative_values(argv) == [
-        "sum", "--a=-1/2", "--b=-3", "--n", "4", "--x", "-", "--any=-2..2",
-        "--both", "-x"]
+            "--both", "-3", "--", "-4", "-x"]
+    tables = cli.build_parser().option_tables
+    assert cli._merge_negative_values(tables, argv) == [
+        "sum", "--a=-1/2", "--b=-3", "--n", "4", "--x", "-", "--any", "-2..2",
+        "--both", "-3", "--", "-4", "-x"]
+    assert cli._merge_negative_values(tables, ["verify", "--n-m", "-4", "--x", "-1"]) == [
+        "verify", "--n-m=-4", "--x=-1"]
+    assert cli._merge_negative_values(tables, ["nope", "--a", "-1"]) == ["nope", "--a", "-1"]
+    # argparse names the token as typed, with no '=' the user did not type
+    code, out, err = _outcome(capsys, ["sum", "--a", "2", "--b", "1", "--n", "4",
+                                       "--both", "-3"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: -3\n")
 
 
 def _benchmark_workloads():
@@ -558,7 +612,7 @@ def test_the_one_pass_gives_the_namespace_argparse_gives():
     for argv in [*golden, *mixed, *_PLAIN_ARGVS]:
         args = cli._parse_plain(tables, argv)
         assert args is not None, argv
-        expected = fresh.parse_args(cli._merge_negative_values(argv))
+        expected = fresh.parse_args(cli._merge_negative_values(tables, argv))
         assert vars(args) == vars(expected), argv
 
 
@@ -641,6 +695,21 @@ def test_bench_self_test_failure_exits_1_with_the_index(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "bench self-test failed at n=3\n")
 
 
+def test_bench_times_each_fast_call_on_a_new_point(capsys, monkeypatch):
+    # a point keeps its last power, so a repeat on one point would time a
+    # lookup in place of the power
+    kept = []
+
+    def spy(params, n):
+        kept.append(dict(params.last_powers))
+        return matrixseq.term_fast(params, n)
+
+    monkeypatch.setattr(cli, "term_fast", spy)
+    code, out, err = run_cli(capsys, "bench", "--ladder", "64", "--repeat", "3")
+    assert (code, err) == (0, "")
+    assert kept == [{}, {}, {}]
+
+
 def test_bench_at_a_rational_pair(capsys):
     code, out, _ = run_cli(capsys, "bench", "--a", "5/7", "--b", "-7/9",
                            "--ladder", "0,1,2,257", "--repeat", "1")
@@ -685,3 +754,73 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "20"
+
+
+# Each option's values, (taken, odd): the odd ones are zero, a zero
+# denominator, a decimal, a negative denominator, hex, an underscore,
+# non-ASCII digits, an empty string, a bare sign and malformed ranges.
+# 40-digit values are taken where a value is a rational, and an index
+# stays small or negative, so no call takes long.
+_RATIONALS = (["2", "1", "-1/2", "5/7", "-3", "+2", "9" * 40, "-1/" + "7" * 40],
+              ["0", "1/0", "1.5", "3/-4", "0x10", "1_0", "٣", "", "-", " 2", "1e3"])
+_INDICES = (["0", "1", "5", "12", "-1"],
+            ["-2", "1_0", "0x10", "1.5", "3/-4", "١٢", "", "-", "+3", "-" + "9" * 40])
+_VALUES = {
+    "--kind": (["jhat", "jlucas", "fibonacci", "lucas"], ["nope", ""]),
+    "--method": (["all", "fast", "binet", "closed", "recurrence"], ["nope"]),
+    "--a": _RATIONALS, "--b": _RATIONALS, "--x": _RATIONALS,
+    "--n": _INDICES, "--count": _INDICES,
+    "--suite": (["DET", "CASSINI", "SUM_T5", "all"], ["NOPE", "", "det"]),
+    "--n-max": (["4", "8"], ["0", "1", "-3", "", "x", "1_0"]),
+    "--ladder": (["0,1,4", "16"], ["-4", "", "1,,2", "8,x", "1_0", "٣"]),
+    "--repeat": (["1", "2"], ["0", "-1", "", "1.5"]),
+    "--bogus": (["1"], []),
+}
+_GRIDS = (["1..2", "-2..-1", "2,1/2", "-1/2", "9" * 40],
+          ["3..-3", "0..0", "1..", "..2", "a..b", "1..2..3", "0", "1/0", "", "1.5", "١..2"])
+_VERIFY_VALUES = dict(_VALUES, **{"--a": _GRIDS, "--b": _GRIDS, "--x": (
+    ["1", "2,1/2", "-2/3"], ["0", "1/0", "", ",", "1.5"])})
+_OPTIONS = {
+    "term": ["--kind", "--a", "--b", "--n"],
+    "matrix": ["--a", "--b", "--n", "--method"],
+    "series": ["--a", "--b", "--count"],
+    "sum": ["--a", "--b", "--n", "--x"],
+    "verify": ["--suite", "--a", "--b", "--n-max", "--x"],
+    "bench": ["--a", "--b", "--ladder", "--repeat"],
+}
+
+
+def _odd_argv(rng: random.Random) -> list[str]:
+    """A seeded call of one subcommand: each option's value taken or odd,
+    now and then an option left out (never `--ladder` or `--n-max`, whose
+    defaults run long) or an unknown one added, and each option as one
+    token or two."""
+    command = rng.choice(list(_OPTIONS))
+    values = _VERIFY_VALUES if command == "verify" else _VALUES
+    options = list(_OPTIONS[command])
+    if rng.random() < 0.2:
+        options.remove(rng.choice([o for o in options if o not in ("--ladder", "--n-max")]))
+    if rng.random() < 0.1:
+        options.append("--bogus")
+    argv = [command]
+    for option in options:
+        taken, odd = values[option]
+        value = rng.choice(taken if rng.random() < 0.75 or not odd else odd)
+        argv += [f"{option}={value}"] if rng.random() < 0.5 else [option, value]
+    if command != "bench" and rng.random() < 0.3:
+        argv += ["--format", rng.choice(["plain", "json", "csv", "xml"])]
+    if command == "sum" and rng.random() < 0.5:
+        argv.append("--both")
+    return argv
+
+
+def test_odd_inputs_exit_0_1_or_2_and_each_refusal_says_why(capsys):
+    rng = random.Random(4101)
+    codes = []
+    for _ in range(300):
+        argv = _odd_argv(rng)
+        code, out, err = _outcome(capsys, argv)
+        assert code in (0, 1, 2), argv
+        assert code != 2 or err.strip(), argv
+        codes.append(code)
+    assert codes.count(0) > 30 and codes.count(2) > 30
