@@ -37,7 +37,7 @@ from .genfunc import build_ogf, series_coeffs
 from .matrixseq import term_fast, term_naive
 from .report import (CSV_HEADER, WEIGHTED_SUM_T6, IdentityReport, csv_fields,
                      json_value)
-from .scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
+from .scalar import BiParams, SeqKind, point, scalar_term, scalar_term_fast
 from .verifier import (
     GridSpec,
     expected_failure,
@@ -56,6 +56,8 @@ METHODS = verifier.ROUTES  # the same dict: one route set for the CLI and verifi
 
 DEFAULT_BENCH_LADDER = (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 17)
 
+MAX_GRID_RANGE = 1000  # the most integers a `verify` range 'lo..hi' may span
+
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -68,7 +70,10 @@ def _integer(text: str) -> int:
 
 
 def parse_grid_values(text: str) -> tuple[Fraction, ...]:
-    """Parse 'lo..hi' (integers, zeros auto-excluded) or 'r1,r2,...'."""
+    """Parse 'lo..hi' (integers, zeros auto-excluded) or 'r1,r2,...'.
+
+    A range of more than `MAX_GRID_RANGE` integers is refused before any
+    value is built, so a huge range exits 2 at once instead of hanging."""
     if ".." in text:
         bounds = text.split("..", 1)
         try:
@@ -77,6 +82,8 @@ def parse_grid_values(text: str) -> tuple[Fraction, ...]:
             raise ValueError(f"not an integer range: {text!r}") from None
         if lo > hi:
             raise ValueError(f"empty range {text!r}")
+        if hi - lo >= MAX_GRID_RANGE:
+            raise ValueError(f"range {text!r} has more than {MAX_GRID_RANGE} values")
         values = tuple(Fraction(v) for v in range(lo, hi + 1) if v != 0)
         if not values:
             raise ValueError(f"range {text!r} contains only zero")
@@ -104,7 +111,10 @@ def _emit(fmt: str, as_json, header: str, rows, plain) -> None:
 
 
 def _params(args: argparse.Namespace) -> BiParams:
-    return BiParams(parse_rational(args.a), parse_rational(args.b))
+    """The call's point, from the table of points (`scalar.point`), so a
+    call at a pair an earlier call used reads that point's constants and
+    kept powers."""
+    return point(parse_rational(args.a), parse_rational(args.b))
 
 
 def cmd_term(args: argparse.Namespace) -> int:
@@ -245,7 +255,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return MISMATCH
-    _emit("csv", None, "method,n,wall_ms,term_bits",
+    _emit("csv", None, "method,n,cpu_ms,term_bits",
           [(method, n, f"{seconds * 1000:.3f}", bits)
            for method, n, seconds, bits in rows], None)
     return OK

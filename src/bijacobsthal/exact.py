@@ -269,12 +269,8 @@ class Mat2:
     def __add__(self, other: Mat2) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.e11 + other.e11,
-            self.e12 + other.e12,
-            self.e21 + other.e21,
-            self.e22 + other.e22,
-        )
+        return Mat2(self.e11 + other.e11, self.e12 + other.e12,
+                    self.e21 + other.e21, self.e22 + other.e22)
 
     def __sub__(self, other: Mat2) -> Mat2:
         if not isinstance(other, Mat2):

@@ -33,6 +33,14 @@ read returns the same `Fraction` the rational recurrence gives, without
 a `Fraction` operation, and its gcd, per step, and a term that is
 stepped past but never read is never divided.
 
+A pair's derived state (ab, the two-step bases, the Binet constants,
+J[1]'s cleared row and the kept log-time powers) lives on its `BiParams`.
+The table of points, `point`, hands out one `BiParams` per pair, by
+value, so every CLI call and `verify` grid point at an equal pair reads
+the state that earlier ones built; the log-time routes compute on
+whatever point they are handed, and the prefix memos stay keyed by
+`(kind, params)`, by value.
+
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
 classical Jacobsthal-Lucas numbers 2, 1, 5, 7, 17, 31, ...
@@ -69,6 +77,11 @@ class BiParams:
     numerators and the denominators: CPython hashes -1 as it hashes -2,
     so hashing a and b themselves put (-1, b) and (-2, b) in one bucket,
     and a doubled numerator is even, never -1.
+
+    Equal pairs compare equal and hash alike, but each object builds its
+    derived values for itself.  `point` hands out one object per pair
+    (the CLI's and the grid's), so those are built once per pair while it
+    stays in the table; a `BiParams` made directly starts with none.
     """
 
     a: Fraction
@@ -350,10 +363,34 @@ class _PrefixMemo:
 
 _memo = _PrefixMemo(lambda key: key[0].initial_terms(key[1]))
 
+MAX_POINTS = 128
+_points: dict = {}
+_points_lock = threading.Lock()
+
+
+def point(a: Fraction, b: Fraction) -> BiParams:
+    """The table's one `BiParams` for the pair (a, b), `Fraction`s or ints,
+    made on the first call with an equal pair; the CLI and `run_grid` take
+    their points here, so equal pairs share one object, with its derived
+    constants and kept powers, and memo keys compare by identity.  The
+    table is keyed on the four ints of a and b, which hash in C, and keeps
+    at most `MAX_POINTS` points, evicting the least recently used first.
+    One lock guards it, so threads asking for one pair get one object.
+    """
+    key = a.numerator, a.denominator, b.numerator, b.denominator
+    with _points_lock:
+        params = _points[key] = _points.pop(key, None) or BiParams(a, b)
+        if len(_points) > MAX_POINTS:
+            del _points[next(iter(_points))]
+        return params
+
 
 def clear_caches() -> None:
-    """Drop all memoized sequence prefixes (the tests start cold with it)."""
+    """Drop all memoized sequence prefixes and the table of points (the
+    tests start cold with it)."""
     _memo.clear()
+    with _points_lock:
+        _points.clear()
 
 
 def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:

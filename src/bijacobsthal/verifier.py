@@ -103,7 +103,7 @@ from .report import (
     first_mismatch,
     skipped,
 )
-from .scalar import BiParams, SeqKind, scalar_term, verify_lucas_relations
+from .scalar import BiParams, SeqKind, point, scalar_term, verify_lucas_relations
 
 # route name -> J[n] by that route; `cli.METHODS` is this same dict.
 ROUTES = {
@@ -573,13 +573,14 @@ def run_grid(grid: GridSpec) -> Iterator[IdentityReport]:
     Points run a, then b, then suite, in the grid's sorted order, and
     WEIGHTED_SUM_T6 yields its reports by sorted x.  A suite's name is its
     reports' identity, so the reports come sorted by (a, b, identity, x),
-    a pure function of the GridSpec.
+    a pure function of the GridSpec.  Each point is taken once from the
+    table of points (`scalar.point`), so every suite at it, and a later
+    grid or CLI call at an equal pair, reads one object's constants and
+    kept powers.
     """
-    for a in grid.a_values:
-        for b in grid.b_values:
-            params = BiParams(a, b)
-            for suite in grid.suites:
-                yield from _SUITES[suite](params, grid)
+    for params in (point(a, b) for a in grid.a_values for b in grid.b_values):
+        for suite in grid.suites:
+            yield from _SUITES[suite](params, grid)
 
 
 def expected_failure(report: IdentityReport) -> bool:

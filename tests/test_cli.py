@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -666,14 +667,14 @@ def test_the_common_forms_never_reach_argparse(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "--suite", "DET", "--a", "1", "--b", "1",
                    "--n-max", "4") == (0, "DET a=1 b=1 n_max=4 PASS\n", "")
     code, out, err = run_cli(capsys, "bench", "--ladder", "4", "--repeat", "1")
-    assert (code, out.splitlines()[0], err) == (0, "method,n,wall_ms,term_bits", "")
+    assert (code, out.splitlines()[0], err) == (0, "method,n,cpu_ms,term_bits", "")
 
 
 def test_bench_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "bench", "--ladder", "64,256", "--repeat", "1")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "method,n,wall_ms,term_bits"
+    assert lines[0] == "method,n,cpu_ms,term_bits"
     assert len(lines) == 5
     naive64 = lines[1].split(",")
     fast64 = lines[2].split(",")
@@ -824,3 +825,73 @@ def test_odd_inputs_exit_0_1_or_2_and_each_refusal_says_why(capsys):
         assert code != 2 or err.strip(), argv
         codes.append(code)
     assert codes.count(0) > 30 and codes.count(2) > 30
+
+
+def test_calls_at_equal_pairs_build_the_two_step_base_once(capsys, monkeypatch):
+    # `--a 1/2` and `--a 2/4` name one pair, so the second call reads the
+    # table's point, with the base the first call built on it
+    built = []
+    real = scalar.SeqKind._two_step_base
+    monkeypatch.setattr(scalar.SeqKind, "_two_step_base",
+                        lambda kind, p: built.append(kind) or real(kind, p))
+    scalar.clear_caches()
+    for a, n in (("1/2", "40"), ("2/4", "41"), ("1/2", "7")):
+        code, _, err = run_cli(capsys, "term", "--kind", "jhat", "--a", a, "--b=-3/4",
+                               "--n", n)
+        assert (code, err) == (0, "")
+    assert built == [scalar.SeqKind.BP_JACOBSTHAL]
+    scalar.clear_caches()
+
+
+# Half-indices 20, 20, 20, 19, 3, 4, 1023, 1022, 0, 0: each log-time base
+# is read at its kept exponent, one above it, one below it and far off.
+_SWEEP_ORDER = ("40", "41", "41", "39", "7", "9", "2047", "2045", "0", "1")
+
+
+def _sweep_calls(a: str, b: str, fmt: str):
+    point = ("--a", a, f"--b={b}")
+    for n in _SWEEP_ORDER:
+        at = (*point, "--n", n, "--format", fmt)
+        for kind in ("jhat", "jlucas", "fibonacci", "lucas"):
+            yield ("term", "--kind", kind, *at)
+        for method in ("all", "fast", "binet"):
+            yield ("matrix", *at, "--method", method)
+        yield ("sum", *at)
+        yield ("sum", *at, "--x", "3")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("a, b", [("2", "-3"), ("1/2", "-3/4")])
+def test_a_sweep_on_one_table_point_prints_what_cold_calls_print(capsys, a, b, fmt):
+    # Every call of the sweep reads the point the calls before it left in
+    # the table (its constants and kept powers), with n stepping up,
+    # repeating, going back and jumping; each must print what it prints
+    # on an empty table.
+    calls = list(_sweep_calls(a, b, fmt))
+    scalar.clear_caches()
+    warm = [run_cli(capsys, *argv) for argv in calls]
+    for argv, got in zip(calls, warm):
+        scalar.clear_caches()
+        matrixseq.clear_caches()
+        assert got == run_cli(capsys, *argv), argv
+    refused = [argv for argv, (code, _, _) in zip(calls, warm) if code]
+    assert refused == [argv for argv in calls if argv[0] == "sum" and argv[5] == "0"]
+    scalar.clear_caches()
+
+
+def test_huge_grid_range_is_refused_at_once(capsys):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--a", "1..10000000000000",
+                             "--b", "1")
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == ("error: range '1..10000000000000' has more than "
+                   f"{cli.MAX_GRID_RANGE} values\n")
+    with pytest.raises(ValueError, match="more than 1000 values"):
+        parse_grid_values("-500..500")
+
+
+def test_a_grid_range_at_the_bound_still_parses():
+    assert cli.MAX_GRID_RANGE == 1000  # README's `verify` bullet names it
+    assert parse_grid_values("1..1000") == tuple(F(v) for v in range(1, 1001))
+    assert len(parse_grid_values("-500..499")) == 999  # zero is dropped

@@ -9,6 +9,8 @@ with a plain-Fraction recurrence written here and with `iter_terms`.
 The log-time routes keep their last power on the point, so four threads
 that sweep one point in different orders read and step the same stored
 powers; every value they get is compared with the same references.
+Threads that ask the table of points for one pair, written two ways,
+all get the one object.
 """
 
 import random
@@ -128,3 +130,31 @@ def test_concurrent_sweeps_of_one_point_step_its_powers_correctly():
                     assert jhat == expected[n] == matrices[n].e21, (trial, n)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_acquiring_one_pair_get_one_object():
+    interval = sys.getswitchinterval()
+    try:
+        for trial in range(TRIALS):
+            scalar.clear_caches()
+            barrier = threading.Barrier(8)
+            got: list = []
+
+            def acquire(a, b) -> None:
+                barrier.wait(timeout=10)
+                got.append(scalar.point(a, b))
+
+            # Equal pairs, written four ways.
+            pairs = [(F(5, 7 + trial), F(-3, 11)), (F(10, 14 + 2 * trial), F(-6, 22))] * 4
+            threads = [threading.Thread(target=acquire, args=pair) for pair in pairs]
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            sys.setswitchinterval(interval)
+            assert len(got) == len(pairs) and all(p is got[0] for p in got)
+    finally:
+        sys.setswitchinterval(interval)
+        scalar.clear_caches()

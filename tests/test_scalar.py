@@ -568,3 +568,40 @@ def test_two_step_matches_the_mat2_power_read_out(kind):
             expected = _two_step_by_mat2_power(kind, params, n)
             assert got == expected, (params, n)
             assert [type(x) for x in got] == [type(x) for x in expected], (params, n)
+
+
+def test_the_table_gives_one_point_per_pair_by_value():
+    scalar_mod.clear_caches()
+    p = scalar_mod.point(F(1, 2), F(-3, 4))
+    assert scalar_mod.point(F(2, 4), F(-6, 8)) is p
+    assert p == BiParams(F(1, 2), F(-3, 4))
+    assert scalar_mod.point(1, F(2)) is scalar_mod.point(F(1), 2)
+    assert scalar_mod.point(F(1, 2), F(3, 4)) is not p
+    with pytest.raises(ValueError, match="nonzero"):
+        scalar_mod.point(F(0), F(1))
+    assert len(scalar_mod._points) == 3  # a refused pair is not kept
+    scalar_mod.clear_caches()
+    assert not scalar_mod._points
+    assert scalar_mod.point(F(1, 2), F(-3, 4)) is not p
+
+
+def test_the_table_keeps_its_bound_and_evicts_the_least_recently_used():
+    import gc
+    import weakref
+
+    scalar_mod.clear_caches()
+    bound = scalar_mod.MAX_POINTS
+    points = [scalar_mod.point(F(a), F(1)) for a in range(1, bound + 1)]
+    assert len(scalar_mod._points) == bound
+    assert scalar_mod.point(F(1), F(1)) is points[0]  # now the most recently used
+    evicted = weakref.ref(points[1])
+    del points
+    scalar_mod.point(F(bound + 1), F(1))  # evicts (2, 1), the least recently used
+    assert len(scalar_mod._points) == bound
+    gc.collect()
+    assert evicted() is None
+    assert [key[0] for key in scalar_mod._points] == [*range(3, bound + 1), 1, bound + 1]
+    for a in range(bound + 2, 3 * bound):
+        scalar_mod.point(F(a), F(1))
+        assert len(scalar_mod._points) <= bound
+    scalar_mod.clear_caches()

@@ -297,6 +297,7 @@ def test_closed_sum_forms_raise_the_two_step_matrix_once(monkeypatch, n):
         value = form(params, n)
         assert calls == [("_MatrixPoly", 0), ("_MatrixPoly", (n - 1) // 2)]
         assert value == form(BiParams(F(1, 2), F(-3, 4)), n)
+    scalar_mod.clear_caches()  # the CLI's point is new, with no power kept
     calls.clear()
     main(["sum", "--a", "1/2", "--b=-3/4", "--n", str(n), "--both"])
     assert sorted(calls) == [("_Bordered", n // 2), ("_MatrixPoly", 0),
@@ -999,3 +1000,20 @@ def test_a_cleared_mismatch_the_fraction_side_does_not_confirm_ends_nothing(
     for report in (verify_series_match(_P, 8), verify_sum_t5(_P, 8)):
         assert (report.status, report.first_failure, report.residual) == \
             ("FAIL", 5, _I)
+
+
+def test_run_grid_hands_each_point_out_once(monkeypatch):
+    # one table lookup per (a, b), and every suite at it reads that object
+    asked, seen = [], {}
+    real = verifier_mod.point
+    monkeypatch.setattr(verifier_mod, "point", lambda a, b: asked.append((a, b)) or real(a, b))
+    for suite, check in list(verifier_mod._SUITES.items()):
+        monkeypatch.setitem(verifier_mod._SUITES, suite,
+                            lambda p, grid, check=check: seen.setdefault(
+                                (p.a, p.b), set()).add(id(p)) or check(p, grid))
+    grid = GridSpec((F(1, 2), 2, -1), (3, F(-3, 4)), n_max=6)
+    reports = list(run_grid(grid))
+    assert asked == [(a, b) for a in grid.a_values for b in grid.b_values]
+    assert sorted(seen) == sorted(asked)
+    assert all(len(ids) == 1 for ids in seen.values())
+    assert reports == list(run_grid(grid))
