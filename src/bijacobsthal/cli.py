@@ -160,18 +160,20 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
+    """The direct partial sum; `--both` adds the printed closed form and
+    MATCH or MISMATCH.  A plain call evaluates no closed form, but still
+    refuses where the printed form is undefined (the direct sum runs first,
+    so its own refusals win)."""
     params = _params(args)
     n = _integer(args.n)
-    if args.x is not None:
-        x = parse_rational(args.x)
-        direct = weighted_sum_direct(params, x, n)
-        closed = weighted_sum_printed_form(params, x, n)
-    else:
-        direct = sum_direct(params, n)
-        closed = sum_closed_form(params, n)
+    x = None if args.x is None else parse_rational(args.x)
+    direct = sum_direct(params, n) if x is None else weighted_sum_direct(params, x, n)
     if not args.both:
+        verifier.printed_denominator(params, x)
         _emit(args.format, direct, "e11,e12,e21,e22", [[direct]], [[direct]])
         return OK
+    closed = (sum_closed_form(params, n) if x is None
+              else weighted_sum_printed_form(params, x, n))
     match = direct == closed
     _emit(args.format,
           {"direct": direct, "closed_form": closed, "match": match},

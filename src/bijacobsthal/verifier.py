@@ -285,12 +285,11 @@ def _build_sum_closed(params):
     The n-independent parts are computed here, once: J[1]*(a-1) +
     J[0]*(2b-ab-1), the two coefficients of J[n] and J[n-1] at each
     parity, and the denominator 1 - ab."""
+    den = printed_denominator(params)
     term, selectors = _form_inputs(params)
-    if params.ab == 1:
-        raise ZeroDivisionError("closed form divides by 1 - ab")
     fixed = term(1) * (params.a - 1) + term(0) * (2 * params.b - params.ab - 1)
     scales = [(1 - sel_n, 2 * (1 - sel_n1)) for sel_n, sel_n1 in selectors]
-    return _two_term_form(term, scales, fixed, 1 - params.ab)
+    return _two_term_form(term, scales, fixed, den)
 
 
 def sum_closed_form(params: BiParams, n: int) -> Mat2:
@@ -318,6 +317,20 @@ def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
     return x * x - (params.ab + 4) * x + 4
 
 
+def printed_denominator(params: BiParams, x: Fraction | None = None) -> Fraction:
+    """The denominator of the printed closed sum form: 1 - ab, or
+    x^2 - (ab+4)x + 4 at a weight x.  Where it is 0 the form is undefined
+    and this raises; both builders take their denominator from here, and
+    a plain `sum` call runs only this check of the form."""
+    if x is None:
+        den, pole = 1 - params.ab, "closed form divides by 1 - ab"
+    else:
+        den, pole = _t6_denominator(params, x), "x^2 - (ab+4)x + 4 vanishes at this x"
+    if den == 0:
+        raise ZeroDivisionError(pole)
+    return den
+
+
 def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
     """sum_{k=0}^{n-1} J[k] / x^k in O(log n) integer ring operations;
     x != 0.  The inputs are checked here, and `matrixseq._weighted_sum`
@@ -336,10 +349,8 @@ def _build_weighted_printed(params, x: Fraction):
     n >= 1, built as `_build_sum_closed` is: the x^2 and x parts in J[0]
     and J[1], both parities' coefficients and the denominator once."""
     x = _plain(as_rational(x))  # an integral x stays an int, like cleared terms
+    den = printed_denominator(params, x)
     term, selectors = _form_inputs(params)
-    den = _t6_denominator(params, x)
-    if den == 0:
-        raise ZeroDivisionError("x^2 - (ab+4)x + 4 vanishes at this x")
     j0, j1 = term(0), term(1)
     a, b, ab = params.a, params.b, params.ab
     fixed = (j1 - b * j0) * (x * x) + (-2 * j1 + 3 * b * j0 + a * j1 - j0 - ab * j0) * x

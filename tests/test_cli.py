@@ -246,9 +246,67 @@ def test_sum_fills_no_matrix_memo(capsys):
         assert (code, err) == (exit_code, ""), extra
         assert out
     assert not matrixseq._memo._series
-    # plain `sum` still computes the closed form, so ab = 1 still refuses
+    # a plain `sum` evaluates no closed form, but still refuses at ab = 1,
+    # where the printed form it does not print is undefined
     assert run_cli(capsys, "sum", "--a", "1", "--b", "1", "--n", "5") == (
         2, "", "error: closed form divides by 1 - ab\n")
+
+
+def test_plain_sum_evaluates_no_closed_form(capsys, monkeypatch):
+    """With the closed forms' entry points broken, plain `sum` and
+    `sum --x` print their golden bytes in every format, and `--both`
+    still reaches them."""
+    with open(os.path.join(ROOT, "tests", "golden_cli.json"), encoding="utf-8") as f:
+        golden = {" ".join(case["argv"]): case for case in json.load(f)}
+    reached = []
+
+    def broken(name):
+        def closed_form(*args):
+            reached.append(name)
+            raise AssertionError(f"{name} evaluated for a plain sum")
+        return closed_form
+
+    for module, name in [(cli, "sum_closed_form"), (cli, "weighted_sum_printed_form"),
+                         (verifier, "_build_sum_closed"),
+                         (verifier, "_build_weighted_printed")]:
+        monkeypatch.setattr(module, name, broken(name))
+    for extra in [(), ("--x", "1/2")]:
+        for fmt in ("plain", "json", "csv"):
+            argv = ["sum", "--a", "2", "--b", "3", "--n", "6", *extra, "--format", fmt]
+            case = golden[" ".join(argv)]
+            assert run_cli(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])
+    assert reached == []
+    for extra, name in [((), "sum_closed_form"), (("--x", "1/2"), "weighted_sum_printed_form")]:
+        with pytest.raises(AssertionError):
+            main(["sum", "--a", "2", "--b", "3", "--n", "6", *extra, "--both"])
+        assert reached.pop() == name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("extra, message", [
+    ((), "closed form divides by 1 - ab"),
+    (("--x", "4"), "x^2 - (ab+4)x + 4 vanishes at this x"),
+])
+def test_plain_sum_refuses_where_the_printed_form_is_undefined(capsys, fmt, extra, message):
+    # The direct sum is defined at these calls; the refusal is the printed
+    # form's pole, kept until the CLI prints what it computes.
+    assert run_cli(capsys, "sum", "--a", "1", "--b", "1", "--n", "5", *extra,
+                   "--format", fmt) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("both", [(), ("--both",)])
+@pytest.mark.parametrize("extra, message", [
+    (("--n", "0"), "partial sums are defined for n >= 1"),
+    (("--n", "0", "--x", "4"), "partial sums are defined for n >= 1"),
+    (("--n", "5", "--x", "0"), "weights divide by powers of x"),
+])
+def test_sum_refuses_for_the_direct_sum_before_the_closed_form(capsys, both, extra,
+                                                               message):
+    # at ab = 1 the closed form is undefined too, but the direct sum's own
+    # refusal is checked first
+    assert run_cli(capsys, "sum", "--a", "1", "--b", "1", *extra, *both) == (
+        2, "", f"error: {message}\n")
 
 
 def _raise(*args, **kwargs):
