@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import platform
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,10 +20,9 @@ def _load_tool():
     return module
 
 
-def test_the_table_counts_each_class_of_the_first_calls(capsys):
+def test_the_table_counts_each_class_of_the_first_calls():
     tool = _load_tool()
-    assert tool.main(["1", "--calls", "40", "--passes", "1"]) == 0
-    table = json.loads(capsys.readouterr().out)
+    table = json.loads(json.dumps(tool.class_shares(1, 40, 1)))
     ops = tool._workloads().mixed_ops(1, tool.RUN_SECONDS)[:40]
     classes = table["classes"]
     assert {cls: row["calls"] for cls, row in classes.items()} == Counter(op[0] for op in ops)
@@ -35,3 +35,13 @@ def test_the_table_counts_each_class_of_the_first_calls(capsys):
     assert sum(row["share"] for row in classes.values()) == pytest.approx(1, abs=0.01)
     # each pass starts cold, so a second pass prints the same bytes
     assert tool.class_shares(1, 40, 2)["outputs_sha256"] == table["outputs_sha256"]
+
+
+def test_main_prints_the_whole_table_for_the_seed_as_one_line(capsys, monkeypatch):
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "class_shares", lambda seed: {"seed": seed})
+    path = list(sys.path)
+    assert tool.main(["7"]) == 0
+    assert tool.main([]) == 0
+    assert capsys.readouterr().out == '{"seed": 7}\n{"seed": 1}\n'
+    assert sys.path == path

@@ -246,10 +246,6 @@ def test_sum_fills_no_matrix_memo(capsys):
         assert (code, err) == (exit_code, ""), extra
         assert out
     assert not matrixseq._memo._series
-    # a plain `sum` evaluates no closed form, but still refuses at ab = 1,
-    # where the printed form it does not print is undefined
-    assert run_cli(capsys, "sum", "--a", "1", "--b", "1", "--n", "5") == (
-        2, "", "error: closed form divides by 1 - ab\n")
 
 
 def test_plain_sum_evaluates_no_closed_form(capsys, monkeypatch):

@@ -1,14 +1,14 @@
 """Replay one mixed_queries op list through `cli.main` in one process and
 print where its CPU time goes, per call class.
 
-    python3 tools/class_shares.py [SEED] [--calls N] [--passes P]
+    python3 tools/class_shares.py [SEED]
 
 The op list is the one `benchmark/workloads.py` builds for a 30-second run
-at SEED (default 1): 1875 calls, or the first N of them with `--calls`.
-That file is loaded by path and only read.  Each pass clears the memos and
-the table of points, then makes every call in order with its stdout and
-stderr captured, and times each call in CPU time (`time.process_time`).
-A call's time is its least over the P passes (default 3).
+at SEED (default 1): 1875 calls.  That file is loaded by path and only
+read.  Each pass clears the memos and the table of points, then makes
+every call in order with its stdout and stderr captured, and times each
+call in CPU time (`time.process_time`).  A call's time is its least over
+the passes (PASSES).
 
 Prints one JSON line: the seed, the core count, the Python version, the
 calls, their total CPU ms, the SHA-256 of every call's (exit, stdout,
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = 30.0  # the length of the benchmark run whose op list is replayed
+PASSES = 5
 
 
 def _workloads():
@@ -60,8 +61,9 @@ def _call(main, argv) -> tuple[float, tuple]:
     return seconds, (code, out.getvalue(), err.getvalue())
 
 
-def class_shares(seed: int, calls: int | None = None, passes: int = 3) -> dict:
-    """The table that `main` prints, as a dict."""
+def class_shares(seed: int, calls: int | None = None, passes: int = PASSES) -> dict:
+    """The table that `main` prints, as a dict, over the first `calls`
+    calls of the op list (all of them by default)."""
     from bijacobsthal import cli, matrixseq, scalar
 
     ops = _workloads().mixed_ops(seed, RUN_SECONDS)[:calls]
@@ -94,15 +96,11 @@ def class_shares(seed: int, calls: int | None = None, passes: int = 3) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seed", nargs="?", type=int, default=1)
-    parser.add_argument("--calls", type=int, default=None)
-    parser.add_argument("--passes", type=int, default=3)
     args = parser.parse_args(argv)
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
-    sys.path.insert(0, str(ROOT / "src"))
-    print(json.dumps(class_shares(args.seed, args.calls, args.passes)))
+    print(json.dumps(class_shares(args.seed)))
     return 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main(sys.argv[1:]))
