@@ -98,16 +98,18 @@ def _emit(fmt: str, as_json, header: str, rows, plain) -> None:
     """Print one result in `fmt`, rendering only that format: `as_json` by
     `json.dumps` with `json_value`, or `header` and then each row's values
     spread into `csv_fields`, or each `plain` line's values through
-    `format_rational`, space-separated."""
+    `format_rational`, space-separated.  The whole result is rendered
+    before anything is written, so a value that cannot be rendered (an int
+    past the interpreter's digit limit for str) leaves stdout empty."""
     if fmt == "json":
-        print(json.dumps(as_json, default=json_value))
+        lines = [json.dumps(as_json, default=json_value)]
     elif fmt == "csv":
-        print(header)
-        for row in rows:
-            print(",".join(cell for value in row for cell in csv_fields(value)))
+        lines = [header, *(",".join(cell for value in row for cell in csv_fields(value))
+                           for row in rows)]
     else:
-        for line in plain:
-            print(*map(format_rational, line))
+        lines = [" ".join(map(format_rational, line)) for line in plain]
+    for line in lines:
+        print(line)
 
 
 def _params(args: argparse.Namespace) -> BiParams:

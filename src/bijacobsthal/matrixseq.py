@@ -69,7 +69,7 @@ the public direct sums of `verifier`, raises the same integer two-step
 matrix bordered by an accumulator column, and ends in `_over_power` too.
 
 No route here states the step rule.  J is the jhat recurrence, so the
-recurrence memo, `iter_terms` and the walk step with `scalar._step` on
+recurrence memo, `iter_terms` and the walk step with `scalar._steps` on
 the (even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
 table in `scalar` (the memo and the walk on the integer rule that
 `SeqKind._integer_rule` derives from it, the one place the sequence is
@@ -89,12 +89,12 @@ clear.  It lives here because `genfunc` cannot import from `verifier`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from math import lcm
 from typing import Callable, Iterator
 
 from .exact import Mat2, QuadNum, _Bordered, _divide, _plain, parity
-from .scalar import (BiParams, SeqKind, _PrefixMemo, _step, _stepped_power, _two_step,
+from .scalar import (BiParams, SeqKind, _PrefixMemo, _steps, _stepped_power, _two_step,
                      scalar_term)
 
 
@@ -125,11 +125,11 @@ def iter_terms(params: BiParams) -> Iterator[Mat2]:
 
 
 def _walk(rule: tuple, prev, cur) -> Iterator:
-    """Yield prev, cur and every later term of `rule`'s recurrence."""
+    """Yield prev, cur and every later term of `rule`'s recurrence, by
+    `scalar._steps`, each stepped only when it is read."""
     yield prev
-    for n in count(2):
-        yield cur
-        prev, cur = cur, _step(rule, n, prev, cur)
+    yield cur
+    yield from _steps(rule, 2, prev, cur)
 
 
 def _cleared_walk(params: BiParams) -> tuple[Iterator[tuple[int, int]],

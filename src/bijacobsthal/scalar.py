@@ -12,10 +12,13 @@ classic foot-gun, so each kind's rule is stated once, in the member table
 of `SeqKind`: the parameter on the even step (the other one takes the odd
 step), the lag coefficient, and the start terms t0 and t1.  The table is
 unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
-series, and `_step` is the one forward step: both prefix memos (scalar
-terms here, matrix terms in `matrixseq`) and `matrixseq._walk` call it;
-the walk is behind `iter_terms` and `matrixseq._cleared_walk`, which the
-verifier's cleared terms and `bench`'s naive route read.
+series, and `_steps` is the one forward stepper: it yields the terms
+that follow two given ones, two indices per loop turn, each only when it
+is asked for.  Both prefix memos (scalar terms here, matrix terms in
+`matrixseq`) keep one run of it per lane and extend the lane from it,
+and `matrixseq._walk` reads it term by term; the walk is behind
+`iter_terms` and `matrixseq._cleared_walk`, which the verifier's cleared
+terms and `bench`'s naive route read.
 `_two_step` raises the integer two-step matrix that
 `SeqKind._two_step_matrix` builds from the same (even, odd, lag), in the
 ring it spans with I.
@@ -58,7 +61,9 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
+from typing import Iterator
 
 from .exact import Mat2, _DoubledQuadNum, _MatrixPoly, _divide, _plain, as_rational, div_power
 from .report import IdentityReport, LUCAS_RELATIONS, first_mismatch
@@ -174,7 +179,7 @@ class SeqKind(enum.Enum):
 
     def rule(self, params: BiParams) -> tuple[Fraction, Fraction, int]:
         """(even, odd, lag): the multipliers at even and odd indices and the
-        coefficient of t[n-2], the form `_step` reads."""
+        coefficient of t[n-2], the form `_steps` reads."""
         a, b = params.a, params.b
         return (a, b, self._lag) if self._even == "a" else (b, a, self._lag)
 
@@ -222,7 +227,7 @@ class SeqKind(enum.Enum):
             w[2j]*t[2j]     = (pe/g_e)*w[2j-1]*t[2j-1] + lag*M*w[2j-2]*t[2j-2]
             w[2j+1]*t[2j+1] = (po/g_o)*w[2j]*t[2j]     + lag*M*w[2j-1]*t[2j-1],
 
-        so the rule is (pe/g_e, po/g_o, lag*M), which `_step` reads as it
+        so the rule is (pe/g_e, po/g_o, lag*M), which `_steps` reads as it
         reads `rule`.  The weights grow by M every two steps, not by the
         qe*qo that clearing each multiplier's own denominator would take.
         It has two readers: the prefix memo's `_Series`, and
@@ -239,10 +244,21 @@ class SeqKind(enum.Enum):
         return rule, (g_odd, odd.denominator), den
 
 
-def _step(rule: tuple, n: int, prev, cur):
-    """t[n] from t[n-2] = prev and t[n-1] = cur (scalars or `Mat2`s), by a
-    `SeqKind.rule`; the one place a multiplier is chosen by parity."""
-    return rule[n & 1] * cur + rule[2] * prev
+def _steps(rule: tuple, k: int, prev, cur) -> Iterator:
+    """Yield t[k], t[k+1], ... from t[k-2] = prev and t[k-1] = cur
+    (scalars or `Mat2`s), by a `SeqKind.rule`; the one place a multiplier
+    is chosen by parity.  The rule is read once, and each loop turn takes
+    two indices, the first on k's multiplier and the second on the other,
+    with the last two terms held in locals.  A term is computed only when
+    it is asked for, so a reader steps only as far as it reads."""
+    even, odd, lag = rule
+    first, second = (odd, even) if k & 1 else (even, odd)
+    while True:
+        # (prev, cur) moves on by two indices, each taking the next term
+        prev = first * cur + lag * prev
+        yield prev
+        cur = second * prev + lag * cur
+        yield cur
 
 
 class _Series:
@@ -251,8 +267,10 @@ class _Series:
 
     A scalar series has one lane and a `Mat2` series four, one per entry:
     scaling and adding act entry by entry, so each entry follows the
-    scalar rule by itself.  The lanes are stepped with `_step` on
-    entries, index by index, and no `Mat2` is built per step.
+    scalar rule by itself.  Each lane keeps a `_steps` run on its
+    entries, started at its first extension and kept at the lane's end,
+    and an extension takes the new entries off each lane's run in turn,
+    so a short one costs no new run and no `Mat2` is built per step.
     At a `BiParams` point lane j holds s[i] = c*w[i]*t[i] (entry j) on
     plain ints, stepped by `SeqKind._integer_rule`, with c the least
     integer that clears w[0]*t[0] and w[1]*t[1].  `terms` is the read
@@ -263,11 +281,11 @@ class _Series:
     there, so a second read is one list index and returns the same
     object.  A term that is never read is never divided.  At a point over
     any other ring (a symbolic one) the lanes step t itself by
-    `SeqKind.rule` in the same loop, and a read builds the term with no
-    division.
+    `SeqKind.rule`, through the same runs, and a read builds the term
+    with no division.
     """
 
-    __slots__ = ("rule", "terms", "lanes", "scales", "base")
+    __slots__ = ("rule", "terms", "lanes", "scales", "base", "runs")
 
     def __init__(self, kind: SeqKind, params, t0, t1) -> None:
         starts = [t.entries() if isinstance(t, Mat2) else (t,) for t in (t0, t1)]
@@ -281,31 +299,35 @@ class _Series:
             starts = [[(c * e).numerator for e in t] for t in starts]
         self.lanes = [list(lane) for lane in zip(*starts)]
         self.terms = [None, None]
+        self.runs = None
 
     def term(self, n: int):
         terms, lanes = self.terms, self.lanes
-        if len(terms) <= n:
-            # Every lane's entry of index k is computed before any lane takes
-            # it, so a step that raises leaves the lanes as long as `terms`.
-            # The loop is written out for the two widths, one lane and four.
-            step, rule = _step, self.rule
-            if len(lanes) == 1:
-                (lane,) = lanes
-                for k in range(len(terms), n + 1):
-                    lane.append(step(rule, k, lane[-2], lane[-1]))
-                    terms.append(None)
+        k = len(terms)
+        if k <= n:
+            # Every lane's new entries are taken before any lane appends its
+            # own.  A step that raises leaves the lanes and `terms` as they
+            # were and drops the runs (that one is over, the others have
+            # moved on), so the next extension starts new ones.
+            runs = self.runs or [_steps(self.rule, k, lane[-2], lane[-1]) for lane in lanes]
+            count = n + 1 - k
+            try:
+                # A sweep's next index, the most frequent extension, takes
+                # one term off each run, with no list built per lane.
+                new = (list(map(next, runs)) if count == 1
+                       else [list(islice(run, count)) for run in runs])
+            except BaseException:
+                self.runs = None
+                raise
+            self.runs = runs
+            if count == 1:
+                for lane, entry in zip(lanes, new):
+                    lane.append(entry)
+                terms.append(None)
             else:
-                e11, e12, e21, e22 = lanes
-                for k in range(len(terms), n + 1):
-                    s11 = step(rule, k, e11[-2], e11[-1])
-                    s12 = step(rule, k, e12[-2], e12[-1])
-                    s21 = step(rule, k, e21[-2], e21[-1])
-                    s22 = step(rule, k, e22[-2], e22[-1])
-                    e11.append(s11)
-                    e12.append(s12)
-                    e21.append(s21)
-                    e22.append(s22)
-                    terms.append(None)
+                for lane, run in zip(lanes, new):
+                    lane += run
+                terms += [None] * count
         value = terms[n]
         if value is not None:
             return value
@@ -328,13 +350,13 @@ class _PrefixMemo:
 
     `start(key)` gives the first two terms of a series; its integer rule
     (or, over another ring, its rule) is resolved once, when the series is
-    created, and `_step` extends each lane.  Every lane's entry of a term
-    is computed before any lane appends it, so a step that raises at
-    index k, in any lane, leaves every lane and the read cache holding
-    exactly t[0..k-1], and the next call resumes from there.  A term's
-    division on its first read is stored only once it has succeeded, so a
-    division that raises leaves the term unread, to divide on the next
-    read.  One lock is held across lookup,
+    created, and each lane is extended from its own `_steps` run.  Every
+    lane's new entries are taken before any lane appends its own, so a
+    step that raises, in any lane, leaves every lane and the read cache
+    as they were before the call and drops the runs; the next call starts
+    new runs from there.  A term's division on its first read is stored
+    only once it has succeeded, so a division that raises leaves the term
+    unread, to divide on the next read.  One lock is held across lookup,
     eviction, extension and that division, so threads sharing a series
     never append the same index twice or divide one term twice.  At most
     `max_keys` series are kept; the oldest-inserted one is evicted first.

@@ -207,6 +207,30 @@ def test_series_output(capsys):
     assert lines[3] == "2,4,2,2,2"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this Python")
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("argv, size", [
+    (["series", "--a", "1", "--b", "1", "--count"], 2200),
+    (["matrix", "--a", "1", "--b", "1", "--method", "fast", "--n"], 2200),
+], ids=["series", "matrix"])
+def test_a_result_past_the_digit_limit_prints_nothing(capsys, argv, size, fmt):
+    # Under a 640-digit limit the last term has over 660 digits, so the call
+    # exits 2 with nothing on stdout, though every earlier line renders; a
+    # result under the limit prints in full.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        refused = run_cli(capsys, *argv, str(size), "--format", fmt)
+        printed = run_cli(capsys, *argv, str(size // 2), "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refused[:2] == (2, "") and "error: Exceeds the limit" in refused[2]
+    assert printed[0] == 0 and printed[1].endswith("\n")
+    if argv[0] == "series" and fmt != "json":
+        assert len(printed[1].splitlines()) == size // 2 + (fmt == "csv")
+
+
 def test_sum_weighted_mismatch(capsys):
     code, out, _ = run_cli(capsys, "sum", "--a", "2", "--b", "1", "--x", "2",
                            "--n", "2", "--both")

@@ -598,21 +598,23 @@ def test_bench_naive_route_is_the_fraction_recurrence(a, b):
 
 
 def _count_steps(monkeypatch):
-    """Record the index of every `_step` call the cleared walk makes."""
+    """Record the index of every step the cleared walk takes, as its
+    `_steps` run hands the term out."""
     calls = []
-    step = matrixseq_mod._step
+    steps = matrixseq_mod._steps
 
-    def counting_step(*args):
-        calls.append(args[1])
-        return step(*args)
+    def counting_steps(rule, start, prev, cur):
+        for n, term in enumerate(steps(rule, start, prev, cur), start):
+            calls.append(n)
+            yield term
 
-    monkeypatch.setattr(matrixseq_mod, "_step", counting_step)
+    monkeypatch.setattr(matrixseq_mod, "_steps", counting_steps)
     return calls
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
 def test_bench_naive_route_steps_only_through_the_step_rule(monkeypatch, a, b):
-    # Two integer sequences, u and v, take one `_step` each per index k >= 2.
+    # Two integer sequences, u and v, take one step each per index k >= 2.
     calls = _count_steps(monkeypatch)
     params = BiParams(a, b)
     for n, expected in enumerate(islice(iter_terms(params), 40)):
@@ -632,7 +634,7 @@ def test_bench_naive_route_refuses_negative_indices(monkeypatch, n):
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
 def test_cleared_terms_step_only_as_far_as_they_are_read(monkeypatch, a, b):
-    # Term k of a fresh point takes one `_step` of U and one of V per index
+    # Term k of a fresh point takes one step of U and one of V per index
     # 2..k, and a term already read takes none.
     calls = _count_steps(monkeypatch)
     params = BiParams(a, b)

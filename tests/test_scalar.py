@@ -192,20 +192,23 @@ MEMO_ROUTES = pytest.mark.parametrize("memo, route, fast, key", [
 
 @MEMO_ROUTES
 def test_memo_survives_a_failing_step(monkeypatch, memo, route, fast, key):
-    # A step that raises once at index k leaves the memo holding exactly
-    # t[0..k-1]; the next call resumes there and returns the right value.
+    # The memo holds t[0..k-1]; a run of steps that raises once, at index k,
+    # leaves it holding exactly that, and the next call resumes there and
+    # returns the right value.
     p, k = BiParams(F(5, 7), F(-3, 4)), 9
     memo.clear()
-    step = scalar_mod._step
+    steps = scalar_mod._steps
     failed = []
 
-    def failing_step(rule, n, prev, cur):
-        if n == k and not failed:
-            failed.append(n)
-            raise _StepFails
-        return step(rule, n, prev, cur)
+    def failing_steps(rule, start, prev, cur):
+        for n, term in enumerate(steps(rule, start, prev, cur), start):
+            if n == k and not failed:
+                failed.append(n)
+                raise _StepFails
+            yield term
 
-    monkeypatch.setattr(scalar_mod, "_step", failing_step)
+    monkeypatch.setattr(scalar_mod, "_steps", failing_steps)
+    route(p, k - 1)
     with pytest.raises(_StepFails):
         route(p, 20)
     series = memo._series[(key, p)]
@@ -248,30 +251,91 @@ def test_memo_survives_a_failing_division(monkeypatch, memo, route, fast, key):
 
 
 def test_matrix_memo_survives_a_step_failing_in_a_later_lane(monkeypatch):
-    # The matrix series steps one lane per entry, index by index.  The third
-    # `_step` call at index k, in the third lane, raises: every lane and the
-    # read cache still hold exactly t[0..k-1], and the next read resumes.
+    # The matrix series steps one lane per entry, lane by lane, each lane
+    # from its own `_steps` run.  From t[0..k-1], the third step at index
+    # k, in the third lane, raises: every lane and the read cache still
+    # hold exactly t[0..k-1], the runs are dropped, and the next read
+    # starts new ones there.
     p, k = BiParams(F(5, 7), F(-3, 4)), 9
     memo = matrixseq_mod._memo
     memo.clear()
-    step, calls = scalar_mod._step, []
+    steps, calls = scalar_mod._steps, []
 
-    def failing_step(rule, n, prev, cur):
-        if n == k:
-            calls.append(n)
-            if len(calls) == 3:
-                raise _StepFails
-        return step(rule, n, prev, cur)
+    def failing_steps(rule, start, prev, cur):
+        for n, term in enumerate(steps(rule, start, prev, cur), start):
+            if n == k:
+                calls.append(n)
+                if len(calls) == 3:
+                    raise _StepFails
+            yield term
 
-    monkeypatch.setattr(scalar_mod, "_step", failing_step)
+    monkeypatch.setattr(scalar_mod, "_steps", failing_steps)
+    term_recurrence(p, k - 1)
     with pytest.raises(_StepFails):
         term_recurrence(p, 20)
     series = memo._series[(JHAT, p)]
-    assert len(series.terms) == k
+    assert len(series.terms) == k and series.runs is None
     assert [len(lane) for lane in series.lanes] == [k] * 4
     assert [series.term(n) for n in range(k)] == [term_fast(p, n) for n in range(k)]
     assert term_recurrence(p, 20) == term_fast(p, 20)
     assert [len(lane) for lane in series.lanes] == [21] * 4
+    memo.clear()
+
+
+def _single_steps(rule, start, prev, cur, count):
+    """t[start..start+count-1], one index at a time, by the parity rule
+    stated here: the even multiplier at even indices."""
+    run = []
+    for n in range(start, start + count):
+        prev, cur = cur, (rule[1] if n & 1 else rule[0]) * cur + rule[2] * prev
+        run.append(cur)
+    return run
+
+
+@pytest.mark.parametrize("ring", ["int", "fraction", "sympy"])
+def test_steps_equal_single_steps(ring):
+    # The first terms of a `_steps` run equal the rule stepped one index at
+    # a time, from either parity of its first index, for runs of no step,
+    # one, two, an odd and an even number, over ints, Fractions and sympy
+    # symbols.
+    same = lambda x, y: type(x) is type(y) and x == y
+    if ring == "sympy":
+        sp = pytest.importorskip("sympy")
+        even, odd, prev, cur = sp.symbols("e o p q")
+        rule, same = (even, odd, 2), lambda x, y: sp.expand(x - y) == 0
+    elif ring == "fraction":
+        rule, prev, cur = (F(5, 7), F(-7, 9), 2), F(1, 3), F(-2, 5)
+    else:
+        rule, prev, cur = (3, -2, 4), 5, -7
+    for start in (2, 3, 10, 11):
+        for count in (0, 1, 2, 7, 8):
+            got = list(islice(scalar_mod._steps(rule, start, prev, cur), count))
+            want = _single_steps(rule, start, prev, cur, count)
+            assert len(got) == count, (start, count)
+            assert all(same(g, w) for g, w in zip(got, want)), (start, count)
+
+
+@pytest.mark.parametrize("params", [BiParams(1, 1), BiParams(F(5, 7), F(-7, 9))], ids=str)
+def test_matrix_memo_grows_by_odd_and_even_runs(monkeypatch, params):
+    # Reads that take the series from an even length or an odd one, by a
+    # run of one, two, three or four steps, keep every term equal to the
+    # log-time route's, and the four lanes as long as the read cache.
+    # Each lane keeps the one `_steps` run it started with.
+    memo, steps, started = matrixseq_mod._memo, scalar_mod._steps, []
+
+    def counting_steps(*args):
+        started.append(args[1])
+        return steps(*args)
+
+    monkeypatch.setattr(scalar_mod, "_steps", counting_steps)
+    memo.clear()
+    for n in (2, 5, 6, 9, 12, 13, 14, 17, 21, 22, 24):
+        assert term_recurrence(params, n) == term_fast(params, n), n
+        series = memo._series[(JHAT, params)]
+        assert [len(lane) for lane in series.lanes] == [n + 1] * 4
+        assert [series.term(i) for i in range(n + 1)] == [
+            term_fast(params, i) for i in range(n + 1)], n
+    assert started == [2] * 4
     memo.clear()
 
 
@@ -284,10 +348,10 @@ def test_memo_reads_below_its_length_without_stepping(monkeypatch, memo, route, 
     memo.clear()
     route(p, 40)
 
-    def no_step(*args):
+    def no_steps(*args):
         raise AssertionError("a read below the stepped length stepped a lane")
 
-    monkeypatch.setattr(scalar_mod, "_step", no_step)
+    monkeypatch.setattr(scalar_mod, "_steps", no_steps)
     series = memo._series[(key, p)]
     assert series.terms[17] is None
     value = route(p, 17)
@@ -377,16 +441,18 @@ def test_integer_rule_clears_each_term_by_its_weight(params):
 def test_memos_step_on_integers_and_return_lowest_fractions(monkeypatch, params):
     # Every kind and the matrix memo equal a plain-Fraction recurrence at
     # n = 0..600 and 2001, every value a Fraction in lowest terms, and at a
-    # BiParams key `_step` sees only ints: the matrix memo steps one lane
-    # per entry, so no Mat2 reaches it.
-    step, steps = scalar_mod._step, []
+    # BiParams key `_steps` sees and makes only ints: the matrix memo steps
+    # one lane per entry, so no Mat2 reaches it.
+    run_steps, steps = scalar_mod._steps, []
 
-    def int_step(rule, n, prev, cur):
-        assert all(type(x) is int for x in (*rule, prev, cur)), (rule, n)
-        steps.append(n)
-        return step(rule, n, prev, cur)
+    def int_steps(rule, start, prev, cur):
+        assert all(type(x) is int for x in (*rule, prev, cur)), (rule, start)
+        for n, term in enumerate(run_steps(rule, start, prev, cur), start):
+            assert type(term) is int, (rule, n)
+            steps.append(n)
+            yield term
 
-    monkeypatch.setattr(scalar_mod, "_step", int_step)
+    monkeypatch.setattr(scalar_mod, "_steps", int_steps)
     scalar_mod.clear_caches()
     matrixseq_mod.clear_caches()
     indices = [*range(601), 2001]

@@ -11,9 +11,12 @@ call in CPU time (`time.process_time`).  A call's time is its least over
 the passes (PASSES).
 
 Prints one JSON line: the seed, the core count, the Python version, the
-calls, their total CPU ms, the SHA-256 of every call's (exit, stdout,
-stderr) in order, and per class, costliest first, the calls, the calls
-that exit 2, the CPU ms, the share of the total and the median call's ms.
+calls, their total CPU ms, the 99th percentile of a call's ms
+(`statistics.quantiles`, inclusive; the benchmark's `op_p99_ms` is a
+Harrell-Davis estimate over wall time, so the two differ), the SHA-256 of
+every call's (exit, stdout, stderr) in order, and per class, costliest
+first, the calls, the calls that exit 2, the CPU ms, the share of the
+total and the median and the slowest call's ms.
 A class is the op list's first field, so the benchmark's `defect_sum_*`
 calls count as `sum_plain` and `sum_x`, and `defect_matrix_digits` as
 `matrix_fast`.
@@ -86,9 +89,13 @@ def class_shares(seed: int, calls: int | None = None, passes: int = PASSES) -> d
         classes[cls] = {"calls": len(row), "exit_2": sum(code == 2 for _, code in row),
                         "cpu_ms": round(spent * 1000, 3),
                         "share": round(spent / total, 4) if total else 0.0,
-                        "median_ms": round(statistics.median(s for s, _ in row) * 1000, 4)}
+                        "median_ms": round(statistics.median(s for s, _ in row) * 1000, 4),
+                        "max_ms": round(max(s for s, _ in row) * 1000, 4)}
+    # quantiles needs two calls; the one call of a one-call list is its own p99
+    p99 = statistics.quantiles(best, n=100, method="inclusive")[98] if best[1:] else max(best)
     return {"seed": seed, "cores": os.cpu_count(), "python": platform.python_version(),
             "calls": len(ops), "passes": passes, "cpu_ms": round(total * 1000, 3),
+            "p99_ms": round(p99 * 1000, 4),
             "outputs_sha256": hashlib.sha256(json.dumps(outputs).encode()).hexdigest(),
             "classes": classes}
 
