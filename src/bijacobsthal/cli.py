@@ -345,6 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", default="1",
                          help="timed runs per point; the minimum is kept")
 
+    # A token that starts with '-' and a digit (a negative rational or
+    # grid range) is a value, not an option name, to each subcommand.
+    negative = re.compile(r"-\d|-\d*\.\d+$")
+    for p in sub.choices.values():
+        p._negative_number_matcher = negative
     parser.option_tables = {name: _option_table(p) for name, p in sub.choices.items()}
     return parser
 
@@ -375,9 +380,10 @@ def _parse_plain(tables: dict, argv: Sequence[str]) -> Optional[argparse.Namespa
     its choices and every required option given.  As in argparse, the last
     value of a repeated option wins and an append option collects them.  A
     value token that starts with '-' is taken only when a digit follows,
-    which is `_merge_negative_values`' rule.  Any other argv (help, an
-    abbreviation, '--', a positional token, and every usage error) gets
-    None, and `main` hands it to argparse, which prints what it prints.
+    as each subcommand's parser reads a negative number.  Any other argv
+    (help, an abbreviation, '--', a positional token, and every usage
+    error) gets None, and `main` hands it to argparse, which prints what
+    it prints.
     """
     table = tables.get(argv[0]) if argv else None
     if table is None:
@@ -416,33 +422,10 @@ def _parse_plain(tables: dict, argv: Sequence[str]) -> Optional[argparse.Namespa
     return argparse.Namespace(**values)
 
 
-def _merge_negative_values(tables: dict, argv: list[str]) -> list[str]:
-    """Join '--option -3..3' into '--option=-3..3' so argparse does not
-    read negative grid values or rationals as option names.  A token that
-    starts with '-' and a digit is joined onto the '--option' just before
-    it when that has no '=' and takes a value, as the subcommand's table
-    (`_option_table`) finds it: by its exact name, or as the one option it
-    abbreviates.  After a flag, an unknown option or '--' the token stays
-    as typed, for argparse to report."""
-    options = tables[argv[0]][0] if argv and argv[0] in tables else {}
-    out: list[str] = []
-    for tok in argv:
-        prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and tok[:1] == "-" and tok[1:2].isdigit():
-            found = ({options[prev]} if prev in options else
-                     {a for o, a in options.items() if o.startswith(prev)})
-            if len(found) == 1 and found.pop().nargs != 0:
-                out[-1] += f"={tok}"
-                continue
-        out.append(tok)
-    return out
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = (_parse_plain(parser.option_tables, argv)
-            or parser.parse_args(_merge_negative_values(parser.option_tables, argv)))
+    args = _parse_plain(parser.option_tables, argv) or parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, ZeroDivisionError) as exc:  # includes DegenerateDiscriminantError

@@ -58,9 +58,9 @@ cleared row, each entry divided once, by c*d*M^(n//2), with
 once for the four entries) and so takes linear time.  At an integer pair
 no `Fraction` operation runs from the power to the division.  The
 recurrence memo and the closed route never touch the walk, the fold, the
-cleared row, K or the doubled roots: they read the prefix
-memos of `scalar`, which step the rational recurrence on plain ints by
-`SeqKind._integer_rule`, one int lane per entry of J (the step scales
+cleared row, K or the doubled roots: they read the point's memoized
+series (`BiParams.series`), which step the rational recurrence on plain
+ints by `SeqKind._integer_rule`, one int lane per entry of J (the step scales
 and adds entry by entry), and on a term's first read divide each of its
 entries once, back to the `Fraction`s that rational arithmetic gives,
 and build its one `Mat2`.  So a bad fold still shows as a route
@@ -81,7 +81,7 @@ are separate computations and cross-check one another.
 `_term_source` is the one way the verifier's sum forms and
 `genfunc.build_ogf` read terms: `term_fast` at a `BiParams`, so the
 `sum` subcommand's closed forms read J[n] and J[n-1] in O(log n) and
-fill no memo; the integer terms F*J[k] of a `_Cleared` point; or the
+fill no series; the integer terms F*J[k] of a `_Cleared` point; or the
 recurrence at a point over any other ring, which `term_fast` cannot
 clear.  It lives here because `genfunc` cannot import from `verifier`.
 """
@@ -94,7 +94,7 @@ from math import lcm
 from typing import Callable, Iterator
 
 from .exact import Mat2, QuadNum, _Bordered, _divide, _plain, parity
-from .scalar import (BiParams, SeqKind, _PrefixMemo, _steps, _stepped_power, _two_step,
+from .scalar import (BiParams, SeqKind, _memo_term, _steps, _stepped_power, _two_step,
                      scalar_term)
 
 
@@ -213,19 +213,19 @@ def _weighted_sum(params: BiParams, x: Fraction, n: int) -> Mat2:
     return _over_power(params, Fraction(u, ed), Fraction(v, en), corner, m)
 
 
-# A table of its own: its keys are the scalar memo's jhat keys, so a shared
-# table would hand scalars to the matrix route and matrices to the scalar one.
-_memo = _PrefixMemo(lambda key: [Mat2.identity(), generator_matrix(key[1])])
+# J's key in a point's `series`.  J steps by the jhat rule, but a string
+# equals no `SeqKind`, so the matrix series never meets the scalar jhat one.
+_J = "J"
 
 
-def clear_caches() -> None:
-    _memo.clear()
+def _matrix_start(params: BiParams) -> tuple[Mat2, Mat2]:
+    return Mat2.identity(), generator_matrix(params)
 
 
 def term_recurrence(params: BiParams, n: int) -> Mat2:
-    """J[n] by the definitional recurrence (memoized per params)."""
+    """J[n] by the definitional recurrence (memoized on the point)."""
     _check_index(n)
-    return _memo.term((SeqKind.BP_JACOBSTHAL, params), n)
+    return _memo_term(params, _J, SeqKind.BP_JACOBSTHAL, _matrix_start, n)
 
 
 class _Cleared:
@@ -280,7 +280,7 @@ def _term_source(params) -> Callable[[int], Mat2]:
     """J[k] as a function of k, the one way the sum forms and the
     generating function read terms: a cleared point's own F*J[k],
     `term_fast` at a `BiParams`, so a closed form reads J[n] in O(log n)
-    and fills no memo, or the recurrence at any other point (a point over
+    and fills no series, or the recurrence at any other point (a point over
     a symbolic ring, which `term_fast` cannot clear)."""
     if isinstance(params, _Cleared):
         return params.term

@@ -14,35 +14,37 @@ step), the lag coefficient, and the start terms t0 and t1.  The table is
 unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
 series, and `_steps` is the one forward stepper: it yields the terms
 that follow two given ones, two indices per loop turn, each only when it
-is asked for.  Both prefix memos (scalar terms here, matrix terms in
-`matrixseq`) keep one run of it per lane and extend the lane from it,
-and `matrixseq._walk` reads it term by term; the walk is behind
+is asked for.  Every memoized series (a scalar kind's here, the matrix
+one of `matrixseq`) keeps one run of it per lane and extends the lane
+from it, and `matrixseq._walk` reads it term by term; the walk is behind
 `iter_terms` and `matrixseq._cleared_walk`, which the verifier's cleared
 terms and `bench`'s naive route read.
 `_two_step` raises the integer two-step matrix that
 `SeqKind._two_step_matrix` builds from the same (even, odd, lag), in the
 ring it spans with I.
 
-At a `BiParams` point the prefix memos and `matrixseq._cleared_walk`
+At a `BiParams` point the memoized series and `matrixseq._cleared_walk`
 step on plain ints: `SeqKind._integer_rule`, derived from the same
 (even, odd, lag), is the rule that each term times a weight follows, the
 one place a sequence is cleared to ints.  Scaling and adding act
 entry by entry, so each entry of a matrix term follows that rule by
-itself: a memo steps one int lane per entry (one for a scalar series,
+itself: a series steps one int lane per entry (one for a scalar series,
 four for a `Mat2` one) and builds no `Mat2` per step.  It keeps the
 integers undivided until the term is first read, and then divides each
-entry once by its weight, in linear time (`exact._divide`).  So a memo
+entry once by its weight, in linear time (`exact._divide`).  So a series
 read returns the same `Fraction` the rational recurrence gives, without
 a `Fraction` operation, and its gcd, per step, and a term that is
 stepped past but never read is never divided.
 
-A pair's derived state (ab, the two-step bases, the Binet constants,
-J[1]'s cleared row and the kept log-time powers) lives on its `BiParams`.
-The table of points, `point`, hands out one `BiParams` per pair, by
-value, so every CLI call and `verify` grid point at an equal pair reads
-the state that earlier ones built; the log-time routes compute on
-whatever point they are handed, and the prefix memos stay keyed by
-`(kind, params)`, by value.
+A pair's state lives on its `BiParams`: the derived values (ab, the
+two-step bases, the Binet constants, J[1]'s cleared row), the kept
+log-time powers and the memoized series (`BiParams.series`).  The table
+of points, `point`, hands out one `BiParams` per pair, by value, so every
+CLI call and `verify` grid point at an equal pair reads the state that
+earlier ones built, and evicting a point frees all of it.  Every route
+computes on whatever point it is handed and looks nothing up by value, so
+a `BiParams` a caller makes for itself keeps its own state, and frees it
+when the caller drops it.
 
 Setting a = b = 1 specializes BP_JACOBSTHAL to the classical Jacobsthal
 numbers 0, 1, 1, 3, 5, 11, 21, 43, 85, ... and BP_JACOBSTHAL_LUCAS to the
@@ -74,19 +76,15 @@ class BiParams:
     """Validated parameter pair (a, b), both nonzero exact rationals.
 
     `ab`, `ratio` = b/a, `disc` = ab*(ab+8), `j1_row`, `j1_cleared`,
-    `two_step_bases` and `binet_constants` are derived; disc is the
-    discriminant of the characteristic equation x^2 - ab*x - 2ab = 0
-    shared by the Jacobsthal-kind sequences.  A pair is a memo key on
-    every term read, so its hash is computed once, when it is made, and
-    each derived value once, when first read.  The hash reads the doubled
-    numerators and the denominators: CPython hashes -1 as it hashes -2,
-    so hashing a and b themselves put (-1, b) and (-2, b) in one bucket,
-    and a doubled numerator is even, never -1.
+    `two_step_bases` and `binet_constants` are derived, each once, when
+    first read; disc is the discriminant of the characteristic equation
+    x^2 - ab*x - 2ab = 0 shared by the Jacobsthal-kind sequences.
 
     Equal pairs compare equal and hash alike, but each object builds its
-    derived values for itself.  `point` hands out one object per pair
-    (the CLI's and the grid's), so those are built once per pair while it
-    stays in the table; a `BiParams` made directly starts with none.
+    derived values, kept powers and series for itself.  `point` hands out
+    one object per pair (the CLI's and the grid's), so those are built
+    once per pair while it stays in the table; a `BiParams` made directly
+    starts with none.
     """
 
     a: Fraction
@@ -97,12 +95,6 @@ class BiParams:
         object.__setattr__(self, "b", as_rational(self.b))
         if self.a == 0 or self.b == 0:
             raise ValueError("bi-periodic parameters a and b must both be nonzero")
-        a, b = self.a, self.b
-        object.__setattr__(self, "_hash", hash(
-            (2 * a.numerator, a.denominator, 2 * b.numerator, b.denominator)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def ab(self) -> Fraction:
@@ -145,6 +137,14 @@ class BiParams:
         return {}
 
     @cached_property
+    def series(self) -> dict:
+        """key -> `_Series`: this point's memoized prefixes, one per
+        `SeqKind` that `scalar_term` reads and one under
+        `matrixseq.term_recurrence`'s key for J.  `_memo_term` fills it,
+        under its lock."""
+        return {}
+
+    @cached_property
     def binet_constants(self) -> tuple:
         """(N, M, 2*M*g, b, a*M), the constants that `matrixseq.term_binet`
         reads on every call: ab = N/M in lowest terms, the doubled root
@@ -168,7 +168,7 @@ class SeqKind(enum.Enum):
     BP_FIBONACCI = "fibonacci", "a", 1, 0, 1
     BP_LUCAS = "lucas", "b", 1, 2, "a"
 
-    # A kind is a memo key on every term read; Enum hashes by name, in Python.
+    # A kind is a series key on every term read; Enum hashes by name, in Python.
     __hash__ = object.__hash__
 
     def __new__(cls, value: str, even: str, lag: int, t0: int, t1):
@@ -230,7 +230,7 @@ class SeqKind(enum.Enum):
         so the rule is (pe/g_e, po/g_o, lag*M), which `_steps` reads as it
         reads `rule`.  The weights grow by M every two steps, not by the
         qe*qo that clearing each multiplier's own denominator would take.
-        It has two readers: the prefix memo's `_Series`, and
+        It has two readers: the memoized `_Series`, and
         `matrixseq._cleared_walk`, behind the verifier's cleared terms
         (F = c * lcm(w[bound-1], w[bound])) and `bench`'s naive route.
         The log-time routes do not read it, so a wrong rule here still
@@ -344,60 +344,47 @@ class _Series:
         return value
 
 
-class _PrefixMemo:
-    """Bounded memo of sequence prefixes, one `_Series` per (kind, params)
-    key.
+_series_lock = threading.Lock()
 
-    `start(key)` gives the first two terms of a series; its integer rule
-    (or, over another ring, its rule) is resolved once, when the series is
-    created, and each lane is extended from its own `_steps` run.  Every
-    lane's new entries are taken before any lane appends its own, so a
-    step that raises, in any lane, leaves every lane and the read cache
+
+def _memo_term(params, key, kind: SeqKind, start, n: int):
+    """t[n] of the series `params.series[key]`: a `_Series` on `kind`'s
+    rule from the two terms `start(params)` gives, made on its first read.
+
+    Every lane's new entries are taken before any lane appends its own, so
+    a step that raises, in any lane, leaves every lane and the read cache
     as they were before the call and drops the runs; the next call starts
     new runs from there.  A term's division on its first read is stored
     only once it has succeeded, so a division that raises leaves the term
     unread, to divide on the next read.  One lock is held across lookup,
-    eviction, extension and that division, so threads sharing a series
-    never append the same index twice or divide one term twice.  At most
-    `max_keys` series are kept; the oldest-inserted one is evicted first.
+    extension and that division, so threads sharing a point never build
+    one series twice, append the same index twice or divide one term
+    twice.  A series lives as long as its point: the table's points until
+    `point` evicts them, a caller's own `BiParams` until the caller drops
+    it.
     """
-
-    max_keys = 64
-
-    def __init__(self, start) -> None:
-        self._start = start
-        self._series: dict = {}
-        self._lock = threading.Lock()
-
-    def term(self, key, n: int):
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                while len(self._series) >= self.max_keys:
-                    del self._series[next(iter(self._series))]
-                series = self._series[key] = _Series(*key, *self._start(key))
-            return series.term(n)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._series.clear()
+    with _series_lock:
+        series = params.series.get(key)
+        if series is None:
+            series = params.series[key] = _Series(kind, params, *start(params))
+        return series.term(n)
 
 
-_memo = _PrefixMemo(lambda key: key[0].initial_terms(key[1]))
-
-MAX_POINTS = 128
+MAX_POINTS = 64
 _points: dict = {}
 _points_lock = threading.Lock()
 
 
 def point(a: Fraction, b: Fraction) -> BiParams:
     """The table's one `BiParams` for the pair (a, b), `Fraction`s or ints,
-    made on the first call with an equal pair; the CLI and `run_grid` take
-    their points here, so equal pairs share one object, with its derived
-    constants and kept powers, and memo keys compare by identity.  The
-    table is keyed on the four ints of a and b, which hash in C, and keeps
-    at most `MAX_POINTS` points, evicting the least recently used first.
-    One lock guards it, so threads asking for one pair get one object.
+    made on the first call with an equal pair; the CLI, `run_grid` and the
+    classical sequences take their points here, so equal pairs share one
+    object, with its derived constants, kept powers and series.  The table
+    is keyed on the four ints of a and b, which hash in C, and keeps at
+    most `MAX_POINTS` points, evicting the least recently used first, and
+    with it all that the point kept: it is the one bound on per-point
+    state.  One lock guards it, so threads asking for one pair get one
+    object.
     """
     key = a.numerator, a.denominator, b.numerator, b.denominator
     with _points_lock:
@@ -408,15 +395,15 @@ def point(a: Fraction, b: Fraction) -> BiParams:
 
 
 def clear_caches() -> None:
-    """Drop all memoized sequence prefixes and the table of points (the
-    tests start cold with it)."""
-    _memo.clear()
+    """Empty the table of points, and so drop every table point's series
+    and kept powers (the tests start cold with it).  A `BiParams` made
+    directly keeps its own."""
     with _points_lock:
         _points.clear()
 
 
 def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
-    """Exact nth term by the forward recurrence (memoized per kind/params).
+    """Exact nth term by the forward recurrence (memoized on the point).
 
     n = -1 is accepted only for BP_JACOBSTHAL and returns 1/2.
     """
@@ -426,7 +413,7 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
         raise ValueError(f"index -1 is only defined for {SeqKind.BP_JACOBSTHAL.value}")
     if n < -1:
         raise ValueError(f"index {n} is out of domain (minimum is -1)")
-    return _memo.term((kind, params), n)
+    return _memo_term(params, kind, kind, kind.initial_terms, n)
 
 
 def _stepped_power(params: BiParams, base, k: int):
@@ -501,21 +488,18 @@ def scalar_term_fast(kind: SeqKind, params: BiParams, n: int) -> Fraction:
     return div_power(u * t1 + v * t0, den, m)
 
 
-_CLASSICAL = BiParams(Fraction(1), Fraction(1))
-
-
 def classical_jacobsthal(n: int) -> Fraction:
     """Classical Jacobsthal number: 0, 1, 1, 3, 5, 11, 21, 43, 85, ..."""
     if n < 0:
         raise ValueError("classical sequences are defined for n >= 0")
-    return scalar_term(SeqKind.BP_JACOBSTHAL, _CLASSICAL, n)
+    return scalar_term(SeqKind.BP_JACOBSTHAL, point(1, 1), n)
 
 
 def classical_jacobsthal_lucas(n: int) -> Fraction:
     """Classical Jacobsthal-Lucas number: 2, 1, 5, 7, 17, 31, ..."""
     if n < 0:
         raise ValueError("classical sequences are defined for n >= 0")
-    return scalar_term(SeqKind.BP_JACOBSTHAL_LUCAS, _CLASSICAL, n)
+    return scalar_term(SeqKind.BP_JACOBSTHAL_LUCAS, point(1, 1), n)
 
 
 def verify_lucas_relations(params: BiParams, n_max: int) -> IdentityReport:

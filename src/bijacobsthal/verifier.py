@@ -586,8 +586,8 @@ def run_grid(grid: GridSpec) -> Iterator[IdentityReport]:
     reports' identity, so the reports come sorted by (a, b, identity, x),
     a pure function of the GridSpec.  Each point is taken once from the
     table of points (`scalar.point`), so every suite at it, and a later
-    grid or CLI call at an equal pair, reads one object's constants and
-    kept powers.
+    grid or CLI call at an equal pair, reads one object's constants, kept
+    powers and series.
     """
     for params in (point(a, b) for a in grid.a_values for b in grid.b_values):
         for suite in grid.suites:

@@ -98,9 +98,8 @@ def test_term_prints_what_rendering_scalar_term_prints(capsys, monkeypatch):
 
 def test_term_fills_no_scalar_memo(capsys):
     # a term with n >= 0 is one power, and n = -1 is a constant, so no
-    # `term` call steps or keeps a prefix
+    # `term` call steps or keeps a prefix on its point
     scalar.clear_caches()
-    matrixseq.clear_caches()
     for kind in ("jhat", "jlucas", "fibonacci", "lucas"):
         for n, fmt in [("0", "plain"), ("7", "json"), ("300", "csv")]:
             code, out, err = run_cli(capsys, "term", "--kind", kind, "--a", "1/2",
@@ -111,8 +110,8 @@ def test_term_fills_no_scalar_memo(capsys):
                    "--n=-1") == (0, "1/2\n", "")
     assert run_cli(capsys, "term", "--kind", "jhat", "--a", "2", "--b", "1",
                    "--n=-2")[0] == 2
-    assert not scalar._memo._series
-    assert not matrixseq._memo._series
+    assert len(scalar._points) == 2
+    assert not any(p.series for p in scalar._points.values())
 
 
 def test_matrix_json_exact_shape(capsys):
@@ -262,14 +261,15 @@ def test_sum_json(capsys):
 def test_sum_fills_no_matrix_memo(capsys):
     # the direct sum is one power and the closed forms read J[n] and
     # J[n-1] by `term_fast`, so no `sum` call walks the recurrence memo
-    matrixseq.clear_caches()
+    scalar.clear_caches()
     point = ("sum", "--a", "1/2", "--b=-3/4", "--n", "40")
     for extra, exit_code in [((), 0), (("--both",), 0), (("--x=-2/3",), 0),
                              (("--x=-2/3", "--both"), 1)]:
         code, out, err = run_cli(capsys, *point, *extra)
         assert (code, err) == (exit_code, ""), extra
         assert out
-    assert not matrixseq._memo._series
+    assert len(scalar._points) == 1
+    assert not any(p.series for p in scalar._points.values())
 
 
 def test_plain_sum_evaluates_no_closed_form(capsys, monkeypatch):
@@ -503,23 +503,39 @@ def test_verify_negative_grid_split_tokens(capsys):
     assert len(out.strip().splitlines()) == 36
 
 
-def test_negative_values_join_only_options_that_take_a_value(capsys):
-    # onto an exact option or an abbreviation of one that takes a value,
-    # never onto a flag, an unknown option or '--'
-    argv = ["sum", "--a", "-1/2", "--b=-3", "--n", "4", "--x", "-", "--any", "-2..2",
-            "--both", "-3", "--", "-4", "-x"]
-    tables = cli.build_parser().option_tables
-    assert cli._merge_negative_values(tables, argv) == [
-        "sum", "--a=-1/2", "--b=-3", "--n", "4", "--x", "-", "--any", "-2..2",
-        "--both", "-3", "--", "-4", "-x"]
-    assert cli._merge_negative_values(tables, ["verify", "--n-m", "-4", "--x", "-1"]) == [
-        "verify", "--n-m=-4", "--x=-1"]
-    assert cli._merge_negative_values(tables, ["nope", "--a", "-1"]) == ["nope", "--a", "-1"]
-    # argparse names the token as typed, with no '=' the user did not type
+def test_negative_values_go_only_to_options_that_take_a_value(capsys):
+    # argparse reads a token that starts with '-' and a digit as the value
+    # of an exact option or of an abbreviation of one that takes a value,
+    # as the one pass reads it after an exact option
+    joined = _outcome(capsys, ["sum", "--a=-1/2", "--b=-3", "--n", "4", "--x=-2/3",
+                               "--both"])
+    assert joined[0] == 1 and joined[1].endswith("MISMATCH\n")
+    assert _outcome(capsys, ["sum", "--a", "-1/2", "--b", "-3", "--n", "4", "--x", "-2/3",
+                             "--bo"]) == joined
+    grid = _outcome(capsys, ["verify", "--suite=DET", "--a=-3..-1", "--b=-1/2",
+                             "--n-max=8"])
+    assert grid[0] == 0 and grid[1].count(" PASS\n") == 3
+    assert _outcome(capsys, ["verify", "--su", "DET", "--a", "-3..-1", "--b", "-1/2",
+                             "--n-m", "8"]) == grid
+    # never after a flag, an unknown option or '--': argparse names the
+    # tokens as typed
     code, out, err = _outcome(capsys, ["sum", "--a", "2", "--b", "1", "--n", "4",
                                        "--both", "-3"])
     assert (code, out) == (2, "")
     assert err.endswith("error: unrecognized arguments: -3\n")
+    code, out, err = _outcome(capsys, ["sum", "--a", "2", "--b", "1", "--n", "4",
+                                       "--any", "-2..2", "--", "-4"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --any -2..2 -- -4\n")
+    # '-.5' is a value too, which the handler refuses as no exact rational
+    assert _outcome(capsys, [*_TERM[:3], "--fo", "json", "--a", "-.5", "--b", "1",
+                             "--n", "5"]) == (2, "", "error: not an exact rational: '-.5'\n")
+    # a superscript digit is no digit to argparse: after an abbreviation,
+    # '--a -\u00b2' is an option with its value missing
+    code, out, err = _outcome(capsys, [*_TERM[:3], "--fo", "json", "--a", "-\u00b2",
+                                       "--b", "1", "--n", "5"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --a: expected one argument\n")
 
 
 def _benchmark_workloads():
@@ -691,7 +707,7 @@ def test_the_one_pass_gives_the_namespace_argparse_gives():
     for argv in [*golden, *mixed, *_PLAIN_ARGVS]:
         args = cli._parse_plain(tables, argv)
         assert args is not None, argv
-        expected = fresh.parse_args(cli._merge_negative_values(tables, argv))
+        expected = fresh.parse_args(argv)
         assert vars(args) == vars(expected), argv
 
 
@@ -921,6 +937,24 @@ def test_calls_at_equal_pairs_build_the_two_step_base_once(capsys, monkeypatch):
     scalar.clear_caches()
 
 
+def test_calls_at_equal_pairs_share_one_series(capsys, monkeypatch):
+    # `--a 1/2` and `--a 2/4` name one table point, so the second call
+    # reads the J series the first one stepped, and steps none of its own
+    steps, started = scalar._steps, []
+    monkeypatch.setattr(scalar, "_steps", lambda *args: started.append(args[1]) or steps(*args))
+    scalar.clear_caches()
+    outputs = []
+    for a in ("1/2", "2/4"):
+        code, out, err = run_cli(capsys, "matrix", "--a", a, "--b=-3/4", "--n", "30",
+                                 "--method", "recurrence")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert started == [2] * 4  # one run per lane of J's one series
+    assert list(scalar.point(F(1, 2), F(-3, 4)).series) == [matrixseq._J]
+    scalar.clear_caches()
+
+
 # Half-indices 20, 20, 20, 19, 3, 4, 1023, 1022, 0, 0: each log-time base
 # is read at its kept exponent, one above it, one below it and far off.
 _SWEEP_ORDER = ("40", "41", "41", "39", "7", "9", "2047", "2045", "0", "1")
@@ -950,7 +984,6 @@ def test_a_sweep_on_one_table_point_prints_what_cold_calls_print(capsys, a, b, f
     warm = [run_cli(capsys, *argv) for argv in calls]
     for argv, got in zip(calls, warm):
         scalar.clear_caches()
-        matrixseq.clear_caches()
         assert got == run_cli(capsys, *argv), argv
     refused = [argv for argv, (code, _, _) in zip(calls, warm) if code]
     assert refused == [argv for argv in calls if argv[0] == "sum" and argv[5] == "0"]

@@ -24,7 +24,6 @@ from bijacobsthal.matrixseq import (
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
 from bijacobsthal.verifier import sum_direct, verify_cross_method
 import bijacobsthal.matrixseq as matrixseq_mod
-import bijacobsthal.scalar as scalar_mod
 
 GRID = [BiParams(a, b)
         for a in (-3, -2, -1, 1, 2, 3)
@@ -80,7 +79,6 @@ def test_term_closed_at_1_1():
 
 def test_iter_terms_matches_term_recurrence():
     for p in (BiParams(-3, 2), BiParams(F(5, 7), F(-3, 4))):
-        matrixseq_mod.clear_caches()
         it = iter_terms(p)
         for n in range(40):
             assert next(it) == term_recurrence(p, n)
@@ -90,7 +88,6 @@ def test_iter_terms_matches_term_recurrence():
         late = iter_terms(p)
         assert [next(late) for _ in range(45)] == [term_recurrence(p, n) for n in range(45)]
         assert [next(it) for _ in range(5)] == [term_recurrence(p, n) for n in range(40, 45)]
-    matrixseq_mod.clear_caches()
 
 
 def test_negative_index_rejected():
@@ -212,8 +209,7 @@ def test_log_time_routes_take_one_power_and_read_no_memo(monkeypatch, params,
         return real_power(base, k, one, what)
 
     monkeypatch.setattr(exact, "_power", counting_power)
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
+    points = []
     routes = [term_fast] + [term_binet] * with_binet + [
         partial(scalar_term_fast, kind) for kind in SeqKind]
     for route in routes:
@@ -222,10 +218,10 @@ def test_log_time_routes_take_one_power_and_read_no_memo(monkeypatch, params,
             # a fresh point per call: a point keeps its last power, so a
             # second call there at the same or the next half-index raises
             # nothing (test_stepped_powers_match_a_fresh_point)
-            route(BiParams(params.a, params.b), n)
+            points.append(BiParams(params.a, params.b))
+            route(points[-1], n)
             assert exponents == [n // 2], (route, n, exponents)
-    assert not scalar_mod._memo._series
-    assert not matrixseq_mod._memo._series
+    assert not any(p.series for p in points)
 
 
 _STEP_ORDERS = {
@@ -293,8 +289,7 @@ def test_hot_paths_build_fractions_without_coercion(monkeypatch, params,
         return real_as_rational(value)
 
     monkeypatch.setattr(exact, "as_rational", counting_as_rational)
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
+    params.series.clear()
     routes = [term_recurrence, term_closed, term_fast] + [term_binet] * with_binet
     results = [route(params, n) for route in routes for n in range(33)]
     results += [scalar_term_fast(kind, params, n)
@@ -568,9 +563,8 @@ def test_log_time_routes_match_the_oracle_at_random_pairs():
     for i in range(200):
         params = BiParams(rational(), rational())
         indices = [*range(25), *range(25 + i % 20, 301, 20)] + [1023, 2049] * (i % 25 == 0)
-        # One pair's prefixes at a time: 64 deep ones would take 100s of MB.
-        scalar_mod.clear_caches()
-        matrixseq_mod.clear_caches()
+        # One pair's prefixes at a time: each pair's series go with its
+        # point when the next pair replaces it.
         routes = [term_fast] + [term_binet] * (params.disc != 0)
         for n in indices:
             reference = term_recurrence(params, n)
@@ -581,8 +575,6 @@ def test_log_time_routes_match_the_oracle_at_random_pairs():
             for kind in SeqKind:
                 assert _same_fraction(scalar_term_fast(kind, params, n),
                                       scalar_term(kind, params, n)), (params, kind, n)
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
 
 
 @pytest.mark.parametrize("a, b", [

@@ -10,7 +10,8 @@ The log-time routes keep their last power on the point, so four threads
 that sweep one point in different orders read and step the same stored
 powers; every value they get is compared with the same references.
 Threads that ask the table of points for one pair, written two ways,
-all get the one object.
+all get the one object, and eight threads that make their first read of a
+series at one point build that series once.
 """
 
 import random
@@ -19,7 +20,7 @@ import threading
 from fractions import Fraction as F
 from itertools import islice
 
-from bijacobsthal import matrixseq, scalar
+from bijacobsthal import scalar
 from bijacobsthal.matrixseq import iter_terms, term_binet, term_fast, term_recurrence
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
 
@@ -64,8 +65,6 @@ def test_concurrent_extension_of_one_series_matches_fresh_recurrences():
     interval = sys.getswitchinterval()
     try:
         for trial in range(TRIALS):
-            scalar.clear_caches()
-            matrixseq.clear_caches()
             params = BiParams(F(5, 7 + trial), F(-3, 11))
             sys.setswitchinterval(1e-6)
             errors = _race(params)
@@ -79,8 +78,6 @@ def test_concurrent_extension_of_one_series_matches_fresh_recurrences():
                 assert matrices[n].e21 == expected[n]
     finally:
         sys.setswitchinterval(interval)
-        scalar.clear_caches()
-        matrixseq.clear_caches()
 
 
 def _sweep_orders(count: int) -> list[list[int]]:
@@ -155,6 +152,47 @@ def test_threads_acquiring_one_pair_get_one_object():
                 assert not t.is_alive()
             sys.setswitchinterval(interval)
             assert len(got) == len(pairs) and all(p is got[0] for p in got)
+    finally:
+        sys.setswitchinterval(interval)
+        scalar.clear_caches()
+
+
+def test_threads_first_reading_one_point_build_one_series(monkeypatch):
+    # Eight threads read jhat at one table point that has no series yet:
+    # one of them builds the series, with one `_steps` run for its one
+    # lane, and every thread gets the one term object it divided.
+    steps, started = scalar._steps, []
+
+    def counting_steps(*args):
+        started.append(args[1])
+        return steps(*args)
+
+    monkeypatch.setattr(scalar, "_steps", counting_steps)
+    interval = sys.getswitchinterval()
+    try:
+        for trial in range(TRIALS):
+            scalar.clear_caches()
+            started.clear()
+            params = scalar.point(F(5, 7 + trial), F(-3, 11))
+            barrier = threading.Barrier(8)
+            got: list = []
+
+            def read() -> None:
+                barrier.wait(timeout=10)
+                got.append(scalar_term(JHAT, params, N))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            sys.setswitchinterval(interval)
+            assert started == [2]
+            assert list(params.series) == [JHAT]
+            assert len(got) == 8 and all(value is got[0] for value in got)
+            assert got[0] == _jhat_reference(params.a, params.b, N + 1)[N]
     finally:
         sys.setswitchinterval(interval)
         scalar.clear_caches()

@@ -8,7 +8,7 @@ every symbolic value must specialize to the rational route's value at one
 point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from itertools import accumulate, islice
 
@@ -16,7 +16,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from bijacobsthal import matrixseq, scalar  # noqa: E402
+from bijacobsthal import scalar  # noqa: E402
 from bijacobsthal.exact import Mat2  # noqa: E402
 from bijacobsthal.genfunc import build_ogf, series_coeffs  # noqa: E402
 from bijacobsthal.matrixseq import (  # noqa: E402
@@ -38,10 +38,12 @@ N = 8
 
 @dataclass(frozen=True)
 class SymParams:
-    """(a, b) as sympy symbols, with the `ab` the term code reads."""
+    """(a, b) as sympy symbols, with the `ab` the term code reads and the
+    `series` that the recurrence memoizes on."""
 
     a: object
     b: object
+    series: dict = field(default_factory=dict, compare=False)
 
     @property
     def ab(self):
@@ -54,7 +56,8 @@ SYM = SymParams(A, B)
 @pytest.fixture(autouse=True)
 def _cold_memos():
     yield
-    matrixseq.clear_caches()
+    SYM.series.clear()
+    POINT.series.clear()
     scalar.clear_caches()
 
 

@@ -1,5 +1,7 @@
 import enum
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 from functools import partial
@@ -142,61 +144,92 @@ def test_fast_equals_slow_sampled(kind, params):
         assert scalar_term_fast(kind, params, n) == scalar_term(kind, params, n)
 
 
-def test_memo_table_is_bounded():
-    for memo, lookup in (
-        (scalar_mod._memo, lambda p: scalar_term(JHAT, p, 4)),
-        (matrixseq_mod._memo, lambda p: term_recurrence(p, 4)),
+def test_series_live_on_the_table_points_it_bounds():
+    bound = scalar_mod.MAX_POINTS
+    assert bound == 64
+    for key, lookup in (
+        (JHAT, lambda p: scalar_term(JHAT, p, 4)),
+        (matrixseq_mod._J, lambda p: term_recurrence(p, 4)),
     ):
-        memo.clear()
+        scalar_mod.clear_caches()
         keys = []
         for a in range(1, 200):
-            lookup(BiParams(a, 1))
-            keys.append(list(memo._series)[-1])  # the key just inserted
-            if a == 65:
-                # the 65th series evicts exactly the oldest-inserted one
-                assert list(memo._series) == keys[1:]
-            assert len(memo._series) <= 64
-        assert list(memo._series) == keys[-64:]
-        memo.clear()
+            lookup(scalar_mod.point(F(a), F(1)))
+            keys.append(list(scalar_mod._points)[-1])  # the pair just inserted
+            if a == bound + 1:
+                # the 65th point evicts exactly the oldest-inserted one
+                assert list(scalar_mod._points) == keys[1:]
+            assert len(scalar_mod._points) <= bound
+        assert list(scalar_mod._points) == keys[-bound:]
+        assert all(list(p.series) == [key] for p in scalar_mod._points.values())
+        scalar_mod.clear_caches()
 
 
-def test_scalar_and_matrix_memos_stay_apart():
-    # Both memos are keyed (kind, params) and share one step rule, but each
-    # route fills only its own table.
-    assert scalar_mod._memo is not matrixseq_mod._memo
+def test_scalar_and_matrix_series_stay_apart():
+    # The scalar jhat series and the matrix one share one step rule, but
+    # each route fills only its own key on the point.
+    assert matrixseq_mod._J != JHAT
     p = BiParams(F(2, 3), -5)
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
     term_recurrence(p, 12)
-    assert not scalar_mod._memo._series
-    assert list(matrixseq_mod._memo._series) == [(JHAT, p)]
-    matrixseq_mod.clear_caches()
+    assert list(p.series) == [matrixseq_mod._J]
+    assert isinstance(p.series[matrixseq_mod._J].term(12), Mat2)
     scalar_term(JHAT, p, 12)
-    assert not matrixseq_mod._memo._series
-    assert list(scalar_mod._memo._series) == [(JHAT, p)]
+    assert list(p.series) == [matrixseq_mod._J, JHAT]
+    assert p.series[JHAT].term(12) == term_recurrence(p, 12).e21
+
+
+def test_evicting_a_point_drops_its_series():
+    # A table point's series are its own: once the table evicts the point,
+    # nothing else holds it, and it goes with every series it filled.
     scalar_mod.clear_caches()
+    p = scalar_mod.point(F(5, 7), F(-3, 4))
+    for kind in SeqKind:
+        scalar_term(kind, p, 200)
+    term_recurrence(p, 200)
+    assert len(p.series) == len(SeqKind) + 1
+    evicted = weakref.ref(p)
+    del p
+    for a in range(1, scalar_mod.MAX_POINTS + 1):
+        scalar_term(JHAT, scalar_mod.point(F(a), F(1)), 4)
+    gc.collect()
+    assert evicted() is None
+    scalar_mod.clear_caches()
+
+
+def test_the_classical_point_is_the_tables():
+    # The classical sequences read the table's (1, 1), so its series go
+    # with the table, not with a module-level point.
+    scalar_mod.clear_caches()
+    assert classical_jacobsthal(5000) == (2 ** 5000 - (-1) ** 5000) // 3
+    p = scalar_mod.point(1, 1)
+    assert list(p.series) == [JHAT]
+    assert classical_jacobsthal_lucas(7) == 2 ** 7 + (-1) ** 7
+    assert list(p.series) == [JHAT, JLUCAS]
+    freed = weakref.ref(p)
+    del p
+    scalar_mod.clear_caches()
+    gc.collect()
+    assert freed() is None
 
 
 class _StepFails(Exception):
     pass
 
 
-# Each memo with its route, the log-time route it must agree with, and its
-# key's kind.
-MEMO_ROUTES = pytest.mark.parametrize("memo, route, fast, key", [
-    (scalar_mod._memo, partial(scalar_term, JLUCAS), partial(scalar_term_fast, JLUCAS),
-     JLUCAS),
-    (matrixseq_mod._memo, term_recurrence, term_fast, JHAT),
+# Each series key with its route, the log-time route it must agree with,
+# and the kind whose rule it steps by.
+MEMO_ROUTES = pytest.mark.parametrize("key, route, fast, kind", [
+    (JLUCAS, partial(scalar_term, JLUCAS), partial(scalar_term_fast, JLUCAS), JLUCAS),
+    (matrixseq_mod._J, term_recurrence, term_fast, JHAT),
 ], ids=["scalar_term", "term_recurrence"])
 
 
 @MEMO_ROUTES
-def test_memo_survives_a_failing_step(monkeypatch, memo, route, fast, key):
+def test_memo_survives_a_failing_step(monkeypatch, key, route, fast, kind):
     # The memo holds t[0..k-1]; a run of steps that raises once, at index k,
     # leaves it holding exactly that, and the next call resumes there and
     # returns the right value.
     p, k = BiParams(F(5, 7), F(-3, 4)), 9
-    memo.clear()
     steps = scalar_mod._steps
     failed = []
 
@@ -211,23 +244,21 @@ def test_memo_survives_a_failing_step(monkeypatch, memo, route, fast, key):
     route(p, k - 1)
     with pytest.raises(_StepFails):
         route(p, 20)
-    series = memo._series[(key, p)]
-    assert series.rule == key._integer_rule(p)[0]
+    series = p.series[key]
+    assert series.rule == kind._integer_rule(p)[0]
     assert len(series.terms) == k
     assert [series.term(n) for n in range(k)] == [fast(p, n) for n in range(k)]
     assert len(series.terms) == k
     assert route(p, 20) == fast(p, 20)
     assert len(series.terms) == 21
-    memo.clear()
 
 
 @MEMO_ROUTES
-def test_memo_survives_a_failing_division(monkeypatch, memo, route, fast, key):
+def test_memo_survives_a_failing_division(monkeypatch, key, route, fast, kind):
     # A division that raises once, on the first read of index n, leaves the
     # series stepped through n with t[n] still to divide; the next read
     # divides it, and the series steps on from there.
     p, n = BiParams(F(5, 7), F(-3, 4)), 20
-    memo.clear()
     divide = scalar_mod._divide
     failed = []
 
@@ -240,14 +271,13 @@ def test_memo_survives_a_failing_division(monkeypatch, memo, route, fast, key):
     monkeypatch.setattr(scalar_mod, "_divide", failing_divide)
     with pytest.raises(_StepFails):
         route(p, n)
-    series = memo._series[(key, p)]
+    series = p.series[key]
     assert len(series.terms) == n + 1
     value = route(p, n)
     assert value == fast(p, n)
     assert route(p, n) is value
     assert route(p, n + 5) == fast(p, n + 5)
     assert len(failed) == 1
-    memo.clear()
 
 
 def test_matrix_memo_survives_a_step_failing_in_a_later_lane(monkeypatch):
@@ -257,8 +287,6 @@ def test_matrix_memo_survives_a_step_failing_in_a_later_lane(monkeypatch):
     # hold exactly t[0..k-1], the runs are dropped, and the next read
     # starts new ones there.
     p, k = BiParams(F(5, 7), F(-3, 4)), 9
-    memo = matrixseq_mod._memo
-    memo.clear()
     steps, calls = scalar_mod._steps, []
 
     def failing_steps(rule, start, prev, cur):
@@ -273,13 +301,12 @@ def test_matrix_memo_survives_a_step_failing_in_a_later_lane(monkeypatch):
     term_recurrence(p, k - 1)
     with pytest.raises(_StepFails):
         term_recurrence(p, 20)
-    series = memo._series[(JHAT, p)]
+    series = p.series[matrixseq_mod._J]
     assert len(series.terms) == k and series.runs is None
     assert [len(lane) for lane in series.lanes] == [k] * 4
     assert [series.term(n) for n in range(k)] == [term_fast(p, n) for n in range(k)]
     assert term_recurrence(p, 20) == term_fast(p, 20)
     assert [len(lane) for lane in series.lanes] == [21] * 4
-    memo.clear()
 
 
 def _single_steps(rule, start, prev, cur, count):
@@ -321,43 +348,41 @@ def test_matrix_memo_grows_by_odd_and_even_runs(monkeypatch, params):
     # run of one, two, three or four steps, keep every term equal to the
     # log-time route's, and the four lanes as long as the read cache.
     # Each lane keeps the one `_steps` run it started with.
-    memo, steps, started = matrixseq_mod._memo, scalar_mod._steps, []
+    steps, started = scalar_mod._steps, []
 
     def counting_steps(*args):
         started.append(args[1])
         return steps(*args)
 
     monkeypatch.setattr(scalar_mod, "_steps", counting_steps)
-    memo.clear()
+    params.series.clear()
     for n in (2, 5, 6, 9, 12, 13, 14, 17, 21, 22, 24):
         assert term_recurrence(params, n) == term_fast(params, n), n
-        series = memo._series[(JHAT, params)]
+        series = params.series[matrixseq_mod._J]
         assert [len(lane) for lane in series.lanes] == [n + 1] * 4
         assert [series.term(i) for i in range(n + 1)] == [
             term_fast(params, i) for i in range(n + 1)], n
     assert started == [2] * 4
-    memo.clear()
+    params.series.clear()
 
 
 @MEMO_ROUTES
-def test_memo_reads_below_its_length_without_stepping(monkeypatch, memo, route, fast,
-                                                      key):
+def test_memo_reads_below_its_length_without_stepping(monkeypatch, key, route, fast,
+                                                      kind):
     # An index that was stepped past but never read is divided from the
     # lanes on its first read; no lane is stepped again.
     p = BiParams(F(5, 7), F(-3, 4))
-    memo.clear()
     route(p, 40)
 
     def no_steps(*args):
         raise AssertionError("a read below the stepped length stepped a lane")
 
     monkeypatch.setattr(scalar_mod, "_steps", no_steps)
-    series = memo._series[(key, p)]
+    series = p.series[key]
     assert series.terms[17] is None
     value = route(p, 17)
     assert value == fast(p, 17) and series.terms[17] is value
     assert len(series.terms) == 41
-    memo.clear()
 
 
 def test_symbolic_matrix_memo_matches_iter_terms():
@@ -365,26 +390,28 @@ def test_symbolic_matrix_memo_matches_iter_terms():
     # the matrix memo steps one lane per entry of J, with no division, and
     # builds the terms that `iter_terms`' Mat2 steps build.
     from test_ring import SYM
-    matrixseq_mod.clear_caches()
+    SYM.series.clear()
     expected = list(islice(iter_terms(SYM), 41))
     term_recurrence(SYM, 40)
     assert [term_recurrence(SYM, n) for n in range(41)] == expected
-    matrixseq_mod.clear_caches()
+    SYM.series.clear()
 
 
 def test_evicted_series_restarts_from_its_start_terms():
-    p = BiParams(F(5, 7), F(-3, 4))
-    for memo, route, fast in (
-        (scalar_mod._memo, partial(scalar_term, FIB), partial(scalar_term_fast, FIB)),
-        (matrixseq_mod._memo, term_recurrence, term_fast),
+    pair = F(5, 7), F(-3, 4)
+    for route, fast in (
+        (partial(scalar_term, FIB), partial(scalar_term_fast, FIB)),
+        (term_recurrence, term_fast),
     ):
-        memo.clear()
-        assert route(p, 10) == fast(p, 10)
-        for a in range(1, memo.max_keys + 1):
-            route(BiParams(a, 1), 4)
-        assert all(key[1] != p for key in memo._series)
+        scalar_mod.clear_caches()
+        assert route(scalar_mod.point(*pair), 10) == fast(BiParams(*pair), 10)
+        for a in range(1, scalar_mod.MAX_POINTS + 1):
+            route(scalar_mod.point(F(a), F(1)), 4)
+        assert all(p != BiParams(*pair) for p in scalar_mod._points.values())
+        p = scalar_mod.point(*pair)
+        assert not p.series
         assert route(p, 50) == fast(p, 50)
-        memo.clear()
+        scalar_mod.clear_caches()
 
 
 # Pairs where the integer rule divides out g_e = gcd(pe, qo) or
@@ -453,8 +480,7 @@ def test_memos_step_on_integers_and_return_lowest_fractions(monkeypatch, params)
             yield term
 
     monkeypatch.setattr(scalar_mod, "_steps", int_steps)
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
+    params.series.clear()
     indices = [*range(601), 2001]
     for kind in SeqKind:
         expected = _reference(kind, params, 2002)
@@ -471,8 +497,7 @@ def test_memos_step_on_integers_and_return_lowest_fractions(monkeypatch, params)
     # Each index 2..2001 is stepped once per lane, (4 + 4) * 2000 steps: one
     # lane for each of the four scalar kinds and four for the matrix series.
     assert Counter(steps) == dict.fromkeys(range(2, 2002), 4 + 4)
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
+    params.series.clear()
 
 
 # Pairs with g_e or g_o > 1, one whose M = 8 shares a factor with the
@@ -487,8 +512,7 @@ def test_memo_reads_out_of_order(params):
     # memo: each read equals a plain-Fraction recurrence and is in lowest
     # terms, and a repeated read returns the object the first one did.
     n = 600
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
+    params.series.clear()
     a, b = params.a, params.b
     walks = [_fraction_walk(a, b, 2, t0, t1, n + 1)  # J[1] = [[b, 2b/a], [1, 0]]
              for t0, t1 in ((1, b), (0, 2 * b / a), (0, 1), (1, 0))]
@@ -504,8 +528,7 @@ def test_memo_reads_out_of_order(params):
             entries = value.entries() if isinstance(value, Mat2) else (value,)
             assert all(_in_lowest_terms(e) for e in entries), i
             assert first.setdefault(i, value) is value, i
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
+    params.series.clear()
 
 
 def test_lucas_relations_samples():
@@ -569,7 +592,7 @@ def test_log_time_bases_are_built_once_with_their_roots(a, b):
 
 
 def test_memo_reads_make_no_enum_hash_call(monkeypatch):
-    # A kind is half of every memo key, so a read hashes it; Enum's own
+    # A kind is a point's series key, so a read hashes it; Enum's own
     # __hash__ is a Python call, and a kind hashes by identity instead.
     def refuse(self):
         raise AssertionError("a kind was hashed through Enum.__hash__")
@@ -582,18 +605,11 @@ def test_memo_reads_make_no_enum_hash_call(monkeypatch):
     assert {kind: kind.value for kind in SeqKind}[JLUCAS] == "jlucas"
 
 
-def test_biparams_hash_agrees_with_equality_and_separates_minus_one():
+def test_biparams_hash_agrees_with_equality():
     for a, b in ((-1, 3), (F(-1, 2), 2), (-2, -1), (5, F(7, 3))):
         same = [BiParams(a, b), BiParams(F(a), F(b)), BiParams(str(a), str(b))]
         assert len({hash(p) for p in same}) == 1
         assert all(p == same[0] for p in same)
-    # CPython hashes -1 and -2 alike; the pairs must not share a bucket
-    assert hash(-1) == hash(-2)
-    for b in (-2, -1, 1, 3, F(1, 2)):
-        assert hash(BiParams(-1, b)) != hash(BiParams(-2, b))
-        assert hash(BiParams(b, -1)) != hash(BiParams(b, -2))
-    grid = [BiParams(a, b) for a in range(-3, 4) for b in range(-3, 4) if a and b]
-    assert len({hash(p) for p in grid}) == len(grid)
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (-3, 2), (3, -2), (2, -4)], ids=str)
@@ -652,9 +668,6 @@ def test_the_table_gives_one_point_per_pair_by_value():
 
 
 def test_the_table_keeps_its_bound_and_evicts_the_least_recently_used():
-    import gc
-    import weakref
-
     scalar_mod.clear_caches()
     bound = scalar_mod.MAX_POINTS
     points = [scalar_mod.point(F(a), F(1)) for a in range(1, bound + 1)]

@@ -398,8 +398,7 @@ def test_cleared_terms_are_the_factor_times_the_recurrence(params):
                 weighted = form(cleared, x, n)
                 assert weighted == cleared.factor * value, (form.__name__, x, n)
                 assert not any(type(e) is float for e in weighted.entries())
-    assert not any(isinstance(part, verifier_mod._Cleared)
-                   for key in matrixseq_mod._memo._series for part in key)
+    assert not hasattr(cleared, "series")  # a memo read of it would raise
     # and the generating function, fed the cleared point, expands to F*J[m]
     series = verifier_mod._Cleared(params, 40)
     for m, coeff in enumerate(series_coeffs(build_ogf(series), 41)):
@@ -637,16 +636,21 @@ def test_default_grid_all_suites_small():
             assert expected_failure(report), report.to_plain()
 
 
+def test_the_default_grid_hashes_no_point(monkeypatch, capsys):
+    # Each point keeps its own series, and the table of points is keyed on
+    # a pair's four ints, so no read looks a point up by its hash.
+    hashed = []
+    real = BiParams.__hash__
+    monkeypatch.setattr(BiParams, "__hash__", lambda p: hashed.append(p) or real(p))
+    scalar_mod.clear_caches()
+    assert main(["verify", "--suite", "all", "--a=-3..3", "--b=-3..3",
+                 "--expect-errata"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 432
+    assert hashed == []
+    scalar_mod.clear_caches()
+
+
 _JHAT, _JLUCAS = SeqKind.BP_JACOBSTHAL, SeqKind.BP_JACOBSTHAL_LUCAS
-
-
-@pytest.fixture
-def cold_memos():
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
-    yield
-    scalar_mod.clear_caches()
-    matrixseq_mod.clear_caches()
 
 
 # memo, kind -> (suite, bound, the first failure when index 10 is wrong):
@@ -662,14 +666,17 @@ _MEMO_READERS = {
 @pytest.mark.parametrize("where", ["read cache", "lane"])
 @pytest.mark.parametrize("module, kind", list(_MEMO_READERS),
                          ids=lambda v: getattr(v, "value", getattr(v, "__name__", v)))
-def test_a_corrupted_memo_shows_in_the_suites_that_read_it(cold_memos, module, kind, where):
+def test_a_corrupted_memo_shows_in_the_suites_that_read_it(module, kind, where):
     # At an integer pair, index 10 goes wrong after its first read (its
     # cached value doubled), or before it (one lane int moved by 1, so the
     # read divides the wrong int); the suites read the memo, so they FAIL.
     params, c = BiParams(1, 2), 10
-    memo = module._memo
-    memo.term((kind, params), c if where == "read cache" else c + 5)
-    series = memo._series[(kind, params)]
+    if module is matrixseq_mod:
+        key, read = matrixseq_mod._J, term_recurrence
+    else:
+        key, read = kind, lambda p, n: scalar_term(kind, p, n)
+    read(params, c if where == "read cache" else c + 5)
+    series = params.series[key]
     if where == "read cache":
         series.terms[c] = series.terms[c] * 2
     else:
@@ -689,7 +696,7 @@ def test_a_corrupted_memo_shows_in_the_suites_that_read_it(cold_memos, module, k
     (verify_lucas_relations, 128, 384),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_memo_suites_take_int_products_at_an_integer_pair(
-        cold_memos, monkeypatch, suite, bound, products):
+        monkeypatch, suite, bound, products):
     # At (1, 2), b/a, ab + 4 and ab + 8 are integral and so is every term:
     # with warm memos these suites take no Fraction product, where reading
     # the terms as Fractions took `products` of them.

@@ -5,10 +5,11 @@ print where its CPU time goes, per call class.
 
 The op list is the one `benchmark/workloads.py` builds for a 30-second run
 at SEED (default 1): 1875 calls.  That file is loaded by path and only
-read.  Each pass clears the memos and the table of points, then makes
-every call in order with its stdout and stderr captured, and times each
-call in CPU time (`time.process_time`).  A call's time is its least over
-the passes (PASSES).
+read.  Each pass empties the table of points, and with it every point's
+memoized series and kept powers, then makes every call in order with its
+stdout and stderr captured, and times each call in CPU time
+(`time.process_time`).  A call's time is its least over the passes
+(PASSES).
 
 Prints one JSON line: the seed, the core count, the Python version, the
 calls, their total CPU ms, the 99th percentile of a call's ms
@@ -67,13 +68,12 @@ def _call(main, argv) -> tuple[float, tuple]:
 def class_shares(seed: int, calls: int | None = None, passes: int = PASSES) -> dict:
     """The table that `main` prints, as a dict, over the first `calls`
     calls of the op list (all of them by default)."""
-    from bijacobsthal import cli, matrixseq, scalar
+    from bijacobsthal import cli, scalar
 
     ops = _workloads().mixed_ops(seed, RUN_SECONDS)[:calls]
     best = [float("inf")] * len(ops)
     for _ in range(passes):
         scalar.clear_caches()
-        matrixseq.clear_caches()
         outputs = []
         for i, (_, argv, _) in enumerate(ops):
             seconds, output = _call(cli.main, argv)
