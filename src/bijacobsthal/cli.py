@@ -141,11 +141,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         routes = verifier.defined_routes(params)
         if "binet" not in routes:
             print("note: ab = -8, root-based route skipped", file=sys.stderr)
-        for name, value, reference in verifier.route_values(routes, params, n):
-            if value != reference:
-                print(f"method mismatch: {name} gave {value}, "
-                      f"recurrence gave {reference}", file=sys.stderr)
-                return MISMATCH
+        reference = routes["recurrence"](params, n)
+        for name, value in verifier.route_values(routes, params, n, reference):
+            print(f"method mismatch: {name} gave {value}, "
+                  f"recurrence gave {reference}", file=sys.stderr)
+            return MISMATCH
         value = reference
     else:
         value = METHODS[args.method](params, n)

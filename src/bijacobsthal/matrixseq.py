@@ -23,22 +23,15 @@ recurrence started at J[0] = I and J[1], so it runs the same
 same power K^m (`term_binet` the same power of its doubled root), so
 both routes step their last power on the point (`scalar._stepped_power`).
 
-Every integer or log-time computation here reads J[n] through its
-coordinates in the basis {J[1], I}: J is the jhat recurrence started at
-J[0] = I and J[1], so J[n] = u[n]*J[1] + v[n]*I, where u and v follow the
-same rule from (0, 1) and (1, 0).  That is stated once, as two pieces:
-
-* the walk, `_cleared_walk`: a generator of the cleared pairs
-  (U[k], V[k]) = w[k]*(u[k], v[k]), stepped by the integer rule of
-  `SeqKind._integer_rule`, w its weights.  `_Cleared`, which clears by
-  F = c * lcm(w[bound-1], w[bound]), and the `bench` naive route
-  `term_naive` read it;
-* the fold, `_fold`: the entries of u*(c*J[1]) + v*(c*I), with the
-  products by J[1]'s entries 1 and 0 not taken, on J[1]'s cleared row
-  (c, c*b, c*2b/a), which a `BiParams` keeps as ints
-  (`BiParams.j1_cleared`), so J[1] is cleared in one place.  `_Cleared`
-  calls it, and so does `_over_power`, the one finish of `term_fast`,
-  `term_binet` and the log-time partial sum `_weighted_sum`.
+Every log-time computation here reads J[n] through its coordinates in
+the basis {J[1], I}: J is the jhat recurrence started at J[0] = I and
+J[1], so J[n] = u[n]*J[1] + v[n]*I, where u and v follow the same rule
+from (0, 1) and (1, 0).  That is stated once, as the fold, `_fold`: the
+entries of u*(c*J[1]) + v*(c*I), with the products by J[1]'s entries 1
+and 0 not taken, on J[1]'s cleared row (c, c*b, c*2b/a), which a
+`BiParams` keeps as ints (`BiParams.j1_cleared`), so J[1] is cleared in
+one place.  `_over_power`, the one finish of `term_fast`, `term_binet`
+and the log-time partial sum `_weighted_sum`, calls it.
 
 The two log-time routes raise integers, not rationals: `term_fast` an
 integer two-step matrix K, in the ring Z[K] as s*K + t*I (see
@@ -57,23 +50,25 @@ cleared row, each entry divided once, by c*d*M^(n//2), with
 `exact._divide`, which strips only the factors of c*d and of M (raised
 once for the four entries) and so takes linear time.  At an integer pair
 no `Fraction` operation runs from the power to the division.  The
-recurrence memo and the closed route never touch the walk, the fold, the
-cleared row, K or the doubled roots: they read the point's memoized
-series (`BiParams.series`), which step the rational recurrence on plain
-ints by `SeqKind._integer_rule`, one int lane per entry of J (the step scales
+recurrence memo and the closed route never touch the fold, the cleared
+row, K or the doubled roots: they read the point's memoized series
+(`BiParams.series`), which step the rational recurrence on plain ints by
+`SeqKind._integer_rule`, one int lane per entry of J (the step scales
 and adds entry by entry), and on a term's first read divide each of its
 entries once, back to the `Fraction`s that rational arithmetic gives,
 and build its one `Mat2`.  So a bad fold still shows as a route
-disagreement.  `_weighted_sum`, behind
+disagreement.  The verifier reads J[0..n] with one prefix read,
+`recurrence_prefix`, and its cleared terms (`_Cleared`) read the same
+series' lanes, undivided.  `_weighted_sum`, behind
 the public direct sums of `verifier`, raises the same integer two-step
 matrix bordered by an accumulator column, and ends in `_over_power` too.
 
 No route here states the step rule.  J is the jhat recurrence, so the
-recurrence memo, `iter_terms` and the walk step with `scalar._steps` on
-the (even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the kind
-table in `scalar` (the memo and the walk on the integer rule that
-`SeqKind._integer_rule` derives from it, the one place the sequence is
-cleared to ints), and `term_fast` (through `scalar._two_step`) and
+recurrence memo, `iter_terms` and `term_naive` step with `scalar._steps`
+on the (even, odd, lag) that `SeqKind.BP_JACOBSTHAL.rule` reads off the
+kind table in `scalar` (the memo and `term_naive` on the integer rule
+that `SeqKind._integer_rule` derives from it, the one place the sequence
+is cleared to ints), and `term_fast` (through `scalar._two_step`) and
 `_weighted_sum` raise the one integer two-step matrix, which
 `SeqKind._two_step_matrix` builds from the same rule.  The four routes
 are separate computations and cross-check one another.
@@ -94,8 +89,8 @@ from math import lcm
 from typing import Callable, Iterator
 
 from .exact import Mat2, QuadNum, _Bordered, _divide, _plain, parity
-from .scalar import (BiParams, SeqKind, _memo_term, _steps, _stepped_power, _two_step,
-                     scalar_term)
+from .scalar import (BiParams, SeqKind, _memo_read, _Series, _steps, _stepped_power,
+                     _two_step, scalar_term)
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -130,22 +125,6 @@ def _walk(rule: tuple, prev, cur) -> Iterator:
     yield prev
     yield cur
     yield from _steps(rule, 2, prev, cur)
-
-
-def _cleared_walk(params: BiParams) -> tuple[Iterator[tuple[int, int]],
-                                              Callable[[int], int]]:
-    """(walk, w): the cleared pairs (U[k], V[k]) = w[k]*(u[k], v[k]) for
-    k = 0, 1, 2, ..., with J[k] = u[k]*J[1] + v[k]*I, and their weights.
-
-    `SeqKind._integer_rule` gives the rule on plain ints that w[k]*t[k]
-    follows for any t on the jhat rule, with the weights
-    w[k] = (w0, w1)[k & 1] * M^(k//2).  So U and V, started at (0, w1)
-    and (w0, 0), stay on integers.  Each is stepped by `_walk` only as far
-    as it is read.  `w` maps k to w[k].
-    """
-    rule, (w0, w1), den = SeqKind.BP_JACOBSTHAL._integer_rule(params)
-    w = lambda k: (w0, w1)[k & 1] * den ** (k // 2)
-    return zip(_walk(rule, 0, w1), _walk(rule, w0, 0)), w
 
 
 def _fold(cleared: tuple, u, v) -> tuple:
@@ -225,48 +204,57 @@ def _matrix_start(params: BiParams) -> tuple[Mat2, Mat2]:
 def term_recurrence(params: BiParams, n: int) -> Mat2:
     """J[n] by the definitional recurrence (memoized on the point)."""
     _check_index(n)
-    return _memo_term(params, _J, SeqKind.BP_JACOBSTHAL, _matrix_start, n)
+    return _memo_read(params, _J, SeqKind.BP_JACOBSTHAL, _matrix_start, n, _Series.term)
+
+
+def recurrence_prefix(params: BiParams, n: int) -> list[Mat2]:
+    """[J[0], ..., J[n]] by the definitional recurrence, from one read of
+    the point's memoized series: the read that a sweep over n makes."""
+    _check_index(n)
+    return _memo_read(params, _J, SeqKind.BP_JACOBSTHAL, _matrix_start, n, _Series.prefix)
 
 
 class _Cleared:
     """A parameter point whose terms are cleared of denominators.
 
     `term(k)` is F*J[k] with plain int entries, for 0 <= k <= bound, where
-    bound = max(n_max, 1) because every formula reads J[0] and J[1], and
-    F = c * lcm(w[bound-1], w[bound]), w the weights of
-    `SeqKind._integer_rule`, one factor for every formula that reads the
-    terms:
+    bound = max(n_max, 1) because every formula reads J[0] and J[1].  The
+    terms are read off the lanes of the point's J series
+    (`BiParams.series`), stepped through the bound by one extension:
+    at index k its four lanes hold the entries of c*w[k]*J[k] on ints, w
+    the weights of `SeqKind._integer_rule` and c the series' least
+    clearing integer.
+    w[k] = (w0, w1)[k & 1] * M^(k//2) divides w[bound-1] or w[bound], the
+    last weight of its parity, so with one factor for every formula that
+    reads the terms,
 
-    * c clears the denominators of J[1] (at integer (a, b) it divides a),
-      so c*J[0] = c*I and c*J[1] are integral; it is the first field of
-      `BiParams.j1_cleared`, the row `_over_power` folds with too;
-    * w[k]*c*J[k] is the fold of the cleared pair (U[k], V[k]) of
-      `_cleared_walk` with c*J[1].  w[k] = (w0, w1)[k & 1] * M^(k//2)
-      divides w[bound-1] or w[bound], the last weight of its parity, so
-      each term is rescaled by lcm(w[bound-1], w[bound]) // w[k] (1 at
-      every k when (a, b) is an integer pair).  Past the bound w[k] need
-      not divide that lcm, so `term` refuses any k outside 0..bound.
+        F = c * lcm(w[bound-1], w[bound]),
+
+    F*J[k] is the lanes' entries at k times F // (c*w[k]) (1 at every k
+    when (a, b) is an integer pair).  Past the bound c*w[k] need not divide F, so `term`
+    refuses any k outside 0..bound.
 
     The formulas are linear in the terms, so fed F*J[k] they give F times
     their value for any nonzero F.  On a PASS at an integer pair that is
     the direct side's plain int matrix; a form that fails there may divide
     to a Fraction, which compares the same.
 
-    Terms are stepped only as far as they are read.  `a`, `b` and `ab` are
+    A term's `Mat2` is built on its first read.  `a`, `b` and `ab` are
     the point's own values through `exact._plain`, so the sum forms and
     `genfunc.build_ogf` read them as they read a `BiParams`.
     """
 
     def __init__(self, params: BiParams, n_max: int) -> None:
-        walk, w = _cleared_walk(params)
-        cleared = params.j1_cleared
         self.bound = max(n_max, 1)
-        top = lcm(w(self.bound - 1), w(self.bound))
-        self.factor = cleared[0] * top
+        series = _memo_read(params, _J, SeqKind.BP_JACOBSTHAL, _matrix_start, self.bound,
+                            lambda series, n: series)
+        scales, base = series.scales, series.base
+        weight = lambda k: scales[k & 1] * base ** (k // 2)
+        self.factor = lcm(weight(self.bound - 1), weight(self.bound))
         self.a, self.b, self.ab = _plain(params.a), _plain(params.b), _plain(params.ab)
         self._terms: list[Mat2] = []
-        self._more = (Mat2(*_fold(cleared, u, v)).scale(top // w(k))
-                      for k, (u, v) in enumerate(walk))
+        self._more = (Mat2(*entries).scale(self.factor // weight(k))
+                      for k, entries in enumerate(zip(*series.lanes)))
 
     def term(self, k: int) -> Mat2:
         if not 0 <= k <= self.bound:
@@ -323,16 +311,18 @@ def term_fast(params: BiParams, n: int) -> Mat2:
 def term_naive(params: BiParams, n: int) -> Mat2:
     """J[n] by the definitional recurrence, freshly: `bench`'s naive route.
 
-    The cleared walk is read at n, and J[n] is assembled as
-    (U*J[1] + V*I) / w[n], w the weights of `SeqKind._integer_rule`, with
-    `Mat2` ops, not with the fold, so `bench`'s self-test compares two
-    different assemblies.  No memo is read.  An index below 0 is refused
-    as every matrix route refuses it.
+    A fresh `scalar._Series` for J, on no point's memo, gives the integer
+    rule, the cleared start entries of its four lanes and the division.
+    Each lane is walked to n keeping only its last two entries (a series
+    keeps every term, some 4 GB at n = 2^17), and J[n] is divided from the
+    four entries there, entry by entry, not assembled by the fold, so
+    `bench`'s self-test compares two different assemblies.  An index below
+    0 is refused as every matrix route refuses it.
     """
     _check_index(n)
-    walk, w = _cleared_walk(params)
-    u, v = next(islice(walk, n, None))
-    return (u * generator_matrix(params) + v * Mat2.identity()) / w(n)
+    series = _Series(SeqKind.BP_JACOBSTHAL, params, *_matrix_start(params))
+    walks = [_walk(series.rule, *lane) for lane in series.lanes]
+    return series.divided(next(islice(zip(*walks), n, None)), n)
 
 
 def det_closed(params: BiParams, n: int) -> Fraction:

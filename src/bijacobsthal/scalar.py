@@ -16,25 +16,32 @@ series, and `_steps` is the one forward stepper: it yields the terms
 that follow two given ones, two indices per loop turn, each only when it
 is asked for.  Every memoized series (a scalar kind's here, the matrix
 one of `matrixseq`) keeps one run of it per lane and extends the lane
-from it, and `matrixseq._walk` reads it term by term; the walk is behind
-`iter_terms` and `matrixseq._cleared_walk`, which the verifier's cleared
-terms and `bench`'s naive route read.
+from it, and `matrixseq._walk` reads it term by term, behind
+`iter_terms` and `bench`'s naive route.
 `_two_step` raises the integer two-step matrix that
 `SeqKind._two_step_matrix` builds from the same (even, odd, lag), in the
 ring it spans with I.
 
-At a `BiParams` point the memoized series and `matrixseq._cleared_walk`
-step on plain ints: `SeqKind._integer_rule`, derived from the same
-(even, odd, lag), is the rule that each term times a weight follows, the
-one place a sequence is cleared to ints.  Scaling and adding act
-entry by entry, so each entry of a matrix term follows that rule by
-itself: a series steps one int lane per entry (one for a scalar series,
-four for a `Mat2` one) and builds no `Mat2` per step.  It keeps the
-integers undivided until the term is first read, and then divides each
-entry once by its weight, in linear time (`exact._divide`).  So a series
-read returns the same `Fraction` the rational recurrence gives, without
-a `Fraction` operation, and its gcd, per step, and a term that is
-stepped past but never read is never divided.
+At a `BiParams` point the memoized series step on plain ints:
+`SeqKind._integer_rule`, derived from the same (even, odd, lag), is the
+rule that each term times a weight follows, the one place a sequence is
+cleared to ints.  Scaling and adding act entry by entry, so each entry
+of a matrix term follows that rule by itself: a series steps one int
+lane per entry (one for a scalar series, four for a `Mat2` one) and
+builds no `Mat2` per step.  It keeps the integers undivided until the
+term is first read, and then divides each entry once by its weight, in
+linear time (`exact._divide`).  So a series read returns the same
+`Fraction` the rational recurrence gives, without a `Fraction`
+operation, and its gcd, per step, and a term that is stepped past but
+never read is never divided.  The verifier's cleared terms
+(`matrixseq._Cleared`) read J's lanes themselves, undivided.
+
+A point's series has one read path, `_memo_read`, with two readers: a
+point read of one term (`scalar_term`, `matrixseq.term_recurrence`) and
+a prefix read of t[0..n] (`scalar_prefix`,
+`matrixseq.recurrence_prefix`), which extends the series once and
+divides every term not yet read.  The suites that sweep n read the
+prefix.
 
 A pair's state lives on its `BiParams`: the derived values (ab, the
 two-step bases, the Binet constants, J[1]'s cleared row), the kept
@@ -140,7 +147,7 @@ class BiParams:
     def series(self) -> dict:
         """key -> `_Series`: this point's memoized prefixes, one per
         `SeqKind` that `scalar_term` reads and one under
-        `matrixseq.term_recurrence`'s key for J.  `_memo_term` fills it,
+        `matrixseq.term_recurrence`'s key for J.  `_memo_read` fills it,
         under its lock."""
         return {}
 
@@ -230,11 +237,11 @@ class SeqKind(enum.Enum):
         so the rule is (pe/g_e, po/g_o, lag*M), which `_steps` reads as it
         reads `rule`.  The weights grow by M every two steps, not by the
         qe*qo that clearing each multiplier's own denominator would take.
-        It has two readers: the memoized `_Series`, and
-        `matrixseq._cleared_walk`, behind the verifier's cleared terms
-        (F = c * lcm(w[bound-1], w[bound])) and `bench`'s naive route.
-        The log-time routes do not read it, so a wrong rule here still
-        shows as a route disagreement.
+        Its one reader is `_Series`, whose lanes the verifier's cleared
+        terms read (F = c * lcm(w[bound-1], w[bound]), c the series' own)
+        and which `bench`'s naive route steps afresh.  The log-time routes
+        do not read it, so a wrong rule here still shows as a route
+        disagreement.
         """
         even, odd, lag = self.rule(params)
         g_even = gcd(even.numerator, odd.denominator)
@@ -282,7 +289,8 @@ class _Series:
     object.  A term that is never read is never divided.  At a point over
     any other ring (a symbolic one) the lanes step t itself by
     `SeqKind.rule`, through the same runs, and a read builds the term
-    with no division.
+    with no division.  `extend` steps the lanes; `term` and `prefix` read
+    only what they hold, so each reader extends once per read.
     """
 
     __slots__ = ("rule", "terms", "lanes", "scales", "base", "runs")
@@ -301,73 +309,87 @@ class _Series:
         self.terms = [None, None]
         self.runs = None
 
-    def term(self, n: int):
+    def extend(self, n: int) -> None:
+        """Step every lane through index n, if it is not there yet."""
         terms, lanes = self.terms, self.lanes
         k = len(terms)
-        if k <= n:
-            # Every lane's new entries are taken before any lane appends its
-            # own.  A step that raises leaves the lanes and `terms` as they
-            # were and drops the runs (that one is over, the others have
-            # moved on), so the next extension starts new ones.
-            runs = self.runs or [_steps(self.rule, k, lane[-2], lane[-1]) for lane in lanes]
-            count = n + 1 - k
-            try:
-                # A sweep's next index, the most frequent extension, takes
-                # one term off each run, with no list built per lane.
-                new = (list(map(next, runs)) if count == 1
-                       else [list(islice(run, count)) for run in runs])
-            except BaseException:
-                self.runs = None
-                raise
-            self.runs = runs
-            if count == 1:
-                for lane, entry in zip(lanes, new):
-                    lane.append(entry)
-                terms.append(None)
-            else:
-                for lane, run in zip(lanes, new):
-                    lane += run
-                terms += [None] * count
-        value = terms[n]
-        if value is not None:
-            return value
-        if self.scales is None:
-            entries = [lane[n] for lane in lanes]
+        if k > n:
+            return
+        # Every lane's new entries are taken before any lane appends its
+        # own.  A step that raises leaves the lanes and `terms` as they
+        # were and drops the runs (that one is over, the others have moved
+        # on), so the next extension starts new ones.
+        runs = self.runs or [_steps(self.rule, k, lane[-2], lane[-1]) for lane in lanes]
+        count = n + 1 - k
+        try:
+            # A one-index extension, a point read's next index in a sweep,
+            # takes one term off each run, with no list built per lane.
+            new = (list(map(next, runs)) if count == 1
+                   else [list(islice(run, count)) for run in runs])
+        except BaseException:
+            self.runs = None
+            raise
+        self.runs = runs
+        if count == 1:
+            for lane, entry in zip(lanes, new):
+                lane.append(entry)
+            terms.append(None)
         else:
+            for lane, run in zip(lanes, new):
+                lane += run
+            terms += [None] * count
+
+    def term(self, n: int):
+        """t[n], of an index the lanes hold: divided on its first read and
+        kept in the read cache, then read back from there."""
+        value = self.terms[n]
+        if value is None:
+            value = self.terms[n] = self.divided([lane[n] for lane in self.lanes], n)
+        return value
+
+    def prefix(self, n: int) -> list:
+        """t[0..n], of indices the lanes hold: the read cache's terms, and
+        `term`'s division of each one not yet read."""
+        return [t if t is not None else self.term(i)
+                for i, t in enumerate(self.terms[:n + 1])]
+
+    def divided(self, entries, n: int):
+        """The term at index n whose lane entries are `entries`: at a
+        `BiParams` point each is divided by c*w[n] with `exact._divide`,
+        and a matrix series builds the one `Mat2` of them."""
+        if self.scales is not None:
             den, base, m = self.scales[n & 1], self.base, n >> 1
             power = base ** m
-            if len(lanes) == 1:  # a scalar read, the most frequent, builds no list
-                value = terms[n] = _divide(lanes[0][n], den, base, power, m)
-                return value
-            entries = [_divide(lane[n], den, base, power, m) for lane in lanes]
-        value = terms[n] = Mat2(*entries) if len(entries) > 1 else entries[0]
-        return value
+            entries = [_divide(e, den, base, power, m) for e in entries]
+        return Mat2(*entries) if len(entries) > 1 else entries[0]
 
 
 _series_lock = threading.Lock()
 
 
-def _memo_term(params, key, kind: SeqKind, start, n: int):
-    """t[n] of the series `params.series[key]`: a `_Series` on `kind`'s
-    rule from the two terms `start(params)` gives, made on its first read.
+def _memo_read(params, key, kind: SeqKind, start, n: int, read):
+    """read(series, n) of the series `params.series[key]`, stepped through
+    n: a `_Series` on `kind`'s rule from the two terms `start(params)`
+    gives, made on its first read.  `read` is `_Series.term` for a point
+    read, `_Series.prefix` for a prefix read, or what else reads the
+    stepped lanes.
 
-    Every lane's new entries are taken before any lane appends its own, so
-    a step that raises, in any lane, leaves every lane and the read cache
+    A step that raises, in any lane, leaves every lane and the read cache
     as they were before the call and drops the runs; the next call starts
     new runs from there.  A term's division on its first read is stored
     only once it has succeeded, so a division that raises leaves the term
     unread, to divide on the next read.  One lock is held across lookup,
-    extension and that division, so threads sharing a point never build
-    one series twice, append the same index twice or divide one term
-    twice.  A series lives as long as its point: the table's points until
-    `point` evicts them, a caller's own `BiParams` until the caller drops
-    it.
+    extension and the read, so threads sharing a point never build one
+    series twice, append the same index twice or divide one term twice.
+    A series lives as long as its point: the table's points until `point`
+    evicts them, a caller's own `BiParams` until the caller drops it.
     """
     with _series_lock:
         series = params.series.get(key)
         if series is None:
             series = params.series[key] = _Series(kind, params, *start(params))
-        return series.term(n)
+        series.extend(n)
+        return read(series, n)
 
 
 MAX_POINTS = 64
@@ -413,7 +435,13 @@ def scalar_term(kind: SeqKind, params: BiParams, n: int) -> Fraction:
         raise ValueError(f"index -1 is only defined for {SeqKind.BP_JACOBSTHAL.value}")
     if n < -1:
         raise ValueError(f"index {n} is out of domain (minimum is -1)")
-    return _memo_term(params, kind, kind, kind.initial_terms, n)
+    return _memo_read(params, kind, kind, kind.initial_terms, n, _Series.term)
+
+
+def scalar_prefix(kind: SeqKind, params: BiParams, n: int) -> list[Fraction]:
+    """[t[0], ..., t[n]] by the forward recurrence, from one read of the
+    point's memoized series: the read that a sweep over n makes."""
+    return _memo_read(params, kind, kind, kind.initial_terms, n, _Series.prefix)
 
 
 def _stepped_power(params: BiParams, base, k: int):
@@ -514,7 +542,7 @@ def verify_lucas_relations(params: BiParams, n_max: int) -> IdentityReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    jhat, cluc = ([_plain(scalar_term(kind, params, i)) for i in range(n_max + 2)]
+    jhat, cluc = ([_plain(t) for t in scalar_prefix(kind, params, n_max + 1)]
                   for kind in (SeqKind.BP_JACOBSTHAL, SeqKind.BP_JACOBSTHAL_LUCAS))
     shift = _plain(params.ab + 8)
 

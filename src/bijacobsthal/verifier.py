@@ -13,9 +13,10 @@ suites once, in `_SUITES`.
 Three suites, SUM_T5, WEIGHTED_SUM_T6 and SERIES_MATCH, compare both
 sides multiplied by one known nonzero factor per point and index bound,
 F = c * lcm(w[bound-1], w[bound]), w the weights of
-`SeqKind._integer_rule` (see `matrixseq._Cleared`): c clears the
-denominators of J[1], and w[k]*J[k] is the integer rule's cleared term.
-One factor serves all three.  The closed forms and `genfunc.build_ogf`
+`SeqKind._integer_rule` (see `matrixseq._Cleared`): c*w[k]*J[k] is what
+the point's J series holds in its lanes, on ints, and the cleared terms
+read it there, so the suites step no walk of their own.  One factor
+serves all three.  The closed forms and `genfunc.build_ogf`
 read every term, J[0] and J[1] included, through one term source
 (`matrixseq._term_source`); the three closed forms take it, with their
 selectors for each parity of n, from `_form_inputs`.  Each form is
@@ -37,9 +38,10 @@ residual in the original units, and the first one confirmed there is the
 FAIL.
 
 CASSINI, DET, DOUBLING and LUCAS_RELATIONS (in `scalar`) check
-identities among the memos' own terms, read through the public
-`scalar_term` and `term_recurrence`, so a corrupted memo shows in them.
-Each reads every term once, through `exact._plain` (J as a `Mat2` of such
+identities among the memos' own terms, so a corrupted memo shows in
+them.  Each reads all of its terms with one prefix read per series,
+`scalar_prefix` or `recurrence_prefix`, which extends the series once,
+and passes every term through `exact._plain` (J as a `Mat2` of such
 entries), and its constants ab+4 and ab+8 too; CASSINI takes the
 denominator of b/a onto both sides.  So at an integer pair every product
 and sum is on ints, and so is every comparison but DET's, whose right
@@ -84,6 +86,7 @@ from .matrixseq import (
     _weighted_sum,
     char_roots,
     det_closed,
+    recurrence_prefix,
     term_binet,
     term_closed,
     term_fast,
@@ -103,7 +106,7 @@ from .report import (
     first_mismatch,
     skipped,
 )
-from .scalar import BiParams, SeqKind, point, scalar_term, verify_lucas_relations
+from .scalar import BiParams, SeqKind, point, scalar_prefix, verify_lucas_relations
 
 # route name -> J[n] by that route; `cli.METHODS` is this same dict.
 ROUTES = {
@@ -120,13 +123,15 @@ def defined_routes(params: BiParams) -> dict:
             if name != "binet" or params.disc != 0}
 
 
-def route_values(routes: dict, params: BiParams, n: int):
-    """Yield (name, J[n] by that route, J[n] by the recurrence) for every
-    route in `routes` but the recurrence, which is computed once."""
-    reference = routes["recurrence"](params, n)
+def route_values(routes: dict, params: BiParams, n: int, reference: Mat2):
+    """Yield (name, J[n] by that route) for every route in `routes` but
+    the recurrence whose J[n] differs from `reference`, the recurrence's
+    J[n], which the caller reads once."""
     for name, route in routes.items():
         if name != "recurrence":
-            yield name, route(params, n), reference
+            value = route(params, n)
+            if value != reference:
+                yield name, value
 
 
 def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
@@ -137,7 +142,7 @@ def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     p, q = params.ratio.as_integer_ratio()
-    jhat = [_plain(scalar_term(SeqKind.BP_JACOBSTHAL, params, i)) for i in range(n_max + 2)]
+    jhat = [_plain(t) for t in scalar_prefix(SeqKind.BP_JACOBSTHAL, params, n_max + 1)]
 
     def cases():
         # (b/a)^e and (b/a)^(1-e) are p/q and 1 by parity, and the right
@@ -157,19 +162,19 @@ def verify_cassini(params: BiParams, n_max: int) -> IdentityReport:
     return first_mismatch(CASSINI, params, n_max, cases())
 
 
-def _plain_term(params: BiParams, n: int) -> Mat2:
-    """J[n] from the recurrence memo, read through this module's
-    `term_recurrence`, with each entry through `exact._plain`."""
-    t = term_recurrence(params, n)
-    return Mat2(_plain(t.e11), _plain(t.e12), _plain(t.e21), _plain(t.e22))
+def _plain_prefix(params: BiParams, n: int) -> list[Mat2]:
+    """J[0..n] from one prefix read of the recurrence memo, through this
+    module's `recurrence_prefix`, with each entry through `exact._plain`."""
+    return [Mat2(_plain(t.e11), _plain(t.e12), _plain(t.e21), _plain(t.e22))
+            for t in recurrence_prefix(params, n)]
 
 
 def verify_det(params: BiParams, n_max: int) -> IdentityReport:
     """det(J[n]) computed entrywise equals 2^n * (-b/a)^parity(n)."""
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
-    cases = ((n, _plain_term(params, n).det(), det_closed(params, n), None)
-             for n in range(n_max + 1))
+    cases = ((n, term.det(), det_closed(params, n), None)
+             for n, term in enumerate(_plain_prefix(params, n_max)))
     return first_mismatch(DET, params, n_max, cases)
 
 
@@ -184,7 +189,7 @@ def verify_doubling(params: BiParams, m_max: int) -> IdentityReport:
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     shift = _plain(params.ab + 4)
-    terms = [_plain_term(params, i) for i in range(2 * m_max + 2)]
+    terms = _plain_prefix(params, 2 * m_max + 1)
 
     def cases():
         # Only a mismatch is yielded, its left side with Fraction entries,
@@ -511,8 +516,8 @@ def verify_cross_method(params: BiParams, n_max: int) -> IdentityReport:
     note = (None if "binet" in routes
             else "root-based route skipped: ab = -8 repeated root")
     cases = ((n, value, reference, f"{name} route disagrees with recurrence")
-             for n in range(n_max + 1)
-             for name, value, reference in route_values(routes, params, n))
+             for n, reference in enumerate(recurrence_prefix(params, n_max))
+             for name, value in route_values(routes, params, n, reference))
     return first_mismatch(CROSS_METHOD, params, n_max, cases, note=note)
 
 

@@ -561,6 +561,18 @@ def test_verify_full_default_grid_with_errata_expected(capsys):
     assert sum("SKIPPED" in line for line in lines) == 4
 
 
+def test_verify_rational_grid_with_errata_expected(capsys):
+    # At rational pairs the cleared suites' factor F changes with the
+    # point and the bound; the stdout must stay byte-identical.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                           "--a", "-3/2,-2/3,-1/2,1/2,2/3,3/2",
+                           "--b", "-5/4,-3/5,-1/3,1/3,3/5,5/4",
+                           "--n-max", "128", "--expect-errata", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9068970361a0b862f6a51850bd206e15eaf6b12e01a33816030de18ab4a9a9b5")
+
+
 def test_verify_usage_error_on_zero_grid(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "DET", "--a", "0",
                            "--b", "1", "--n-max", "8")

@@ -24,6 +24,7 @@ from bijacobsthal.matrixseq import (
 from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
 from bijacobsthal.verifier import sum_direct, verify_cross_method
 import bijacobsthal.matrixseq as matrixseq_mod
+import bijacobsthal.scalar as scalar_mod
 
 GRID = [BiParams(a, b)
         for a in (-3, -2, -1, 1, 2, 3)
@@ -589,53 +590,62 @@ def test_bench_naive_route_is_the_fraction_recurrence(a, b):
         assert value.entries() == expected.entries(), n
 
 
-def _count_steps(monkeypatch):
-    """Record the index of every step the cleared walk takes, as its
-    `_steps` run hands the term out."""
+def _count_steps(monkeypatch, module):
+    """Record the index of every step that a `_steps` run started through
+    `module` takes, as the run hands the term out."""
     calls = []
-    steps = matrixseq_mod._steps
+    steps = module._steps
 
     def counting_steps(rule, start, prev, cur):
         for n, term in enumerate(steps(rule, start, prev, cur), start):
             calls.append(n)
             yield term
 
-    monkeypatch.setattr(matrixseq_mod, "_steps", counting_steps)
+    monkeypatch.setattr(module, "_steps", counting_steps)
     return calls
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
 def test_bench_naive_route_steps_only_through_the_step_rule(monkeypatch, a, b):
-    # Two integer sequences, u and v, take one step each per index k >= 2.
-    calls = _count_steps(monkeypatch)
+    # The four lanes of a fresh J series take one step each per index
+    # k >= 2, and the point's own memo is neither read nor filled.
+    calls = _count_steps(monkeypatch, matrixseq_mod)
     params = BiParams(a, b)
     for n, expected in enumerate(islice(iter_terms(params), 40)):
         calls.clear()
         assert term_naive(params, n) == expected, n
-        assert sorted(calls) == [k for k in range(2, n + 1) for _ in "uv"], n
+        assert sorted(calls) == [k for k in range(2, n + 1) for _ in range(4)], n
+    assert params.series == {}
 
 
 @pytest.mark.parametrize("n", [-1, -4])
 def test_bench_naive_route_refuses_negative_indices(monkeypatch, n):
-    # The refusal comes first: no walk or starting matrix is built.
-    monkeypatch.setattr(matrixseq_mod, "_cleared_walk", None)
+    # The refusal comes first: no series or starting matrix is built.
+    monkeypatch.setattr(matrixseq_mod, "_Series", None)
     monkeypatch.setattr(matrixseq_mod, "generator_matrix", None)
     with pytest.raises(ValueError, match=r"^matrix terms are defined for n >= 0$"):
         term_naive(BiParams(1, 1), n)
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(5, 7), F(-7, 9))], ids=str)
-def test_cleared_terms_step_only_as_far_as_they_are_read(monkeypatch, a, b):
-    # Term k of a fresh point takes one step of U and one of V per index
-    # 2..k, and a term already read takes none.
-    calls = _count_steps(monkeypatch)
+def test_cleared_terms_read_the_lanes_of_the_j_series(monkeypatch, a, b):
+    # A cleared point steps its point's J series through the bound by one
+    # extension, one `_steps` run per lane, and reads its terms off the
+    # lanes undivided.  Reading them, or clearing the point again to a
+    # bound the lanes hold, takes no step; a higher bound takes the same
+    # runs on from there.
+    calls = _count_steps(monkeypatch, scalar_mod)
     params = BiParams(a, b)
-    for k in range(41):
-        cleared = matrixseq_mod._Cleared(params, 40)
-        calls.clear()
+    cleared = matrixseq_mod._Cleared(params, 20)
+    assert sorted(calls) == [k for k in range(2, 21) for _ in range(4)]
+    series = params.series[matrixseq_mod._J]
+    assert series.terms == [None] * 21
+    calls.clear()
+    for k in (20, *range(20)):
         assert cleared.term(k) == cleared.factor * term_recurrence(params, k), k
-        assert sorted(calls) == [j for j in range(2, k + 1) for _ in "uv"], k
-        calls.clear()
-        cleared.term(k)
-        cleared.term(k // 2)
-        assert calls == [], k
+    lower = matrixseq_mod._Cleared(params, 10)
+    assert lower.term(10) == lower.factor * term_recurrence(params, 10)
+    assert calls == []
+    matrixseq_mod._Cleared(params, 40)
+    assert sorted(calls) == [k for k in range(21, 41) for _ in range(4)]
+    assert [len(lane) for lane in series.lanes] == [41] * 4

@@ -11,7 +11,9 @@ that sweep one point in different orders read and step the same stored
 powers; every value they get is compared with the same references.
 Threads that ask the table of points for one pair, written two ways,
 all get the one object, and eight threads that make their first read of a
-series at one point build that series once.
+series at one point build that series once.  Eight threads that mix
+prefix reads and point reads of one fresh point's J and jhat series
+build each series once and all get the same term objects.
 """
 
 import random
@@ -21,8 +23,10 @@ from fractions import Fraction as F
 from itertools import islice
 
 from bijacobsthal import scalar
-from bijacobsthal.matrixseq import iter_terms, term_binet, term_fast, term_recurrence
-from bijacobsthal.scalar import BiParams, SeqKind, scalar_term, scalar_term_fast
+from bijacobsthal import matrixseq
+from bijacobsthal.matrixseq import (iter_terms, recurrence_prefix, term_binet, term_fast,
+                                    term_recurrence)
+from bijacobsthal.scalar import BiParams, SeqKind, scalar_prefix, scalar_term, scalar_term_fast
 
 JHAT = SeqKind.BP_JACOBSTHAL
 N = 300
@@ -196,3 +200,60 @@ def test_threads_first_reading_one_point_build_one_series(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         scalar.clear_caches()
+
+
+def test_threads_mixing_prefix_and_point_reads_share_each_term(monkeypatch):
+    # At one fresh point, two threads per reader: a prefix read and a
+    # sweep of point reads, each of jhat and of J.  Each series is built
+    # once, with one `_steps` run per lane (one for jhat, four for J),
+    # and every thread gets the very term objects the others got.
+    steps, started = scalar._steps, []
+
+    def counting_steps(*args):
+        started.append(args[1])
+        return steps(*args)
+
+    monkeypatch.setattr(scalar, "_steps", counting_steps)
+    readers = [
+        lambda p: scalar_prefix(JHAT, p, N),
+        lambda p: [scalar_term(JHAT, p, n) for n in range(N + 1)],
+        lambda p: recurrence_prefix(p, N),
+        lambda p: [term_recurrence(p, n) for n in range(N + 1)],
+    ] * 2
+    interval = sys.getswitchinterval()
+    try:
+        for trial in range(TRIALS):
+            started.clear()
+            params = BiParams(F(5, 7 + trial), F(-3, 11))
+            barrier = threading.Barrier(len(readers))
+            got: list = [None] * len(readers)
+            errors: list[Exception] = []
+
+            def read(i) -> None:
+                try:
+                    barrier.wait(timeout=10)
+                    got[i] = readers[i](params)
+                except Exception as exc:  # reported by the test, not lost
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(readers))]
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            sys.setswitchinterval(interval)
+            assert errors == []
+            assert started == [2] * 5
+            assert set(params.series) == {JHAT, matrixseq._J}
+            expected = _jhat_reference(params.a, params.b, N + 1)
+            matrices = list(islice(iter_terms(params), N + 1))
+            jhats, js = got[0::4] + got[1::4], got[2::4] + got[3::4]
+            for series, reference in ((jhats, expected), (js, matrices)):
+                assert series[0] == reference, trial
+                for terms in series[1:]:
+                    assert len(terms) == N + 1, trial
+                    assert all(x is y for x, y in zip(terms, series[0])), trial
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
 from math import lcm
@@ -653,13 +654,21 @@ def test_the_default_grid_hashes_no_point(monkeypatch, capsys):
 _JHAT, _JLUCAS = SeqKind.BP_JACOBSTHAL, SeqKind.BP_JACOBSTHAL_LUCAS
 
 
-# memo, kind -> (suite, bound, the first failure when index 10 is wrong):
-# each suite checks identities among the memo's own terms, and its first
-# case that reads index 10 fails
+_BOTH, _LANE = ("read cache", "lane"), ("lane",)
+
+# memo, kind -> (suite, bound, the first failure when index 10 is wrong,
+# where the suite reads it): each suite checks identities among the memo's
+# own terms, and its first case that reads index 10 fails.  The cleared
+# suites read J's lanes, not its read cache.
 _MEMO_READERS = {
-    (matrixseq_mod, _JHAT): [(verify_det, 16, 10), (verify_doubling, 8, 5)],
-    (scalar_mod, _JHAT): [(verify_cassini, 16, 9), (verify_lucas_relations, 16, 9)],
-    (scalar_mod, _JLUCAS): [(verify_lucas_relations, 16, 9)],
+    (matrixseq_mod, _JHAT): [
+        (verify_det, 16, 10, _BOTH), (verify_doubling, 8, 5, _BOTH),
+        (verify_sum_t5, 16, 11, _LANE),
+        (lambda p, n: verify_weighted_sum_t6(p, F(1), n), 16, 11, _LANE),
+        (verify_series_match, 17, 10, _LANE)],
+    (scalar_mod, _JHAT): [(verify_cassini, 16, 9, _BOTH),
+                          (verify_lucas_relations, 16, 9, _BOTH)],
+    (scalar_mod, _JLUCAS): [(verify_lucas_relations, 16, 9, _BOTH)],
 }
 
 
@@ -669,7 +678,8 @@ _MEMO_READERS = {
 def test_a_corrupted_memo_shows_in_the_suites_that_read_it(module, kind, where):
     # At an integer pair, index 10 goes wrong after its first read (its
     # cached value doubled), or before it (one lane int moved by 1, so the
-    # read divides the wrong int); the suites read the memo, so they FAIL.
+    # read divides the wrong int, and the cleared terms scale it); the
+    # suites read the memo, so they FAIL.
     params, c = BiParams(1, 2), 10
     if module is matrixseq_mod:
         key, read = matrixseq_mod._J, term_recurrence
@@ -682,12 +692,42 @@ def test_a_corrupted_memo_shows_in_the_suites_that_read_it(module, kind, where):
     else:
         assert series.terms[c] is None
         series.lanes[0][c] += 1
-    for suite, bound, first in _MEMO_READERS[(module, kind)]:
+    for suite, bound, first, wheres in _MEMO_READERS[(module, kind)]:
+        if where not in wheres:
+            continue
         report = suite(params, bound)
         assert (report.status, report.first_failure) == ("FAIL", first), suite
         residual = report.residual
         entries = residual.entries() if isinstance(residual, Mat2) else (residual,)
         assert all(type(e) is F for e in entries), suite
+
+
+def test_each_sweep_extends_each_series_it_reads_once(monkeypatch):
+    # One point's suites in the grid's order, counting the extensions of
+    # each series and the `_steps` runs started.  Each report reads each
+    # of its series with one extension; only CROSS_METHOD's closed route,
+    # a route under test, reads jhat one index at a time.  Once J holds
+    # the bound, the cleared suites start no step run.
+    extended, started = Counter(), []
+    extend, steps = scalar_mod._Series.extend, scalar_mod._steps
+    monkeypatch.setattr(scalar_mod._Series, "extend",
+                        lambda series, n: extended.update([id(series)]) or extend(series, n))
+    monkeypatch.setattr(scalar_mod, "_steps", lambda *args: started.append(args) or steps(*args))
+    params = BiParams(F(1, 2), F(-3, 4))
+    grid = GridSpec((params.a,), (params.b,), n_max=40)
+    for suite in grid.suites:
+        extended.clear()
+        started.clear()
+        reports = verifier_mod._SUITES[suite](params, grid)
+        counts = {key: extended[id(series)] for key, series in params.series.items()
+                  if (suite, key) != (CROSS_METHOD, _JHAT)}
+        assert 0 < sum(counts.values()) or suite == "ROOT_IDENTITIES", suite
+        assert max(counts.values()) <= len(reports), (suite, counts)
+        if suite in (SERIES_MATCH, SUM_T5, WEIGHTED_SUM_T6):
+            assert started == [], suite
+    assert set(params.series) == {matrixseq_mod._J, _JHAT, _JLUCAS}
+    matrixseq_mod._Cleared(params, 41).term(41)
+    assert started == []
 
 
 @pytest.mark.parametrize("suite, bound, products", [
@@ -717,6 +757,16 @@ def _bump(fn, hit):
         if not hit(*args):
             return value
         return value + (Mat2.identity() if isinstance(value, Mat2) else 1)
+    return bumped
+
+
+def _bump_prefix(fn, hit):
+    """fn, a prefix read of terms 0..n, with each term i bumped as `_bump`
+    bumps a point read of index i: hit sees the read's arguments with i
+    in place of n."""
+    def bumped(*args):
+        return [_bump(lambda *point: term, hit)(*args[:-1], i)
+                for i, term in enumerate(fn(*args))]
     return bumped
 
 
@@ -779,20 +829,22 @@ _I_PLAIN = "[[1,0],[0,1]]"
 # case -> (identity, module, attribute, patch, suite, bound, first_failure,
 # note): the forced cases of the four suites that read the memos, as at _P
 _MEMO_SUITES = {
-    "cassini": (CASSINI, verifier_mod, "scalar_term", lambda f: _bump(f, _at(4)),
+    "cassini": (CASSINI, verifier_mod, "scalar_prefix", lambda f: _bump_prefix(f, _at(4)),
                 verifier_mod.verify_cassini, 8, 3, None),
     "det": (DET, verifier_mod, "det_closed", lambda f: _bump(f, _at(3)),
             verifier_mod.verify_det, 8, 3, None),
-    "doubling-even": (DOUBLING, verifier_mod, "term_recurrence", lambda f: _bump(f, _at(8)),
+    "doubling-even": (DOUBLING, verifier_mod, "recurrence_prefix",
+                      lambda f: _bump_prefix(f, _at(8)),
                       verifier_mod.verify_doubling, 6, 4, "even-index doubling failed"),
-    "doubling-odd": (DOUBLING, verifier_mod, "term_recurrence", lambda f: _bump(f, _at(9)),
+    "doubling-odd": (DOUBLING, verifier_mod, "recurrence_prefix",
+                     lambda f: _bump_prefix(f, _at(9)),
                      verifier_mod.verify_doubling, 6, 4, "odd-index doubling failed"),
-    "lucas-first": (LUCAS_RELATIONS, scalar_mod, "scalar_term",
-                    lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL, 4)),
+    "lucas-first": (LUCAS_RELATIONS, scalar_mod, "scalar_prefix",
+                    lambda f: _bump_prefix(f, _kind_at(SeqKind.BP_JACOBSTHAL, 4)),
                     scalar_mod.verify_lucas_relations, 8, 3,
                     "C[n] = 2*jhat[n-1] + jhat[n+1] failed"),
-    "lucas-second": (LUCAS_RELATIONS, scalar_mod, "scalar_term",
-                     lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL_LUCAS, 4)),
+    "lucas-second": (LUCAS_RELATIONS, scalar_mod, "scalar_prefix",
+                     lambda f: _bump_prefix(f, _kind_at(SeqKind.BP_JACOBSTHAL_LUCAS, 4)),
                      scalar_mod.verify_lucas_relations, 8, 3,
                      "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed"),
 }
@@ -822,7 +874,7 @@ def _memo_fail(case, params, residual):
 # lhs - rhs are known in advance.
 _FORCED_FAILS = {
     "cassini": (
-        verifier_mod, "scalar_term", lambda f: _bump(f, _at(4)),
+        verifier_mod, "scalar_prefix", lambda f: _bump_prefix(f, _at(4)),
         lambda: verifier_mod.verify_cassini(_P, 8), 3, F(1), None, None,
         '{"identity": "CASSINI", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
         '"first_failure": 3, "residual": "1"}',
@@ -836,7 +888,7 @@ _FORCED_FAILS = {
         "DET,2,1,,8,FAIL,3,-1,,,",
         "DET a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"),
     "doubling-even": (
-        verifier_mod, "term_recurrence", lambda f: _bump(f, _at(8)),
+        verifier_mod, "recurrence_prefix", lambda f: _bump_prefix(f, _at(8)),
         lambda: verifier_mod.verify_doubling(_P, 6), 4, _I,
         "even-index doubling failed", None,
         '{"identity": "DOUBLING", "a": "2", "b": "1", "n_max": 6, "status": "FAIL", '
@@ -845,7 +897,7 @@ _FORCED_FAILS = {
         f"DOUBLING a=2 b=1 n_max=6 FAIL first_failure=4 residual={_I_PLAIN}"
         "  [even-index doubling failed]"),
     "doubling-odd": (
-        verifier_mod, "term_recurrence", lambda f: _bump(f, _at(9)),
+        verifier_mod, "recurrence_prefix", lambda f: _bump_prefix(f, _at(9)),
         lambda: verifier_mod.verify_doubling(_P, 6), 4, _I,
         "odd-index doubling failed", None,
         '{"identity": "DOUBLING", "a": "2", "b": "1", "n_max": 6, "status": "FAIL", '
@@ -854,8 +906,8 @@ _FORCED_FAILS = {
         f"DOUBLING a=2 b=1 n_max=6 FAIL first_failure=4 residual={_I_PLAIN}"
         "  [odd-index doubling failed]"),
     "lucas-first": (
-        scalar_mod, "scalar_term",
-        lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL, 4)),
+        scalar_mod, "scalar_prefix",
+        lambda f: _bump_prefix(f, _kind_at(SeqKind.BP_JACOBSTHAL, 4)),
         lambda: scalar_mod.verify_lucas_relations(_P, 8), 3, F(-1),
         "C[n] = 2*jhat[n-1] + jhat[n+1] failed", None,
         '{"identity": "LUCAS_RELATIONS", "a": "2", "b": "1", "n_max": 8, '
@@ -864,8 +916,8 @@ _FORCED_FAILS = {
         "LUCAS_RELATIONS a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"
         "  [C[n] = 2*jhat[n-1] + jhat[n+1] failed]"),
     "lucas-second": (
-        scalar_mod, "scalar_term",
-        lambda f: _bump(f, _kind_at(SeqKind.BP_JACOBSTHAL_LUCAS, 4)),
+        scalar_mod, "scalar_prefix",
+        lambda f: _bump_prefix(f, _kind_at(SeqKind.BP_JACOBSTHAL_LUCAS, 4)),
         lambda: scalar_mod.verify_lucas_relations(_P, 8), 3, F(-1),
         "(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed", None,
         '{"identity": "LUCAS_RELATIONS", "a": "2", "b": "1", "n_max": 8, '
