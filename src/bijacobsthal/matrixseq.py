@@ -286,7 +286,8 @@ def term_closed(params: BiParams, n: int) -> Mat2:
     """
     _check_index(n)
     jhat = SeqKind.BP_JACOBSTHAL
-    jm1, jn, jp1 = (scalar_term(jhat, params, i) for i in (n - 1, n, n + 1))
+    # jhat[n+1] first: one extension, and the other two read below it.
+    jp1, jn, jm1 = (scalar_term(jhat, params, i) for i in (n + 1, n, n - 1))
     if isinstance(params, BiParams):
         ratio, twice = params.ratio, params.j1_row[1]
     else:

@@ -15,9 +15,9 @@ unit-tested.  `SeqKind.rule` turns it into (even, odd, lag) once per
 series, and `_steps` is the one forward stepper: it yields the terms
 that follow two given ones, two indices per loop turn, each only when it
 is asked for.  Every memoized series (a scalar kind's here, the matrix
-one of `matrixseq`) keeps one run of it per lane and extends the lane
-from it, and `matrixseq._walk` reads it term by term, behind
-`iter_terms` and `bench`'s naive route.
+one of `matrixseq`) extends each lane by a new run of it, started from
+the lane's last two entries, and `matrixseq._walk` reads one run term by
+term, behind `iter_terms` and `bench`'s naive route.
 `_two_step` raises the integer two-step matrix that
 `SeqKind._two_step_matrix` builds from the same (even, odd, lag), in the
 ring it spans with I.
@@ -257,7 +257,9 @@ def _steps(rule: tuple, k: int, prev, cur) -> Iterator:
     is chosen by parity.  The rule is read once, and each loop turn takes
     two indices, the first on k's multiplier and the second on the other,
     with the last two terms held in locals.  A term is computed only when
-    it is asked for, so a reader steps only as far as it reads."""
+    it is asked for, so a reader steps only as far as it reads:
+    `_Series.extend` takes each lane's new entries off a run of its own,
+    and `matrixseq._walk` reads one run for as long as it is read."""
     even, odd, lag = rule
     first, second = (odd, even) if k & 1 else (even, odd)
     while True:
@@ -274,10 +276,10 @@ class _Series:
 
     A scalar series has one lane and a `Mat2` series four, one per entry:
     scaling and adding act entry by entry, so each entry follows the
-    scalar rule by itself.  Each lane keeps a `_steps` run on its
-    entries, started at its first extension and kept at the lane's end,
-    and an extension takes the new entries off each lane's run in turn,
-    so a short one costs no new run and no `Mat2` is built per step.
+    scalar rule by itself.  An extension starts a `_steps` run on each
+    lane's last two entries and takes the lane's new entries off it, so
+    no `Mat2` is built per step, and a series holds only its rule, its
+    lanes, its weights and its read cache.
     At a `BiParams` point lane j holds s[i] = c*w[i]*t[i] (entry j) on
     plain ints, stepped by `SeqKind._integer_rule`, with c the least
     integer that clears w[0]*t[0] and w[1]*t[1].  `terms` is the read
@@ -288,12 +290,12 @@ class _Series:
     there, so a second read is one list index and returns the same
     object.  A term that is never read is never divided.  At a point over
     any other ring (a symbolic one) the lanes step t itself by
-    `SeqKind.rule`, through the same runs, and a read builds the term
+    `SeqKind.rule`, by the same runs, and a read builds the term
     with no division.  `extend` steps the lanes; `term` and `prefix` read
     only what they hold, so each reader extends once per read.
     """
 
-    __slots__ = ("rule", "terms", "lanes", "scales", "base", "runs")
+    __slots__ = ("rule", "terms", "lanes", "scales", "base")
 
     def __init__(self, kind: SeqKind, params, t0, t1) -> None:
         starts = [t.entries() if isinstance(t, Mat2) else (t,) for t in (t0, t1)]
@@ -307,7 +309,6 @@ class _Series:
             starts = [[(c * e).numerator for e in t] for t in starts]
         self.lanes = [list(lane) for lane in zip(*starts)]
         self.terms = [None, None]
-        self.runs = None
 
     def extend(self, n: int) -> None:
         """Step every lane through index n, if it is not there yet."""
@@ -315,29 +316,14 @@ class _Series:
         k = len(terms)
         if k > n:
             return
-        # Every lane's new entries are taken before any lane appends its
-        # own.  A step that raises leaves the lanes and `terms` as they
-        # were and drops the runs (that one is over, the others have moved
-        # on), so the next extension starts new ones.
-        runs = self.runs or [_steps(self.rule, k, lane[-2], lane[-1]) for lane in lanes]
-        count = n + 1 - k
-        try:
-            # A one-index extension, a point read's next index in a sweep,
-            # takes one term off each run, with no list built per lane.
-            new = (list(map(next, runs)) if count == 1
-                   else [list(islice(run, count)) for run in runs])
-        except BaseException:
-            self.runs = None
-            raise
-        self.runs = runs
-        if count == 1:
-            for lane, entry in zip(lanes, new):
-                lane.append(entry)
-            terms.append(None)
-        else:
-            for lane, run in zip(lanes, new):
-                lane += run
-            terms += [None] * count
+        # Every lane's new entries are built, each from a new run, before
+        # any lane appends its own, so a step that raises leaves the lanes
+        # and `terms` as they were.
+        new = [list(islice(_steps(self.rule, k, lane[-2], lane[-1]), n + 1 - k))
+               for lane in lanes]
+        for lane, entries in zip(lanes, new):
+            lane += entries
+        terms += [None] * (n + 1 - k)
 
     def term(self, n: int):
         """t[n], of an index the lanes hold: divided on its first read and
@@ -375,8 +361,8 @@ def _memo_read(params, key, kind: SeqKind, start, n: int, read):
     stepped lanes.
 
     A step that raises, in any lane, leaves every lane and the read cache
-    as they were before the call and drops the runs; the next call starts
-    new runs from there.  A term's division on its first read is stored
+    as they were before the call, so the next call steps again from
+    there.  A term's division on its first read is stored
     only once it has succeeded, so a division that raises leaves the term
     unread, to divide on the next read.  One lock is held across lookup,
     extension and the read, so threads sharing a point never build one

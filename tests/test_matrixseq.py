@@ -78,6 +78,25 @@ def test_term_closed_at_1_1():
     assert term_closed(BiParams(1, 1), 3) == Mat2(5, 6, 3, 2)
 
 
+def test_term_closed_extends_jhat_once_per_call(monkeypatch):
+    # jhat[n+1] is read first, so a call past the memo's end extends it
+    # once, through n + 1, and reads jhat[n] and jhat[n-1] below it.
+    extend, extended = scalar_mod._Series.extend, []
+
+    def counting_extend(series, n):
+        if len(series.terms) <= n:
+            extended.append(n)
+        extend(series, n)
+
+    monkeypatch.setattr(scalar_mod._Series, "extend", counting_extend)
+    params = BiParams(F(5, 7), F(-7, 9))
+    # n, and the extensions it makes: the series starts holding jhat[0..1]
+    for n, expected in ((0, []), (1, [2]), (2, [3]), (7, [8]), (5, []), (20, [21])):
+        extended.clear()
+        assert term_closed(params, n) == term_fast(params, n), n
+        assert extended == expected, n
+
+
 def test_iter_terms_matches_term_recurrence():
     for p in (BiParams(-3, 2), BiParams(F(5, 7), F(-3, 4))):
         it = iter_terms(p)

@@ -19,6 +19,7 @@ build each series once and all get the same term objects.
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
 
@@ -205,14 +206,27 @@ def test_threads_first_reading_one_point_build_one_series(monkeypatch):
 def test_threads_mixing_prefix_and_point_reads_share_each_term(monkeypatch):
     # At one fresh point, two threads per reader: a prefix read and a
     # sweep of point reads, each of jhat and of J.  Each series is built
-    # once, with one `_steps` run per lane (one for jhat, four for J),
-    # and every thread gets the very term objects the others got.
-    steps, started = scalar._steps, []
+    # once, each index of each of its lanes (one for jhat, four for J) is
+    # stepped once, and every thread gets the very term objects the
+    # others got.
+    steps, extend = scalar._steps, scalar._Series.extend
+    stepped: Counter = Counter()
+    # the series being extended and its runs so far; one extension runs
+    # at a time, under the memo's lock, and starts its runs in lane order
+    extending: list = []
 
-    def counting_steps(*args):
-        started.append(args[1])
-        return steps(*args)
+    def counting_extend(series, n):
+        extending[:] = [series, 0]
+        extend(series, n)
 
+    def counting_steps(rule, k, prev, cur):
+        series, lane = extending
+        extending[1] += 1
+        for i, term in enumerate(steps(rule, k, prev, cur), k):
+            stepped[series, lane, i] += 1
+            yield term
+
+    monkeypatch.setattr(scalar._Series, "extend", counting_extend)
     monkeypatch.setattr(scalar, "_steps", counting_steps)
     readers = [
         lambda p: scalar_prefix(JHAT, p, N),
@@ -223,7 +237,7 @@ def test_threads_mixing_prefix_and_point_reads_share_each_term(monkeypatch):
     interval = sys.getswitchinterval()
     try:
         for trial in range(TRIALS):
-            started.clear()
+            stepped.clear()
             params = BiParams(F(5, 7 + trial), F(-3, 11))
             barrier = threading.Barrier(len(readers))
             got: list = [None] * len(readers)
@@ -245,8 +259,13 @@ def test_threads_mixing_prefix_and_point_reads_share_each_term(monkeypatch):
                 assert not t.is_alive()
             sys.setswitchinterval(interval)
             assert errors == []
-            assert started == [2] * 5
             assert set(params.series) == {JHAT, matrixseq._J}
+            # a series built twice would have stepped lanes that the point
+            # does not hold
+            assert set(stepped) == {(series, lane, i) for series in params.series.values()
+                                    for lane in range(len(series.lanes))
+                                    for i in range(2, N + 1)}, trial
+            assert set(stepped.values()) == {1}, trial
             expected = _jhat_reference(params.a, params.b, N + 1)
             matrices = list(islice(iter_terms(params), N + 1))
             jhats, js = got[0::4] + got[1::4], got[2::4] + got[3::4]

@@ -280,33 +280,44 @@ def test_memo_survives_a_failing_division(monkeypatch, key, route, fast, kind):
     assert len(failed) == 1
 
 
-def test_matrix_memo_survives_a_step_failing_in_a_later_lane(monkeypatch):
-    # The matrix series steps one lane per entry, lane by lane, each lane
-    # from its own `_steps` run.  From t[0..k-1], the third step at index
-    # k, in the third lane, raises: every lane and the read cache still
-    # hold exactly t[0..k-1], the runs are dropped, and the next read
-    # starts new ones there.
-    p, k = BiParams(F(5, 7), F(-3, 4)), 9
-    steps, calls = scalar_mod._steps, []
+# Each series with its route, the log-time route it must agree with, and
+# a lane of it: J's four lanes, and jhat's one.
+EVERY_LANE = pytest.mark.parametrize("key, route, fast, lane", [
+    *((matrixseq_mod._J, term_recurrence, term_fast, lane) for lane in range(4)),
+    (JHAT, partial(scalar_term, JHAT), partial(scalar_term_fast, JHAT), 0),
+], ids=["J-lane0", "J-lane1", "J-lane2", "J-lane3", "jhat-lane0"])
+
+
+@EVERY_LANE
+@pytest.mark.parametrize("pair", [(2, -3), (F(5, 7), F(-3, 4))], ids=["integer", "rational"])
+def test_memo_survives_a_step_failing_in_any_lane(monkeypatch, key, route, fast, lane, pair):
+    # A series steps one lane per entry of its terms, each from a `_steps`
+    # run of its own.  From t[0..k-1], the step at index k in the given
+    # lane raises: every lane and the read cache still hold exactly
+    # t[0..k-1], and the next read steps on from there.
+    p, k = BiParams(*pair), 9
+    route(p, k - 1)
+    series = p.series[key]
+    held = [entries[:] for entries in series.lanes]
+    steps, runs = scalar_mod._steps, []
 
     def failing_steps(rule, start, prev, cur):
+        runs.append(start)
+        failing = len(runs) == lane + 1
         for n, term in enumerate(steps(rule, start, prev, cur), start):
-            if n == k:
-                calls.append(n)
-                if len(calls) == 3:
-                    raise _StepFails
+            if failing and n == k:
+                raise _StepFails
             yield term
 
     monkeypatch.setattr(scalar_mod, "_steps", failing_steps)
-    term_recurrence(p, k - 1)
     with pytest.raises(_StepFails):
-        term_recurrence(p, 20)
-    series = p.series[matrixseq_mod._J]
-    assert len(series.terms) == k and series.runs is None
-    assert [len(lane) for lane in series.lanes] == [k] * 4
-    assert [series.term(n) for n in range(k)] == [term_fast(p, n) for n in range(k)]
-    assert term_recurrence(p, 20) == term_fast(p, 20)
-    assert [len(lane) for lane in series.lanes] == [21] * 4
+        route(p, 20)
+    assert len(series.terms) == k and series.lanes == held
+    assert [len(entries) for entries in series.lanes] == [k] * len(held)
+    assert [series.term(n) for n in range(k)] == [fast(p, n) for n in range(k)]
+    assert route(p, 20) == fast(p, 20)
+    assert [len(entries) for entries in series.lanes] == [21] * len(held)
+    assert p.series[key] is series
 
 
 def _single_steps(rule, start, prev, cur, count):
@@ -347,7 +358,8 @@ def test_matrix_memo_grows_by_odd_and_even_runs(monkeypatch, params):
     # Reads that take the series from an even length or an odd one, by a
     # run of one, two, three or four steps, keep every term equal to the
     # log-time route's, and the four lanes as long as the read cache.
-    # Each lane keeps the one `_steps` run it started with.
+    # Each extension starts one `_steps` run per lane, at the series'
+    # length.
     steps, started = scalar_mod._steps, []
 
     def counting_steps(*args):
@@ -356,13 +368,16 @@ def test_matrix_memo_grows_by_odd_and_even_runs(monkeypatch, params):
 
     monkeypatch.setattr(scalar_mod, "_steps", counting_steps)
     params.series.clear()
+    length = 2
     for n in (2, 5, 6, 9, 12, 13, 14, 17, 21, 22, 24):
+        started.clear()
         assert term_recurrence(params, n) == term_fast(params, n), n
+        assert started == [length] * 4, n
         series = params.series[matrixseq_mod._J]
         assert [len(lane) for lane in series.lanes] == [n + 1] * 4
         assert [series.term(i) for i in range(n + 1)] == [
             term_fast(params, i) for i in range(n + 1)], n
-    assert started == [2] * 4
+        length = len(series.terms)
     params.series.clear()
 
 
