@@ -18,13 +18,17 @@ the point's J series holds in its lanes, on ints, and the cleared terms
 read it there, so the suites step no walk of their own.  One factor
 serves all three.  The closed forms and `genfunc.build_ogf`
 read every term, J[0] and J[1] included, through one term source
-(`matrixseq._term_source`); the three closed forms take it, with their
+(`matrixseq._term_source`); the closed forms take it, with their
 selectors for each parity of n, from `_form_inputs`.  Each form is
-built once per point (and x) by a `_build_*` function, which computes
-the J[0]/J[1] part, both parities' coefficients and the denominator, and
-returns the form as a function of n; a suite builds one per report.  It
-reads J[n-1], then J[n], so `term_fast` at a `BiParams` steps J[n]'s
-power from J[n-1]'s (`scalar._stepped_power`).  The direct sum,
+built once per point (and x) by a builder, which computes the J[0]/J[1]
+part, both parities' coefficients and the denominator, and returns the
+form as a function of n.  There are two: `_build_printed` builds the
+printed weighted sum, and the plain sum as that form at x = 1 (ERRATA.md
+section 1), and `_build_weighted_corrected` the corrected weighted sum.
+Both sum suites run through one runner, `_check_printed`, which builds
+one form per report.  A form reads J[n-1], then J[n], so `term_fast` at
+a `BiParams` steps J[n]'s power from J[n-1]'s
+(`scalar._stepped_power`).  The direct sum,
 `_partial_sums`, walks the cleared point's terms.  So both sides are
 linear in the terms, and the same formula code fed the integer terms
 F*J[k] gives F times its value: the long division yields F*J[m],
@@ -241,20 +245,6 @@ def _confirmed(cleared: _Cleared, points, original):
             yield n, at_point(n), rhs / cleared.factor, None
 
 
-def _check_sums(identity: str, params: BiParams, build, n_max: int,
-                x: Fraction | None = None) -> IdentityReport:
-    """The report of a partial-sum suite: the closed form build(point),
-    a function of n, against the direct sum of J[k]/x^k (of J[k] when x
-    is None), 1 <= n <= n_max, on the terms of one cleared point; built
-    on the point itself only to confirm a cleared mismatch."""
-    cleared = _Cleared(params, n_max)
-    closed = build(cleared)
-    sums = enumerate(_partial_sums(cleared, 1 if x is None else x, n_max), 1)
-    points = ((n, closed(n), direct) for n, direct in sums)
-    cases = _confirmed(cleared, points, lambda: build(params))
-    return first_mismatch(identity, params, n_max, cases, x=x)
-
-
 def sum_direct(params: BiParams, n: int) -> Mat2:
     """sum_{k=0}^{n-1} J[k]: `weighted_sum_direct` at x = 1, in O(log n)."""
     return weighted_sum_direct(params, 1, n)
@@ -273,64 +263,15 @@ def _form_inputs(params):
     return _term_source(params), ((params.b, params.a), (params.a, params.b))
 
 
-def _two_term_form(term, scales: list, fixed: Mat2, den):
-    """n -> (J[n]*s + J[n-1]*s' + fixed) / den with (s, s') = scales[n & 1]:
-    two scaled terms, two sums and one division per n, J[n-1] read
-    first."""
-    def form(n: int) -> Mat2:
-        previous = term(n - 1)
-        at_n, at_previous = scales[n & 1]
-        return (term(n) * at_n + previous * at_previous + fixed) / den
-    return form
-
-
-def _build_sum_closed(params):
-    """`sum_closed_form` at `params` as a function of n >= 1.
-
-    The n-independent parts are computed here, once: J[1]*(a-1) +
-    J[0]*(2b-ab-1), the two coefficients of J[n] and J[n-1] at each
-    parity, and the denominator 1 - ab."""
-    den = printed_denominator(params)
-    term, selectors = _form_inputs(params)
-    fixed = term(1) * (params.a - 1) + term(0) * (2 * params.b - params.ab - 1)
-    scales = [(1 - sel_n, 2 * (1 - sel_n1)) for sel_n, sel_n1 in selectors]
-    return _two_term_form(term, scales, fixed, den)
-
-
-def sum_closed_form(params: BiParams, n: int) -> Mat2:
-    """Closed form for sum_{k=0}^{n-1} J[k]; requires ab != 1.
-
-    [J[n]*(1 - a^e*b^(1-e)) + 2*J[n-1]*(1 - a^(1-e)*b^e)
-     + J[1]*(a-1) + J[0]*(2b-ab-1)] / (1-ab),   e = parity(n).
-    """
-    _check_sum_index(n)
-    return _build_sum_closed(params)(n)
-
-
-def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
-    """Closed-form partial sum against the direct sum, 1 <= n <= n_max,
-    on terms cleared by F = c * lcm(w[n_max-1], w[n_max]), w the weights of
-    `SeqKind._integer_rule` (see `matrixseq._Cleared`)."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if params.ab == 1:
-        return skipped(SUM_T5, params, n_max, "denominator 1-ab vanishes")
-    return _check_sums(SUM_T5, params, _build_sum_closed, n_max)
-
-
-def _t6_denominator(params: BiParams, x: Fraction) -> Fraction:
-    return x * x - (params.ab + 4) * x + 4
-
-
 def printed_denominator(params: BiParams, x: Fraction | None = None) -> Fraction:
     """The denominator of the printed closed sum form: 1 - ab, or
     x^2 - (ab+4)x + 4 at a weight x.  Where it is 0 the form is undefined
-    and this raises; both builders take their denominator from here, and
-    a plain `sum` call runs only this check of the form."""
+    and this raises; the builder takes its denominator from here, and a
+    plain `sum` call runs only this check of the form."""
     if x is None:
         den, pole = 1 - params.ab, "closed form divides by 1 - ab"
     else:
-        den, pole = _t6_denominator(params, x), "x^2 - (ab+4)x + 4 vanishes at this x"
+        den, pole = x * x - (params.ab + 4) * x + 4, "x^2 - (ab+4)x + 4 vanishes at this x"
     if den == 0:
         raise ZeroDivisionError(pole)
     return den
@@ -349,18 +290,39 @@ def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
     return _weighted_sum(params, x, n)
 
 
-def _build_weighted_printed(params, x: Fraction):
+def _build_printed(params, x: Fraction | None):
     """`weighted_sum_printed_form` at `params` and x as a function of
-    n >= 1, built as `_build_sum_closed` is: the x^2 and x parts in J[0]
-    and J[1], both parities' coefficients and the denominator once."""
-    x = _plain(as_rational(x))  # an integral x stays an int, like cleared terms
+    n >= 1, and `sum_closed_form` when x is None: that is the same form at
+    x = 1 (ERRATA.md section 1), over the denominator 1 - ab.  The fixed
+    part, J[1]*(x^2 + (a-2)x) + J[0]*((3b - 1 - ab - b*x)*x), both
+    parities' coefficients and the denominator are computed once; per n,
+    two scaled terms, two sums and one division, J[n-1] read first."""
+    if x is not None:
+        x = _plain(x)  # an integral x stays an int, like cleared terms
     den = printed_denominator(params, x)
+    x = 1 if x is None else x
     term, selectors = _form_inputs(params)
-    j0, j1 = term(0), term(1)
     a, b, ab = params.a, params.b, params.ab
-    fixed = (j1 - b * j0) * (x * x) + (-2 * j1 + 3 * b * j0 + a * j1 - j0 - ab * j0) * x
+    fixed = term(1) * (x * x + (a - 2) * x) + term(0) * ((3 * b - 1 - ab - b * x) * x)
     scales = [(2 - x - sel_n * x, 2 * (2 - sel_n1 - x)) for sel_n, sel_n1 in selectors]
-    return _two_term_form(term, scales, fixed, den)
+
+    def form(n: int) -> Mat2:
+        previous = term(n - 1)
+        at_n, at_previous = scales[n & 1]
+        return (term(n) * at_n + previous * at_previous + fixed) / den
+    return form
+
+
+def sum_closed_form(params: BiParams, n: int) -> Mat2:
+    """Closed form for sum_{k=0}^{n-1} J[k]; requires ab != 1.
+
+    [J[n]*(1 - a^e*b^(1-e)) + 2*J[n-1]*(1 - a^(1-e)*b^e)
+     + J[1]*(a-1) + J[0]*(2b-ab-1)] / (1-ab),   e = parity(n).
+
+    This is `weighted_sum_printed_form` at x = 1, term by term.
+    """
+    _check_sum_index(n)
+    return _build_printed(params, None)(n)
 
 
 def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
@@ -375,7 +337,7 @@ def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     """
     x = as_rational(x)
     _check_sum_index(n)
-    return _build_weighted_printed(params, x)(n)
+    return _build_printed(params, x)(n)
 
 
 def _build_weighted_corrected(params, x: Fraction):
@@ -423,23 +385,45 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     return _build_weighted_corrected(params, x)(n)
 
 
-def verify_weighted_sum_t6(params: BiParams, x: Fraction,
-                           n_max: int) -> IdentityReport:
+def _check_printed(identity: str, params: BiParams, x, n_max: int) -> IdentityReport:
+    """The report of a sum suite: the printed form (`_build_printed`)
+    against the direct sum of J[k]/x^k (of J[k] when x is None),
+    1 <= n <= n_max, on the terms of one cleared point, cleared by
+    F = c * lcm(w[n_max-1], w[n_max]), w the weights of
+    `SeqKind._integer_rule` (see `matrixseq._Cleared`); built on the point
+    itself only to confirm a cleared mismatch.  x = 0 and a vanishing
+    denominator make a SKIPPED report."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if x is not None:
+        x = as_rational(x)
+        if x == 0:
+            return skipped(identity, params, n_max, "x = 0", x=x)
+    try:
+        printed_denominator(params, x)
+    except ZeroDivisionError:
+        which = "1-ab" if x is None else "x^2-(ab+4)x+4"
+        return skipped(identity, params, n_max, f"denominator {which} vanishes", x=x)
+    cleared = _Cleared(params, n_max)
+    closed = _build_printed(cleared, x)
+    sums = enumerate(_partial_sums(cleared, 1 if x is None else x, n_max), 1)
+    points = ((n, closed(n), direct) for n, direct in sums)
+    cases = _confirmed(cleared, points, lambda: _build_printed(params, x))
+    return first_mismatch(identity, params, n_max, cases, x=x)
+
+
+def verify_sum_t5(params: BiParams, n_max: int) -> IdentityReport:
+    """The plain closed-form partial sum against the direct sum."""
+    return _check_printed(SUM_T5, params, None, n_max)
+
+
+def verify_weighted_sum_t6(params: BiParams, x: Fraction, n_max: int) -> IdentityReport:
     """Printed weighted-sum closed form against the direct weighted sum.
 
     The direct sum is normative.  Expected outcome: PASS at x = 1 (where
     the form reduces to the plain summation formula), FAIL for x != 1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    x = as_rational(x)
-    if x == 0:
-        return skipped(WEIGHTED_SUM_T6, params, n_max, "x = 0", x=x)
-    if _t6_denominator(params, x) == 0:
-        return skipped(WEIGHTED_SUM_T6, params, n_max,
-                       "denominator x^2-(ab+4)x+4 vanishes", x=x)
-    printed = lambda point: _build_weighted_printed(point, x)
-    return _check_sums(WEIGHTED_SUM_T6, params, printed, n_max, x)
+    return _check_printed(WEIGHTED_SUM_T6, params, x, n_max)
 
 
 def root_claim_beta_shift_holds(params: BiParams) -> bool:

@@ -287,8 +287,7 @@ def test_plain_sum_evaluates_no_closed_form(capsys, monkeypatch):
         return closed_form
 
     for module, name in [(cli, "sum_closed_form"), (cli, "weighted_sum_printed_form"),
-                         (verifier, "_build_sum_closed"),
-                         (verifier, "_build_weighted_printed")]:
+                         (verifier, "_build_printed")]:
         monkeypatch.setattr(module, name, broken(name))
     for extra in [(), ("--x", "1/2")]:
         for fmt in ("plain", "json", "csv"):

@@ -98,10 +98,25 @@ def test_terms_over_q_ab(terms):
         _check(det_closed(SYM, n), terms[n].det(), det_closed(POINT, n))
 
 
+def _printed_t5(params, n):
+    """The paper's printed plain sum at n, written here from the
+    recurrence's terms:
+
+    [J[n]*(1 - a^e*b^(1-e)) + 2*J[n-1]*(1 - a^(1-e)*b^e)
+     + J[1]*(a-1) + J[0]*(2b-ab-1)] / (1-ab),   e = parity(n)."""
+    a, b, e = params.a, params.b, n & 1
+    J = lambda k: term_recurrence(params, k)
+    return (J(n) * (1 - a ** e * b ** (1 - e)) + J(n - 1) * (2 * (1 - a ** (1 - e) * b ** e))
+            + J(1) * (a - 1) + J(0) * (2 * b - a * b - 1)) / (1 - a * b)
+
+
 def test_sum_closed_form_over_q_ab(terms):
+    # the library builds T5 as the printed weighted form at x = 1, so the
+    # printed T5 written above is checked too, as a rational function
     direct = list(accumulate(terms))  # direct[n - 1] = sum_{k<n} J[k]
     for n in range(1, N + 1):
         _check(sum_closed_form(SYM, n), direct[n - 1], sum_closed_form(POINT, n))
+        _check(_printed_t5(SYM, n), direct[n - 1], sum_closed_form(POINT, n))
 
 
 @pytest.mark.parametrize("x", [F(2), F(1, 2), F(-3)], ids=str)

@@ -153,11 +153,26 @@ def test_weighted_sum_printed_form_refuted_for_x_not_1():
         residual.e12 != 0
 
 
+def _printed_t5(params, n):
+    """The paper's printed plain sum at n, written here from the
+    recurrence's terms, so no test checks the library's T5 (built as the
+    printed weighted form at x = 1) against itself:
+
+    [J[n]*(1 - a^e*b^(1-e)) + 2*J[n-1]*(1 - a^(1-e)*b^e)
+     + J[1]*(a-1) + J[0]*(2b-ab-1)] / (1-ab),   e = parity(n)."""
+    a, b, e = params.a, params.b, n & 1
+    J = lambda k: term_recurrence(params, k)
+    return (J(n) * (1 - a ** e * b ** (1 - e)) + J(n - 1) * (2 * (1 - a ** (1 - e) * b ** e))
+            + J(1) * (a - 1) + J(0) * (2 * b - a * b - 1)) / (1 - a * b)
+
+
 def test_weighted_sum_printed_form_matches_plain_sum_at_x_1():
-    for params in (BiParams(2, 1), BiParams(-3, 2), BiParams(3, 5)):
+    for params in (BiParams(2, 1), BiParams(-3, 2), BiParams(3, 5),
+                   BiParams(F(1, 2), F(-3, 4))):
         for n in range(1, 33):
-            assert weighted_sum_printed_form(params, F(1), n) == \
-                sum_closed_form(params, n)
+            printed = _printed_t5(params, n)
+            assert sum_closed_form(params, n) == printed
+            assert weighted_sum_printed_form(params, F(1), n) == printed
         assert verify_weighted_sum_t6(params, F(1), 64).status == "PASS"
 
 
@@ -323,10 +338,9 @@ def test_a_sum_suite_builds_its_form_once_and_the_point_form_only_to_confirm(
     # report, and one on the point itself only where a cleared mismatch (the
     # printed form's FAIL at x = 3) needs confirming.
     built = []
-    for name in ("_build_sum_closed", "_build_weighted_printed"):
-        real = getattr(verifier_mod, name)
-        monkeypatch.setattr(verifier_mod, name,
-                            lambda *args, real=real: built.append(type(args[0])) or real(*args))
+    real = verifier_mod._build_printed
+    monkeypatch.setattr(verifier_mod, "_build_printed",
+                        lambda *args: built.append(type(args[0])) or real(*args))
     cleared = verifier_mod._Cleared
     assert verify_sum_t5(_Q, 16).status == "PASS" and built == [cleared]
     built.clear()
@@ -388,9 +402,11 @@ def test_cleared_terms_are_the_factor_times_the_recurrence(params):
         if params.a.denominator == params.b.denominator == 1:
             assert all(type(e) is int for e in closed.entries())
     # so do both weighted forms, reading J[n] and J[n-1] from the cleared
-    # point and never through the Fraction memo
+    # point and never through the Fraction memo; the printed form at x = 1
+    # is the plain sum, so at an integer pair it stays on ints (an integral
+    # x is made an int before the denominator is taken)
     for form in (weighted_sum_printed_form, weighted_sum_corrected_form):
-        for x in (F(2), F(-1, 3)):
+        for x in (F(1), F(2), F(-1, 3)):
             for n in range(1, 41):
                 try:
                     value = form(params, x, n)
@@ -399,6 +415,9 @@ def test_cleared_terms_are_the_factor_times_the_recurrence(params):
                 weighted = form(cleared, x, n)
                 assert weighted == cleared.factor * value, (form.__name__, x, n)
                 assert not any(type(e) is float for e in weighted.entries())
+                if (form is weighted_sum_printed_form and x == 1
+                        and params.a.denominator == params.b.denominator == 1):
+                    assert all(type(e) is int for e in weighted.entries()), n
     assert not hasattr(cleared, "series")  # a memo read of it would raise
     # and the generating function, fed the cleared point, expands to F*J[m]
     series = verifier_mod._Cleared(params, 40)
@@ -471,7 +490,7 @@ def test_weighted_sum_skips():
     assert verify_weighted_sum_t6(BiParams(2, 1), F(0), 8).skip_reason == "x = 0"
     report = verify_weighted_sum_t6(BiParams(1, 1), F(1), 8)
     assert report.status == "SKIPPED"
-    assert "vanishes" in report.skip_reason
+    assert report.skip_reason == "denominator x^2-(ab+4)x+4 vanishes"
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)
@@ -926,14 +945,14 @@ _FORCED_FAILS = {
         "LUCAS_RELATIONS a=2 b=1 n_max=8 FAIL first_failure=3 residual=-1"
         "  [(ab+8)*jhat[n] = 2*C[n-1] + C[n+1] failed]"),
     "sum-t5": (
-        verifier_mod, "_build_sum_closed", _bump_form(3),
+        verifier_mod, "_build_printed", _bump_form(3),
         lambda: verifier_mod.verify_sum_t5(_P, 8), 3, _I, None, None,
         '{"identity": "SUM_T5", "a": "2", "b": "1", "n_max": 8, "status": "FAIL", '
         f'"first_failure": 3, "residual": {_I_JSON}}}',
         f"SUM_T5,2,1,,8,FAIL,3,{_I_CSV}",
         f"SUM_T5 a=2 b=1 n_max=8 FAIL first_failure=3 residual={_I_PLAIN}"),
     "weighted-sum-t6": (
-        verifier_mod, "_build_weighted_printed", _bump_form(3),
+        verifier_mod, "_build_printed", _bump_form(3),
         lambda: verifier_mod.verify_weighted_sum_t6(_P, F(1), 8), 3, _I, None, F(1),
         '{"identity": "WEIGHTED_SUM_T6", "a": "2", "b": "1", "x": "1", "n_max": 8, '
         f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
@@ -943,14 +962,14 @@ _FORCED_FAILS = {
     # at a rational pair the suites compare cleared terms F*J[k]; the bump
     # still reads as I, so the FAIL's residual is in the original units
     "sum-t5-rational": (
-        verifier_mod, "_build_sum_closed", _bump_form(3),
+        verifier_mod, "_build_printed", _bump_form(3),
         lambda: verifier_mod.verify_sum_t5(_Q, 8), 3, _I, None, None,
         '{"identity": "SUM_T5", "a": "1/2", "b": "-3/4", "n_max": 8, '
         f'"status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
         f"SUM_T5,1/2,-3/4,,8,FAIL,3,{_I_CSV}",
         f"SUM_T5 a=1/2 b=-3/4 n_max=8 FAIL first_failure=3 residual={_I_PLAIN}"),
     "weighted-sum-t6-rational": (
-        verifier_mod, "_build_weighted_printed", _bump_form(3),
+        verifier_mod, "_build_printed", _bump_form(3),
         lambda: verifier_mod.verify_weighted_sum_t6(_Q, F(1), 8), 3, _I, None, F(1),
         '{"identity": "WEIGHTED_SUM_T6", "a": "1/2", "b": "-3/4", "x": "1", '
         f'"n_max": 8, "status": "FAIL", "first_failure": 3, "residual": {_I_JSON}}}',
@@ -1037,7 +1056,7 @@ def test_a_cleared_mismatch_the_fraction_side_does_not_confirm_ends_nothing(
     # Each patch errs at 2 on the cleared point only, and at 5 on both: the
     # check goes on past 2 and fails at 5, in the original units.
     real_series = verifier_mod.series_coeffs
-    real_build = verifier_mod._build_sum_closed
+    real_build = verifier_mod._build_printed
 
     def series(ogf, count):
         out = real_series(ogf, count)
@@ -1045,8 +1064,8 @@ def test_a_cleared_mismatch_the_fraction_side_does_not_confirm_ends_nothing(
             out[m] = out[m] + _I
         return out
 
-    def build(point):
-        form = real_build(point)
+    def build(point, x):
+        form = real_build(point, x)
         cleared = isinstance(point, verifier_mod._Cleared)
 
         def closed(n):
@@ -1055,7 +1074,7 @@ def test_a_cleared_mismatch_the_fraction_side_does_not_confirm_ends_nothing(
         return closed
 
     monkeypatch.setattr(verifier_mod, "series_coeffs", series)
-    monkeypatch.setattr(verifier_mod, "_build_sum_closed", build)
+    monkeypatch.setattr(verifier_mod, "_build_printed", build)
     for report in (verify_series_match(_P, 8), verify_sum_t5(_P, 8)):
         assert (report.status, report.first_failure, report.residual) == \
             ("FAIL", 5, _I)
