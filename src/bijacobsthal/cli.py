@@ -5,11 +5,11 @@ subcommand's handler `cmd_<name>`, looked up by name at each call; the
 parser, built once per process, names no handler.  `term`, `matrix`,
 `series` and `sum` take their point (`--a`, `--b` and the index option)
 from one helper in `build_parser`.  The options are declared once, in
-`build_parser`, and that one option table has two readers:
-`_parse_plain` reads a call made of its subcommand's exact options in one
-pass, and argparse reads every other call, so help, usage errors and the
-forms only argparse accepts (an abbreviated option, `--`) print and parse
-as argparse has them.  Every rational on
+`build_parser`, and each subcommand's parser has two readers:
+`_parse_plain` reads a call made of its exact options in one pass, and
+argparse reads every other call, so help, usage errors and the forms
+only argparse accepts (an abbreviated option, `--`) print and parse as
+argparse has them.  Every rational on
 the wire is the exact string "p/q" (or "p" when the denominator is 1);
 no floating point is ever printed except `bench`'s CPU times.  `_emit`
 prints term, matrix, series and sum through the one encoder of each format:
@@ -276,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     `build_parser.__wrapped__()` builds a fresh one.
 
     The options declared here are the one option table, and it has two
-    readers.  `option_tables` holds, per subcommand, the `Action`s that
-    `add_argument` returned, as `_parse_plain` reads them in one pass;
-    argparse reads the same actions for every call that pass refuses.
+    readers.  `option_tables` maps each subcommand to its parser, which
+    `_parse_plain` reads in one pass; argparse reads the same parser for
+    every call that pass refuses.
     """
     parser = argparse.ArgumentParser(
         prog="bijacobsthal",
@@ -345,12 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", default="1",
                          help="timed runs per point; the minimum is kept")
 
-    # A token that starts with '-' and a digit (a negative rational or
-    # grid range) is a value, not an option name, to each subcommand.
+    # A token this matches (a negative rational, a grid range or '-.5')
+    # is a value, not an option name, to each subcommand's parser and so
+    # to `_parse_plain`.
     negative = re.compile(r"-\d|-\d*\.\d+$")
     for p in sub.choices.values():
         p._negative_number_matcher = negative
-    parser.option_tables = {name: _option_table(p) for name, p in sub.choices.items()}
+    parser.option_tables = sub.choices
     return parser
 
 
@@ -360,41 +361,29 @@ _PLAIN_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction,
                   argparse._AppendAction)
 
 
-def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, list]:
-    """A subcommand's options as `_parse_plain` reads them: each option
-    string of a store, store_true or append action mapped to its action,
-    and the actions whose dest a parse fills (every one but help's)."""
-    actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]
-    options = {option: action for action in actions
-               if type(action) in _PLAIN_ACTIONS
-               for option in action.option_strings}
-    return options, actions
-
-
-def _parse_plain(tables: dict, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+def _parse_plain(parsers: dict, argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """The namespace argparse gives `argv`, read in one pass over its
-    subcommand's option table, or None for an argv this pass does not take.
+    subcommand's parser, or None for an argv this pass does not take.
 
-    It takes a subcommand name, then exact option strings, each as
-    `--opt value` or `--opt=value` and a flag alone, with every value in
-    its choices and every required option given.  As in argparse, the last
-    value of a repeated option wins and an append option collects them.  A
-    value token that starts with '-' is taken only when a digit follows,
-    as each subcommand's parser reads a negative number.  Any other argv
-    (help, an abbreviation, '--', a positional token, and every usage
-    error) gets None, and `main` hands it to argparse, which prints what
-    it prints.
+    It takes a subcommand name, then exact option strings of store,
+    store_true and append actions, each as `--opt value` or `--opt=value`
+    and a flag alone, with every value in its choices and every required
+    option given.  As in argparse, the last value of a repeated option
+    wins and an append option collects them.  A value token that starts
+    with '-' is taken only when the parser's own negative-number pattern
+    matches it, as argparse reads it then.  Any other argv (help, an
+    abbreviation, '--', a positional token, and every usage error) gets
+    None, and `main` hands it to argparse, which prints what it prints.
     """
-    table = tables.get(argv[0]) if argv else None
-    if table is None:
+    parser = parsers.get(argv[0]) if argv else None
+    if parser is None:
         return None
-    options, actions = table
     given: dict = {}
     tokens = iter(argv[1:])
     for token in tokens:
         option, equals, value = token.partition("=")
-        action = options.get(option)
-        if action is None:
+        action = parser._option_string_actions.get(option)
+        if type(action) not in _PLAIN_ACTIONS:
             return None
         if action.nargs == 0:
             if equals:
@@ -403,7 +392,8 @@ def _parse_plain(tables: dict, argv: Sequence[str]) -> Optional[argparse.Namespa
         else:
             if not equals:
                 value = next(tokens, None)
-                if value is None or (value[:1] == "-" and not value[1:2].isdigit()):
+                if value is None or (value[:1] == "-" and
+                                     not parser._negative_number_matcher.match(value)):
                     return None
             if action.choices is not None and value not in action.choices:
                 return None
@@ -412,12 +402,12 @@ def _parse_plain(tables: dict, argv: Sequence[str]) -> Optional[argparse.Namespa
         else:
             given[action] = value
     values = {"command": argv[0]}
-    for action in actions:
+    for action in parser._actions:
         if action in given:
             values[action.dest] = given[action]
         elif action.required:
             return None
-        else:
+        elif action.default is not argparse.SUPPRESS:  # help's
             values[action.dest] = action.default
     return argparse.Namespace(**values)
 

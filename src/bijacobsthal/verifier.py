@@ -19,20 +19,21 @@ read it there, so the suites step no walk of their own.  One factor
 serves all three.  The closed forms and `genfunc.build_ogf`
 read every term, J[0] and J[1] included, through one term source
 (`matrixseq._term_source`); the closed forms take it, with their
-selectors for each parity of n, from `_form_inputs`.  Each form is
-built once per point (and x) by a builder, which computes the J[0]/J[1]
-part, both parities' coefficients and the denominator, and returns the
-form as a function of n.  There are two: `_build_printed` builds the
-printed weighted sum, and the plain sum as that form at x = 1 (ERRATA.md
-section 1), and `_build_weighted_corrected` the corrected weighted sum.
-Both sum suites run through one runner, `_check_printed`, which builds
-one form per report.  A form reads J[n-1], then J[n], so `term_fast` at
-a `BiParams` steps J[n]'s power from J[n-1]'s
-(`scalar._stepped_power`).  The direct sum,
-`_partial_sums`, walks the cleared point's terms.  So both sides are
-linear in the terms, and the same formula code fed the integer terms
-F*J[k] gives F times its value: the long division yields F*J[m],
-compared with the cleared recurrence's F*J[m].  At integer (a, b) and
+selectors for each parity of n, from `_form_inputs`.  The printed form
+is built once per point (and x) by one builder, `_build_printed`, which
+computes the J[0]/J[1] part, both parities' coefficients and the
+denominator, and returns the form as a function of n; the plain sum is
+that form at x = 1 (ERRATA.md section 1).  Both sum suites run through
+one runner, `_check_printed`, which builds one form per report.  The
+corrected weighted sum, which no suite builds, is evaluated at one n by
+`weighted_sum_corrected_form`.  All three public weighted sums take x
+through one domain check, `_check_weight`.  A form reads J[n-1], then
+J[n], so `term_fast` at a `BiParams` steps J[n]'s power from J[n-1]'s
+(`scalar._stepped_power`).  The direct sum, `_partial_sums`, walks the
+cleared point's terms.  So both sides are linear in the terms, and the
+same formula code fed the integer terms F*J[k] gives F times its value:
+the long division yields F*J[m], compared with the cleared recurrence's
+F*J[m].  At integer (a, b) and
 1/x both sides are then matrices of plain ints; elsewhere the terms are
 still ints, and the same code runs with the rational a, b and x.
 Clearing one nonzero factor from both sides does not change which side
@@ -277,17 +278,22 @@ def printed_denominator(params: BiParams, x: Fraction | None = None) -> Fraction
     return den
 
 
-def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
-    """sum_{k=0}^{n-1} J[k] / x^k in O(log n) integer ring operations;
-    x != 0.  The inputs are checked here, and `matrixseq._weighted_sum`
-    raises `term_fast`'s two-step matrix bordered by an accumulator column
-    and finishes the sum as `term_fast` is finished, with one division
-    per entry."""
+def _check_weight(x, n: int) -> Fraction:
+    """x as a rational, once n passes `_check_sum_index`: the domain of
+    every weighted sum, whose weights 1/x^k refuse x = 0."""
     x = as_rational(x)
     _check_sum_index(n)
     if x == 0:
         raise ZeroDivisionError("weights divide by powers of x")
-    return _weighted_sum(params, x, n)
+    return x
+
+
+def weighted_sum_direct(params: BiParams, x: Fraction, n: int) -> Mat2:
+    """sum_{k=0}^{n-1} J[k] / x^k in O(log n) integer ring operations;
+    x != 0.  `matrixseq._weighted_sum` raises `term_fast`'s two-step
+    matrix bordered by an accumulator column and finishes the sum as
+    `term_fast` is finished, with one division per entry."""
+    return _weighted_sum(params, _check_weight(x, n), n)
 
 
 def _build_printed(params, x: Fraction | None):
@@ -334,33 +340,9 @@ def weighted_sum_printed_form(params: BiParams, x: Fraction, n: int) -> Mat2:
 
     This is a checker input, not a trusted formula: it reduces to the plain
     summation form at x = 1 but is refuted by the direct sum for x != 1.
+    Like every weighted sum it refuses x = 0.
     """
-    x = as_rational(x)
-    _check_sum_index(n)
-    return _build_printed(params, x)(n)
-
-
-def _build_weighted_corrected(params, x: Fraction):
-    """`weighted_sum_corrected_form` at `params` and x as a function of
-    n >= 1: x^4*N(1/x), the denominator and both parities' quadratics in
-    x once, and per n the powers x^(2-n) and x^(1-n)."""
-    x = as_rational(x)
-    if x == 0:
-        raise ZeroDivisionError("weights divide by powers of x")
-    term, selectors = _form_inputs(params)
-    ogf = build_ogf(params)
-    den = sum(d * x ** (4 - i) for i, d in enumerate(ogf.denominator))
-    if den == 0:
-        raise ZeroDivisionError("x^4 - (ab+4)x^2 + 4 vanishes at this x")
-    fixed = sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator)), Mat2.zero())
-    scales = [(x * x + sel_n * x - 2, x * x + sel_n1 * x - 2) for sel_n, sel_n1 in selectors]
-
-    def form(n: int) -> Mat2:
-        previous = term(n - 1)
-        at_n, at_previous = scales[n & 1]
-        return (fixed - term(n) * (x ** (2 - n) * at_n)
-                - previous * (2 * x ** (1 - n) * at_previous)) / den
-    return form
+    return _build_printed(params, _check_weight(x, n))(n)
 
 
 def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
@@ -380,9 +362,17 @@ def weighted_sum_corrected_form(params: BiParams, x: Fraction, n: int) -> Mat2:
     denominator vanishes exactly when x^2 hits a shifted root alpha+2 or
     beta+2 (at x = 1 or x = 2 that means ab = 1).
     """
-    x = as_rational(x)
-    _check_sum_index(n)
-    return _build_weighted_corrected(params, x)(n)
+    x = _check_weight(x, n)
+    term, selectors = _form_inputs(params)
+    ogf = build_ogf(params)
+    den = sum(d * x ** (4 - i) for i, d in enumerate(ogf.denominator))
+    if den == 0:
+        raise ZeroDivisionError("x^4 - (ab+4)x^2 + 4 vanishes at this x")
+    fixed = sum((c * x ** (4 - i) for i, c in enumerate(ogf.numerator)), Mat2.zero())
+    sel_n, sel_n1 = selectors[n & 1]
+    previous = term(n - 1)  # first, so J[n]'s power steps from J[n-1]'s
+    return (fixed - term(n) * (x ** (2 - n) * (x * x + sel_n * x - 2))
+            - previous * (2 * x ** (1 - n) * (x * x + sel_n1 * x - 2))) / den
 
 
 def _check_printed(identity: str, params: BiParams, x, n_max: int) -> IdentityReport:

@@ -687,14 +687,16 @@ _TERM = ["term", "--kind", "jhat", "--a", "2", "--b", "1", "--n", "5"]
 
 # Argvs of every subcommand that `cli._parse_plain` takes, beside the golden
 # file's and one mixed_queries op list's: `bench` with its defaults, both
-# option forms, a negative rational both ways, a repeated option, two
-# `--suite`s and `--both` twice.
+# option forms, a negative rational both ways, '-.5' (a value to argparse,
+# which the handler refuses), a repeated option, two `--suite`s and
+# `--both` twice.
 _PLAIN_ARGVS = [
     ["bench"],
     ["bench", "--a", "1/2", "--b=-3/4", "--ladder", "0,1", "--repeat", "2"],
     ["term", "--kind=lucas", "--a=2", "--b", "1", "--n=7", "--format=csv"],
     ["term", "--kind", "jhat", "--a", "-3/4", "--b", "1", "--n", "5"],
     ["term", "--kind", "jhat", "--a=-3/4", "--b", "1", "--n", "5"],
+    ["term", "--kind", "jhat", "--a", "-.5", "--b", "1", "--n", "5"],
     [*_TERM, "--n", "8", "--format", "json", "--format", "plain"],
     ["matrix", "--n", "-2", "--a", "1", "--b", "1", "--method", "fast",
      "--method", "closed"],

@@ -458,6 +458,9 @@ _CLEARED_TO_4 = (ValueError, "cleared terms are defined for 0 <= k <= 4")
      (ZeroDivisionError, "weights divide by powers of x")),
     (lambda: weighted_sum_printed_form(BiParams(2, 1), F(2), 0), _N_RULE),
     (lambda: weighted_sum_printed_form(BiParams(1, 1), F(1), 0), _N_RULE),
+    (lambda: weighted_sum_printed_form(BiParams(2, 1), F(0), 0), _N_RULE),
+    (lambda: weighted_sum_printed_form(BiParams(2, 1), F(0), 3),
+     (ZeroDivisionError, "weights divide by powers of x")),
     (lambda: weighted_sum_printed_form(BiParams(1, 1), F(1), 3),
      (ZeroDivisionError, "x^2 - (ab+4)x + 4 vanishes at this x")),
     (lambda: weighted_sum_corrected_form(BiParams(2, 1), F(2), 0), _N_RULE),
